@@ -9,6 +9,7 @@ integer arithmetic; the only rounding happens in the final square root.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
@@ -67,16 +68,18 @@ class HalfInt:
         return HalfInt(-self.twice)
 
     def __eq__(self, other) -> bool:
-        try:
-            return self.twice == HalfInt.of(other).twice
-        except (ValueError, TypeError):
-            return NotImplemented
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if isinstance(other, numbers.Real):
+            return self.value == other
+        return NotImplemented
 
     def __lt__(self, other) -> bool:
         return self.twice < HalfInt.of(other).twice
 
     def __hash__(self) -> int:
-        return hash(self.twice)
+        # Equal numbers hash equally, so HalfInt(2) and 1 share dict slots.
+        return hash(self.value)
 
     def __str__(self) -> str:
         if self.twice % 2 == 0:

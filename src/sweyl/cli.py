@@ -108,11 +108,7 @@ def cmd_purities(args) -> int:
     svals = args.s if args.s else [-1.0, 0.0, 1.0]
     rows = []
     for sel in states:
-        try:
-            psi = model.named_state(sel, seed=args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        psi = model.named_state(sel, seed=args.seed)
         rho = np.outer(psi, psi.conj())
         spectrum = gfd.purity_spectrum(rho, model)
         for s in svals:
@@ -169,11 +165,7 @@ def cmd_phasespace(args) -> int:
     os.makedirs(args.out, exist_ok=True)
 
     for sel in states:
-        try:
-            psi = model.named_state(sel, seed=args.seed)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+        psi = model.named_state(sel, seed=args.seed)
         rho = np.outer(psi, psi.conj())
         for s in svals:
             if isinstance(model, SpinModel):
@@ -210,6 +202,16 @@ def cmd_phasespace(args) -> int:
 
 
 def cmd_duality(args) -> int:
+    """Haar-duality Monte Carlo; exit 1 when any sector row fails its gate.
+
+    The trivial sector is deterministic and must match to 1e-10.  Every
+    non-trivial row is gated at ``|z| <= 4``, where z is the mean's
+    deviation in standard errors.  Under the normal approximation a
+    correct program fails one such row with probability
+    ``P(|z| > 4) ~= 6.3e-5``.  A run makes (sectors - 1) x (number of
+    ``--s`` values) of them, so its false-failure rate is about that count
+    times 6.3e-5: 1.0e-3 for spin S = 4 at two s values (16 rows).
+    """
     model = _model(args)
     if model.kind == "fermionic":
         print("error: duality command needs a structured quadrature "
@@ -281,12 +283,8 @@ def cmd_star(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        results = verify.run_checks(args.qrt, args.spin_S, args.n,
-                                    seed=args.seed, quad_tol=args.quad_tol)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    results = verify.run_checks(args.qrt, args.spin_S, args.n,
+                                seed=args.seed, quad_tol=args.quad_tol)
     checks = [r.as_dict() for r in results]
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "verify.json"),
@@ -313,7 +311,14 @@ def main(argv=None) -> int:
         "star": cmd_star,
         "verify": cmd_verify,
     }[args.command]
-    return handler(args)
+    try:
+        return handler(args)
+    except ValueError as exc:
+        # Models, sector blocks and state selectors refuse configurations
+        # they cannot serve (qubit counts past the label or dense-block
+        # caps, unknown states) with ValueError: a usage error, not a crash.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -150,6 +150,9 @@ def norm_bounds(model: QrtModel, s: float, rho: np.ndarray | None = None):
 
 # -- statistical duality ------------------------------------------------------
 
+_DUALITY_CHUNK = 256  # Haar samples per batched contraction in duality_check
+
+
 @dataclass
 class DualityRow:
     """Per-sector comparison of Haar-averaged filtered purity with its dual."""
@@ -184,20 +187,22 @@ def duality_check(model: QrtModel, s: float, nsamples: int, seed: int,
     harm = _ps.harmonic_matrix(model, grid.points)
     w = np.asarray(grid.weights)
 
+    # The field of rho is F_n = Tr[K_n rho] = vec(K_n) . vec(rho^T), so the
+    # sector components H_lam (w * F) are vec(rho^T) @ coeff[lam]; no
+    # per-node field is ever formed.
+    flat = stack.reshape(len(w), -1).T
+    coeff = {lam: flat @ (w[:, None] * H.T) for lam, H in harm.items()}
+
     sums = {lam: 0.0 for lam in labels}
     sqsums = {lam: 0.0 for lam in labels}
-    for i in range(nsamples):
-        psi = model.haar_state(np.random.default_rng([seed, i]))
-        rho = np.outer(psi, psi.conj())
-        field = np.einsum("nab,ba->n", stack, rho)
-        for lam in labels:
-            if lam in harm:
-                comps = harm[lam] @ (w * field)
-                val = float(np.sum(np.abs(comps) ** 2))
-            else:
-                val = 0.0
-            sums[lam] += val
-            sqsums[lam] += val * val
+    for lo in range(0, nsamples, _DUALITY_CHUNK):
+        psi = np.array([model.haar_state(np.random.default_rng([seed, i]))
+                        for i in range(lo, min(nsamples, lo + _DUALITY_CHUNK))])
+        rho_t = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
+        for lam, C in coeff.items():
+            vals = np.sum(np.abs(rho_t @ C) ** 2, axis=1)
+            sums[lam] += float(np.sum(vals))
+            sqsums[lam] += float(vals @ vals)
 
     hw_field = np.einsum(
         "nab,ba->n",

@@ -72,7 +72,8 @@ class QrtModel:
 
     # subclasses implement: labels, irrep_dim, tau, _build_block, hw_state,
     # point_unitary, group_unitary, random_point, random_group, act,
-    # identity_point, and state constructors.
+    # identity_point, and state constructors.  point_unitaries may be
+    # overridden with a batched evaluation equal to the per-point one.
 
     def labels(self):
         raise NotImplementedError
@@ -101,6 +102,14 @@ class QrtModel:
 
     def coherent_state(self, point) -> np.ndarray:
         return self.point_unitary(point) @ self.hw_state()
+
+    def point_unitaries(self, points) -> np.ndarray:
+        """(N, d, d) stack of ``point_unitary`` over many points."""
+        return np.array([self.point_unitary(p) for p in points])
+
+    def coherent_states(self, points) -> np.ndarray:
+        """(N, d) stack of ``coherent_state`` over many points."""
+        return self.point_unitaries(points) @ self.hw_state()
 
     def haar_state(self, rng) -> np.ndarray:
         rng = np.random.default_rng(rng)
@@ -221,14 +230,18 @@ class SpinModel(QrtModel):
 
     # group / phase-space geometry
 
-    def _rot_y(self, theta: float) -> np.ndarray:
+    def _jy_eigh(self):
         if self._jy_eig is None:
             _, Jy, _ = self.spin_operators()
             self._jy_eig = np.linalg.eigh(Jy)
-        w, V = self._jy_eig
+        return self._jy_eig
+
+    def _rot_y(self, theta: float) -> np.ndarray:
+        w, V = self._jy_eigh()
         return (V * np.exp(-1j * theta * w)) @ V.conj().T
 
-    def _rot_z_diag(self, angle: float) -> np.ndarray:
+    def _rot_z_diag(self, angle) -> np.ndarray:
+        """exp(-i angle m) over the basis; broadcasts over array angles."""
         tS = self.S.twice
         m = np.array([(tS - 2 * i) / 2 for i in range(self.dim)])
         return np.exp(-1j * angle * m)
@@ -236,6 +249,12 @@ class SpinModel(QrtModel):
     def point_unitary(self, point) -> np.ndarray:
         theta, phi = point
         return self._rot_z_diag(phi)[:, None] * self._rot_y(theta)
+
+    def point_unitaries(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        w, V = self._jy_eigh()
+        rot_y = (V * np.exp(-1j * pts[:, :1, None] * w)) @ V.conj().T
+        return self._rot_z_diag(pts[:, 1:])[:, :, None] * rot_y
 
     def group_unitary(self, g) -> np.ndarray:
         alpha, beta, gamma = g
@@ -356,6 +375,19 @@ class MultipartiteModel(QrtModel):
         out = mats[0]
         for m in mats[1:]:
             out = np.kron(out, m)
+        return out
+
+    def point_unitaries(self, points) -> np.ndarray:
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 3 or pts.shape[1:] != (self.n, 2):
+            raise ValueError("need one (theta, phi) pair per qubit")
+        out = self._qubit.point_unitaries(pts[:, 0])
+        for k in range(1, self.n):
+            m = self._qubit.point_unitaries(pts[:, k])
+            nodes, a, _ = out.shape
+            # Batched np.kron: entry (i*2+k, j*2+l) is out[i, j] * m[k, l].
+            out = (out[:, :, None, :, None] * m[:, None, :, None, :]).reshape(
+                nodes, 2 * a, 2 * a)
         return out
 
     def group_unitary(self, g) -> np.ndarray:

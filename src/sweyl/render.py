@@ -100,21 +100,17 @@ def robinson_remap(rgb: np.ndarray, background=BACKGROUND) -> np.ndarray:
     """
     rgb = np.asarray(rgb)
     h, w, _ = rgb.shape
-    out = np.empty_like(rgb)
-    out[...] = np.array(background, dtype=np.uint8)
-    for r in range(h):
-        y = 1 - 2 * (r + 0.5) / h  # +1 north pole, -1 south pole
-        lat = float(np.interp(abs(y), _PDFE, _LATS))
-        plen = float(np.interp(lat, _LATS, _PLEN))
-        theta = math.radians(90 - math.copysign(lat, y))
-        src_r = min(h - 1, max(0, int(theta / math.pi * h)))
-        half = plen / 2
-        for c in range(w):
-            u = (c + 0.5) / w - 0.5
-            if abs(u) <= half:
-                src_c = int((u / plen + 0.5) * w)
-                src_c = min(w - 1, max(0, src_c))
-                out[r, c] = rgb[src_r, src_c]
+    y = 1 - 2 * (np.arange(h) + 0.5) / h  # +1 north pole, -1 south pole
+    lat = np.interp(np.abs(y), _PDFE, _LATS)
+    plen = np.interp(lat, _LATS, _PLEN)[:, None]
+    theta = np.radians(90 - np.copysign(lat, y))
+    src_r = np.clip((theta / math.pi * h).astype(int), 0, h - 1)[:, None]
+    u = (np.arange(w) + 0.5) / w - 0.5
+    inside = np.abs(u) <= plen / 2
+    # astype(int) truncates toward zero, as int() does.
+    src_c = np.clip(((u / plen + 0.5) * w).astype(int), 0, w - 1)
+    out = rgb[src_r, src_c]
+    out[~inside] = background
     return out
 
 

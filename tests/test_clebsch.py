@@ -31,6 +31,18 @@ def test_halfint_parsing():
     assert H("1/2").is_integer() is False and H(3).is_integer() is True
 
 
+@pytest.mark.parametrize("value", [
+    0, 1, -2, 7, 0.0, 0.5, -1.5, 3.0, Fraction(1, 2), Fraction(-5, 2),
+    Fraction(4, 2),
+])
+def test_halfint_eq_implies_equal_hash(value):
+    h = H(value)
+    assert h == value and value == h
+    assert hash(h) == hash(value)
+    assert {h: "x"}.get(value) == "x"
+    assert {value: "x"}.get(h) == "x"
+
+
 def test_halfint_rejects_quarters():
     with pytest.raises(ValueError):
         H(0.25)

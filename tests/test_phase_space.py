@@ -34,7 +34,7 @@ def test_sphere_quadrature_integrates_overlap():
     grid = ps.sphere_quadrature(2)
     rng = np.random.default_rng(0)
     psi = model.haar_state(rng)
-    oc = ps.coherent_states(model, grid.points)
+    oc = model.coherent_states(grid.points)
     vals = np.abs(oc.conj() @ psi) ** 2
     assert float(grid.weights @ vals) == pytest.approx(1 / model.dim)
 
@@ -55,7 +55,7 @@ def test_product_quadrature():
     model = MultipartiteModel(2)
     rng = np.random.default_rng(1)
     psi = model.haar_state(rng)
-    oc = ps.coherent_states(model, grid.points)
+    oc = model.coherent_states(grid.points)
     vals = np.abs(oc.conj() @ psi) ** 2
     assert float(grid.weights @ vals) == pytest.approx(1 / 4)
 

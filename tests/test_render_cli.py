@@ -182,3 +182,43 @@ def test_cli_duality_and_star(tmp_path):
     assert code == 0
     doc = json.loads((tmp_path / "star.json").read_text())
     assert doc["checks"][0]["passed"]
+
+
+def _robinson_pixel_loop(rgb, background=render.BACKGROUND):
+    """Per-pixel reference for robinson_remap."""
+    h, w, _ = rgb.shape
+    out = np.empty_like(rgb)
+    out[...] = np.array(background, dtype=np.uint8)
+    for r in range(h):
+        y = 1 - 2 * (r + 0.5) / h
+        lat = float(np.interp(abs(y), render._PDFE, render._LATS))
+        plen = float(np.interp(lat, render._LATS, render._PLEN))
+        theta = math.radians(90 - math.copysign(lat, y))
+        src_r = min(h - 1, max(0, int(theta / math.pi * h)))
+        for c in range(w):
+            u = (c + 0.5) / w - 0.5
+            if abs(u) <= plen / 2:
+                src_c = min(w - 1, max(0, int((u / plen + 0.5) * w)))
+                out[r, c] = rgb[src_r, src_c]
+    return out
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (5, 7), (12, 24), (33, 65), (64, 128)])
+def test_robinson_remap_matches_pixel_loop(tmp_path, h, w):
+    rng = np.random.default_rng(h * 1000 + w)
+    rgb = rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8)
+    render.write_ppm(tmp_path / "fast.ppm", render.robinson_remap(rgb))
+    render.write_ppm(tmp_path / "loop.ppm", _robinson_pixel_loop(rgb))
+    assert (tmp_path / "fast.ppm").read_bytes() == \
+        (tmp_path / "loop.ppm").read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["purities", "--qrt", "multipartite", "--n", "5"],
+    ["purities", "--qrt", "fermionic", "--n", "5"],
+    ["purities", "--qrt", "multipartite", "--n", "11"],
+])
+def test_cli_oversized_qubit_models_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
