@@ -89,6 +89,11 @@ def _state_label(sel: str) -> str:
     return sel.replace("=", "")
 
 
+def _file_tag(sel: str) -> str:
+    """State label safe in a file name: ``m=1/2`` -> ``m1_2``."""
+    return _state_label(sel).replace("/", "_")
+
+
 def _sector_name(lam) -> str:
     if isinstance(lam, tuple):
         return "".join(str(b) for b in lam)
@@ -104,6 +109,7 @@ def _write_json(path, config, checks, seed) -> None:
 
 def cmd_purities(args) -> int:
     model = _model(args)
+    model.check_sector_size()  # before any d x d state is formed
     states = args.state or ["hw"]
     svals = args.s if args.s else [-1.0, 0.0, 1.0]
     rows = []
@@ -184,7 +190,7 @@ def cmd_phasespace(args) -> int:
             vals = np.real(np.einsum("nab,ba->n", stack, A))
             field = vals.reshape(ntheta, nphi)
 
-            tag = f"{_state_label(sel)}_s{s:+g}"
+            tag = f"{_file_tag(sel)}_s{s:+g}"
             rows = [[theta[i], phi[j], field[i, j]]
                     for i in range(ntheta) for j in range(nphi)]
             render.write_csv(

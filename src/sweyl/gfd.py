@@ -40,17 +40,14 @@ class PuritySpectrum:
 def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
     """Purity spectrum of an operator, dense or Pauli-sum represented.
 
-    Dense input uses the model's sector bases.  PauliSum input (qubit
-    models only) reduces to coefficient reads, valid at any supported n.
+    Dense input goes through the model's ``sector_purities`` (banded CG
+    diagonals for spin, dense sector bases otherwise).  PauliSum input
+    (qubit models only) reduces to coefficient reads, valid at any
+    supported n.
     """
     if isinstance(A, PauliSum):
         return _purity_spectrum_pauli(A, model)
-    A = np.asarray(A)
-    entries = {}
-    for block in model.blocks():
-        coeffs = np.einsum("jab,ab->j", block.basis.conj(), A)
-        entries[block.label] = float(np.sum(np.abs(coeffs) ** 2))
-    return PuritySpectrum(entries)
+    return PuritySpectrum(model.sector_purities(np.asarray(A)))
 
 
 def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:

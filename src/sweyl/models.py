@@ -3,9 +3,23 @@
 Each model fixes a Hilbert space, a compact symmetry group, an orthogonal
 decomposition of operator space into irreducible blocks with Hermitian
 orthonormal bases, a highest-weight reference state and a coherent-state
-family parametrized by phase points.  Irrep blocks are materialized as
-dense matrices for small systems; closed-form sector data (dimensions,
+family parametrized by phase points.  Closed-form sector data (dimensions,
 characteristic weights tau) is available at any supported size.
+
+Banded and dense paths
+----------------------
+* Sector purities (``sector_purities``, hence ``gfd.purity_spectrum``) of
+  the spin model are banded: every tensor operator T^lam_q lives on one
+  diagonal, so the model keeps one float CG-diagonal table (``cg_diagonals``,
+  half of each diagonal, about d**3 / 6 doubles) and never forms a
+  (2 lam + 1, d, d) block.  The table serves 2S <= 200.
+* Dense (d_lam, d, d) sector blocks (``irrep_block``) remain the route of
+  the phase-space kernels and harmonics, of ``gfd_project`` and of the
+  ``verify`` checks, and the purity route of the qubit and fermionic
+  models.  Spin blocks are filled from the same table (no exact CG per
+  entry) and serve 2S <= 60; qubit and fermionic blocks serve n <= 4.
+* The exact Racah route of ``clebsch`` stays the oracle: it gives tau and
+  the closed-form purities that the tests compare the table against.
 
 Conventions
 -----------
@@ -27,11 +41,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg import expm, logm
 
-from .clebsch import HalfInt, cg_hw_zero, clebsch_gordan
+from .clebsch import HalfInt, cg_hw_zero
 from .paulis import PauliString, majorana, majorana_product
 
 _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
+_DENSE_SPIN_CAP = 60  # 2S for dense spin blocks: d**4 complex, 221 MB at 60
+_TABLE_SPIN_CAP = 200  # 2S for the CG-diagonal table: 11 MB at 200
 
 
 @dataclass
@@ -95,6 +111,19 @@ class QrtModel:
     def blocks(self):
         return [self.irrep_block(lam) for lam in self.labels()]
 
+    def check_sector_size(self) -> None:
+        """Raise ValueError, allocating nothing, when ``sector_purities``
+        cannot serve this size.  The dense route needs no check here: its
+        blocks refuse when first built, before any large allocation."""
+
+    def sector_purities(self, A: np.ndarray) -> dict:
+        """Label -> P_lam(A) = sum_j |<D_j, A>|^2 over the dense blocks."""
+        out = {}
+        for block in self.blocks():
+            coeffs = np.einsum("jab,ab->j", block.basis.conj(), A)
+            out[block.label] = float(np.sum(np.abs(coeffs) ** 2))
+        return out
+
     def tau_from_hw(self, label) -> float:
         """Characteristic weight via the highest-weight purity route."""
         block = self.irrep_block(label)
@@ -131,6 +160,70 @@ class QrtModel:
 
 # -- spin model --------------------------------------------------------------
 
+def _cg_diagonals(tS: int) -> list[np.ndarray]:
+    """CG-diagonal table of spin S = tS/2 in floats, without Racah sums.
+
+    Entry q is a (tS+1-q, ceil((d-q)/2)) array; row lam - q holds the
+    first half, through the centre, of the q-th superdiagonal
+    x_k = (-1)**(k+q) <S m_k; S -m_{k+q} | lam q> of T^lam_q, with
+    m_k = S - k.  The other half is the mirror image times the parity:
+    x_{d-q-1-k} = (-1)**(lam+q) x_k.  On diagonal q the adjoint Casimir
+    sum_a [J_a, [J_a, A]] = 2 S(S+1) A - 2 Jz A Jz - J+ A J- - J- A J+
+    (both J+ J- and J- J+ orderings contribute) is the symmetric
+    tridiagonal matrix with diagonal 2 S(S+1) - 2 m_k m_{k+q} and
+    off-diagonal -b_{k+1} b_{k+q+1}, b_k = <k-1|J+|k> = sqrt(k (d-k)), and
+    T^lam_q is its eigenvector of eigenvalue lam(lam+1).  Each row comes
+    from the three-term recursion of that equation (Schulten & Gordon,
+    J. Math. Phys. 16, 1961 (1975)), run in from both ends (Luscombe &
+    Luban, Phys. Rev. E 57, 7274 (1998)): a run from an end is stable
+    through the classically forbidden region beside it, where the wanted
+    solution grows inward, and neutral in the allowed region, which for
+    every 2S <= 200 is one interval around the row's centre, or empty (then
+    the two forbidden regions meet at the centre).  The matrix is
+    persymmetric, so the run from the far end is the mirror image of the
+    run from k = 0 times the parity (-1)**(lam+q) of the CG symmetry in
+    its two spins; the runs meet at the centre.  Rows are then normalized
+    and signed by Condon-Shortley: x_0 has sign (-1)**q.  One
+    recursion step serves every (q, lam) row at once, so the table costs
+    O(d) numpy calls and O(d**3) flops, with entries exact to ~1e-14
+    relative (the tests compare them with the Racah route).
+    """
+    d = tS + 1
+    S = tS / 2
+    q = np.repeat(np.arange(d), np.arange(d, 0, -1))  # lanes, q ascending
+    lam = np.concatenate([np.arange(p, d) for p in range(d)])
+    eig = lam * (lam + 1.0)
+    centre = (d - 1 - q) // 2  # non-increasing along the lanes
+
+    def off(k, ql):  # b_{k+1} b_{k+q+1} = -(off-diagonal at k)
+        return np.sqrt((k + 1) * (d - k - 1)
+                       * (k + ql + 1.0) * (d - k - ql - 1))
+
+    x = np.zeros((len(q), centre[0] + 1))
+    x[:, 0] = 1.0
+    for k in range(centre[0]):
+        live = np.searchsorted(-centre, -(k + 1), side="right")
+        ql = q[:live]
+        diag = 2 * S * (S + 1) - 2 * (S - k) * (S - k - ql) - eig[:live]
+        nxt = diag * x[:live, k]
+        if k:
+            nxt -= off(k - 1, ql) * x[:live, k - 1]
+        x[:live, k + 1] = nxt / off(k, ql)
+    table = []
+    first = 0
+    for p in range(d):
+        n = d - p
+        half = x[first:first + n, :(n + 1) // 2].copy()
+        first += n
+        weight = np.full(half.shape[1], 2.0)
+        if n % 2:
+            weight[-1] = 1.0  # the centre is its own mirror,
+            half[1::2, -1] = 0.0  # so it vanishes on odd-parity rows
+        half *= (-1) ** p / np.sqrt(half ** 2 @ weight)[:, None]
+        table.append(half)
+    return table
+
+
 class SpinModel(QrtModel):
     """Single spin S under global SU(2) rotations.
 
@@ -148,6 +241,8 @@ class SpinModel(QrtModel):
         self.dim = self.S.twice + 1
         self._ops = None
         self._jy_eig = None
+        self._cg_table = None
+        self._taus: dict = {}
 
     def __repr__(self):
         return f"SpinModel(S={self.S})"
@@ -163,7 +258,12 @@ class SpinModel(QrtModel):
         return 2 * lam + 1
 
     def tau(self, lam: int) -> float:
-        return cg_hw_zero(self.S, lam) ** 2 / (2 * lam + 1)
+        """Exact-CG weight <S S; S -S | lam 0>**2 / (2 lam + 1), cached."""
+        tau = self._taus.get(lam)
+        if tau is None:
+            tau = cg_hw_zero(self.S, lam) ** 2 / (2 * lam + 1)
+            self._taus[lam] = tau
+        return tau
 
     def spin_operators(self):
         """(Jx, Jy, Jz) dense, with the m-descending basis convention."""
@@ -182,24 +282,73 @@ class SpinModel(QrtModel):
             self._ops = (Jx, Jy, Jz)
         return self._ops
 
+    def check_sector_size(self) -> None:
+        if self.S.twice > _TABLE_SPIN_CAP:
+            raise ValueError(
+                f"banded spin sectors capped at 2S <= {_TABLE_SPIN_CAP}, "
+                f"got S={self.S}")
+
+    def cg_diagonals(self) -> list[np.ndarray]:
+        """Float CG table: entry q is a (2S+1-q, ceil((d-q)/2)) array whose
+        row lam - q is the first half of the q-th superdiagonal of T^lam_q;
+        the rest is its mirror image times (-1)**(lam+q) (built once)."""
+        if self._cg_table is None:
+            self.check_sector_size()
+            self._cg_table = _cg_diagonals(self.S.twice)
+        return self._cg_table
+
     def tensor_operator(self, lam: int, j: int) -> np.ndarray:
-        """Irreducible tensor operator T^lam_j (not Hermitian for j != 0)."""
-        tS = self.S.twice
+        """Irreducible tensor operator T^lam_j (not Hermitian for j != 0).
+
+        Real, on diagonal j: entry (k, k + j) is
+        (-1)**(k + j) <S m_k; S -m_{k+j} | lam j>, read from the CG table;
+        T^lam_{-j} = (-1)**j (T^lam_j)^T.
+        """
+        if not 0 <= lam <= self.S.twice or abs(j) > lam:
+            raise ValueError(f"no T^{lam}_{j} for S={self.S}")
+        q = abs(j)
+        n = self.dim - q
+        half = self.cg_diagonals()[q][lam - q]
+        parity = -1 if (lam - q) % 2 else 1
+        k = np.arange(n)
         T = np.zeros((self.dim, self.dim), dtype=complex)
-        for i_ket in range(self.dim):
-            tm = tS - 2 * i_ket
-            tmp = tm - 2 * j  # 2m' with m' = m - j
-            if abs(tmp) > tS:
-                continue
-            i_bra = (tS - tmp) // 2
-            c = clebsch_gordan(
-                HalfInt(tS), HalfInt(tm), HalfInt(tS), HalfInt(-tmp),
-                HalfInt(2 * lam), HalfInt(2 * j))
-            sign = -1 if ((tS - tmp) // 2) % 2 else 1
-            T[i_ket, i_bra] = sign * c
+        T[k, k + q] = np.concatenate([half, parity * half[:n // 2][::-1]])
+        if j < 0:
+            T = (-1) ** q * T.T.copy()
         return T
 
+    def sector_purities(self, A: np.ndarray) -> dict:
+        """Banded sector purities from the CG table:
+
+            P_lam(A) = sum_(q>=0) |T_q diag_q(A)|^2
+                       + sum_(q>0) |T_q diag_-q(A)|^2
+
+        at row lam - q of the diagonal matrix T_q.  Rows of even parity
+        (lam - q even) are symmetric, so they pair their half of the table
+        with the diagonal folded as v_k + v_(n-1-k); odd rows use
+        v_k - v_(n-1-k), which vanishes exactly on mirror-symmetric input.
+        O(d) numpy calls, O(d**3) flops and memory.
+        """
+        out = np.zeros(self.dim)
+        for q, half in enumerate(self.cg_diagonals()):
+            n, h = self.dim - q, (self.dim - q) // 2
+            diags = [np.diagonal(A, q)] + ([np.diagonal(A, -q)] if q else [])
+            V = np.stack(diags, axis=1).astype(complex)
+            plus, minus = V[:n - h].copy(), V[:n - h].copy()
+            plus[:h] += V[::-1][:h]
+            minus[:h] -= V[::-1][:h]
+            minus[h:] = 0.0
+            # Complex columns viewed as (re, im) pairs: real matmuls.
+            out[q::2] += np.sum((half[0::2] @ plus.view(float)) ** 2, axis=1)
+            out[q + 1::2] += np.sum((half[1::2] @ minus.view(float)) ** 2,
+                                    axis=1)
+        return {lam: float(out[lam]) for lam in self.labels()}
+
     def _build_block(self, lam: int) -> IrrepBlock:
+        if self.S.twice > _DENSE_SPIN_CAP:
+            raise ValueError(
+                f"dense spin sector bases capped at 2S <= {_DENSE_SPIN_CAP}, "
+                f"got S={self.S}")
         if not 0 <= lam <= self.S.twice:
             raise ValueError(f"sector {lam} outside 0..2S")
         ops = [self.tensor_operator(lam, 0)]

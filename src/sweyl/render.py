@@ -54,9 +54,13 @@ def colorize(values: np.ndarray) -> np.ndarray:
 
     Fields with negative entries get a symmetric diverging scale (blue,
     white, red) centered at zero; non-negative fields get a linear
-    grayscale between min and max.
+    grayscale between min and max.  A field whose spread is at rounding
+    level (at most 1e-12 of its largest magnitude) is drawn as the
+    constant it is, in one colour, not as stretched rounding noise.
     """
     vals = np.asarray(values, dtype=float)
+    if vals.max() - vals.min() <= 1e-12 * np.max(np.abs(vals)):
+        vals = np.full_like(vals, vals.max())
     out = np.zeros(vals.shape + (3,), dtype=np.uint8)
     if vals.min() < 0:
         vmax = np.max(np.abs(vals))

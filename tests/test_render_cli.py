@@ -222,3 +222,62 @@ def test_cli_oversized_qubit_models_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_colorize_rounding_level_field_is_uniform(tmp_path):
+    # The multi-qubit GHZ marginal is exactly 1/4; summation order leaves
+    # +-1 ulp of noise, which must not be stretched to the full scale.
+    rng = np.random.default_rng(5)
+    for value in (0.25, -0.25):
+        noise = rng.integers(-1, 2, size=(16, 32)) * np.spacing(value)
+        rgb = render.colorize(value + noise)
+        assert len(np.unique(rgb.reshape(-1, 3), axis=0)) == 1
+        render.write_ppm(tmp_path / "a.ppm", rgb)
+        shuffled = rng.permutation(noise.ravel()).reshape(noise.shape)
+        render.write_ppm(tmp_path / "b.ppm", render.colorize(value + shuffled))
+        assert (tmp_path / "a.ppm").read_bytes() == \
+            (tmp_path / "b.ppm").read_bytes()
+
+
+def test_cli_phasespace_half_integer_m(tmp_path, capsys):
+    code = main(["phasespace", "--spin-S", "3/2", "--state", "m=1/2",
+                 "--state", "m=-3/2", "--grid", "4x8", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert "Traceback" not in captured.out + captured.err
+    for tag in ("m1_2", "m-3_2"):
+        for ext in ("csv", "ppm"):
+            assert (tmp_path / f"field_{tag}_s+0.{ext}").is_file()
+
+
+@pytest.mark.parametrize("argv", [
+    ["phasespace", "--qrt", "spin", "--spin-S", "100"],
+    ["purities", "--qrt", "spin", "--spin-S", "5000"],
+])
+def test_cli_oversized_spin_exit_2_before_allocating(tmp_path, capsys, argv):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert peak < 8 * 2 ** 20  # a d x d state alone would be 0.6 MB-1.6 GB
+
+
+def test_cli_purities_spin_60_hw_matches_closed_form(tmp_path):
+    from sweyl.gfd import closed_form_spin_purity
+
+    assert main(["purities", "--qrt", "spin", "--spin-S", "60", "--state", "hw",
+                 "--state", "haar", "--out", str(tmp_path)]) == 0
+    header, rows = render.read_csv(tmp_path / "purities.csv")
+    col = {name: i for i, name in enumerate(header)}
+    hw = [r for r in rows if r[col["state"]] == "hw"]
+    assert len(hw) == 3 * 121
+    for r in hw:
+        ref = closed_form_spin_purity(60, 60, int(r[col["sector"]]))
+        assert abs(float(r[col["purity"]]) - ref) <= 1e-11 * ref
