@@ -2,7 +2,8 @@
 
 All commands are deterministic functions of (config, seed): identical
 invocations produce byte-identical CSV/JSON/PPM outputs.  Exit codes:
-0 success, 1 a numerical check failed, 2 configuration/usage error.
+0 success, 1 a numerical check or a linear-algebra routine
+(``numpy.linalg.LinAlgError``) failed, 2 configuration/usage error.
 """
 
 from __future__ import annotations
@@ -170,23 +171,25 @@ def cmd_phasespace(args) -> int:
     points = [(t, p) for t in theta for p in phi]
     os.makedirs(args.out, exist_ok=True)
 
+    if isinstance(model, SpinModel):
+        target, nodes = model, points
+    else:
+        target, nodes = MultipartiteModel(1), [(pt,) for pt in points]
+    rhos = []
     for sel in states:
         psi = model.named_state(sel, seed=args.seed)
-        rho = np.outer(psi, psi.conj())
-        for s in svals:
-            if isinstance(model, SpinModel):
-                target, scale = model, 1.0
+        rhos.append(np.outer(psi, psi.conj()))
+
+    for s in svals:
+        # The stack depends on the target model, the grid and s only.
+        stack = ps.kernel_stack(target, nodes,
+                                ps.KernelSpec.cahill_glauber(s))
+        for sel, rho in zip(states, rhos):
+            if target is model:
                 A = rho
             else:
                 A, rest = _marginal_qubit_operator(model, rho)
-                target = MultipartiteModel(1)
-                scale = float(rest) ** ((s - 1) / 2)
-                A = A * scale
-            spec = ps.KernelSpec.cahill_glauber(s)
-            if isinstance(target, SpinModel):
-                stack = ps.kernel_stack(target, points, spec)
-            else:
-                stack = ps.kernel_stack(target, [(pt,) for pt in points], spec)
+                A = A * float(rest) ** ((s - 1) / 2)
             vals = np.real(np.einsum("nab,ba->n", stack, A))
             field = vals.reshape(ntheta, nphi)
 
@@ -319,6 +322,11 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except np.linalg.LinAlgError as exc:
+        # A ValueError subclass, but a failed eig/eigh/qr is a numerical
+        # failure of a valid configuration, not a usage error.
+        print(f"error: numerical failure: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         # Models, sector blocks and state selectors refuse configurations
         # they cannot serve (qubit counts past the label or dense-block

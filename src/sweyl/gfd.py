@@ -190,6 +190,10 @@ def duality_check(model: QrtModel, s: float, nsamples: int, seed: int,
     flat = stack.reshape(len(w), -1).T
     coeff = {lam: flat @ (w[:, None] * H.T) for lam, H in harm.items()}
 
+    # Moments of the samples shifted by each sector's first sample, so a
+    # (near-)constant sector, such as the trivial one, has a variance at
+    # the rounding level of its spread, not of its mean squared.
+    shift = {lam: 0.0 for lam in labels}
     sums = {lam: 0.0 for lam in labels}
     sqsums = {lam: 0.0 for lam in labels}
     for lo in range(0, nsamples, _DUALITY_CHUNK):
@@ -198,6 +202,9 @@ def duality_check(model: QrtModel, s: float, nsamples: int, seed: int,
         rho_t = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
         for lam, C in coeff.items():
             vals = np.sum(np.abs(rho_t @ C) ** 2, axis=1)
+            if lo == 0:
+                shift[lam] = float(vals[0])
+            vals -= shift[lam]
             sums[lam] += float(np.sum(vals))
             sqsums[lam] += float(vals @ vals)
 
@@ -209,8 +216,9 @@ def duality_check(model: QrtModel, s: float, nsamples: int, seed: int,
     rows = []
     d = model.dim
     for lam in labels:
-        mean = sums[lam] / nsamples
-        var = max(0.0, sqsums[lam] / nsamples - mean ** 2)
+        offset = sums[lam] / nsamples
+        mean = shift[lam] + offset
+        var = max(0.0, sqsums[lam] / nsamples - offset ** 2)
         se = math.sqrt(var / (nsamples - 1))
         trivial = lam == model.trivial_label
         if trivial:

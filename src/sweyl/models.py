@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, logm
+import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
 from .clebsch import HalfInt, cg_hw_zero
 from .paulis import PauliString, majorana, majorana_product
@@ -48,6 +48,18 @@ _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
 _DENSE_SPIN_CAP = 60  # 2S for dense spin blocks: d**4 complex, 221 MB at 60
 _TABLE_SPIN_CAP = 200  # 2S for the CG-diagonal table: 11 MB at 200
+
+
+def _exp_antihermitian(G: np.ndarray) -> np.ndarray:
+    """exp(G) of an anti-Hermitian G, from ``eigh`` of the Hermitian iG."""
+    w, V = np.linalg.eigh(1j * G)
+    return (V * np.exp(-1j * w)) @ V.conj().T
+
+
+def _log_rotation(R: np.ndarray) -> np.ndarray:
+    """Real principal logarithm of a rotation R in SO(m): V log(w) V^-1."""
+    w, V = np.linalg.eig(R)
+    return np.real((V * np.log(w.astype(complex))) @ np.linalg.inv(V))
 
 
 @dataclass
@@ -599,6 +611,9 @@ class FermionicModel(QrtModel):
         self.n = n
         self.dim = 2 ** n
         self._majorana_dense = None
+        odd = np.array([bin(k).count("1") % 2 for k in range(self.dim)])
+        self._parity_sectors = (np.flatnonzero(odd == 0),
+                                np.flatnonzero(odd == 1))
 
     def __repr__(self):
         return f"FermionicModel(n={self.n})"
@@ -686,7 +701,13 @@ class FermionicModel(QrtModel):
             for nu in range(mu + 1, 2 * self.n):
                 if h[mu, nu] != 0:
                     gen += 2 * h[mu, nu] * (cs[mu] @ cs[nu])
-        return expm(gen)
+        # gen commutes with the parity (-1)**popcount(k): exponentiating
+        # each parity block alone keeps the cross-parity entries exactly 0.
+        U = np.zeros_like(gen)
+        for idx in self._parity_sectors:
+            block = np.ix_(idx, idx)
+            U[block] = _exp_antihermitian(gen[block])
+        return U
 
     group_unitary = point_unitary
 
@@ -711,6 +732,10 @@ class FermionicModel(QrtModel):
         """
         hg = g.h if isinstance(g, FermionicPoint) else np.asarray(g)
         hp = point.h if isinstance(point, FermionicPoint) else np.asarray(point)
-        R = expm(-4 * hp) @ expm(-4 * hg)
-        h = -np.real(logm(R)) / 4
+        R = np.real(_exp_antihermitian(-4 * hp) @ _exp_antihermitian(-4 * hg))
+        return self.point_of_rotation(R)
+
+    def point_of_rotation(self, R: np.ndarray) -> FermionicPoint:
+        """Phase point whose Majorana rotation exp(-4 h) is R in SO(2n)."""
+        h = -_log_rotation(R) / 4
         return FermionicPoint((h - h.T) / 2)

@@ -19,13 +19,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
-from scipy.special import roots_legendre
-from scipy.stats import special_ortho_group
 
 from .gfd import PuritySpectrum
-from .models import (FermionicModel, FermionicPoint, MultipartiteModel,
-                     QrtModel, SpinModel)
+from .models import FermionicModel, MultipartiteModel, QrtModel, SpinModel
 
 
 # -- kernel specification -----------------------------------------------------
@@ -120,6 +116,36 @@ class SphereQuadrature:
         return list(zip(self.theta, self.phi))
 
 
+def _legendre(n: int, x: np.ndarray):
+    """P_n(x) and P_n'(x) by the three-term recurrence (n >= 1)."""
+    p0, p1 = np.ones_like(x), x
+    d0, d1 = np.zeros_like(x), np.ones_like(x)
+    for k in range(1, n):
+        p0, p1 = p1, ((2 * k + 1) * x * p1 - k * p0) / (k + 1)
+        d0, d1 = d1, d0 + (2 * k + 1) * p0
+    return p1, d1
+
+
+def gauss_legendre(n: int):
+    """Nodes (ascending) and weights of the n-point Gauss-Legendre rule.
+
+    Golub & Welsch (Math. Comp. 23, 221 (1969)): the nodes are the
+    eigenvalues of the symmetric Jacobi matrix of the Legendre recurrence.
+    Three Newton steps on P_n polish them to about an ulp, and the weights
+    are 2 / ((1 - x**2) P_n'(x)**2); both are symmetrized about 0.
+    """
+    k = np.arange(1, n)
+    beta = k / np.sqrt(4.0 * k * k - 1)
+    x = np.linalg.eigvalsh(np.diag(beta, 1) + np.diag(beta, -1))
+    for _ in range(3):
+        p, dp = _legendre(n, x)
+        x = x - p / dp
+    x = (x - x[::-1]) / 2
+    _, dp = _legendre(n, x)
+    w = 2 / ((1 - x) * (1 + x) * dp ** 2)
+    return x, (w + w[::-1]) / 2
+
+
 def sphere_quadrature(band, oversample: float = 1.0) -> SphereQuadrature:
     """Build a sphere grid resolving harmonic content up to ``2 * band``."""
     band = float(band)
@@ -127,7 +153,7 @@ def sphere_quadrature(band, oversample: float = 1.0) -> SphereQuadrature:
         raise ValueError("band must be non-negative")
     ntheta = max(1, math.ceil(oversample * (2 * band + 1)))
     nphi = max(1, math.ceil(oversample * (4 * band + 2)))
-    x, wx = roots_legendre(ntheta)
+    x, wx = gauss_legendre(ntheta)
     theta1 = np.arccos(x)
     phi1 = 2 * math.pi * np.arange(nphi) / nphi
     th, ph = np.meshgrid(theta1, phi1, indexing="ij")
@@ -180,13 +206,23 @@ def mc_group_quadrature(model: FermionicModel, nnodes: int,
                         seed: int) -> McQuadrature:
     """Haar-random rotation points for Monte-Carlo fermionic integrals."""
     rng = np.random.default_rng(seed)
-    dim = 2 * model.n
-    points = []
-    for _ in range(nnodes):
-        R = special_ortho_group.rvs(dim, random_state=rng)
-        h = -np.real(logm(R)) / 4
-        points.append(FermionicPoint((h - h.T) / 2))
+    points = [model.point_of_rotation(_haar_rotation(2 * model.n, rng))
+              for _ in range(nnodes)]
     return McQuadrature(points, np.full(nnodes, 1.0 / nnodes))
+
+
+def _haar_rotation(dim: int, rng) -> np.ndarray:
+    """Haar-random rotation in SO(dim): QR of a Gaussian matrix.
+
+    Scaling each column of Q by the sign of R's diagonal makes Q Haar on
+    O(dim) (Mezzadri, Notices AMS 54, 592 (2007)); flipping one column
+    when det Q = -1 carries that measure onto SO(dim).
+    """
+    Q, R = np.linalg.qr(rng.normal(size=(dim, dim)))
+    Q = Q * np.sign(np.diag(R))
+    if np.linalg.det(Q) < 0:
+        Q[:, 0] = -Q[:, 0]
+    return Q
 
 
 def default_grid(model: QrtModel, oversample: float = 1.0):
@@ -212,6 +248,9 @@ def _check_band(model: QrtModel, grid) -> None:
 
 # -- kernels and symbols ------------------------------------------------------
 
+STACK_BUDGET = 768 * 2**20  # bytes: three live (N, d, d) complex stacks
+
+
 def center_kernel(model: QrtModel, spec: KernelSpec) -> np.ndarray:
     """Kernel at the identity point: a weight-zero combination per sector."""
     spec.validate(model)
@@ -236,7 +275,18 @@ def sw_kernel(model: QrtModel, point, spec: KernelSpec) -> np.ndarray:
 
 
 def kernel_stack(model: QrtModel, points, spec: KernelSpec) -> np.ndarray:
-    """(N, d, d) stack of kernels at the given points: U_n D0 U_n^H."""
+    """(N, d, d) stack of kernels at the given points: U_n D0 U_n^H.
+
+    Three complex (N, d, d) stacks are live at once; a request over
+    ``STACK_BUDGET`` bytes for them raises ValueError before anything,
+    the dense sector blocks included, is allocated.
+    """
+    need = 3 * len(points) * model.dim ** 2 * 16
+    if need > STACK_BUDGET:
+        raise ValueError(
+            f"kernel stack of {len(points)} nodes at d={model.dim} needs "
+            f"{need / 2**20:.0f} MiB, over the {STACK_BUDGET >> 20} MiB "
+            "budget; use fewer nodes")
     D0 = center_kernel(model, spec)  # oversized models refuse before the stack
     U = model.point_unitaries(points)
     UD = U @ D0

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from sweyl.clebsch import (HalfInt, cg_hw_zero, clebsch_gordan,
                            clebsch_gordan_signed_square)
@@ -41,6 +42,18 @@ def test_halfint_eq_implies_equal_hash(value):
     assert hash(h) == hash(value)
     assert {h: "x"}.get(value) == "x"
     assert {value: "x"}.get(h) == "x"
+
+
+@given(st.integers(-2 ** 60, 2 ** 60),
+       st.one_of(st.integers(), st.fractions(), st.text(max_size=3),
+                 st.floats(allow_nan=False),
+                 st.integers().map(H)))
+def test_halfint_eq_implies_hash_property(twice, other):
+    h = H(twice)
+    for b in (other, H(twice), Fraction(twice, 2), twice / 2):
+        if h == b:
+            assert b == h
+            assert hash(h) == hash(b)
 
 
 def test_halfint_rejects_quarters():

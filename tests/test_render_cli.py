@@ -253,6 +253,9 @@ def test_cli_phasespace_half_integer_m(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["phasespace", "--qrt", "spin", "--spin-S", "100"],
     ["purities", "--qrt", "spin", "--spin-S", "5000"],
+    # dense blocks fit (2S = 60), but the default 64x128 grid's kernel
+    # stacks (3 x 488 MB) are over phase_space.STACK_BUDGET
+    ["phasespace", "--qrt", "spin", "--spin-S", "30"],
 ])
 def test_cli_oversized_spin_exit_2_before_allocating(tmp_path, capsys, argv):
     import tracemalloc
