@@ -99,6 +99,14 @@ def _check_pair(tj: int, tm: int) -> None:
         raise ValueError(f"|m| exceeds j: 2j={tj}, 2m={tm}")
 
 
+def _checked_labels(j1, m1, j2, m2, J, M) -> tuple[int, ...]:
+    """The six labels as twice their values, each (j, m) pair validated."""
+    twice = tuple(HalfInt.of(v).twice for v in (j1, m1, j2, m2, J, M))
+    for k in (0, 2, 4):
+        _check_pair(twice[k], twice[k + 1])
+    return twice
+
+
 @lru_cache(maxsize=None)
 def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
     """Signed square of a CG coefficient as an exact Fraction.
@@ -155,25 +163,13 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     label pairs (|m| > j, or m not matching the parity of j) raise
     ValueError; mere selection-rule failures return 0.0.
     """
-    tj1, tm1 = HalfInt.of(j1).twice, HalfInt.of(m1).twice
-    tj2, tm2 = HalfInt.of(j2).twice, HalfInt.of(m2).twice
-    tJ, tM = HalfInt.of(J).twice, HalfInt.of(M).twice
-    _check_pair(tj1, tm1)
-    _check_pair(tj2, tm2)
-    _check_pair(tJ, tM)
-    sign, square = _cg_signed_square(tj1, tm1, tj2, tm2, tJ, tM)
+    sign, square = _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
     return sign * math.sqrt(float(square))
 
 
 def clebsch_gordan_signed_square(j1, m1, j2, m2, J, M):
     """Exact signed square (sign, Fraction) of a CG coefficient."""
-    tj1, tm1 = HalfInt.of(j1).twice, HalfInt.of(m1).twice
-    tj2, tm2 = HalfInt.of(j2).twice, HalfInt.of(m2).twice
-    tJ, tM = HalfInt.of(J).twice, HalfInt.of(M).twice
-    _check_pair(tj1, tm1)
-    _check_pair(tj2, tm2)
-    _check_pair(tJ, tM)
-    return _cg_signed_square(tj1, tm1, tj2, tm2, tJ, tM)
+    return _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
 
 
 def cg_hw_zero(S, lam) -> float:

@@ -3,7 +3,8 @@
 All commands are deterministic functions of (config, seed): identical
 invocations produce byte-identical CSV/JSON/PPM outputs.  Exit codes:
 0 success, 1 a numerical check or a linear-algebra routine
-(``numpy.linalg.LinAlgError``) failed, 2 configuration/usage error.
+(``numpy.linalg.LinAlgError``) failed or a filter factor overflowed
+(``OverflowError``), 2 configuration/usage error.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import __version__, gfd, phase_space as ps, render, verify
 from .clebsch import HalfInt
-from .models import MultipartiteModel, SpinModel
+from .models import MultipartiteModel
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -28,7 +29,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=2, help="qubit/mode count")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -45,6 +45,7 @@ def _parser() -> argparse.ArgumentParser:
                     help="hw | ghz | haar | m=<value> (repeatable)")
     pp.add_argument("--s", action="append", type=float, default=None,
                     help="ordering parameter (repeatable)")
+    pp.add_argument("--format", choices=("csv", "json"), default="csv")
 
     pf = sub.add_parser("phasespace", help="field heatmaps and tables")
     _add_common(pf)
@@ -69,6 +70,20 @@ def _parser() -> argparse.ArgumentParser:
     pv.add_argument("--quad-tol", type=float, default=1e-8,
                     help="tolerance for quadrature-mediated checks")
     return p
+
+
+def _check_flags(args) -> None:
+    """Refuse non-finite ``--s``, a non-positive or non-finite
+    ``--quad-tol`` and ``--points < 1`` (ValueError: exit 2)."""
+    flags = vars(args)
+    for s in flags.get("s") or ():
+        if not math.isfinite(s):
+            raise ValueError(f"--s must be finite, got {s}")
+    tol = flags.get("quad_tol", 1.0)
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"--quad-tol must be positive and finite, got {tol}")
+    if flags.get("points", 1) < 1:
+        raise ValueError(f"--points must be at least 1, got {args.points}")
 
 
 def _model(args):
@@ -154,10 +169,8 @@ def _marginal_qubit_operator(model: MultipartiteModel, A: np.ndarray):
 
 def cmd_phasespace(args) -> int:
     model = _model(args)
-    if model.kind == "fermionic":
-        print("error: fermionic phase space has no spherical projection",
-              file=sys.stderr)
-        return 2
+    if not model.nspheres:
+        raise ValueError(f"{model.kind} phase space has no spherical projection")
     try:
         ntheta, nphi = (int(tok) for tok in args.grid.lower().split("x"))
         if ntheta < 1 or nphi < 1:
@@ -171,10 +184,10 @@ def cmd_phasespace(args) -> int:
     points = [(t, p) for t in theta for p in phi]
     os.makedirs(args.out, exist_ok=True)
 
-    if isinstance(model, SpinModel):
-        target, nodes = model, points
-    else:
+    if model.sphere_tuples:  # render the marginal on the first sphere
         target, nodes = MultipartiteModel(1), [(pt,) for pt in points]
+    else:
+        target, nodes = model, points
     rhos = []
     for sel in states:
         psi = model.named_state(sel, seed=args.seed)
@@ -222,52 +235,39 @@ def cmd_duality(args) -> int:
     times 6.3e-5: 1.0e-3 for spin S = 4 at two s values (16 rows).
     """
     model = _model(args)
-    if model.kind == "fermionic":
-        print("error: duality command needs a structured quadrature "
-              "(spin or multipartite)", file=sys.stderr)
-        return 2
+    if model.band is None:
+        raise ValueError("duality command needs a structured quadrature "
+                         "(spin or multipartite)")
     svals = args.s if args.s else [-1.0, 0.0]
-    checks = []
-    ok = True
+    results = []
     for s in svals:
-        rows = gfd.duality_check(model, s, args.samples, args.seed)
-        for row in rows:
+        for row in gfd.duality_check(model, s, args.samples, args.seed):
+            name = f"duality[s={s:g},sector={_sector_name(row.label)}]"
             if row.trivial:
-                passed = abs(row.lhs_mean - row.rhs) <= 1e-10
-                value, bound = abs(row.lhs_mean - row.rhs), 1e-10
+                results.append(verify.check(
+                    name, abs(row.lhs_mean - row.rhs), 1e-10))
             else:
-                passed = abs(row.zscore) <= 4.0
-                value, bound = abs(row.zscore), 4.0
-            ok &= passed
-            checks.append({
-                "name": f"duality[s={s:g},sector={_sector_name(row.label)}]",
-                "passed": bool(passed),
-                "value": float(value),
-                "bound": float(bound),
-                "tolerance": float(bound),
-            })
+                results.append(verify.check(name, abs(row.zscore), 4.0))
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "duality.json"),
-                _config(args, s=svals, samples=args.samples), checks,
-                args.seed)
-    return 0 if ok else 1
+                _config(args, s=svals, samples=args.samples),
+                [r.as_dict() for r in results], args.seed)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_star(args) -> int:
     model = _model(args)
-    if not isinstance(model, SpinModel):
-        print("error: star command supports the spin model", file=sys.stderr)
-        return 2
+    if model.nspheres != 1 or model.sphere_tuples:
+        raise ValueError("star command supports the spin model")
     svals = args.s if args.s else [0.0]
     rng = np.random.default_rng(args.seed)
     d = model.dim
     g1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     g2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     A, B = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
-    grid = ps.sphere_quadrature(model.S.twice)  # doubled band limit
+    grid = ps.sphere_quadrature(2 * model.band)  # doubled band limit
     out_points = [model.random_point(rng) for _ in range(args.points)]
-    checks = []
-    ok = True
+    results = []
     for s in svals:
         spec = ps.KernelSpec.cahill_glauber(s)
         fa = ps.symbol_field(model, A, grid, spec)
@@ -276,19 +276,12 @@ def cmd_star(args) -> int:
         ref = np.array([ps.symbol(model, A @ B, pch, spec)
                         for pch in out_points])
         dev = float(np.max(np.abs(vals - ref)) / (1 + np.max(np.abs(ref))))
-        passed = dev <= 1e-6
-        ok &= passed
-        checks.append({
-            "name": f"star_product[s={s:g}]",
-            "passed": bool(passed),
-            "value": dev,
-            "bound": 1e-6,
-            "tolerance": 1e-6,
-        })
+        results.append(verify.check(f"star_product[s={s:g}]", dev, 1e-6))
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "star.json"),
-                _config(args, s=svals, points=args.points), checks, args.seed)
-    return 0 if ok else 1
+                _config(args, s=svals, points=args.points),
+                [r.as_dict() for r in results], args.seed)
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_verify(args) -> int:
@@ -321,16 +314,19 @@ def main(argv=None) -> int:
         "verify": cmd_verify,
     }[args.command]
     try:
+        _check_flags(args)
         return handler(args)
-    except np.linalg.LinAlgError as exc:
-        # A ValueError subclass, but a failed eig/eigh/qr is a numerical
-        # failure of a valid configuration, not a usage error.
+    except (np.linalg.LinAlgError, OverflowError) as exc:
+        # LinAlgError is a ValueError subclass, but a failed eig/eigh/qr is
+        # a numerical failure of a valid configuration, not a usage error.
+        # So is a filter factor tau**(-s) past the float range (--s 1000).
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # Models, sector blocks and state selectors refuse configurations
-        # they cannot serve (qubit counts past the label or dense-block
-        # caps, unknown states) with ValueError: a usage error, not a crash.
+        # Flags, models, sector blocks and state selectors refuse
+        # configurations they cannot serve (non-finite --s, qubit counts
+        # past the label or dense-block caps, unknown states) with
+        # ValueError: a usage error, not a crash.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

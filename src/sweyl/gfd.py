@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clebsch import HalfInt, clebsch_gordan
-from .models import FermionicModel, MultipartiteModel, QrtModel, SpinModel
-from .paulis import PauliSum, majorana_weight, multipartite_label
+from .models import QrtModel
+from .paulis import PauliSum
 
 
 @dataclass
@@ -42,8 +42,8 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
 
     Dense input goes through the model's ``sector_purities`` (banded CG
     diagonals for spin, dense sector bases otherwise).  PauliSum input
-    (qubit models only) reduces to coefficient reads, valid at any
-    supported n.
+    (qubit models only) reduces to coefficient reads through the model's
+    ``sector_of``, valid at any supported n.
     """
     if isinstance(A, PauliSum):
         return _purity_spectrum_pauli(A, model)
@@ -51,18 +51,12 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
 
 
 def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
-    if isinstance(A, PauliSum) and getattr(model, "n", None) != A.n:
+    if model.dim != 2 ** A.n:
         raise ValueError("qubit counts differ")
     entries = {lam: 0.0 for lam in model.labels()}
     scale = 2 ** A.n  # |<P/sqrt(2^n), A>|^2 = |a_P|^2 2^n
     for ps, coeff in A.strings():
-        if isinstance(model, MultipartiteModel):
-            lam = multipartite_label(ps)
-        elif isinstance(model, FermionicModel):
-            lam = majorana_weight(ps)
-        else:
-            raise TypeError("Pauli route needs a qubit model")
-        entries[lam] += abs(coeff) ** 2 * scale
+        entries[model.sector_of(ps)] += abs(coeff) ** 2 * scale
     return PuritySpectrum(entries)
 
 
@@ -258,30 +252,26 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def coherent_fidelity(model: QrtModel, psi: np.ndarray,
-                      coarse=(64, 128), angle_tol: float = 1e-6) -> float:
+def coherent_fidelity(model: QrtModel, psi: np.ndarray) -> float:
     """Largest squared overlap of psi with the coherent-state family.
 
     Scans a coarse (theta, phi) grid (per sphere), then refines by
-    coordinate-wise golden-section search down to ``angle_tol`` radians.
+    coordinate-wise golden-section search down to 1e-6 radians.
     """
     psi = np.asarray(psi, dtype=complex)
-
-    if isinstance(model, SpinModel):
-        nspheres = 1
-    elif isinstance(model, MultipartiteModel):
-        nspheres = model.n
-    else:
+    nspheres = model.nspheres
+    if not nspheres:
         raise ValueError("coherent fidelity needs a spherical phase space")
+    angle_tol = 1e-6  # radians
 
     def overlap(coords) -> float:
         point = tuple((coords[2 * k], coords[2 * k + 1]) for k in range(nspheres))
-        if nspheres == 1:
+        if not model.sphere_tuples:
             point = point[0]
         amp = np.vdot(model.coherent_state(point), psi)
         return float(np.abs(amp) ** 2)
 
-    ntheta, nphi = coarse
+    ntheta, nphi = 64, 128  # coarse scan per sphere
     thetas = (np.arange(ntheta) + 0.5) * math.pi / ntheta
     phis = np.arange(nphi) * 2 * math.pi / nphi
 

@@ -6,6 +6,22 @@ orthonormal bases, a highest-weight reference state and a coherent-state
 family parametrized by phase points.  Closed-form sector data (dimensions,
 characteristic weights tau) is available at any supported size.
 
+Declared geometry
+-----------------
+The phase-space algorithms are model-independent: they read what each
+model declares and never test its class.
+
+* ``band``: band limit of the harmonics on each sphere, S for a spin and
+  1/2 for qubits; None for fermions, which have no structured quadrature.
+* ``nspheres``: sphere factors of phase space: 1, n and 0.
+* ``sphere_tuples``: a qubit phase point is a tuple of n (theta, phi)
+  pairs, a spin point one bare pair.  Spin 1/2 and one qubit share band
+  and sphere count and differ only in this.
+* ``sector_of(word)``: sector of a Pauli word, the support pattern for
+  qubits and the Majorana weight for fermions; a spin refuses.
+* ``point_as_group(point)``: group element carrying the identity point to
+  the point.
+
 Banded and dense paths
 ----------------------
 * Sector purities (``sector_purities``, hence ``gfd.purity_spectrum``) of
@@ -42,7 +58,8 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
 from .clebsch import HalfInt, cg_hw_zero
-from .paulis import PauliString, majorana, majorana_product
+from .paulis import (PauliString, majorana, majorana_product, majorana_weight,
+                     multipartite_label)
 
 _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
@@ -89,18 +106,23 @@ class IrrepBlock:
 
 
 class QrtModel:
-    """Shared plumbing for the three concrete models."""
+    """Shared plumbing for the three concrete models, including the
+    reference states (``hw_state``, ``ghz_state``, index ``basis_state``).
+    Subclasses declare the geometry listed in the module docstring."""
 
     kind: str
     dim: int
+    band: float | None
+    nspheres: int
+    sphere_tuples: bool
 
     def __init__(self):
         self._block_cache: dict = {}
         self._center_cache: dict = {}
 
-    # subclasses implement: labels, irrep_dim, tau, _build_block, hw_state,
+    # subclasses implement: labels, irrep_dim, tau, _build_block,
     # point_unitary, group_unitary, random_point, random_group, act,
-    # identity_point, and state constructors.  point_unitaries may be
+    # identity_point and point_as_group.  point_unitaries may be
     # overridden with a batched evaluation equal to the per-point one.
 
     def labels(self):
@@ -151,6 +173,27 @@ class QrtModel:
     def coherent_states(self, points) -> np.ndarray:
         """(N, d) stack of ``coherent_state`` over many points."""
         return self.point_unitaries(points) @ self.hw_state()
+
+    def sector_of(self, word: PauliString):
+        """Sector label of a Pauli word (qubit models only)."""
+        raise ValueError(f"{self!r} has no Pauli-word sectors")
+
+    def hw_state(self) -> np.ndarray:
+        """The highest-weight reference state: the first basis vector."""
+        return QrtModel.basis_state(self, 0)
+
+    def basis_state(self, index) -> np.ndarray:
+        k = int(index)
+        if not 0 <= k < self.dim:
+            raise ValueError(f"basis index {k} out of range")
+        psi = np.zeros(self.dim, dtype=complex)
+        psi[k] = 1.0
+        return psi
+
+    def ghz_state(self) -> np.ndarray:
+        psi = np.zeros(self.dim, dtype=complex)
+        psi[0] = psi[-1] = 1 / math.sqrt(2)
+        return psi
 
     def haar_state(self, rng) -> np.ndarray:
         rng = np.random.default_rng(rng)
@@ -244,6 +287,8 @@ class SpinModel(QrtModel):
     """
 
     kind = "spin"
+    nspheres = 1
+    sphere_tuples = False
 
     def __init__(self, S):
         super().__init__()
@@ -251,6 +296,7 @@ class SpinModel(QrtModel):
         if self.S.twice < 1:
             raise ValueError("need S >= 1/2")
         self.dim = self.S.twice + 1
+        self.band = self.S.twice / 2
         self._ops = None
         self._jy_eig = None
         self._cg_table = None
@@ -371,23 +417,12 @@ class SpinModel(QrtModel):
             ops.append(1j * (Td - T) / math.sqrt(2))
         return IrrepBlock(lam, 2 * lam + 1, np.array(ops), (0,))
 
-    def hw_state(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
-
     def basis_state(self, m) -> np.ndarray:
+        """|S, m> for a magnetic quantum number m (not a basis index)."""
         tm = HalfInt.of(m).twice
         if abs(tm) > self.S.twice or (self.S.twice - tm) % 2:
             raise ValueError(f"m={m} invalid for S={self.S}")
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[(self.S.twice - tm) // 2] = 1.0
-        return psi
-
-    def ghz_state(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = psi[-1] = 1 / math.sqrt(2)
-        return psi
+        return super().basis_state((self.S.twice - tm) // 2)
 
     # group / phase-space geometry
 
@@ -424,6 +459,10 @@ class SpinModel(QrtModel):
 
     def identity_point(self):
         return (0.0, 0.0)
+
+    def point_as_group(self, point):
+        theta, phi = point
+        return (phi, theta, 0.0)
 
     def random_point(self, rng):
         rng = np.random.default_rng(rng)
@@ -462,12 +501,15 @@ class MultipartiteModel(QrtModel):
     """
 
     kind = "multipartite"
+    band = 0.5
+    sphere_tuples = True
 
     def __init__(self, n: int):
         super().__init__()
         if not 1 <= n <= _LABEL_CAP:
             raise ValueError(f"need 1 <= n <= {_LABEL_CAP}")
         self.n = n
+        self.nspheres = n
         self.dim = 2 ** n
         self._qubit = SpinModel(HalfInt(1))  # single-qubit geometry helper
 
@@ -500,6 +542,10 @@ class MultipartiteModel(QrtModel):
             words.append(PauliString.from_label("".join(label)))
         return words
 
+    def sector_of(self, word: PauliString) -> tuple[int, ...]:
+        """The support pattern of the word."""
+        return multipartite_label(word)
+
     def _build_block(self, lam) -> IrrepBlock:
         if self.n > _DENSE_QUBIT_CAP:
             raise ValueError(
@@ -510,24 +556,6 @@ class MultipartiteModel(QrtModel):
         basis = np.array([w.to_dense() / norm for w in words])
         w_all_z = len(words) - 1  # itertools order puts Z...Z last
         return IrrepBlock(lam, len(words), basis, (w_all_z,) if sum(lam) else (0,))
-
-    def hw_state(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
-
-    def basis_state(self, index) -> np.ndarray:
-        k = int(index)
-        if not 0 <= k < self.dim:
-            raise ValueError(f"basis index {k} out of range")
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[k] = 1.0
-        return psi
-
-    def ghz_state(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = psi[-1] = 1 / math.sqrt(2)
-        return psi
 
     def point_unitary(self, point) -> np.ndarray:
         if len(point) != self.n:
@@ -560,6 +588,9 @@ class MultipartiteModel(QrtModel):
 
     def identity_point(self):
         return ((0.0, 0.0),) * self.n
+
+    def point_as_group(self, point):
+        return tuple(self._qubit.point_as_group(p) for p in point)
 
     def random_point(self, rng):
         rng = np.random.default_rng(rng)
@@ -603,6 +634,9 @@ class FermionicModel(QrtModel):
     """
 
     kind = "fermionic"
+    band = None  # no structured quadrature: Monte-Carlo grids only
+    nspheres = 0
+    sphere_tuples = False
 
     def __init__(self, n: int):
         super().__init__()
@@ -643,6 +677,10 @@ class FermionicModel(QrtModel):
             out.append(PauliString(ps.n, ps.x, ps.z, ps.phase + extra))
         return out
 
+    def sector_of(self, word: PauliString) -> int:
+        """The number of Majorana factors of the word."""
+        return majorana_weight(word)
+
     @staticmethod
     def _is_paired(combo) -> bool:
         s = set(combo)
@@ -673,24 +711,6 @@ class FermionicModel(QrtModel):
             ]
         return self._majorana_dense
 
-    def hw_state(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = 1.0
-        return psi
-
-    def basis_state(self, index) -> np.ndarray:
-        k = int(index)
-        if not 0 <= k < self.dim:
-            raise ValueError(f"basis index {k} out of range")
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[k] = 1.0
-        return psi
-
-    def ghz_state(self) -> np.ndarray:
-        psi = np.zeros(self.dim, dtype=complex)
-        psi[0] = psi[-1] = 1 / math.sqrt(2)
-        return psi
-
     def point_unitary(self, point) -> np.ndarray:
         h = point.h if isinstance(point, FermionicPoint) else np.asarray(point)
         if h.shape != (2 * self.n, 2 * self.n):
@@ -713,6 +733,9 @@ class FermionicModel(QrtModel):
 
     def identity_point(self):
         return FermionicPoint(np.zeros((2 * self.n, 2 * self.n)))
+
+    def point_as_group(self, point):
+        return point  # points and group elements are both generators
 
     def random_point(self, rng):
         rng = np.random.default_rng(rng)

@@ -8,7 +8,6 @@ use a configurable one so the suite can demonstrate failure reporting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +36,8 @@ class CheckResult:
         }
 
 
-def _result(name: str, value: float, bound: float) -> CheckResult:
+def check(name: str, value: float, bound: float) -> CheckResult:
+    """A check that passes when ``value <= bound``."""
     return CheckResult(name, bool(value <= bound), float(value), float(bound),
                        float(bound))
 
@@ -57,8 +57,11 @@ def _random_hermitian(dim: int, rng) -> np.ndarray:
     return (g + g.conj().T) / 2
 
 
+_LIN_TOL = 1e-10  # bound of the linear-algebra identities
+
+
 def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
-               quad_tol: float = 1e-8, lin_tol: float = 1e-10) -> list[CheckResult]:
+               quad_tol: float = 1e-8) -> list[CheckResult]:
     """Run the invariant suite for one model; returns per-check results."""
     model = make_model(qrt, spin_S, n)
     rng = np.random.default_rng(seed)
@@ -79,11 +82,12 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                             HalfInt(tj1), HalfInt(tm1), HalfInt(tj2),
                             HalfInt(tm2), HalfInt(tJ), HalfInt(tM)) ** 2
                     dev = max(dev, abs(acc - 1.0))
-    results.append(_result("cg_normalization", dev, lin_tol))
+    results.append(check("cg_normalization", dev, _LIN_TOL))
 
-    # Majorana anticommutation on a small register.
-    nmodes = 2 * min(getattr(model, "n", 2), 3) if qrt != "spin" else 4
-    reg = nmodes // 2
+    # Majorana anticommutation on n modes (the model's own n for qubit
+    # models, --n for a spin), clamped to 1..3.
+    reg = max(1, min(n, 3))
+    nmodes = 2 * reg
     dev = 0.0
     for mu in range(1, nmodes + 1):
         for nu in range(1, nmodes + 1):
@@ -91,14 +95,14 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
             anti = (a * b).to_dense() + (b * a).to_dense()
             target = 2 * np.eye(2 ** reg) if mu == nu else 0.0
             dev = max(dev, float(np.max(np.abs(anti - target))))
-    results.append(_result("majorana_anticommutation", dev, lin_tol))
+    results.append(check("majorana_anticommutation", dev, _LIN_TOL))
 
     # Sector weights: two routes and normalization.
     dev = max(abs(model.tau(lam) - model.tau_from_hw(lam))
               for lam in model.labels())
-    results.append(_result("tau_two_route", dev, lin_tol))
+    results.append(check("tau_two_route", dev, _LIN_TOL))
     total = sum(model.irrep_dim(lam) * model.tau(lam) for lam in model.labels())
-    results.append(_result("tau_normalization", abs(total - 1.0), lin_tol))
+    results.append(check("tau_normalization", abs(total - 1.0), _LIN_TOL))
 
     # Sector bases: Hermitian, orthonormal, complete.
     dev = 0.0
@@ -110,18 +114,18 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     allb = np.vstack(gram_blocks)
     gram = allb.conj() @ allb.T
     dev = max(dev, float(np.max(np.abs(gram - np.eye(len(allb))))))
-    results.append(_result("sector_orthonormality", dev, lin_tol))
+    results.append(check("sector_orthonormality", dev, _LIN_TOL))
     A = _random_hermitian(model.dim, rng)
     recon = sum(block.project(A) for block in model.blocks())
-    results.append(_result("sector_completeness",
-                           float(np.max(np.abs(recon - A))), lin_tol))
+    results.append(check("sector_completeness",
+                         float(np.max(np.abs(recon - A))), _LIN_TOL))
 
     # Highest-weight kernel: the s = -1 kernel is the coherent projector.
     pt = model.random_point(rng)
     D = ps.sw_kernel(model, pt, ps.KernelSpec.cahill_glauber(-1.0))
     psi = model.coherent_state(pt)
     dev = float(np.max(np.abs(D - np.outer(psi, psi.conj()))))
-    results.append(_result("husimi_projector", dev, lin_tol))
+    results.append(check("husimi_projector", dev, _LIN_TOL))
 
     # Kernel sector purities are point-independent (scale-aware deviation).
     dev = 0.0
@@ -131,7 +135,7 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
         for lam in model.labels():
             ref = gfd.kernel_purity(model, lam, s)
             dev = max(dev, abs(spec[lam] - ref) / (1 + abs(ref)))
-    results.append(_result("kernel_purity_flat", dev, 100 * lin_tol))
+    results.append(check("kernel_purity_flat", dev, 100 * _LIN_TOL))
 
     # Conjugation covariance of symbols.
     g = model.random_group(rng)
@@ -140,14 +144,16 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                     ps.KernelSpec.cahill_glauber(0.0))
     rhs = ps.symbol(model, A, model.act(g, pt),
                     ps.KernelSpec.cahill_glauber(0.0))
-    results.append(_result("symbol_covariance", abs(lhs - rhs), 100 * lin_tol))
+    results.append(check("symbol_covariance", abs(lhs - rhs), 100 * _LIN_TOL))
 
-    if qrt == "fermionic":
+    if model.band is None:
+        # No structured quadrature (fermions): check that the odd sectors
+        # have no phase-space image and stop.
         dev = max(model.tau(lam) for lam in model.labels() if lam % 2 == 1)
         spec = gfd.purity_spectrum(
             ps.sw_kernel(model, pt, ps.KernelSpec.cahill_glauber(0.0)), model)
         dev = max(dev, max(spec[lam] for lam in model.labels() if lam % 2 == 1))
-        results.append(_result("odd_sector_zero", dev, 1e-20))
+        results.append(check("odd_sector_zero", dev, 1e-20))
         return results
 
     # Quadrature-mediated identities (structured grids only).
@@ -157,7 +163,7 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     ally = np.vstack([harm[lam] for lam in model.labels()])
     gram = (ally * w) @ ally.T
     dev = float(np.max(np.abs(gram - np.eye(len(ally)))))
-    results.append(_result("harmonic_orthonormality", dev, quad_tol))
+    results.append(check("harmonic_orthonormality", dev, quad_tol))
 
     B = _random_hermitian(model.dim, rng)
     dev = 0.0
@@ -182,8 +188,8 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
         for lam in model.labels():
             ref = pt_ref[lam]
             dev = max(dev, abs(pt_quad[lam] - ref) / (1 + abs(ref)))
-    results.append(_result("filter_identity", dev, quad_tol))
-    results.append(_result("tracing", dev_tr, quad_tol))
-    results.append(_result("reconstruction", dev_rec, quad_tol))
-    results.append(_result("standardization", dev_std, quad_tol))
+    results.append(check("filter_identity", dev, quad_tol))
+    results.append(check("tracing", dev_tr, quad_tol))
+    results.append(check("reconstruction", dev_rec, quad_tol))
+    results.append(check("standardization", dev_std, quad_tol))
     return results

@@ -8,12 +8,14 @@ bare absolute tolerance sits below double-precision resolution.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
 
 import numpy as np
 
+import sweyl
 from sweyl import gfd
 from sweyl import phase_space as ps
 from sweyl import render
@@ -100,9 +102,8 @@ def test_criterion_03_filter_identity(tmp_path):
         rho = np.outer(psi, psi.conj())
         spectrum = gfd.purity_spectrum(rho, model)
         for s in svals:
-            field = ps.symbol_field(model, rho, grid,
-                                    ps.KernelSpec.cahill_glauber(s),
-                                    stack=stacks[s])
+            field = ps.SymbolField(model, grid, ps.KernelSpec.cahill_glauber(s),
+                                   np.einsum("nab,ba->n", stacks[s], rho))
             quad = ps.phase_purity_quadrature(field, harmonics)
             want = gfd.phase_purity(spectrum, s, model)
             for lam in model.labels():
@@ -363,19 +364,22 @@ def test_criterion_14_coherent_fidelity():
 
 def test_criterion_15_cli_determinism(tmp_path):
     base = [sys.executable, "-m", "sweyl.cli"]
+    # The CLI subprocesses import the same sweyl as this test.
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(sweyl.__file__)))
     args = ["phasespace", "--qrt", "spin", "--spin-S", "2", "--state", "ghz",
             "--s", "0", "--grid", "24x48", "--projection", "robinson",
             "--seed", "5"]
     for sub in ("a", "b"):
         r = subprocess.run(base + args + ["--out", str(tmp_path / sub)],
-                           capture_output=True, text=True)
+                           capture_output=True, text=True, env=env)
         assert r.returncode == 0, r.stderr
     identical = all(
         (tmp_path / "a" / name).read_bytes()
         == (tmp_path / "b" / name).read_bytes()
         for name in ("field_ghz_s+0.csv", "field_ghz_s+0.ppm"))
     r = subprocess.run(base + ["verify", "--out", str(tmp_path)],
-                       capture_output=True, text=True)
+                       capture_output=True, text=True, env=env)
     _report(15, "CLI byte-determinism and default verify",
             identical and r.returncode == 0,
             f"identical={identical}, verify exit {r.returncode}")

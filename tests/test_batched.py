@@ -55,10 +55,10 @@ def test_harmonic_matrix_matches_pointwise(model):
     pts = [model.random_point(rng) for _ in range(5)]
     harm = ps.harmonic_matrix(model, pts)
     for lam, H in harm.items():
-        for j in range(H.shape[0]):
-            for k, p in enumerate(pts):
-                assert H[j, k] == pytest.approx(ps.harmonic(model, lam, j, p),
-                                                abs=1e-12)
+        for k, p in enumerate(pts):
+            ref = ps.harmonic_via_adjoint(model, lam, p)
+            for j in range(H.shape[0]):
+                assert H[j, k] == pytest.approx(ref[j], abs=1e-12)
 
 
 def test_convert_field_matches_two_point_kernel_matrix():
@@ -70,7 +70,10 @@ def test_convert_field_matches_two_point_kernel_matrix():
     fa = ps.symbol_field(model, A, src, ps.KernelSpec.cahill_glauber(0.5))
     got = ps.convert_field(fa, -1.0, out).values
     # Reference: the explicit (M, N) two-point kernel matrix.
-    K = np.array([[ps.conversion_kernel(model, -1.0, 0.5, pm, pn)
+    spec_t = ps.KernelSpec.cahill_glauber(-1.0)
+    spec_s = ps.KernelSpec.cahill_glauber(-0.5)
+    K = np.array([[np.real(np.trace(ps.sw_kernel(model, pm, spec_t)
+                                    @ ps.sw_kernel(model, pn, spec_s)))
                    for pn in src.points] for pm in out.points])
     want = K @ (src.weights * fa.values)
     assert np.max(np.abs(got - want)) <= 1e-12 * (1 + np.max(np.abs(want)))

@@ -265,3 +265,10 @@ def test_coherent_fidelity_multipartite():
         pytest.approx(0.5, abs=1e-4)
     with pytest.raises(ValueError):
         gfd.coherent_fidelity(FermionicModel(2), FermionicModel(2).hw_state())
+
+
+def test_coherent_fidelity_one_qubit():
+    # One qubit has one sphere but tuple points, unlike spin 1/2.
+    model = MultipartiteModel(1)
+    psi = model.coherent_state(((0.4, 2.0),))
+    assert gfd.coherent_fidelity(model, psi) == pytest.approx(1.0, abs=1e-8)

@@ -10,6 +10,7 @@ import pytest
 from sweyl.clebsch import HalfInt
 from sweyl.models import (FermionicModel, FermionicPoint, MultipartiteModel,
                           SpinModel)
+from sweyl.paulis import PauliString
 from sweyl.phase_space import adjoint_matrix
 
 H = HalfInt.of
@@ -273,3 +274,39 @@ def test_basis_state_selectors():
         SpinModel(1).basis_state("1/2")
     with pytest.raises(ValueError):
         MultipartiteModel(2).basis_state(9)
+
+
+# -- declared geometry ---------------------------------------------------------
+
+def test_declared_phase_space_geometry():
+    spin, qubits, modes = SpinModel(H("5/2")), MultipartiteModel(3), \
+        FermionicModel(2)
+    assert (spin.band, spin.nspheres, spin.sphere_tuples) == (2.5, 1, False)
+    assert (qubits.band, qubits.nspheres, qubits.sphere_tuples) == \
+        (0.5, 3, True)
+    assert (modes.band, modes.nspheres, modes.sphere_tuples) == \
+        (None, 0, False)
+
+
+@pytest.mark.parametrize("model", [MultipartiteModel(2), FermionicModel(2)],
+                         ids=repr)
+def test_sector_of_agrees_with_sector_strings(model):
+    for lam in model.labels():
+        for word in model.sector_strings(lam):
+            assert model.sector_of(word) == lam
+
+
+def test_spin_has_no_pauli_sectors():
+    with pytest.raises(ValueError):
+        SpinModel(H("3/2")).sector_of(PauliString.from_label("XZ"))
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+def test_point_as_group_carries_identity_to_point(model):
+    rng = np.random.default_rng(40)
+    for _ in range(3):
+        point = model.random_point(rng)
+        g = model.point_as_group(point)
+        psi = model.group_unitary(g) @ model.hw_state()
+        overlap = abs(np.vdot(psi, model.coherent_state(point)))
+        assert overlap == pytest.approx(1.0, abs=1e-12)

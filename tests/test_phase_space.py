@@ -77,6 +77,15 @@ def test_default_grid_dispatch():
         ps.default_grid(FermionicModel(2))
 
 
+def test_default_grid_point_formats_of_spin_half_and_one_qubit():
+    # Same band and sphere count; the points differ in their form.
+    spin = ps.default_grid(SpinModel(H("1/2")))
+    qubit = ps.default_grid(MultipartiteModel(1))
+    assert len(spin.points) == len(qubit.points)
+    assert [(p,) for p in spin.points] == qubit.points
+    assert np.array_equal(spin.weights, qubit.weights)
+
+
 # -- kernel family ------------------------------------------------------------
 
 def test_kernel_spec_factors():
@@ -189,9 +198,9 @@ def test_harmonic_values_at_identity():
     # Trivial sector harmonic is the constant 1; the spin-1/2 vector
     # sector gives sqrt(3) at the pole.
     model = SpinModel(H("1/2"))
-    e = model.identity_point()
-    assert ps.harmonic(model, 0, 0, e) == pytest.approx(1.0)
-    assert ps.harmonic(model, 1, 0, e) == pytest.approx(math.sqrt(3))
+    harm = ps.harmonic_matrix(model, [model.identity_point()])
+    assert harm[0][0, 0] == pytest.approx(1.0)
+    assert harm[1][0, 0] == pytest.approx(math.sqrt(3))
 
 
 def test_harmonic_sum_rule():
@@ -227,8 +236,10 @@ def test_harmonic_via_adjoint_route():
 
 def test_fermionic_odd_sector_has_no_harmonics():
     model = FermionicModel(2)
+    harm = ps.harmonic_matrix(model, [model.identity_point()])
+    assert sorted(harm) == [0, 2, 4]
     with pytest.raises(ValueError):
-        ps.harmonic(model, 1, 0, model.identity_point())
+        ps.harmonic_via_adjoint(model, 1, model.identity_point())
 
 
 # -- symbols and filters ------------------------------------------------------
@@ -371,10 +382,12 @@ def test_conversion_matches_direct_symbol():
 
 
 def test_conversion_kernel_reduces_to_trace():
-    # At s_target = s_source the kernel is the tracing pair Tr[D(s) D(-s)].
+    # At s_target = s_source the kernel is the tracing pair Tr[D(s) D(-s)],
+    # whose tau powers cancel in the harmonic expansion: sum_j Y_j(p)**2.
     model = SpinModel(1)
     p = (0.7, 1.1)
-    got = ps.conversion_kernel(model, 0.5, 0.5, p, p)
+    harm = ps.harmonic_matrix(model, [p])
+    got = sum(float(np.sum(H ** 2)) for H in harm.values())
     want = np.real(np.trace(
         ps.sw_kernel(model, p, ps.KernelSpec.cahill_glauber(0.5))
         @ ps.sw_kernel(model, p, ps.KernelSpec.cahill_glauber(-0.5))))
@@ -443,7 +456,7 @@ def test_generalized_filter_recovers_standard():
     rng = np.random.default_rng(17)
     A = rand_hermitian(3, rng)
     point = model.random_point(rng)
-    lhs = ps.generalized_symbol(model, A, point, coeffs)
+    lhs = ps.symbol(model, A, point, ps.KernelSpec.generalized(coeffs))
     rhs = ps.symbol(model, A, point, ps.KernelSpec.cahill_glauber(s))
     assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -455,8 +468,9 @@ def test_generalized_filter_removes_sector():
     A = rand_hermitian(3, rng)
     A_cut = A - gfd.gfd_project(A, model, 2)
     point = model.random_point(rng)
-    lhs = ps.generalized_symbol(model, A, point, coeffs)
-    rhs = ps.generalized_symbol(model, A_cut, point, coeffs)
+    spec = ps.KernelSpec.generalized(coeffs)
+    lhs = ps.symbol(model, A, point, spec)
+    rhs = ps.symbol(model, A_cut, point, spec)
     assert lhs == pytest.approx(rhs, abs=1e-12)
     # And it differs from the untouched s = 0 symbol wherever sector 2 lives.
     full = ps.symbol(model, A, point, ps.KernelSpec.cahill_glauber(0.0))

@@ -1,10 +1,14 @@
 """Rendering helpers and the command-line entry point."""
 
+import contextlib
+import io
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sweyl import render
 from sweyl.cli import main
@@ -284,3 +288,103 @@ def test_cli_purities_spin_60_hw_matches_closed_form(tmp_path):
     for r in hw:
         ref = closed_form_spin_purity(60, 60, int(r[col["sector"]]))
         assert abs(float(r[col["purity"]]) - ref) <= 1e-11 * ref
+
+
+@pytest.mark.parametrize("argv", [
+    ["purities", "--s", "nan"],
+    ["phasespace", "--s", "inf", "--grid", "2x2"],
+    ["duality", "--s", "nan", "--samples", "10"],
+    ["star", "--s=-inf"],
+    ["verify", "--quad-tol", "-1"],
+    ["verify", "--quad-tol", "0"],
+    ["verify", "--quad-tol", "inf"],
+    ["star", "--points", "0"],
+])
+def test_cli_bad_numeric_flags_exit_2(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())  # refused before any output
+
+
+@pytest.mark.parametrize("argv", [
+    ["purities", "--spin-S", "5", "--s", "1000"],
+    ["phasespace", "--spin-S", "5", "--s", "500", "--grid", "2x4"],
+    ["duality", "--spin-S", "2", "--s", "1e3", "--samples", "20"],
+])
+def test_cli_overflowing_filter_exits_1(tmp_path, capsys, argv):
+    # tau**(-s) past the float range is a numerical failure, not a crash.
+    assert main(argv + ["--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerical failure") and err.count("\n") == 1
+
+
+def test_cli_format_is_a_purities_flag(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["phasespace", "--format", "json", "--grid", "2x2",
+              "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format" in capsys.readouterr().err
+
+
+# -- argument fuzz over tiny sizes ----------------------------------------------
+
+def _mostly(good, bad):
+    """Draws from ``good`` four times in five, else from ``bad``."""
+    return st.integers(0, 4).flatmap(
+        lambda k: st.sampled_from(bad if k == 0 else good))
+
+
+_bad_numbers = ["nan", "inf", "-inf", "0", "-1", "-0.5"]
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(
+        ["purities", "phasespace", "duality", "star", "verify"]))
+    argv = [command,
+            "--qrt", draw(st.sampled_from(["spin", "multipartite",
+                                           "fermionic"])),
+            "--spin-S", draw(_mostly(["1/2", "1", "3/2", "2"],
+                                     ["0", "-1", "5/3"])),
+            "--n", draw(_mostly(["1", "2"], ["0", "-1"])),
+            "--seed", draw(_mostly(["0", "7"], ["-1"]))]
+    if command != "verify":
+        svals = st.one_of(st.floats(-1.0, 1.0).map(repr),
+                          _mostly(["-1", "0", "1"], _bad_numbers + ["1e3"]))
+        argv += [f"--s={s}" for s in draw(st.lists(svals, max_size=2))]
+    if command in ("purities", "phasespace"):
+        states = _mostly(["hw", "ghz", "haar", "m=1", "m=1/2"],
+                         ["m=-3", "bogus"])
+        argv += [a for sel in draw(st.lists(states, max_size=2))
+                 for a in ("--state", sel)]
+    if command == "purities":
+        argv += ["--format", draw(st.sampled_from(["csv", "json"]))]
+    if command == "phasespace":
+        argv += ["--grid", draw(_mostly(["1x1", "2x4", "4x8", "3x5"],
+                                        ["0x4", "4x-8", "2by4"])),
+                 "--projection", draw(st.sampled_from(["equirect",
+                                                       "robinson"]))]
+    if command == "duality":
+        argv += ["--samples", draw(_mostly(["20", "5", "2"],
+                                           ["1", "0", "-3"]))]
+    if command == "star":
+        argv += [f"--points={draw(_mostly(['3', '1'], ['0', '-2']))}"]
+    if command == "verify":
+        tol = draw(_mostly(["1e-8", "1e-30"], _bad_numbers))
+        argv += [f"--quad-tol={tol}"]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=_argv())
+def test_cli_fuzz_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv + ["--out", tmp])
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
