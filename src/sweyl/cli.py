@@ -167,7 +167,25 @@ def _marginal_qubit_operator(model: MultipartiteModel, A: np.ndarray):
     return np.einsum("abcb->ac", A4), rest
 
 
+def _phasespace_bytes(nnodes: int, dim: int, model_dim: int,
+                      nstates: int) -> int:
+    """Bytes the streamed ``phasespace`` route holds at its peak.
+
+    Three complex (k, d, d) unitary chunks; per node the complex table of
+    rotated diagonals, about 300 B of columns, pixels and Python cells and
+    about 75 B of CSV text; and the model's d x d states.
+    """
+    chunk = min(nnodes, ps.chunk_nodes(dim))
+    return (3 * chunk * dim * dim * 16
+            + nnodes * (16 * dim + 300 + 75)
+            + nstates * model_dim * model_dim * 16)
+
+
 def cmd_phasespace(args) -> int:
+    """Field tables and heatmaps; each state's table of rotated diagonals
+    is built once and serves every ``--s``.  A grid whose streamed route
+    would pass ``phase_space.STACK_BUDGET`` bytes is refused (exit 2)
+    before anything N-sized is built."""
     model = _model(args)
     if not model.nspheres:
         raise ValueError(f"{model.kind} phase space has no spherical projection")
@@ -180,39 +198,43 @@ def cmd_phasespace(args) -> int:
         return 2
     states = args.state or ["hw"]
     svals = args.s if args.s else [0.0]
+    # Multi-qubit fields render the marginal on the first sphere.
+    target = MultipartiteModel(1) if model.sphere_tuples else model
+    need = _phasespace_bytes(ntheta * nphi, target.dim, model.dim,
+                             len(states))
+    if need > ps.STACK_BUDGET:
+        raise ValueError(
+            f"phasespace on a {ntheta}x{nphi} grid at d={target.dim} needs "
+            f"about {need / 2**20:.0f} MiB, over the "
+            f"{ps.STACK_BUDGET >> 20} MiB budget; use a smaller --grid")
     theta, phi = render.equirect_grid(ntheta, nphi)
-    points = [(t, p) for t in theta for p in phi]
-    os.makedirs(args.out, exist_ok=True)
-
-    if model.sphere_tuples:  # render the marginal on the first sphere
-        target, nodes = MultipartiteModel(1), [(pt,) for pt in points]
-    else:
-        target, nodes = model, points
+    theta_col, phi_col = np.repeat(theta, nphi), np.tile(phi, ntheta)
+    nodes = np.stack((theta_col, phi_col), axis=1)
+    if model.sphere_tuples:
+        nodes = nodes[:, None, :]
+    centers = [ps.center_diagonal(target, ps.KernelSpec.cahill_glauber(s))
+               for s in svals]
     rhos = []
     for sel in states:
         psi = model.named_state(sel, seed=args.seed)
         rhos.append(np.outer(psi, psi.conj()))
+    os.makedirs(args.out, exist_ok=True)
 
-    for s in svals:
-        # The stack depends on the target model, the grid and s only.
-        stack = ps.kernel_stack(target, nodes,
-                                ps.KernelSpec.cahill_glauber(s))
-        for sel, rho in zip(states, rhos):
-            if target is model:
-                A = rho
-            else:
-                A, rest = _marginal_qubit_operator(model, rho)
-                A = A * float(rest) ** ((s - 1) / 2)
-            vals = np.real(np.einsum("nab,ba->n", stack, A))
+    for sel, rho in zip(states, rhos):
+        A, rest = rho, 1
+        if target is not model:
+            A, rest = _marginal_qubit_operator(model, rho)
+        table = ps.rotated_diagonals(target, A, nodes)
+        for s, c in zip(svals, centers):
+            # rest ** ((s-1)/2): measure factor of the traced qubits
+            vals = np.real(table @ c) * float(rest) ** ((s - 1) / 2)
             field = vals.reshape(ntheta, nphi)
 
             tag = f"{_file_tag(sel)}_s{s:+g}"
-            rows = [[theta[i], phi[j], field[i, j]]
-                    for i in range(ntheta) for j in range(nphi)]
             render.write_csv(
                 os.path.join(args.out, f"field_{tag}.csv"),
-                ["theta", "phi", "value"], rows,
-                comments=[f"seed={args.seed}"])
+                ["theta", "phi", "value"], comments=[f"seed={args.seed}"],
+                columns=(theta_col, phi_col, vals))
             rgb = render.colorize(field)
             if args.projection == "robinson":
                 rgb = render.robinson_remap(rgb)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .clebsch import HalfInt, clebsch_gordan
 from .models import QrtModel
-from .paulis import PauliSum
+from .paulis import PauliString, PauliSum
 
 
 @dataclass
@@ -53,6 +53,7 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
 def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
     if model.dim != 2 ** A.n:
         raise ValueError("qubit counts differ")
+    model.sector_of(PauliString.identity(A.n))  # a spin refuses every word
     entries = {lam: 0.0 for lam in model.labels()}
     scale = 2 ** A.n  # |<P/sqrt(2^n), A>|^2 = |a_P|^2 2^n
     for ps, coeff in A.strings():
@@ -141,7 +142,22 @@ def norm_bounds(model: QrtModel, s: float, rho: np.ndarray | None = None):
 
 # -- statistical duality ------------------------------------------------------
 
-_DUALITY_CHUNK = 256  # Haar samples per batched contraction in duality_check
+_DUALITY_CHUNK = 256  # Haar samples per generator and batched contraction
+
+
+def haar_chunks(dim: int, nsamples: int, seed: int):
+    """Haar-random pure states, ``_DUALITY_CHUNK`` at a time.
+
+    Chunk c of k states comes from one draw
+    ``default_rng([seed, c]).normal(size=(k, 2, dim))``: real and
+    imaginary parts of each Gaussian vector, normalized.  Yields complex
+    (k, dim) arrays.
+    """
+    for c, lo in enumerate(range(0, nsamples, _DUALITY_CHUNK)):
+        k = min(_DUALITY_CHUNK, nsamples - lo)
+        g = np.random.default_rng([seed, c]).normal(size=(k, 2, dim))
+        psi = g[:, 0] + 1j * g[:, 1]
+        yield psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
 @dataclass
@@ -165,7 +181,7 @@ def duality_check(model: QrtModel, s: float, nsamples: int, seed: int,
     state at s+1 divided by d(d+1).  The trivial sector is deterministic
     (every pure state gives exactly d**(s-1)); its row reports that exact
     value as rhs.  Both sides are evaluated through phase-space quadrature,
-    with per-sample RNG streams derived from the seed.
+    with the samples drawn by ``haar_chunks``.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
@@ -190,22 +206,19 @@ def duality_check(model: QrtModel, s: float, nsamples: int, seed: int,
     shift = {lam: 0.0 for lam in labels}
     sums = {lam: 0.0 for lam in labels}
     sqsums = {lam: 0.0 for lam in labels}
-    for lo in range(0, nsamples, _DUALITY_CHUNK):
-        psi = np.array([model.haar_state(np.random.default_rng([seed, i]))
-                        for i in range(lo, min(nsamples, lo + _DUALITY_CHUNK))])
+    for chunk, psi in enumerate(haar_chunks(model.dim, nsamples, seed)):
         rho_t = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
         for lam, C in coeff.items():
             vals = np.sum(np.abs(rho_t @ C) ** 2, axis=1)
-            if lo == 0:
+            if chunk == 0:
                 shift[lam] = float(vals[0])
             vals -= shift[lam]
             sums[lam] += float(np.sum(vals))
             sqsums[lam] += float(vals @ vals)
 
-    hw_field = np.einsum(
-        "nab,ba->n",
-        _ps.kernel_stack(model, grid.points, _ps.KernelSpec.cahill_glauber(s + 1)),
-        np.outer(model.hw_state(), model.hw_state().conj()))
+    hw = model.hw_state()
+    hw_field = _ps.symbol_field(model, np.outer(hw, hw.conj()), grid,
+                                _ps.KernelSpec.cahill_glauber(s + 1)).values
 
     rows = []
     d = model.dim

@@ -449,8 +449,10 @@ class SpinModel(QrtModel):
     def point_unitaries(self, points) -> np.ndarray:
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         w, V = self._jy_eigh()
-        rot_y = (V * np.exp(-1j * pts[:, :1, None] * w)) @ V.conj().T
-        return self._rot_z_diag(pts[:, 1:])[:, :, None] * rot_y
+        # Grids repeat each theta along a ring: one y-rotation per value.
+        theta, ring = np.unique(pts[:, 0], return_inverse=True)
+        rot_y = (V * np.exp(-1j * theta[:, None, None] * w)) @ V.conj().T
+        return self._rot_z_diag(pts[:, 1:])[:, :, None] * rot_y[ring]
 
     def group_unitary(self, g) -> np.ndarray:
         alpha, beta, gamma = g

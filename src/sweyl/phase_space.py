@@ -14,12 +14,22 @@ the price is a ``d**((s-1)/2)`` factor in the standardization integral.
 
 Nothing here tests a model's class: grids and band checks read the
 geometry each model declares (``band``, ``nspheres``, ``sphere_tuples``,
-``point_as_group``; see ``models``).  Fields, reconstruction and duality
-contract (N, d, d) kernel stacks; ``harmonic_matrix`` serves the sector
-projections.  Harmonics of high sectors come from cancelling sums
-``<Omega| D_j |Omega> = O(sqrt(tau))``, so a field built from them and
-scaled by ``tau**(-s/2)`` loses about ``tau**(-1/2)`` (1.4e5 at S = 8) in
-relative accuracy; the kernel stacks do not.
+``point_as_group``; see ``models``).
+
+Fields and reconstruction are streamed, without (N, d, d) kernel stacks.
+The center kernel ``Delta_0(s)`` is a weight-zero combination, diagonal
+in the computational basis for all three models, so the field at node n
+is ``F_n(s) = sum_b c_b(s) (U_n^H A U_n)_bb`` with ``c = diag Delta_0(s)``:
+the ``(N, d)`` table of rotated diagonals (``rotated_diagonals``) is
+built chunk by chunk from ``point_unitaries`` and serves every s.
+``reconstruct`` is likewise one ``(d, k d) @ (k d, d)`` product per
+chunk of k nodes.  ``kernel_stack`` keeps the full ``U D0 U^H`` route as
+the independent oracle of the tests and serves the per-sector
+coefficient matrices of ``gfd.duality_check``; ``harmonic_matrix``
+serves the sector projections.  Harmonics of high sectors come from
+cancelling sums ``<Omega| D_j |Omega> = O(sqrt(tau))``, so a field built
+from them and scaled by ``tau**(-s/2)`` loses about ``tau**(-1/2)``
+(1.4e5 at S = 8) in relative accuracy; the rotated diagonals do not.
 """
 
 from __future__ import annotations
@@ -308,6 +318,50 @@ def symbol(model: QrtModel, A: np.ndarray, point, spec: KernelSpec) -> complex:
                              np.asarray(A)))
 
 
+CHUNK_BYTES = 2**20  # one complex (k, d, d) unitary chunk: about L2 size
+
+
+def chunk_nodes(dim: int) -> int:
+    """Nodes per chunk of the streamed routes at Hilbert dimension dim."""
+    return max(1, CHUNK_BYTES // (16 * dim * dim))
+
+
+def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
+    """Diagonal c(s) of the center kernel; ValueError if it is not diagonal."""
+    D0 = center_kernel(model, spec)
+    c = np.diagonal(D0).copy()
+    if np.count_nonzero(D0 - np.diag(c)):
+        raise ValueError(f"center kernel of {model!r} is not diagonal")
+    return c
+
+
+def _unitary_columns(model: QrtModel, points):
+    """Chunks of point unitaries as ``(offset, X)``: X is (d, k d) with
+    the columns ``U_n[:, b]`` side by side in (n, b) order, and offset is
+    the position of its first column among all N d of them."""
+    d = model.dim
+    step = chunk_nodes(d)
+    for lo in range(0, len(points), step):
+        U = model.point_unitaries(points[lo:lo + step])
+        yield lo * d, U.transpose(1, 0, 2).reshape(d, -1)
+
+
+def rotated_diagonals(model: QrtModel, A: np.ndarray, points) -> np.ndarray:
+    """(N, d) table of the diagonals ``(U_n^H A U_n)_bb`` at the points.
+
+    Built chunk by chunk (``chunk_nodes``) with one ``A @ U`` product per
+    chunk; ``points`` is any sequence ``point_unitaries`` accepts (a list
+    of points or an array of them).  The symbol at s is the table times
+    ``center_diagonal(model, spec)``.
+    """
+    A = np.asarray(A)
+    out = np.empty(len(points) * model.dim, dtype=complex)
+    for lo, X in _unitary_columns(model, points):
+        # (U_n^H A U_n)_bb = sum_a conj(U_n)_ab (A U_n)_ab
+        out[lo:lo + X.shape[1]] = np.einsum("ab,ab->b", X.conj(), A @ X)
+    return out.reshape(-1, model.dim)
+
+
 @dataclass
 class SymbolField:
     """A symbol sampled on a quadrature grid."""
@@ -320,9 +374,9 @@ class SymbolField:
 
 def symbol_field(model: QrtModel, A: np.ndarray, grid,
                  spec: KernelSpec) -> SymbolField:
-    """Evaluate the symbol of A on every grid node."""
-    stack = kernel_stack(model, grid.points, spec)
-    values = np.einsum("nab,ba->n", stack, np.asarray(A))
+    """Evaluate the symbol of A on every grid node (no kernel stack)."""
+    c = center_diagonal(model, spec)
+    values = rotated_diagonals(model, A, grid.points) @ c
     return SymbolField(model, grid, spec, values)
 
 
@@ -391,12 +445,17 @@ def reconstruct(field: SymbolField) -> np.ndarray:
 
     Exact for structured grids resolving the model band limit; sectors with
     no phase-space image (fermionic odd sectors) are irrecoverably absent.
+    One ``(d, k d) @ (k d, d)`` product per chunk of k nodes.
     """
     model, grid = field.model, field.grid
     _check_band(model, grid)
-    stack = kernel_stack(model, grid.points, field.spec.dual())
-    w = np.asarray(grid.weights)
-    return np.tensordot(w * field.values, stack, axes=1)
+    # Dual kernel at node n: sum_b c_b U_n[:, b] U_n[:, b]^H.
+    weights = np.outer(np.asarray(grid.weights) * field.values,
+                       center_diagonal(model, field.spec.dual())).ravel()
+    out = np.zeros((model.dim, model.dim), dtype=complex)
+    for lo, X in _unitary_columns(model, grid.points):
+        out += (X * weights[lo:lo + X.shape[1]]) @ X.conj().T
+    return out
 
 
 def convert_field(field: SymbolField, s_target: float, out_grid) -> SymbolField:
@@ -467,5 +526,5 @@ def star_product(field_a: SymbolField, field_b: SymbolField,
     if field_a.spec.is_generalized or field_b.spec.is_generalized:
         raise ValueError("twisted product needs standard-family fields")
     product = reconstruct(field_a) @ reconstruct(field_b)
-    stack_out = kernel_stack(model, out_points, KernelSpec.cahill_glauber(s_out))
-    return np.einsum("mab,ba->m", stack_out, product)
+    c = center_diagonal(model, KernelSpec.cahill_glauber(s_out))
+    return rotated_diagonals(model, product, out_points) @ c

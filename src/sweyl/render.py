@@ -87,12 +87,11 @@ def write_ppm(path, rgb: np.ndarray, comments=()) -> None:
     for c in comments:
         lines.append(f"# {c}")
     lines.append(f"{w} {h}")
-    lines.append("255")
-    for row in rgb:
-        for px in row:
-            lines.append(f"{px[0]} {px[1]} {px[2]}")
+    lines.append("255\n")
+    body = "%d %d %d\n" * (h * w) % tuple(rgb.reshape(-1).tolist())
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
+        fh.write(body)
 
 
 def robinson_remap(rgb: np.ndarray, background=BACKGROUND) -> np.ndarray:
@@ -118,15 +117,28 @@ def robinson_remap(rgb: np.ndarray, background=BACKGROUND) -> np.ndarray:
     return out
 
 
-def write_csv(path, header: list[str], rows, comments=()) -> None:
-    """Write rows of mixed str/float cells; floats at 17 significant digits."""
+def write_csv(path, header: list[str], rows=(), comments=(), *,
+              columns=None) -> None:
+    """Write a table of str/float columns; floats at 17 significant digits.
+
+    The table is given as ``rows`` (sequences of cells) or as ``columns``
+    (one sequence or array per header entry).  A column whose first cell
+    is a str is written as text, any other as floats.
+    """
+    if columns is None:
+        columns = list(zip(*rows)) or [()] * len(header)
+    text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    if any(text):
+        cells = tuple(cell for row in zip(*columns) for cell in row)
+    else:
+        cells = tuple(np.column_stack(columns).astype(float).ravel().tolist())
+    template = ",".join("%s" if t else "%.17g" for t in text) + "\n"
     lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header))
-    for row in rows:
-        cells = [cell if isinstance(cell, str) else fmt(cell) for cell in row]
-        lines.append(",".join(cells))
+    lines.append(",".join(header) + "\n")
+    body = template * len(columns[0]) % cells
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(lines))
+        fh.write(body)
 
 
 def read_csv(path):

@@ -60,6 +60,29 @@ def _random_hermitian(dim: int, rng) -> np.ndarray:
 _LIN_TOL = 1e-10  # bound of the linear-algebra identities
 
 
+def duality_identity_deviation(model: QrtModel) -> float:
+    """Largest relative deviation of the closed-form Haar duality.
+
+    On every non-trivial sector the Haar mean of the s-filtered purity,
+    ``tau**(-s) d_lam / (d (d+1))``, equals the highest-weight purity
+    filtered at s + 1, ``tau**(-s-1) P_lam(hw) / (d (d+1))``; the common
+    factor 1/(d (d+1)) is dropped.  Checked at s = -1, 0, 1 with ``tau``
+    from its closed form and ``P_lam(hw)`` from ``gfd.purity_spectrum``.
+    """
+    hw = model.hw_state()
+    spectrum = gfd.purity_spectrum(np.outer(hw, hw.conj()), model)
+    dev = 0.0
+    for s in (-1.0, 0.0, 1.0):
+        dual = gfd.phase_purity(spectrum, s + 1, model)
+        for lam in model.labels():
+            if lam == model.trivial_label:
+                continue
+            lhs, rhs = gfd.kernel_purity(model, lam, s), dual[lam]
+            if lhs or rhs:
+                dev = max(dev, abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
+    return dev
+
+
 def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                quad_tol: float = 1e-8) -> list[CheckResult]:
     """Run the invariant suite for one model; returns per-check results."""
@@ -103,6 +126,8 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     results.append(check("tau_two_route", dev, _LIN_TOL))
     total = sum(model.irrep_dim(lam) * model.tau(lam) for lam in model.labels())
     results.append(check("tau_normalization", abs(total - 1.0), _LIN_TOL))
+    results.append(check("duality_identity", duality_identity_deviation(model),
+                         _LIN_TOL))
 
     # Sector bases: Hermitian, orthonormal, complete.
     dev = 0.0

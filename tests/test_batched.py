@@ -119,7 +119,12 @@ def _duality_per_sample(model, s, nsamples, seed):
     w = grid.weights
     vals = {lam: [] for lam in model.labels()}
     for i in range(nsamples):
-        psi = model.haar_state(np.random.default_rng([seed, i]))
+        # Sample i is row i % 256 of chunk i // 256's Gaussian draw.
+        chunk, row = divmod(i, 256)
+        k = min(256, nsamples - 256 * chunk)
+        g = np.random.default_rng([seed, chunk]).normal(
+            size=(k, 2, model.dim))[row]
+        psi = (g[0] + 1j * g[1]) / np.linalg.norm(g)
         field = np.einsum("nab,ba->n", stack, np.outer(psi, psi.conj()))
         for lam in model.labels():
             comps = harm[lam] @ (w * field)

@@ -257,9 +257,9 @@ def test_cli_phasespace_half_integer_m(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["phasespace", "--qrt", "spin", "--spin-S", "100"],
     ["purities", "--qrt", "spin", "--spin-S", "5000"],
-    # dense blocks fit (2S = 60), but the default 64x128 grid's kernel
-    # stacks (3 x 488 MB) are over phase_space.STACK_BUDGET
-    ["phasespace", "--qrt", "spin", "--spin-S", "30"],
+    # 32 M nodes: the field table and its CSV text alone are over
+    # phase_space.STACK_BUDGET
+    ["phasespace", "--qrt", "spin", "--spin-S", "2", "--grid", "4000x8000"],
 ])
 def test_cli_oversized_spin_exit_2_before_allocating(tmp_path, capsys, argv):
     import tracemalloc

@@ -1,0 +1,239 @@
+"""Streamed phase-space fields against the kernel-stack oracle, the chunked
+Haar stream, the closed-form duality identity and the table writers."""
+
+import numpy as np
+import pytest
+
+from sweyl import gfd, render
+from sweyl import phase_space as ps
+from sweyl.cli import main
+from sweyl.clebsch import HalfInt
+from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
+from sweyl.paulis import PauliSum
+from sweyl.verify import _LIN_TOL, duality_identity_deviation
+
+SPECS = [ps.KernelSpec.cahill_glauber(s) for s in (-1.0, 0.0, 0.5, 1.0)]
+
+
+def rand_hermitian(dim, rng):
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (g + g.conj().T) / 2
+
+
+def stack_field(model, A, points, spec):
+    """The oracle: contract the (N, d, d) kernel stack with A."""
+    return np.einsum("nab,ba->n", ps.kernel_stack(model, points, spec), A)
+
+
+def assert_field_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("twice_s", range(1, 13))
+def test_spin_symbol_field_matches_kernel_stack(twice_s):
+    model = SpinModel(HalfInt(twice_s))
+    grid = ps.default_grid(model)
+    A = rand_hermitian(model.dim, np.random.default_rng(twice_s))
+    for spec in SPECS:
+        got = ps.symbol_field(model, A, grid, spec).values
+        assert_field_close(got, stack_field(model, A, grid.points, spec))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multipartite_symbol_field_matches_kernel_stack(n):
+    model = MultipartiteModel(n)
+    grid = ps.default_grid(model)
+    A = rand_hermitian(model.dim, np.random.default_rng(40 + n))
+    for spec in SPECS:
+        got = ps.symbol_field(model, A, grid, spec).values
+        assert_field_close(got, stack_field(model, A, grid.points, spec))
+
+
+def test_one_qubit_marginal_nodes_match_kernel_stack():
+    # The phasespace route: an (N, 1, 2) node array on one qubit.
+    target = MultipartiteModel(1)
+    theta, phi = render.equirect_grid(6, 10)
+    nodes = np.stack((np.repeat(theta, 10), np.tile(phi, 6)), axis=1)
+    A = rand_hermitian(2, np.random.default_rng(44))
+    table = ps.rotated_diagonals(target, A, nodes[:, None, :])
+    points = [((t, p),) for t, p in nodes]
+    for spec in SPECS:
+        got = table @ ps.center_diagonal(target, spec)
+        assert_field_close(got, stack_field(target, A, points, spec))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fermionic_symbol_field_matches_kernel_stack(n):
+    model = FermionicModel(n)
+    grid = ps.mc_group_quadrature(model, 12, seed=n)
+    A = rand_hermitian(model.dim, np.random.default_rng(50 + n))
+    for spec in SPECS:
+        got = ps.symbol_field(model, A, grid, spec).values
+        assert_field_close(got, stack_field(model, A, grid.points, spec))
+
+
+def test_generalized_symbol_field_matches_kernel_stack():
+    model = SpinModel(2)
+    grid = ps.default_grid(model)
+    A = rand_hermitian(model.dim, np.random.default_rng(60))
+    spec = ps.KernelSpec.generalized({0: 1.0, 1: 0.3, 2: -2.0, 4: 0.7})
+    got = ps.symbol_field(model, A, grid, spec).values
+    assert_field_close(got, stack_field(model, A, grid.points, spec))
+
+
+@pytest.mark.parametrize("model", [SpinModel(HalfInt(5)), SpinModel(4),
+                                   MultipartiteModel(2)], ids=repr)
+def test_reconstruct_matches_kernel_stack(model):
+    grid = ps.default_grid(model)
+    A = rand_hermitian(model.dim, np.random.default_rng(61))
+    for spec in SPECS:
+        field = ps.symbol_field(model, A, grid, spec)
+        stack = ps.kernel_stack(model, grid.points, spec.dual())
+        want = np.tensordot(grid.weights * field.values, stack, axes=1)
+        got = ps.reconstruct(field)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_spin_point_unitaries_with_repeated_theta_equal_pointwise():
+    model = SpinModel(HalfInt(7))
+    rng = np.random.default_rng(62)
+    theta = rng.uniform(0, np.pi, size=4)
+    pts = [(theta[k % 4], rng.uniform(0, 2 * np.pi)) for k in range(13)]
+    U = model.point_unitaries(pts)
+    for k, p in enumerate(pts):
+        assert np.array_equal(U[k], model.point_unitary(p))
+
+
+@pytest.mark.parametrize("model", [
+    SpinModel(HalfInt(1)), SpinModel(HalfInt(5)), SpinModel(6),
+    MultipartiteModel(1), MultipartiteModel(3), FermionicModel(1),
+    FermionicModel(3)], ids=repr)
+def test_center_kernel_is_exactly_diagonal(model):
+    lams = model.labels()
+    generalized = ps.KernelSpec.generalized(
+        {lam: 1.0 + k for k, lam in enumerate(lams)})
+    for spec in SPECS + [generalized]:
+        D0 = ps.center_kernel(model, spec)
+        assert np.count_nonzero(D0 - np.diag(np.diagonal(D0))) == 0
+
+
+def test_center_diagonal_refuses_off_diagonal_kernel(monkeypatch):
+    model = SpinModel(1)
+    monkeypatch.setattr(ps, "center_kernel",
+                        lambda m, spec: np.ones((m.dim, m.dim)))
+    with pytest.raises(ValueError, match="not diagonal"):
+        ps.center_diagonal(model, SPECS[0])
+
+
+@pytest.mark.parametrize(
+    "model", [SpinModel(HalfInt(k)) for k in range(1, 61)]
+    + [MultipartiteModel(n) for n in range(1, 5)]
+    + [FermionicModel(n) for n in range(1, 5)], ids=repr)
+def test_duality_identity_is_exact(model):
+    assert duality_identity_deviation(model) <= _LIN_TOL
+
+
+def test_haar_chunks_stream():
+    chunks = list(gfd.haar_chunks(5, 600, seed=3))
+    assert [len(c) for c in chunks] == [256, 256, 88]
+    psi = np.vstack(chunks)
+    assert np.allclose(np.linalg.norm(psi, axis=1), 1.0, atol=1e-14)
+    # a shorter stream is a prefix of the longer one
+    assert np.array_equal(np.vstack(list(gfd.haar_chunks(5, 300, 3))),
+                          psi[:300])
+
+
+def test_empty_pauli_sum_on_spin_raises():
+    with pytest.raises(ValueError):
+        gfd.purity_spectrum(PauliSum(2), SpinModel(HalfInt(3)))
+
+
+# -- writers: byte identity with the cell-by-cell loops they replace ----------
+
+def _csv_cell_loop(path, header, rows, comments=()):
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(c if isinstance(c, str)
+                              else format(float(c), ".17g") for c in row))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _ppm_pixel_loop(path, rgb, comments=()):
+    h, w, _ = rgb.shape
+    lines = ["P3"] + [f"# {c}" for c in comments] + [f"{w} {h}", "255"]
+    for row in rgb:
+        for px in row:
+            lines.append(f"{px[0]} {px[1]} {px[2]}")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_write_csv_mixed_purities_table_is_byte_identical(tmp_path):
+    model = SpinModel(HalfInt(5))
+    psi = model.haar_state(7)
+    spectrum = gfd.purity_spectrum(np.outer(psi, psi.conj()), model)
+    rows = []
+    for s in (-1.0, 0.0, 1.0):
+        filtered = gfd.phase_purity(spectrum, s, model)
+        for lam in model.labels():
+            rows.append(["spin", "haar", s, str(lam),
+                         float(model.irrep_dim(lam)), model.tau(lam),
+                         spectrum[lam], filtered[lam]])
+    rows.append(["spin", "edge", -0.0, "x", float("inf"), 1e-300, 0.1, -2.5])
+    header = ["model", "state", "s", "sector", "dim", "tau", "purity",
+              "phase_purity"]
+    render.write_csv(tmp_path / "fast.csv", header, rows, comments=["seed=1"])
+    _csv_cell_loop(tmp_path / "loop.csv", header, rows, comments=["seed=1"])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "loop.csv").read_bytes()
+
+
+@pytest.mark.parametrize("ntheta,nphi", [(1, 1), (7, 13), (64, 128)])
+def test_write_csv_field_columns_are_byte_identical(tmp_path, ntheta, nphi):
+    theta, phi = render.equirect_grid(ntheta, nphi)
+    rng = np.random.default_rng(ntheta)
+    field = rng.normal(size=(ntheta, nphi)) * 10.0 ** rng.integers(
+        -20, 20, size=(ntheta, nphi))
+    render.write_csv(tmp_path / "fast.csv", ["theta", "phi", "value"],
+                     comments=["seed=0"],
+                     columns=(np.repeat(theta, nphi), np.tile(phi, ntheta),
+                              field.ravel()))
+    rows = [[theta[i], phi[j], field[i, j]]
+            for i in range(ntheta) for j in range(nphi)]
+    _csv_cell_loop(tmp_path / "loop.csv", ["theta", "phi", "value"], rows,
+                   comments=["seed=0"])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "loop.csv").read_bytes()
+
+
+@pytest.mark.parametrize("h,w", [(1, 1), (3, 5), (12, 25), (33, 65)])
+def test_write_ppm_is_byte_identical(tmp_path, h, w):
+    rgb = np.random.default_rng(h * w).integers(0, 256, size=(h, w, 3),
+                                                dtype=np.uint8)
+    comments = ["seed=0", "state=hw s=0 proj=robinson"]
+    render.write_ppm(tmp_path / "fast.ppm", rgb, comments=comments)
+    _ppm_pixel_loop(tmp_path / "loop.ppm", rgb, comments=comments)
+    assert (tmp_path / "fast.ppm").read_bytes() == \
+        (tmp_path / "loop.ppm").read_bytes()
+
+
+def test_cli_phasespace_several_s_match_pointwise_symbol(tmp_path):
+    # Several --s share each state's table; every field matches the
+    # pointwise symbol.
+    assert main(["phasespace", "--spin-S", "3/2", "--state", "ghz",
+                 "--state", "m=1/2", "--s", "-1", "--s", "0.5",
+                 "--grid", "5x9", "--out", str(tmp_path)]) == 0
+    model = SpinModel(HalfInt(3))
+    for sel in ("ghz", "m=1/2"):
+        psi = model.named_state(sel)
+        rho = np.outer(psi, psi.conj())
+        for s in (-1.0, 0.5):
+            tag = f"{sel.replace('=', '').replace('/', '_')}_s{s:+g}"
+            _, rows = render.read_csv(tmp_path / f"field_{tag}.csv")
+            spec = ps.KernelSpec.cahill_glauber(s)
+            for theta, phi, value in ((float(c) for c in r) for r in rows):
+                ref = ps.symbol(model, rho, (theta, phi), spec).real
+                assert value == pytest.approx(ref, rel=1e-12, abs=1e-14)
