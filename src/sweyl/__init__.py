@@ -12,8 +12,8 @@ from .paulis import (PauliString, PauliSum, majorana, majorana_product,
                      trace_inner)
 from .phase_space import (KernelSpec, McQuadrature, ProductQuadrature,
                           SphereQuadrature, SymbolField, adjoint_matrix,
-                          center_kernel, convert_field, default_grid,
-                          harmonic_matrix, harmonic_via_adjoint, kernel_stack,
+                          convert_field, default_grid, harmonic_matrix,
+                          harmonic_via_adjoint, kernel_stack,
                           mc_group_quadrature, phase_purity_quadrature,
                           product_quadrature, reconstruct, sphere_quadrature,
                           star_kernel, star_kernel_factored, star_product,

@@ -183,9 +183,9 @@ def _phasespace_bytes(nnodes: int, dim: int, model_dim: int,
 
 def cmd_phasespace(args) -> int:
     """Field tables and heatmaps; each state's table of rotated diagonals
-    is built once and serves every ``--s``.  A grid whose streamed route
-    would pass ``phase_space.STACK_BUDGET`` bytes is refused (exit 2)
-    before anything N-sized is built."""
+    is built once and serves every ``--s``.  Refused (exit 2) before
+    anything N-sized is built: a grid over ``phase_space.STACK_BUDGET``
+    bytes, and an ``--s > 0`` with ``eps kappa**s > 1e-8`` (``kappa``)."""
     model = _model(args)
     if not model.nspheres:
         raise ValueError(f"{model.kind} phase space has no spherical projection")
@@ -200,6 +200,13 @@ def cmd_phasespace(args) -> int:
     svals = args.s if args.s else [0.0]
     # Multi-qubit fields render the marginal on the first sphere.
     target = MultipartiteModel(1) if model.sphere_tuples else model
+    centers = [ps.center_diagonal(target, ps.KernelSpec.cahill_glauber(s))
+               for s in svals]  # an overflowing factor exits 1 here
+    kappa = ps.kappa(target)
+    for s in svals:
+        if s > 0 and s * math.log(kappa) > math.log(1e-8 / np.finfo(float).eps):
+            raise ValueError(f"--s {s:g} at kappa = {kappa:.3g} leaves an error "
+                             "eps * kappa**s over 1e-8 of the field's maximum")
     need = _phasespace_bytes(ntheta * nphi, target.dim, model.dim,
                              len(states))
     if need > ps.STACK_BUDGET:
@@ -212,8 +219,6 @@ def cmd_phasespace(args) -> int:
     nodes = np.stack((theta_col, phi_col), axis=1)
     if model.sphere_tuples:
         nodes = nodes[:, None, :]
-    centers = [ps.center_diagonal(target, ps.KernelSpec.cahill_glauber(s))
-               for s in svals]
     rhos = []
     for sel in states:
         psi = model.named_state(sel, seed=args.seed)
@@ -250,26 +255,23 @@ def cmd_duality(args) -> int:
 
     The trivial sector is deterministic and must match to 1e-10.  Every
     non-trivial row is gated at ``|z| <= 4``, where z is the mean's
-    deviation in standard errors.  Under the normal approximation a
-    correct program fails one such row with probability
-    ``P(|z| > 4) ~= 6.3e-5``.  A run makes (sectors - 1) x (number of
-    ``--s`` values) of them, so its false-failure rate is about that count
-    times 6.3e-5: 1.0e-3 for spin S = 4 at two s values (16 rows).
+    deviation in standard errors.  z does not depend on s (one Haar pass
+    serves every ``--s``, and the filter scales mean, error and reference
+    alike), so under the normal approximation a correct run fails with
+    probability about (sectors - 1) x P(|z| > 4) = (sectors - 1) x 6.3e-5:
+    5.0e-4 for spin S = 4, whatever the number of ``--s`` values.
     """
     model = _model(args)
-    if model.band is None:
-        raise ValueError("duality command needs a structured quadrature "
-                         "(spin or multipartite)")
+    model.check_sector_size()  # before any sample is drawn
     svals = args.s if args.s else [-1.0, 0.0]
     results = []
-    for s in svals:
-        for row in gfd.duality_check(model, s, args.samples, args.seed):
-            name = f"duality[s={s:g},sector={_sector_name(row.label)}]"
-            if row.trivial:
-                results.append(verify.check(
-                    name, abs(row.lhs_mean - row.rhs), 1e-10))
-            else:
-                results.append(verify.check(name, abs(row.zscore), 4.0))
+    for row in gfd.duality_check(model, svals, args.samples, args.seed):
+        name = f"duality[s={row.s:g},sector={_sector_name(row.label)}]"
+        if row.trivial:
+            results.append(verify.check(
+                name, abs(row.lhs_mean - row.rhs), 1e-10))
+        else:
+            results.append(verify.check(name, abs(row.zscore), 4.0))
     os.makedirs(args.out, exist_ok=True)
     _write_json(os.path.join(args.out, "duality.json"),
                 _config(args, s=svals, samples=args.samples),
@@ -281,6 +283,8 @@ def cmd_star(args) -> int:
     model = _model(args)
     if model.nspheres != 1 or model.sphere_tuples:
         raise ValueError("star command supports the spin model")
+    if model.dim > 61:  # O(N d**3) work on N = O(d**2) doubled-band nodes
+        raise ValueError(f"star is capped at 2S <= 60, got S={model.S}")
     svals = args.s if args.s else [0.0]
     rng = np.random.default_rng(args.seed)
     d = model.dim

@@ -5,7 +5,9 @@ squared lengths of its components: ``P_lam(A) = sum_j |<D_j, A>|^2``.  The
 spectrum is invariant under symmetry-group conjugation and sums to the
 Hilbert-Schmidt norm of A.  Phase-space filters scale each sector by
 ``tau_lam**(-s)``; several exact and statistical identities tested here
-follow from that structure.
+follow from that structure.  The Haar duality Monte Carlo
+(``duality_check``) stays in that coefficient space: one pass of samples,
+whose sector purities serve every s, and no phase-space grid.
 """
 
 from __future__ import annotations
@@ -47,7 +49,8 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
     """
     if isinstance(A, PauliSum):
         return _purity_spectrum_pauli(A, model)
-    return PuritySpectrum(model.sector_purities(np.asarray(A)))
+    entries = model.sector_purities(np.asarray(A))
+    return PuritySpectrum({lam: float(v) for lam, v in entries.items()})
 
 
 def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
@@ -63,7 +66,7 @@ def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
 
 def gfd_project(A: np.ndarray, model: QrtModel, label) -> np.ndarray:
     """Component of A in one sector."""
-    return model.irrep_block(label).project(np.asarray(A))
+    return model.project(np.asarray(A), label)
 
 
 def closed_form_spin_purity(S, m, lam: int) -> float:
@@ -142,7 +145,8 @@ def norm_bounds(model: QrtModel, s: float, rho: np.ndarray | None = None):
 
 # -- statistical duality ------------------------------------------------------
 
-_DUALITY_CHUNK = 256  # Haar samples per generator and batched contraction
+_DUALITY_CHUNK = 256  # Haar samples per generator
+_RHO_BYTES = 2**23  # one (k, d, d) stack of sampled density matrices
 
 
 def haar_chunks(dim: int, nsamples: int, seed: int):
@@ -164,6 +168,7 @@ def haar_chunks(dim: int, nsamples: int, seed: int):
 class DualityRow:
     """Per-sector comparison of Haar-averaged filtered purity with its dual."""
 
+    s: float
     label: object
     lhs_mean: float
     lhs_se: float
@@ -172,75 +177,58 @@ class DualityRow:
     trivial: bool
 
 
-def duality_check(model: QrtModel, s: float, nsamples: int, seed: int,
-                  grid=None) -> list[DualityRow]:
+def duality_check(model: QrtModel, svals, nsamples: int,
+                  seed: int) -> list[DualityRow]:
     """Monte-Carlo check of the Haar-average duality between s and s+1.
 
     For non-trivial sectors the Haar mean of the filtered purity at s of a
     random pure state equals the filtered purity of the highest-weight
     state at s+1 divided by d(d+1).  The trivial sector is deterministic
     (every pure state gives exactly d**(s-1)); its row reports that exact
-    value as rhs.  Both sides are evaluated through phase-space quadrature,
-    with the samples drawn by ``haar_chunks``.
+    value as rhs.  One pass of ``haar_chunks`` serves every s in
+    ``svals``: the filtered purity at s is ``tau**(-s)`` times the
+    sample's sector purity (``model.sector_purities``), zero where tau = 0.
+    The filter scales mean, standard error and rhs alike, so z is taken
+    once per sector (at s = 0) and is the same in every s row.  Rows are
+    ordered by s, then sector.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
-    from . import phase_space as _ps
-
-    if grid is None:
-        grid = _ps.default_grid(model)
-    labels = model.labels()
-    stack = _ps.kernel_stack(model, grid.points, _ps.KernelSpec.cahill_glauber(s))
-    harm = _ps.harmonic_matrix(model, grid.points)
-    w = np.asarray(grid.weights)
-
-    # The field of rho is F_n = Tr[K_n rho] = vec(K_n) . vec(rho^T), so the
-    # sector components H_lam (w * F) are vec(rho^T) @ coeff[lam]; no
-    # per-node field is ever formed.
-    flat = stack.reshape(len(w), -1).T
-    coeff = {lam: flat @ (w[:, None] * H.T) for lam, H in harm.items()}
-
+    labels, d = model.labels(), model.dim
     # Moments of the samples shifted by each sector's first sample, so a
     # (near-)constant sector, such as the trivial one, has a variance at
     # the rounding level of its spread, not of its mean squared.
-    shift = {lam: 0.0 for lam in labels}
-    sums = {lam: 0.0 for lam in labels}
-    sqsums = {lam: 0.0 for lam in labels}
-    for chunk, psi in enumerate(haar_chunks(model.dim, nsamples, seed)):
-        rho_t = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(len(psi), -1)
-        for lam, C in coeff.items():
-            vals = np.sum(np.abs(rho_t @ C) ** 2, axis=1)
-            if chunk == 0:
-                shift[lam] = float(vals[0])
-            vals -= shift[lam]
-            sums[lam] += float(np.sum(vals))
-            sqsums[lam] += float(vals @ vals)
+    shift, sums, sqsums = None, 0.0, 0.0
+    step = max(1, _RHO_BYTES // (16 * d * d))
+    for chunk in haar_chunks(d, nsamples, seed):
+        for psi in np.split(chunk, range(step, len(chunk), step)):
+            P = model.sector_purities(psi[:, :, None] * psi.conj()[:, None, :])
+            vals = np.stack([P[lam] for lam in labels], axis=1)
+            shift = vals[0].copy() if shift is None else shift
+            vals -= shift
+            sums += np.sum(vals, axis=0)
+            sqsums += np.sum(vals * vals, axis=0)
+    offset = sums / nsamples
+    mean = shift + offset
+    se = np.sqrt(np.maximum(0.0, sqsums / nsamples - offset ** 2)
+                 / (nsamples - 1))
 
     hw = model.hw_state()
-    hw_field = _ps.symbol_field(model, np.outer(hw, hw.conj()), grid,
-                                _ps.KernelSpec.cahill_glauber(s + 1)).values
+    hw_spectrum = purity_spectrum(np.outer(hw, hw.conj()), model)
 
-    rows = []
-    d = model.dim
-    for lam in labels:
-        offset = sums[lam] / nsamples
-        mean = shift[lam] + offset
-        var = max(0.0, sqsums[lam] / nsamples - offset ** 2)
-        se = math.sqrt(var / (nsamples - 1))
-        trivial = lam == model.trivial_label
-        if trivial:
-            rhs = float(d) ** (s - 1)
-        elif lam in harm:
-            comps = harm[lam] @ (w * hw_field)
-            rhs = float(np.sum(np.abs(comps) ** 2)) / (d * (d + 1))
-        else:
-            rhs = 0.0
-        if se > 0:
-            z = (mean - rhs) / se
-        else:
-            z = 0.0 if abs(mean - rhs) < 1e-12 else math.inf
-        rows.append(DualityRow(lam, mean, se, rhs, z, trivial))
-    return rows
+    def sector_rows(s):
+        dual = phase_purity(hw_spectrum, s + 1, model)
+        for i, lam in enumerate(labels):
+            tau, trivial = model.tau(lam), lam == model.trivial_label
+            f = tau ** (-s) if tau > 0 else 0.0
+            rhs = float(d) ** (s - 1) if trivial else dual[lam] / (d * (d + 1))
+            yield lam, f * float(mean[i]), f * float(se[i]), rhs, trivial
+
+    zs = [(m - r) / e if e > 0 else 0.0 if abs(m - r) < 1e-12 else math.inf
+          for _, m, e, r, _ in sector_rows(0.0)]
+    return [DualityRow(s, lam, m, e, r, z, trivial)
+            for s in svals
+            for (lam, m, e, r, trivial), z in zip(sector_rows(s), zs)]
 
 
 # -- coherent-state fidelity --------------------------------------------------

@@ -29,11 +29,13 @@ Banded and dense paths
   diagonal, so the model keeps one float CG-diagonal table (``cg_diagonals``,
   half of each diagonal, about d**3 / 6 doubles) and never forms a
   (2 lam + 1, d, d) block.  The table serves 2S <= 200.
+* The phase-space center kernel reads one (L, d) table per model,
+  ``hw_sector_diagonals`` (the diagonals of Pi_lam(|hw><hw|)), and no block.
 * Dense (d_lam, d, d) sector blocks (``irrep_block``) remain the route of
-  the phase-space kernels and harmonics, of ``gfd_project`` and of the
-  ``verify`` checks, and the purity route of the qubit and fermionic
-  models.  Spin blocks are filled from the same table (no exact CG per
-  entry) and serve 2S <= 60; qubit and fermionic blocks serve n <= 4.
+  the harmonics, of ``project`` (``gfd_project``) and of the ``verify``
+  checks, and the purity route of the qubit and fermionic models.  Spin
+  blocks are filled from the same table (no exact CG per entry) and serve
+  2S <= 60; qubit and fermionic blocks serve n <= 4.
 * The exact Racah route of ``clebsch`` stays the oracle: it gives tau and
   the closed-form purities that the tests compare the table against.
 
@@ -45,7 +47,7 @@ Conventions
   the set of Pauli words on the support divided by sqrt(2^n).
 * Fermionic model: sectors are Majorana degrees 0..2n; basis elements are
   ascending-ordered Majorana products times i^(lam(lam-1)/2) over sqrt(2^n),
-  which makes them Hermitian.  Odd sectors carry no weight-zero element.
+  which makes them Hermitian.
 """
 
 from __future__ import annotations
@@ -88,15 +90,12 @@ class IrrepBlock:
     label : sector label (int for spin/fermionic, 0/1 tuple for multi-qubit)
     dim : number of basis elements d_lambda
     basis : (d_lambda, d, d) stack of Hermitian orthonormal matrices
-    weight_zero : indices of basis elements with a highest-weight diagonal
-        matrix element (the symmetric-subgroup-invariant directions)
     hw_overlap : (d_lambda,) real vector of <hw| D_j |hw>
     """
 
     label: object
     dim: int
     basis: np.ndarray
-    weight_zero: tuple[int, ...]
     hw_overlap: np.ndarray = field(default=None)
 
     def project(self, A: np.ndarray) -> np.ndarray:
@@ -118,7 +117,6 @@ class QrtModel:
 
     def __init__(self):
         self._block_cache: dict = {}
-        self._center_cache: dict = {}
 
     # subclasses implement: labels, irrep_dim, tau, _build_block,
     # point_unitary, group_unitary, random_point, random_group, act,
@@ -150,13 +148,37 @@ class QrtModel:
         cannot serve this size.  The dense route needs no check here: its
         blocks refuse when first built, before any large allocation."""
 
+    def project(self, A: np.ndarray, label) -> np.ndarray:
+        """Component of A in one sector, through its dense block."""
+        return self.irrep_block(label).project(A)
+
     def sector_purities(self, A: np.ndarray) -> dict:
-        """Label -> P_lam(A) = sum_j |<D_j, A>|^2 over the dense blocks."""
+        """Label -> P_lam(A) = sum_j |<D_j, A>|^2 over the dense blocks.
+
+        A is one (d, d) operator or a (..., d, d) stack; each value has the
+        stack's leading shape (0-d for one operator)."""
         out = {}
         for block in self.blocks():
-            coeffs = np.einsum("jab,ab->j", block.basis.conj(), A)
-            out[block.label] = float(np.sum(np.abs(coeffs) ** 2))
+            coeffs = np.einsum("jab,...ab->...j", block.basis.conj(), A)
+            out[block.label] = np.sum(np.abs(coeffs) ** 2, axis=-1)
         return out
+
+    def hw_sector_diagonals(self) -> np.ndarray:
+        """(L, d) real table: row lam is the diagonal of Pi_lam(|hw><hw|).
+
+        For qubits and fermions ``|0...0><0...0| = 2**-n sum_S Z_S`` over the
+        Z-words, each diagonal with entry (-1)**|S & k| at basis index k
+        (qubit 0 is the leading bit of k) and in sector ``sector_of(Z_S)``.
+        """
+        n = self.dim.bit_length() - 1
+        k, q = np.arange(self.dim), np.arange(n)
+        bits = (k[:, None] >> (n - 1 - q)) & 1
+        signs = 1.0 - 2 * ((((k[:, None] >> q) & 1) @ bits.T) % 2)
+        row = {lam: i for i, lam in enumerate(self.labels())}
+        out = np.zeros((len(row), self.dim))
+        np.add.at(out, [row[self.sector_of(PauliString(n, 0, int(z)))]
+                        for z in k], signs)
+        return out / self.dim
 
     def tau_from_hw(self, label) -> float:
         """Characteristic weight via the highest-weight purity route."""
@@ -385,22 +407,33 @@ class SpinModel(QrtModel):
         (lam - q even) are symmetric, so they pair their half of the table
         with the diagonal folded as v_k + v_(n-1-k); odd rows use
         v_k - v_(n-1-k), which vanishes exactly on mirror-symmetric input.
-        O(d) numpy calls, O(d**3) flops and memory.
+        O(d) numpy calls, O(d**3) flops and memory per operator; a stack
+        is served as in ``QrtModel.sector_purities``.
         """
-        out = np.zeros(self.dim)
+        out = np.zeros(A.shape[:-2] + (self.dim,))
         for q, half in enumerate(self.cg_diagonals()):
             n, h = self.dim - q, (self.dim - q) // 2
-            diags = [np.diagonal(A, q)] + ([np.diagonal(A, -q)] if q else [])
-            V = np.stack(diags, axis=1).astype(complex)
-            plus, minus = V[:n - h].copy(), V[:n - h].copy()
-            plus[:h] += V[::-1][:h]
-            minus[:h] -= V[::-1][:h]
-            minus[h:] = 0.0
+            diags = [np.diagonal(A, q, -2, -1)]
+            diags += [np.diagonal(A, -q, -2, -1)] if q else []
+            V = np.stack(diags, axis=-1).astype(complex)  # (..., n, 1 or 2)
+            plus, minus = V[..., :n - h, :].copy(), V[..., :n - h, :].copy()
+            plus[..., :h, :] += V[..., ::-1, :][..., :h, :]
+            minus[..., :h, :] -= V[..., ::-1, :][..., :h, :]
+            minus[..., h:, :] = 0.0
             # Complex columns viewed as (re, im) pairs: real matmuls.
-            out[q::2] += np.sum((half[0::2] @ plus.view(float)) ** 2, axis=1)
-            out[q + 1::2] += np.sum((half[1::2] @ minus.view(float)) ** 2,
-                                    axis=1)
-        return {lam: float(out[lam]) for lam in self.labels()}
+            even = half[0::2] @ plus.view(float)
+            odd = half[1::2] @ minus.view(float)
+            out[..., q::2] += np.sum(even ** 2, axis=-1)
+            out[..., q + 1::2] += np.sum(odd ** 2, axis=-1)
+        return {lam: out[..., lam] for lam in self.labels()}
+
+    def hw_sector_diagonals(self) -> np.ndarray:
+        """(d, d) table: row lam is the diagonal x_0 x of Pi_lam(|S><S|) =
+        x_0 T^lam_0, x = diag T^lam_0 (CG row q = 0 and its mirror)."""
+        half = self.cg_diagonals()[0]
+        parity = (-1.0) ** np.arange(self.dim)[:, None]
+        x = np.hstack([half, parity * half[:, :self.dim // 2][:, ::-1]])
+        return x[:, :1] * x
 
     def _build_block(self, lam: int) -> IrrepBlock:
         if self.S.twice > _DENSE_SPIN_CAP:
@@ -415,7 +448,7 @@ class SpinModel(QrtModel):
             Td = T.conj().T
             ops.append((T + Td) / math.sqrt(2))
             ops.append(1j * (Td - T) / math.sqrt(2))
-        return IrrepBlock(lam, 2 * lam + 1, np.array(ops), (0,))
+        return IrrepBlock(lam, 2 * lam + 1, np.array(ops))
 
     def basis_state(self, m) -> np.ndarray:
         """|S, m> for a magnetic quantum number m (not a basis index)."""
@@ -556,8 +589,7 @@ class MultipartiteModel(QrtModel):
         words = self.sector_strings(lam)
         norm = math.sqrt(self.dim)
         basis = np.array([w.to_dense() / norm for w in words])
-        w_all_z = len(words) - 1  # itertools order puts Z...Z last
-        return IrrepBlock(lam, len(words), basis, (w_all_z,) if sum(lam) else (0,))
+        return IrrepBlock(lam, len(words), basis)
 
     def point_unitary(self, point) -> np.ndarray:
         if len(point) != self.n:
@@ -683,27 +715,16 @@ class FermionicModel(QrtModel):
         """The number of Majorana factors of the word."""
         return majorana_weight(word)
 
-    @staticmethod
-    def _is_paired(combo) -> bool:
-        s = set(combo)
-        return all((2 * k - 1 in s) == (2 * k in s)
-                   for k in range(1, max(combo) // 2 + 2)) if combo else True
-
     def _build_block(self, lam: int) -> IrrepBlock:
         if self.n > _DENSE_QUBIT_CAP:
             raise ValueError(
                 f"dense sector bases capped at n <= {_DENSE_QUBIT_CAP}")
         if not 0 <= lam <= 2 * self.n:
             raise ValueError(f"sector {lam} outside 0..2n")
-        combos = list(itertools.combinations(range(1, 2 * self.n + 1), lam))
         words = self.sector_strings(lam)
         norm = math.sqrt(self.dim)
         basis = np.array([w.to_dense() / norm for w in words])
-        if lam % 2 == 0:
-            wz = tuple(i for i, c in enumerate(combos) if self._is_paired(c))
-        else:
-            wz = ()
-        return IrrepBlock(lam, len(combos), basis, wz)
+        return IrrepBlock(lam, len(words), basis)
 
     def majorana_dense(self):
         if self._majorana_dense is None:

@@ -17,19 +17,19 @@ geometry each model declares (``band``, ``nspheres``, ``sphere_tuples``,
 ``point_as_group``; see ``models``).
 
 Fields and reconstruction are streamed, without (N, d, d) kernel stacks.
-The center kernel ``Delta_0(s)`` is a weight-zero combination, diagonal
-in the computational basis for all three models, so the field at node n
-is ``F_n(s) = sum_b c_b(s) (U_n^H A U_n)_bb`` with ``c = diag Delta_0(s)``:
-the ``(N, d)`` table of rotated diagonals (``rotated_diagonals``) is
-built chunk by chunk from ``point_unitaries`` and serves every s.
-``reconstruct`` is likewise one ``(d, k d) @ (k d, d)`` product per
-chunk of k nodes.  ``kernel_stack`` keeps the full ``U D0 U^H`` route as
-the independent oracle of the tests and serves the per-sector
-coefficient matrices of ``gfd.duality_check``; ``harmonic_matrix``
-serves the sector projections.  Harmonics of high sectors come from
-cancelling sums ``<Omega| D_j |Omega> = O(sqrt(tau))``, so a field built
-from them and scaled by ``tau**(-s/2)`` loses about ``tau**(-1/2)``
-(1.4e5 at S = 8) in relative accuracy; the rotated diagonals do not.
+The center kernel ``Delta_0(s) = sum_lam tau_lam**(-(s+1)/2)
+Pi_lam(|hw><hw|)`` is diagonal, and ``center_diagonal`` reads it from the
+model's ``hw_sector_diagonals`` without a sector block.  The field at node
+n is ``F_n(s) = sum_b c_b(s) (U_n^H A U_n)_bb`` with c that diagonal: the
+``(N, d)`` table of rotated diagonals (``rotated_diagonals``), built chunk
+by chunk from ``point_unitaries``, serves every s.  ``reconstruct`` is one
+``(d, k d) @ (k d, d)`` product per chunk of k nodes.  ``kernel_stack``
+(``U D0 U^H``) is the tests' reference route; ``harmonic_matrix``
+serves the quadrature checks.  Its high-sector harmonics are cancelling
+sums ``<Omega| D_j |Omega> = O(sqrt(tau))`` that lose about
+``tau**(-1/2)`` (1.4e5 at S = 8) in relative accuracy; the rotated
+diagonals do not.  At s > 0 any route keeps an error of about
+``eps kappa**s`` of the field's maximum (``kappa``).
 """
 
 from __future__ import annotations
@@ -108,9 +108,6 @@ class KernelSpec:
                 raise ValueError(
                     "generalized filter needs a positive coefficient "
                     "on the trivial sector")
-
-    def key(self):
-        return (self.s, self.coeffs)
 
 
 # -- quadrature grids ---------------------------------------------------------
@@ -269,35 +266,18 @@ def _check_band(model: QrtModel, grid, factor: int = 1) -> None:
 STACK_BUDGET = 768 * 2**20  # bytes: three live (N, d, d) complex stacks
 
 
-def center_kernel(model: QrtModel, spec: KernelSpec) -> np.ndarray:
-    """Kernel at the identity point: a weight-zero combination per sector."""
-    spec.validate(model)
-    cached = model._center_cache.get(spec.key())
-    if cached is not None:
-        return cached
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for block in model.blocks():
-        f = spec.center_factor(model, block.label)
-        if f == 0.0 or not block.weight_zero:
-            continue
-        for j in block.weight_zero:
-            out += f * block.hw_overlap[j] * block.basis[j]
-    model._center_cache[spec.key()] = out
-    return out
-
-
 def sw_kernel(model: QrtModel, point, spec: KernelSpec) -> np.ndarray:
-    """Kernel at a phase point: the conjugated center kernel."""
+    """Kernel at a phase point: the conjugated center kernel U c U^H."""
     U = model.point_unitary(point)
-    return U @ center_kernel(model, spec) @ U.conj().T
+    return (U * center_diagonal(model, spec)) @ U.conj().T
 
 
 def kernel_stack(model: QrtModel, points, spec: KernelSpec) -> np.ndarray:
     """(N, d, d) stack of kernels at the given points: U_n D0 U_n^H.
 
-    Three complex (N, d, d) stacks are live at once; a request over
-    ``STACK_BUDGET`` bytes for them raises ValueError before anything,
-    the dense sector blocks included, is allocated.
+    The tests' reference for the streamed routes, with which it shares
+    only ``center_diagonal``.  Three complex (N, d, d) stacks are live at
+    once; a request over ``STACK_BUDGET`` bytes raises ValueError first.
     """
     need = 3 * len(points) * model.dim ** 2 * 16
     if need > STACK_BUDGET:
@@ -305,9 +285,9 @@ def kernel_stack(model: QrtModel, points, spec: KernelSpec) -> np.ndarray:
             f"kernel stack of {len(points)} nodes at d={model.dim} needs "
             f"{need / 2**20:.0f} MiB, over the {STACK_BUDGET >> 20} MiB "
             "budget; use fewer nodes")
-    D0 = center_kernel(model, spec)  # oversized models refuse before the stack
+    c = center_diagonal(model, spec)
     U = model.point_unitaries(points)
-    UD = U @ D0
+    UD = U * c
     np.conjugate(U, out=U)  # U^H without a fourth stack
     return UD @ U.transpose(0, 2, 1)
 
@@ -327,12 +307,17 @@ def chunk_nodes(dim: int) -> int:
 
 
 def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
-    """Diagonal c(s) of the center kernel; ValueError if it is not diagonal."""
-    D0 = center_kernel(model, spec)
-    c = np.diagonal(D0).copy()
-    if np.count_nonzero(D0 - np.diag(c)):
-        raise ValueError(f"center kernel of {model!r} is not diagonal")
-    return c
+    """Diagonal c of the center kernel ``sum_lam f_lam Pi_lam(|hw><hw|)``,
+    with f the spec's ``center_factor``: one real d-vector."""
+    spec.validate(model)
+    f = [spec.center_factor(model, lam) for lam in model.labels()]
+    return np.asarray(f) @ model.hw_sector_diagonals()
+
+
+def kappa(model: QrtModel) -> float:
+    """``tau_min**(-1/2)`` over tau > 0: a field at s > 0 keeps an error of
+    about ``eps kappa**s`` of its maximum."""
+    return min(t for t in map(model.tau, model.labels()) if t > 0) ** -0.5
 
 
 def _unitary_columns(model: QrtModel, points):

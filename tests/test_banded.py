@@ -160,3 +160,19 @@ def test_banded_route_matches_dense_blocks(tS, seed):
     dense = QrtModel.sector_purities(model, A)
     for lam in model.labels():
         assert abs(banded[lam] - dense[lam]) <= 1e-12 * hs
+
+
+@pytest.mark.parametrize("model", [SpinModel(H("5/2")), SpinModel(3)],
+                         ids=repr)
+def test_sector_purities_of_a_stack_match_one_by_one(model):
+    # A (2, 3, d, d) stack on both routes, against each operator alone.
+    rng = np.random.default_rng(model.dim)
+    A = rng.normal(size=(2, 3, model.dim, model.dim, 2)) @ [1, 1j]
+    for route in (model.sector_purities,
+                  lambda X: QrtModel.sector_purities(model, X)):
+        got = route(A)
+        for idx in np.ndindex(2, 3):
+            want = route(A[idx])
+            for lam in model.labels():
+                assert got[lam].shape == (2, 3)
+                assert abs(got[lam][idx] - want[lam]) <= 1e-12 * want[lam]

@@ -139,7 +139,7 @@ def _duality_per_sample(model, s, nsamples, seed):
                          ids=repr)
 def test_duality_check_matches_per_sample_loop(model):
     nsamples, seed, s = 300, 11, -1.0  # two chunks, the second partial
-    rows = gfd.duality_check(model, s, nsamples, seed)
+    rows = gfd.duality_check(model, [s], nsamples, seed)
     means, ses = _duality_per_sample(model, s, nsamples, seed)
     for row in rows:
         assert row.lhs_mean == pytest.approx(means[row.label], rel=1e-10)

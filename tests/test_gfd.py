@@ -211,7 +211,7 @@ def test_norm_bounds():
 
 def test_duality_check_trivial_sector_exact():
     model = SpinModel(1)
-    rows = gfd.duality_check(model, 0.0, 50, seed=11)
+    rows = gfd.duality_check(model, [0.0], 50, seed=11)
     by_label = {row.label: row for row in rows}
     triv = by_label[0]
     assert triv.trivial
@@ -224,7 +224,7 @@ def test_duality_check_trivial_sector_exact():
 @pytest.mark.parametrize("s", [-1.0, 0.0])
 def test_duality_check_nontrivial_within_errorbars(s):
     model = SpinModel(2)
-    rows = gfd.duality_check(model, s, 1000, seed=42)
+    rows = gfd.duality_check(model, [s], 1000, seed=42)
     for row in rows:
         if row.trivial:
             assert row.lhs_mean == pytest.approx(5.0 ** (s - 1), abs=1e-12)
@@ -235,7 +235,7 @@ def test_duality_check_nontrivial_within_errorbars(s):
 
 def test_duality_check_multipartite():
     model = MultipartiteModel(2)
-    rows = gfd.duality_check(model, 0.0, 400, seed=17)
+    rows = gfd.duality_check(model, [0.0], 400, seed=17)
     assert {row.label for row in rows} == set(model.labels())
     for row in rows:
         if not row.trivial:

@@ -116,23 +116,6 @@ def test_blocks_orthonormal_hermitian_complete(model):
     assert V.shape == (d * d, d * d)  # complete operator basis
 
 
-def test_weight_zero_sets():
-    spin = SpinModel(2)
-    for block in spin.blocks():
-        assert block.weight_zero == (0,)
-
-    mp = MultipartiteModel(2)
-    for block in mp.blocks():
-        # Weight-zero strings are the all-Z-on-support ones: exactly one.
-        assert len(block.weight_zero) == 1
-
-    ferm = FermionicModel(3)
-    for block in ferm.blocks():
-        lam = block.label
-        want = math.comb(3, lam // 2) if lam % 2 == 0 else 0
-        assert len(block.weight_zero) == want
-
-
 def test_multipartite_sector_strings():
     model = MultipartiteModel(2)
     labels = {str(ps) for ps in model.sector_strings((1, 0))}

@@ -172,7 +172,7 @@ def test_cli_rejects_bad_input(tmp_path):
     assert main(["purities", "--state", "bogus"] + out) == 2
     assert main(["purities", "--spin-S", "nonsense"] + out) == 2
     assert main(["star", "--qrt", "multipartite"] + out) == 2
-    assert main(["duality", "--qrt", "fermionic"] + out) == 2
+    assert main(["duality", "--samples", "1"] + out) == 2
 
 
 def test_cli_duality_and_star(tmp_path):
@@ -255,11 +255,14 @@ def test_cli_phasespace_half_integer_m(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["phasespace", "--qrt", "spin", "--spin-S", "100"],
+    ["phasespace", "--qrt", "spin", "--spin-S", "101"],  # past the CG table
     ["purities", "--qrt", "spin", "--spin-S", "5000"],
     # 32 M nodes: the field table and its CSV text alone are over
     # phase_space.STACK_BUDGET
     ["phasespace", "--qrt", "spin", "--spin-S", "2", "--grid", "4000x8000"],
+    # eps * kappa**s = 1.6e-3 of the field's maximum
+    ["phasespace", "--qrt", "spin", "--spin-S", "30", "--s", "1"],
+    ["star", "--qrt", "spin", "--spin-S", "31"],
 ])
 def test_cli_oversized_spin_exit_2_before_allocating(tmp_path, capsys, argv):
     import tracemalloc
@@ -274,6 +277,26 @@ def test_cli_oversized_spin_exit_2_before_allocating(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert peak < 8 * 2 ** 20  # a d x d state alone would be 0.6 MB-1.6 GB
+
+
+def test_cli_phasespace_spin_30_builds_no_dense_blocks(tmp_path):
+    # The 61 dense sector blocks of S = 30 alone hold 221 MB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        code = main(["phasespace", "--spin-S", "30", "--grid", "8x16",
+                     "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2 ** 20
+
+
+def test_cli_duality_fermionic_runs(tmp_path):
+    assert main(["duality", "--qrt", "fermionic", "--n", "3",
+                 "--out", str(tmp_path)]) == 0
 
 
 def test_cli_purities_spin_60_hw_matches_closed_form(tmp_path):

@@ -110,20 +110,69 @@ def test_spin_point_unitaries_with_repeated_theta_equal_pointwise():
     MultipartiteModel(1), MultipartiteModel(3), FermionicModel(1),
     FermionicModel(3)], ids=repr)
 def test_center_kernel_is_exactly_diagonal(model):
+    # The center kernel built from the dense sector blocks is diagonal, and
+    # its diagonal is the declared one.
     lams = model.labels()
     generalized = ps.KernelSpec.generalized(
         {lam: 1.0 + k for k, lam in enumerate(lams)})
+    hw = model.hw_state()
+    hw_proj = np.outer(hw, hw.conj())
     for spec in SPECS + [generalized]:
-        D0 = ps.center_kernel(model, spec)
+        D0 = sum(spec.center_factor(model, block.label) * block.project(hw_proj)
+                 for block in model.blocks())
         assert np.count_nonzero(D0 - np.diag(np.diagonal(D0))) == 0
+        got = ps.center_diagonal(model, spec)
+        assert np.max(np.abs(got - np.diagonal(D0))) <= \
+            1e-14 * np.max(np.abs(D0))
 
 
-def test_center_diagonal_refuses_off_diagonal_kernel(monkeypatch):
-    model = SpinModel(1)
-    monkeypatch.setattr(ps, "center_kernel",
-                        lambda m, spec: np.ones((m.dim, m.dim)))
-    with pytest.raises(ValueError, match="not diagonal"):
-        ps.center_diagonal(model, SPECS[0])
+@pytest.mark.parametrize(
+    "model", [SpinModel(HalfInt(k)) for k in range(1, 13)]
+    + [MultipartiteModel(n) for n in range(1, 5)]
+    + [FermionicModel(n) for n in range(1, 5)], ids=repr)
+def test_hw_sector_diagonals_match_dense_projections(model):
+    hw = model.hw_state()
+    hw_proj = np.outer(hw, hw.conj())
+    table = model.hw_sector_diagonals()
+    assert table.shape == (len(model.labels()), model.dim)
+    for row, block in zip(table, model.blocks()):
+        want = np.diagonal(block.project(hw_proj))
+        assert np.max(np.abs(row - want)) <= 1e-14
+
+
+def _accepted(model, svals):
+    """The ``--s`` values phasespace accepts: eps * kappa**s <= 1e-8."""
+    kappa = ps.kappa(model)
+    return [s for s in svals
+            if s <= 0 or np.finfo(float).eps * kappa ** s <= 1e-8]
+
+
+@pytest.mark.parametrize("spin", ["1/2", "3", "12", "30", "100"])
+def test_hw_field_matches_legendre_closed_form(tmp_path, spin):
+    # F_hw(theta, s) = sum_lam (2 lam + 1) tau_lam**((1-s)/2) P_lam(cos
+    # theta), from the addition theorem; it shares no code with the field.
+    # Every coefficient is positive, so the maximum is the value at theta = 0.
+    special = pytest.importorskip("scipy.special")
+    model = SpinModel(HalfInt.of(spin))
+    svals = _accepted(model, [-1.0, -0.5, 0.0, 0.25, 0.5, 0.75, 1.0])
+    assert main(["phasespace", "--spin-S", spin, "--state", "hw",
+                 "--grid", "12x2", "--out", str(tmp_path)]
+                + [f"--s={s}" for s in svals]) == 0
+    lams = np.array(model.labels())
+    taus = np.array([model.tau(lam) for lam in lams])
+    for s in svals:
+        _, rows = render.read_csv(tmp_path / f"field_hw_s{s:+g}.csv")
+        theta, _, got = np.array(rows, dtype=float).T
+        P = special.eval_legendre(lams[:, None], np.cos(theta)[None, :])
+        coeffs = (2 * lams + 1) * taus ** ((1 - s) / 2)
+        want = coeffs @ P
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.sum(coeffs)
+
+
+@pytest.mark.parametrize("spin,code", [("12", 0), ("13", 2)])
+def test_kappa_rule_boundary_at_s_1(tmp_path, spin, code):
+    assert main(["phasespace", "--spin-S", spin, "--s", "1", "--grid", "2x2",
+                 "--out", str(tmp_path)]) == code
 
 
 @pytest.mark.parametrize(
