@@ -167,25 +167,29 @@ def _marginal_qubit_operator(model: MultipartiteModel, A: np.ndarray):
     return np.einsum("abcb->ac", A4), rest
 
 
-def _phasespace_bytes(nnodes: int, dim: int, model_dim: int,
-                      nstates: int) -> int:
-    """Bytes the streamed ``phasespace`` route holds at its peak.
+def _phasespace_bytes(ntheta: int, nphi: int, dim: int, nsvals: int,
+                      model_dim: int, nstates: int) -> int:
+    """Bytes the ``phasespace`` route holds at its peak.
 
-    Three complex (k, d, d) unitary chunks; per node the complex table of
-    rotated diagonals, about 300 B of columns, pixels and Python cells and
-    about 75 B of CSV text; and the model's d x d states.
+    One chunk of rings: ``phase_space.RING_BYTES``, or one ring of nphi
+    points with 2d - 1 offsets of at most d pairs where that is more.  Per
+    node the complex fields of every ``--s``, about 100 B of preformatted
+    "theta,phi" text, about 95 B of node arrays, values and the CSV
+    writer's Python cells, and about 75 B of CSV text (270 B in all,
+    measured with tracemalloc at 120 000 nodes).  And the model's d x d
+    states.
     """
-    chunk = min(nnodes, ps.chunk_nodes(dim))
-    return (3 * chunk * dim * dim * 16
-            + nnodes * (16 * dim + 300 + 75)
+    chunk = max(ps.RING_BYTES, ps.ring_bytes(dim, 2 * dim - 1, dim, nphi))
+    return (chunk + ntheta * nphi * (16 * nsvals + 100 + 95 + 75)
             + nstates * model_dim * model_dim * 16)
 
 
 def cmd_phasespace(args) -> int:
-    """Field tables and heatmaps; each state's table of rotated diagonals
-    is built once and serves every ``--s``.  Refused (exit 2) before
-    anything N-sized is built: a grid over ``phase_space.STACK_BUDGET``
-    bytes, and an ``--s > 0`` with ``eps kappa**s > 1e-8`` (``kappa``)."""
+    """Field tables and heatmaps; one ring transform per state serves
+    every ``--s`` (``rotated_diagonals`` with the stacked center
+    diagonals).  Refused (exit 2) before anything N-sized is built: a
+    grid over ``phase_space.STACK_BUDGET`` bytes, and an ``--s > 0`` with
+    ``eps kappa**s > 1e-8`` (``kappa``)."""
     model = _model(args)
     if not model.nspheres:
         raise ValueError(f"{model.kind} phase space has no spherical projection")
@@ -200,23 +204,26 @@ def cmd_phasespace(args) -> int:
     svals = args.s if args.s else [0.0]
     # Multi-qubit fields render the marginal on the first sphere.
     target = MultipartiteModel(1) if model.sphere_tuples else model
-    centers = [ps.center_diagonal(target, ps.KernelSpec.cahill_glauber(s))
-               for s in svals]  # an overflowing factor exits 1 here
+    centers = np.stack(  # an overflowing factor exits 1 here
+        [ps.center_diagonal(target, ps.KernelSpec.cahill_glauber(s))
+         for s in svals], axis=1)
     kappa = ps.kappa(target)
     for s in svals:
         if s > 0 and s * math.log(kappa) > math.log(1e-8 / np.finfo(float).eps):
             raise ValueError(f"--s {s:g} at kappa = {kappa:.3g} leaves an error "
                              "eps * kappa**s over 1e-8 of the field's maximum")
-    need = _phasespace_bytes(ntheta * nphi, target.dim, model.dim,
-                             len(states))
+    need = _phasespace_bytes(ntheta, nphi, target.dim, len(svals),
+                             model.dim, len(states))
     if need > ps.STACK_BUDGET:
         raise ValueError(
             f"phasespace on a {ntheta}x{nphi} grid at d={target.dim} needs "
             f"about {need / 2**20:.0f} MiB, over the "
             f"{ps.STACK_BUDGET >> 20} MiB budget; use a smaller --grid")
     theta, phi = render.equirect_grid(ntheta, nphi)
-    theta_col, phi_col = np.repeat(theta, nphi), np.tile(phi, ntheta)
-    nodes = np.stack((theta_col, phi_col), axis=1)
+    nodes = np.stack((np.repeat(theta, nphi), np.tile(phi, ntheta)), axis=1)
+    # The "theta,phi" text of every row, formatted once for all tables.
+    phi_text = [render.fmt(p) for p in phi]
+    coords = [f"{t},{p}" for t in map(render.fmt, theta) for p in phi_text]
     if model.sphere_tuples:
         nodes = nodes[:, None, :]
     rhos = []
@@ -229,17 +236,17 @@ def cmd_phasespace(args) -> int:
         A, rest = rho, 1
         if target is not model:
             A, rest = _marginal_qubit_operator(model, rho)
-        table = ps.rotated_diagonals(target, A, nodes)
-        for s, c in zip(svals, centers):
+        fields = ps.rotated_diagonals(target, A, nodes, centers)
+        for k, s in enumerate(svals):
             # rest ** ((s-1)/2): measure factor of the traced qubits
-            vals = np.real(table @ c) * float(rest) ** ((s - 1) / 2)
+            vals = np.real(fields[:, k]) * float(rest) ** ((s - 1) / 2)
             field = vals.reshape(ntheta, nphi)
 
             tag = f"{_file_tag(sel)}_s{s:+g}"
             render.write_csv(
                 os.path.join(args.out, f"field_{tag}.csv"),
                 ["theta", "phi", "value"], comments=[f"seed={args.seed}"],
-                columns=(theta_col, phi_col, vals))
+                columns=(coords, vals))
             rgb = render.colorize(field)
             if args.projection == "robinson":
                 rgb = render.robinson_remap(rgb)

@@ -21,6 +21,12 @@ model declares and never test its class.
   qubits and the Majorana weight for fermions; a spin refuses.
 * ``point_as_group(point)``: group element carrying the identity point to
   the point.
+* ``point_rings(points)``: the point unitaries factored on rings,
+  ``U_n = diag(exp(-i charge . phi_n)) R[ring_n]`` (``Rings``).  A spin
+  point is ``diag(exp(-i phi m)) R_y(theta)`` with charge m = S - a, so a
+  ring is one theta; a qubit point is the tensor product of n of those,
+  with one phase per qubit, so a ring is one tuple of thetas.  Fermions
+  declare the trivial factorization: each point its own ring, no phase.
 
 Banded and dense paths
 ----------------------
@@ -54,6 +60,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +111,33 @@ class IrrepBlock:
         return np.einsum("j,jab->ab", coeffs, self.basis)
 
 
+@dataclass
+class Rings:
+    """Point unitaries factored on rings of points that share a rotation:
+
+        U_n = diag(exp(-1j * charge @ phi[n])) @ R[ring[n]].
+
+    Attributes
+    ----------
+    charge : (d, p) charges of the basis states under p phase angles
+    phi : (N, p) phase angles of each point
+    ring : (N,) ring of each point, in 0..count-1
+    count : number of rings
+    rotations : ``rotations(lo, hi)`` is the (hi - lo, d, d) stack of the
+        ring rotations R of rings lo..hi-1, built on demand
+    """
+
+    charge: np.ndarray
+    phi: np.ndarray
+    ring: np.ndarray
+    count: int
+    rotations: Callable[[int, int], np.ndarray]
+
+    def phases(self) -> np.ndarray:
+        """(N, d) diagonals ``exp(-1j * charge @ phi[n])``."""
+        return np.exp(-1j * (self.phi @ self.charge.T))
+
+
 class QrtModel:
     """Shared plumbing for the three concrete models, including the
     reference states (``hw_state``, ``ghz_state``, index ``basis_state``).
@@ -120,8 +154,8 @@ class QrtModel:
 
     # subclasses implement: labels, irrep_dim, tau, _build_block,
     # point_unitary, group_unitary, random_point, random_group, act,
-    # identity_point and point_as_group.  point_unitaries may be
-    # overridden with a batched evaluation equal to the per-point one.
+    # identity_point and point_as_group.  point_rings may be overridden
+    # with a factorization whose product equals the per-point unitaries.
 
     def labels(self):
         raise NotImplementedError
@@ -188,13 +222,24 @@ class QrtModel:
     def coherent_state(self, point) -> np.ndarray:
         return self.point_unitary(point) @ self.hw_state()
 
+    def point_rings(self, points) -> Rings:
+        """The trivial factorization: each point its own ring, no phase."""
+        return Rings(np.zeros((self.dim, 0)), np.zeros((len(points), 0)),
+                     np.arange(len(points)), len(points),
+                     lambda lo, hi: np.array([self.point_unitary(p)
+                                              for p in points[lo:hi]]))
+
     def point_unitaries(self, points) -> np.ndarray:
         """(N, d, d) stack of ``point_unitary`` over many points."""
-        return np.array([self.point_unitary(p) for p in points])
+        rings = self.point_rings(points)
+        R = rings.rotations(0, rings.count)
+        return rings.phases()[:, :, None] * R[rings.ring]
 
     def coherent_states(self, points) -> np.ndarray:
         """(N, d) stack of ``coherent_state`` over many points."""
-        return self.point_unitaries(points) @ self.hw_state()
+        rings = self.point_rings(points)
+        R = rings.rotations(0, rings.count)
+        return rings.phases() * (R @ self.hw_state())[rings.ring]
 
     def sector_of(self, word: PauliString):
         """Sector label of a Pauli word (qubit models only)."""
@@ -465,27 +510,31 @@ class SpinModel(QrtModel):
             self._jy_eig = np.linalg.eigh(Jy)
         return self._jy_eig
 
-    def _rot_y(self, theta: float) -> np.ndarray:
+    def _rot_y(self, theta) -> np.ndarray:
+        """exp(-i theta J_y), real (Wigner's small d); a theta array gives
+        a stack."""
         w, V = self._jy_eigh()
-        return (V * np.exp(-1j * theta * w)) @ V.conj().T
+        theta = np.asarray(theta, dtype=float)[..., None, None]
+        return ((V * np.exp(-1j * theta * w)) @ V.conj().T).real.copy()
+
+    def _charge(self) -> np.ndarray:
+        """The magnetic numbers m = S - a over the basis."""
+        return (self.S.twice - 2 * np.arange(self.dim)) / 2
 
     def _rot_z_diag(self, angle) -> np.ndarray:
-        """exp(-i angle m) over the basis; broadcasts over array angles."""
-        tS = self.S.twice
-        m = np.array([(tS - 2 * i) / 2 for i in range(self.dim)])
-        return np.exp(-1j * angle * m)
+        """exp(-i angle m) over the basis."""
+        return np.exp(-1j * angle * self._charge())
 
     def point_unitary(self, point) -> np.ndarray:
         theta, phi = point
         return self._rot_z_diag(phi)[:, None] * self._rot_y(theta)
 
-    def point_unitaries(self, points) -> np.ndarray:
+    def point_rings(self, points) -> Rings:
+        """One ring per distinct theta, one phase phi with charge m."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        w, V = self._jy_eigh()
-        # Grids repeat each theta along a ring: one y-rotation per value.
         theta, ring = np.unique(pts[:, 0], return_inverse=True)
-        rot_y = (V * np.exp(-1j * theta[:, None, None] * w)) @ V.conj().T
-        return self._rot_z_diag(pts[:, 1:])[:, :, None] * rot_y[ring]
+        return Rings(self._charge()[:, None], pts[:, 1:], ring.ravel(),
+                     len(theta), lambda lo, hi: self._rot_y(theta[lo:hi]))
 
     def group_unitary(self, g) -> np.ndarray:
         alpha, beta, gamma = g
@@ -600,18 +649,28 @@ class MultipartiteModel(QrtModel):
             out = np.kron(out, m)
         return out
 
-    def point_unitaries(self, points) -> np.ndarray:
+    def point_rings(self, points) -> Rings:
+        """One ring per distinct tuple of thetas; one phase per qubit, with
+        charge +-1/2 by the qubit's bit (qubit 0 is the leading bit)."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[1:] != (self.n, 2):
             raise ValueError("need one (theta, phi) pair per qubit")
-        out = self._qubit.point_unitaries(pts[:, 0])
-        for k in range(1, self.n):
-            m = self._qubit.point_unitaries(pts[:, k])
-            nodes, a, _ = out.shape
-            # Batched np.kron: entry (i*2+k, j*2+l) is out[i, j] * m[k, l].
-            out = (out[:, :, None, :, None] * m[:, None, :, None, :]).reshape(
-                nodes, 2 * a, 2 * a)
-        return out
+        thetas, ring = np.unique(pts[:, :, 0], axis=0, return_inverse=True)
+        shifts = self.n - 1 - np.arange(self.n)
+        charge = 0.5 - ((np.arange(self.dim)[:, None] >> shifts) & 1)
+
+        def rotations(lo, hi):
+            out = self._qubit._rot_y(thetas[lo:hi, 0])
+            for k in range(1, self.n):
+                m = self._qubit._rot_y(thetas[lo:hi, k])
+                count, a, _ = out.shape
+                # Batched np.kron: entry (i*2+k, j*2+l) is out[i, j] m[k, l].
+                out = (out[:, :, None, :, None]
+                       * m[:, None, :, None, :]).reshape(count, 2 * a, 2 * a)
+            return out
+
+        return Rings(charge, pts[:, :, 1], ring.ravel(), len(thetas),
+                     rotations)
 
     def group_unitary(self, g) -> np.ndarray:
         mats = [self._qubit.group_unitary(gk) for gk in g]

@@ -16,19 +16,28 @@ Nothing here tests a model's class: grids and band checks read the
 geometry each model declares (``band``, ``nspheres``, ``sphere_tuples``,
 ``point_as_group``; see ``models``).
 
-Fields and reconstruction are streamed, without (N, d, d) kernel stacks.
-The center kernel ``Delta_0(s) = sum_lam tau_lam**(-(s+1)/2)
-Pi_lam(|hw><hw|)`` is diagonal, and ``center_diagonal`` reads it from the
-model's ``hw_sector_diagonals`` without a sector block.  The field at node
-n is ``F_n(s) = sum_b c_b(s) (U_n^H A U_n)_bb`` with c that diagonal: the
-``(N, d)`` table of rotated diagonals (``rotated_diagonals``), built chunk
-by chunk from ``point_unitaries``, serves every s.  ``reconstruct`` is one
-``(d, k d) @ (k d, d)`` product per chunk of k nodes.  ``kernel_stack``
-(``U D0 U^H``) is the tests' reference route; ``harmonic_matrix``
-serves the quadrature checks.  Its high-sector harmonics are cancelling
-sums ``<Omega| D_j |Omega> = O(sqrt(tau))`` that lose about
-``tau**(-1/2)`` (1.4e5 at S = 8) in relative accuracy; the rotated
-diagonals do not.  At s > 0 any route keeps an error of about
+Fields and reconstruction are ring transforms, without (N, d, d) kernel
+stacks or per-node unitaries.  The center kernel ``Delta_0(s) =
+sum_lam tau_lam**(-(s+1)/2) Pi_lam(|hw><hw|)`` is diagonal, and
+``center_diagonal`` reads it from the model's ``hw_sector_diagonals``
+without a sector block.  The field at node n is ``F_n(s) = sum_b c_b(s)
+(U_n^H A U_n)_bb`` with c that diagonal.  Each model declares its point
+unitaries factored on rings (``point_rings``): ``U_n = diag(exp(-i
+charge . phi_n)) R_r``, for a spin ``diag(exp(-i phi m)) R_y(theta)``
+with one ring per theta, as in the equiangular separation of variables
+of McEwen & Wiaux (IEEE TSP 59, 5876 (2011)).  On a ring the rotated
+diagonals are a finite Fourier series in phi, whose coefficients, sums
+of ``conj(R_ab) A_ac R_cb`` over the pairs of one charge difference,
+take one O(d**3) pass per ring (``rotated_diagonals``); evaluating the
+series costs O(N d**2).  ``reconstruct`` is the adjoint transform at
+the same cost, O(n_rings d**3 + N d**2) against O(N d**3) per node.
+Models with no phase (fermions) are the case of one ring per point and
+one charge difference, which is the plain ``diag(U^H A U)``.
+``kernel_stack`` (``U D0 U^H``) is the tests' reference route;
+``harmonic_matrix`` serves the quadrature checks.  Its high-sector
+harmonics are cancelling sums ``<Omega| D_j |Omega> = O(sqrt(tau))`` that
+lose about ``tau**(-1/2)`` (1.4e5 at S = 8) in relative accuracy; the
+rotated diagonals do not.  At s > 0 any route keeps an error of about
 ``eps kappa**s`` of the field's maximum (``kappa``).
 """
 
@@ -240,6 +249,15 @@ def _haar_rotation(dim: int, rng) -> np.ndarray:
     return Q
 
 
+def default_grid_size(model: QrtModel) -> int:
+    """Node count of ``default_grid(model)``, without building it."""
+    if model.band is None:
+        return 0
+    ntheta = max(1, math.ceil(2 * model.band + 1))
+    nphi = max(1, math.ceil(4 * model.band + 2))
+    return (ntheta * nphi) ** model.nspheres
+
+
 def default_grid(model: QrtModel):
     """Structured quadrature adapted to the model's band limit."""
     if model.band is None:
@@ -298,14 +316,6 @@ def symbol(model: QrtModel, A: np.ndarray, point, spec: KernelSpec) -> complex:
                              np.asarray(A)))
 
 
-CHUNK_BYTES = 2**20  # one complex (k, d, d) unitary chunk: about L2 size
-
-
-def chunk_nodes(dim: int) -> int:
-    """Nodes per chunk of the streamed routes at Hilbert dimension dim."""
-    return max(1, CHUNK_BYTES // (16 * dim * dim))
-
-
 def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
     """Diagonal c of the center kernel ``sum_lam f_lam Pi_lam(|hw><hw|)``,
     with f the spec's ``center_factor``: one real d-vector."""
@@ -320,31 +330,127 @@ def kappa(model: QrtModel) -> float:
     return min(t for t in map(model.tau, model.labels()) if t > 0) ** -0.5
 
 
-def _unitary_columns(model: QrtModel, points):
-    """Chunks of point unitaries as ``(offset, X)``: X is (d, k d) with
-    the columns ``U_n[:, b]`` side by side in (n, b) order, and offset is
-    the position of its first column among all N d of them."""
-    d = model.dim
-    step = chunk_nodes(d)
-    for lo in range(0, len(points), step):
-        U = model.point_unitaries(points[lo:lo + step])
-        yield lo * d, U.transpose(1, 0, 2).reshape(d, -1)
+RING_BYTES = 4 * 2**20  # live bytes of one chunk of rings in the transforms
 
 
-def rotated_diagonals(model: QrtModel, A: np.ndarray, points) -> np.ndarray:
+def _run(idx: np.ndarray):
+    """A run of consecutive indices as a slice (a view, not a copy)."""
+    if (idx[1:] - idx[:-1] == 1).all():
+        return slice(idx[0], idx[-1] + 1)
+    return idx
+
+
+def _offsets(charge: np.ndarray):
+    """Charge differences of the basis pairs, grouped for the transforms.
+
+    Returns the distinct differences ``q = charge_a - charge_b`` as a
+    (nq, p) array in lexicographic order, so that ``-q_g = q_(nq-1-g)``,
+    and one ``(g, a, b, ra, rb)`` per g <= nq - 1 - g: the index pairs
+    (a, b) of ``q_g``, and a and b again as slices where they run
+    consecutively (a spin's diagonals) to gather columns without a copy.
+    Those of ``-q_g`` are the same pairs swapped, so one product of
+    columns serves both; the middle group, q = 0, is its own mirror.
+    """
+    d = len(charge)
+    diff = (charge[:, None, :] - charge[None, :, :]).reshape(d * d, -1)
+    q, group = np.unique(diff, axis=0, return_inverse=True)
+    group = group.ravel()
+    order = np.argsort(group, kind="stable")
+    members = np.split(order, np.cumsum(np.bincount(group))[:-1])
+    half = []
+    for g in range((len(q) + 1) // 2):
+        a, b = divmod(members[g], d)
+        half.append((g, a, b, _run(a), _run(b)))
+    return q, half
+
+
+def ring_bytes(dim: int, noffsets: int, npairs: int, size: int) -> int:
+    """Bytes one ring of ``size`` points holds in the transforms, counted
+    as complex: R and conj(R), a pair product of at most ``npairs`` pairs
+    and its gathers, the offset sums and a gathered copy (rings of mixed
+    point counts), the Fourier factors with the temporaries of their exp,
+    and one bucket product."""
+    return 16 * (2 * dim * dim + 3 * npairs * dim + 2 * noffsets * dim
+                 + 3 * size * noffsets + size * dim)
+
+
+def _ring_chunks(rings, q: np.ndarray, half, dim: int):
+    """Chunks of rings whose transform arrays fit in ``RING_BYTES``, or one
+    ring where a single one does not.
+
+    Yields ``(Rt, buckets)``: Rt the chunk's ring rotations in the layout
+    (a, ring, b), and per point count s among its rings a bucket
+    ``(rows, idx, E)``: the rings' rows in the chunk, their (len, s) point
+    indices and the (len, s, nq) Fourier factors ``exp(1j * phi_n . q)``,
+    a product over the phase angles, each evaluated once per distinct
+    value (a grid's rings share their phis).
+    """
+    order = np.argsort(rings.ring, kind="stable")
+    sizes = np.bincount(rings.ring, minlength=rings.count)
+    starts = np.cumsum(sizes) - sizes
+    npairs = max(len(h[1]) for h in half)
+    size = sizes.max(initial=0)
+    step = max(1, RING_BYTES // ring_bytes(dim, len(q), npairs, size))
+    for lo in range(0, rings.count, step):
+        hi = min(lo + step, rings.count)
+        buckets = []
+        for s in np.unique(sizes[lo:hi]):
+            rows = np.flatnonzero(sizes[lo:hi] == s)
+            idx = order[starts[lo + rows][:, None] + np.arange(s)]
+            E = np.ones(idx.shape + (len(q),), dtype=complex)
+            for phi, qk in zip(rings.phi[idx].reshape(idx.size, -1).T, q.T):
+                phi, inv = np.unique(phi, return_inverse=True)
+                E *= np.exp(1j * np.outer(phi, qk))[inv].reshape(E.shape)
+            buckets.append((_run(rows), idx, E))
+        yield rings.rotations(lo, hi).transpose(1, 0, 2).copy(), buckets
+
+
+def rotated_diagonals(model: QrtModel, A: np.ndarray, points,
+                      centers: np.ndarray | None = None) -> np.ndarray:
     """(N, d) table of the diagonals ``(U_n^H A U_n)_bb`` at the points.
 
-    Built chunk by chunk (``chunk_nodes``) with one ``A @ U`` product per
-    chunk; ``points`` is any sequence ``point_unitaries`` accepts (a list
-    of points or an array of them).  The symbol at s is the table times
-    ``center_diagonal(model, spec)``.
+    The ring transform of the model's ``point_rings`` factorization
+    ``U_n = diag(exp(-i charge . phi_n)) R_r`` (r the ring of n): with
+    ``q = charge_a - charge_b``,
+
+        (U_n^H A U_n)_bb = sum_q exp(i phi_n . q) M_(r,q,b),
+        M_(r,q,b) = sum_(charge_a - charge_c = q) conj(R_ab) A_ac R_cb.
+
+    The offset sums M cost one O(d**3) pass per ring: for a spin, column
+    products of R times ``np.diagonal(A, q)`` for each of the 2d - 1
+    offsets.  The sum over q is one small product per ring, O(N d**2) in
+    all, against O(N d**3) for one ``U^H A U`` per node.  Rings are taken
+    in chunks under ``RING_BYTES``.  ``points`` is any sequence
+    ``point_rings`` accepts.  The symbol at s is the table times
+    ``center_diagonal(model, spec)``; given a (d, k) matrix of such
+    diagonals as ``centers``, the result is the (N, k) product, formed
+    ring by ring (``M @ centers`` first) without the (N, d) table.
     """
     A = np.asarray(A)
-    out = np.empty(len(points) * model.dim, dtype=complex)
-    for lo, X in _unitary_columns(model, points):
-        # (U_n^H A U_n)_bb = sum_a conj(U_n)_ab (A U_n)_ab
-        out[lo:lo + X.shape[1]] = np.einsum("ab,ab->b", X.conj(), A @ X)
-    return out.reshape(-1, model.dim)
+    rings = model.point_rings(points)
+    q, half = _offsets(rings.charge)
+    # q_g from A_ab; -q_g from the swapped pairs, as conj(conj(A_ba) X).
+    weights = [np.stack([A[a, b].real, A[a, b].imag,
+                         A[b, a].real, -A[b, a].imag])
+               for _, a, b, _, _ in half]
+    width = model.dim if centers is None else np.shape(centers)[1]
+    table = np.empty((len(rings.ring), width), dtype=complex)
+    for Rt, buckets in _ring_chunks(rings, q, half, model.dim):
+        # In the layout (a, ring, b) a pair's products are one
+        # (P, k d) matrix; conj is free on real rotations (a spin's).
+        k, Rc = Rt.shape[1], Rt.conj()
+        M = np.empty((k, len(q), model.dim), dtype=complex)
+        for (g, a, b, ra, rb), V in zip(half, weights):
+            X = (Rc[ra] * Rt[rb]).reshape(len(a), -1)
+            Y = (V @ X).reshape(4, k, -1)
+            M[:, g] = Y[0] + 1j * Y[1]
+            if 2 * g + 1 < len(q):
+                M[:, -1 - g] = np.conj(Y[2] + 1j * Y[3])
+        if centers is not None:
+            M = M @ centers
+        for rows, idx, E in buckets:
+            table[idx] = E @ M[rows]
+    return table
 
 
 @dataclass
@@ -360,8 +466,8 @@ class SymbolField:
 def symbol_field(model: QrtModel, A: np.ndarray, grid,
                  spec: KernelSpec) -> SymbolField:
     """Evaluate the symbol of A on every grid node (no kernel stack)."""
-    c = center_diagonal(model, spec)
-    values = rotated_diagonals(model, A, grid.points) @ c
+    c = center_diagonal(model, spec)[:, None]
+    values = rotated_diagonals(model, A, grid.points, c)[:, 0]
     return SymbolField(model, grid, spec, values)
 
 
@@ -430,16 +536,36 @@ def reconstruct(field: SymbolField) -> np.ndarray:
 
     Exact for structured grids resolving the model band limit; sectors with
     no phase-space image (fermionic odd sectors) are irrecoverably absent.
-    One ``(d, k d) @ (k d, d)`` product per chunk of k nodes.
+    The adjoint of the ring transform of ``rotated_diagonals``: with node
+    weights ``w_n = weight_n F_n`` and c the dual center diagonal,
+
+        out_ac = sum_r sum_b R_ab conj(R_cb) W_(r,q) c_b,
+        W_(r,q) = sum_(n in r) w_n exp(-i phi_n . q),
+
+    at ``q = charge_a - charge_c``: O(n_rings d**3 + N d**2).
     """
     model, grid = field.model, field.grid
     _check_band(model, grid)
-    # Dual kernel at node n: sum_b c_b U_n[:, b] U_n[:, b]^H.
-    weights = np.outer(np.asarray(grid.weights) * field.values,
-                       center_diagonal(model, field.spec.dual())).ravel()
+    wn = np.asarray(grid.weights) * field.values
+    c = center_diagonal(model, field.spec.dual())
+    rings = model.point_rings(grid.points)
+    q, half = _offsets(rings.charge)
     out = np.zeros((model.dim, model.dim), dtype=complex)
-    for lo, X in _unitary_columns(model, grid.points):
-        out += (X * weights[lo:lo + X.shape[1]]) @ X.conj().T
+    for Rt, buckets in _ring_chunks(rings, q, half, model.dim):
+        k, Rc = Rt.shape[1], Rt.conj()
+        W = np.empty((k, len(q), 1), dtype=complex)
+        for rows, idx, E in buckets:
+            W[rows] = E.conj().transpose(0, 2, 1) @ wn[idx][:, :, None]
+        W = W * c
+        for g, a, b, ra, rb in half:
+            # out_ab from W_q; out_ba = conj(sum X conj(W_-q)).
+            X = (Rt[ra] * Rc[rb]).reshape(len(a), -1)
+            G = np.stack([W[:, g].real, W[:, g].imag,
+                          W[:, -1 - g].real, -W[:, -1 - g].imag], axis=-1)
+            Y = X @ G.reshape(-1, 4)
+            out[a, b] += Y[:, 0] + 1j * Y[:, 1]
+            if 2 * g + 1 < len(q):
+                out[b, a] += np.conj(Y[:, 2] + 1j * Y[:, 3])
     return out
 
 
@@ -511,5 +637,5 @@ def star_product(field_a: SymbolField, field_b: SymbolField,
     if field_a.spec.is_generalized or field_b.spec.is_generalized:
         raise ValueError("twisted product needs standard-family fields")
     product = reconstruct(field_a) @ reconstruct(field_b)
-    c = center_diagonal(model, KernelSpec.cahill_glauber(s_out))
-    return rotated_diagonals(model, product, out_points) @ c
+    c = center_diagonal(model, KernelSpec.cahill_glauber(s_out))[:, None]
+    return rotated_diagonals(model, product, out_points, c)[:, 0]

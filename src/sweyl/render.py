@@ -9,6 +9,7 @@ equirectangular rows built from the published 5-degree coefficient table.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -122,20 +123,21 @@ def write_csv(path, header: list[str], rows=(), comments=(), *,
     """Write a table of str/float columns; floats at 17 significant digits.
 
     The table is given as ``rows`` (sequences of cells) or as ``columns``
-    (one sequence or array per header entry).  A column whose first cell
-    is a str is written as text, any other as floats.
+    (one sequence or array per column).  A column whose first cell is a
+    str is written as text, any other as floats.  A text column may hold
+    several fields of a row: ``phasespace`` formats its ``"theta,phi"``
+    prefixes once and passes them as one column to every field table.
     """
     if columns is None:
         columns = list(zip(*rows)) or [()] * len(header)
     text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
-    if any(text):
-        cells = tuple(cell for row in zip(*columns) for cell in row)
-    else:
-        cells = tuple(np.column_stack(columns).astype(float).ravel().tolist())
+    cols = [c if t else np.asarray(c, dtype=float).tolist()
+            for c, t in zip(columns, text)]
     template = ",".join("%s" if t else "%.17g" for t in text) + "\n"
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(header) + "\n")
-    body = template * len(columns[0]) % cells
+    body = template * len(cols[0]) % tuple(itertools.chain.from_iterable(
+        zip(*cols)))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write(body)

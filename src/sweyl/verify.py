@@ -83,10 +83,31 @@ def duality_identity_deviation(model: QrtModel) -> float:
     return dev
 
 
+def dense_bytes(model: QrtModel) -> int:
+    """Bytes the dense checks hold at their peak, from d and the node
+    count N of the default grid: the cached sector bases, 16 d**4; the
+    coherent-state outer products of ``harmonic_matrix``, a complex
+    (N, d, d) array and its copy; the real harmonics, N d**2 doubles; and
+    the complex harmonics of the largest sector.
+    """
+    d, nodes = model.dim, ps.default_grid_size(model)
+    widest = max(map(model.irrep_dim, model.labels()))
+    return 16 * d ** 4 + ((2 * 16 + 8) * d * d + 16 * widest) * nodes
+
+
 def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                quad_tol: float = 1e-8) -> list[CheckResult]:
-    """Run the invariant suite for one model; returns per-check results."""
+    """Run the invariant suite for one model; returns per-check results.
+
+    A model whose dense checks need over ``phase_space.STACK_BUDGET``
+    bytes (``dense_bytes``) raises ValueError before anything is built.
+    """
     model = make_model(qrt, spin_S, n)
+    need = dense_bytes(model)
+    if need > ps.STACK_BUDGET:
+        raise ValueError(
+            f"verify of {model!r} needs about {need / 2**20:.0f} MiB, over "
+            f"the {ps.STACK_BUDGET >> 20} MiB budget")
     rng = np.random.default_rng(seed)
     results = []
 

@@ -1,0 +1,208 @@
+"""The ring-factored transforms against the kernel-stack oracle, their
+structure, and the size refusal of the dense ``verify`` route."""
+
+import time
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sweyl import phase_space as ps
+from sweyl import render, verify
+from sweyl.cli import main
+from sweyl.clebsch import HalfInt
+from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
+
+SPECS = [ps.KernelSpec.cahill_glauber(s) for s in (-1.0, 0.0, 0.5, 1.0)]
+SPINS = [1, 2, 7, 20, 30]  # 2S
+
+
+def rand_operator(dim, rng):
+    """A random non-Hermitian operator: both offset signs carry data."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def assert_ring_route_matches_oracle(model, A, points):
+    centers = np.stack([ps.center_diagonal(model, spec) for spec in SPECS],
+                       axis=1)
+    table = ps.rotated_diagonals(model, A, points)
+    folded = ps.rotated_diagonals(model, A, points, centers)
+    for k, spec in enumerate(SPECS):
+        stack = ps.kernel_stack(model, points, spec)
+        want = np.einsum("nab,ba->n", stack, A)
+        bound = 1e-12 * np.max(np.abs(want))
+        assert np.max(np.abs(table @ centers[:, k] - want)) <= bound
+        assert np.max(np.abs(folded[:, k] - want)) <= bound
+
+
+def scattered_points(model, count, rng):
+    return [model.random_point(rng) for _ in range(count)]
+
+
+def uneven_rings(rng, nrings=5):
+    """Ring k has 2k + 1 points at its own random phis."""
+    points = []
+    for k, theta in enumerate(rng.uniform(0, np.pi, size=nrings)):
+        phis = rng.uniform(0, 2 * np.pi, 2 * k + 1)
+        points += [(theta, phi) for phi in phis]
+    rng.shuffle(points)
+    return points
+
+
+@pytest.mark.parametrize("twice_s", SPINS)
+def test_spin_ring_route_matches_kernel_stack(twice_s):
+    model = SpinModel(HalfInt(twice_s))
+    rng = np.random.default_rng(100 + twice_s)
+    A = rand_operator(model.dim, rng)
+    points = scattered_points(model, 9, rng)
+    assert len({theta for theta, _ in points}) == len(points)
+    for pts in (points, uneven_rings(rng), ps.default_grid(model).points):
+        assert_ring_route_matches_oracle(model, A, pts)
+
+
+def test_one_qubit_marginal_ring_route_matches_kernel_stack():
+    model = MultipartiteModel(1)
+    rng = np.random.default_rng(110)
+    A = rand_operator(2, rng)
+    theta, phi = render.equirect_grid(8, 12)
+    nodes = np.stack((np.repeat(theta, 12), np.tile(phi, 8)), axis=1)
+    uneven = np.array(uneven_rings(rng))
+    for pts in (nodes, uneven):
+        assert_ring_route_matches_oracle(model, A, pts[:, None, :])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_multipartite_ring_route_matches_kernel_stack(n):
+    model = MultipartiteModel(n)
+    rng = np.random.default_rng(120 + n)
+    A = rand_operator(model.dim, rng)
+    for pts in (scattered_points(model, 7, rng),
+                ps.default_grid(model).points):
+        assert_ring_route_matches_oracle(model, A, pts)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fermionic_ring_route_matches_kernel_stack(n):
+    model = FermionicModel(n)
+    rng = np.random.default_rng(130 + n)
+    A = rand_operator(model.dim, rng)
+    grid = ps.mc_group_quadrature(model, 11, seed=n)
+    assert_ring_route_matches_oracle(model, A, grid.points)
+
+
+@pytest.mark.parametrize(
+    "model", [SpinModel(HalfInt(k)) for k in range(1, 21)]
+    + [MultipartiteModel(n) for n in (1, 2, 3)], ids=repr)
+def test_reconstruct_inverts_symbol_field(model):
+    # At s = +-1 the round trip applies tau**(-+1/2) and its inverse, so
+    # any route keeps about eps * kappa of max|A| (2S = 20: 8e-10, as
+    # the per-node route did); s = 0 is exact to rounding.
+    grid = ps.default_grid(model)
+    A = rand_operator(model.dim, np.random.default_rng(140))
+    eps = np.finfo(float).eps
+    for s in (-1.0, 0.0, 1.0):
+        spec = ps.KernelSpec.cahill_glauber(s)
+        got = ps.reconstruct(ps.symbol_field(model, A, grid, spec))
+        bound = 1e-13 + 8 * eps * ps.kappa(model) ** abs(s)
+        assert np.max(np.abs(got - A)) <= bound * np.max(np.abs(A))
+
+
+def test_offsets_pair_each_group_with_its_mirror():
+    for charge in (SpinModel(3)._charge()[:, None],
+                   0.5 - np.array([[0, 0], [0, 1], [1, 0], [1, 1]]),
+                   np.zeros((4, 0))):
+        q, half = ps._offsets(charge)
+        assert np.array_equal(q, -q[::-1])
+        seen = []
+        for g, a, b, ra, rb in half:
+            assert np.array_equal(charge[a] - charge[b],
+                                  np.broadcast_to(q[g], (len(a), q.shape[1])))
+            assert np.array_equal(np.arange(len(charge))[ra], a)
+            assert np.array_equal(np.arange(len(charge))[rb], b)
+            seen += list(zip(a, b))
+            if 2 * g + 1 < len(q):
+                seen += list(zip(b, a))
+        assert sorted(seen) == [(a, b) for a in range(len(charge))
+                                for b in range(len(charge))]
+
+
+class _NoStackSpin(SpinModel):
+    """A spin whose per-node unitary stack is unavailable."""
+
+    def point_unitaries(self, points):
+        raise AssertionError("the ring route built per-node unitaries")
+
+
+def test_spin_ring_route_builds_no_per_node_unitaries():
+    model, plain = _NoStackSpin(HalfInt(5)), SpinModel(HalfInt(5))
+    rng = np.random.default_rng(150)
+    A, B = rand_operator(model.dim, rng), rand_operator(model.dim, rng)
+    grid = ps.sphere_quadrature(2 * model.band)
+    out_points = scattered_points(model, 5, rng)
+    spec = ps.KernelSpec.cahill_glauber(0.5)
+    fa, fb = (ps.symbol_field(model, X, grid, spec) for X in (A, B))
+    ref_a = ps.symbol_field(plain, A, grid, spec)
+    assert np.array_equal(fa.values, ref_a.values)
+    assert np.max(np.abs(ps.reconstruct(fa) - A)) <= 1e-10 * np.max(np.abs(A))
+    star = ps.star_product(fa, fb, 0.5, out_points)
+    want = [ps.symbol(plain, A @ B, p, spec) for p in out_points]
+    assert np.max(np.abs(star - want)) <= 1e-9 * np.max(np.abs(want))
+
+
+def test_ring_chunks_split_without_changing_the_result(monkeypatch):
+    # A budget of a few rings splits the default S = 10 grid into chunks.
+    model = SpinModel(10)
+    grid = ps.default_grid(model)
+    A = rand_operator(model.dim, np.random.default_rng(160))
+    whole = ps.rotated_diagonals(model, A, grid.points)
+    monkeypatch.setattr(ps, "RING_BYTES", 3 * 2 ** 20)
+    rings = model.point_rings(grid.points)
+    q, half = ps._offsets(rings.charge)
+    chunks = list(ps._ring_chunks(rings, q, half, model.dim))
+    assert len(chunks) > 1
+    assert sum(Rt.shape[1] for Rt, _ in chunks) == rings.count
+    assert np.max(np.abs(ps.rotated_diagonals(model, A, grid.points)
+                         - whole)) <= 1e-13 * np.max(np.abs(whole))
+
+
+def test_verify_spin_30_refused_before_building(tmp_path, capsys):
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["verify", "--spin-S", "30", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert time.perf_counter() - start < 5.0
+    assert peak < 8 * 2 ** 20
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "MiB" in err
+
+
+@pytest.mark.parametrize("spin", ["20", "26"])
+def test_verify_estimate_admits_sizes_that_fit(spin):
+    # 2S = 52 is the largest spin under the budget.
+    model = verify.make_model("spin", spin)
+    assert verify.dense_bytes(model) <= ps.STACK_BUDGET
+    assert verify.dense_bytes(SpinModel(HalfInt(53))) > ps.STACK_BUDGET
+
+
+def test_verify_spin_20_is_not_refused(tmp_path):
+    assert main(["verify", "--spin-S", "20", "--out", str(tmp_path)]) != 2
+
+
+def test_preformatted_coordinates_write_the_same_bytes(tmp_path):
+    # phasespace passes its "theta,phi" text as one column; the table must
+    # equal the one written from three float columns.
+    theta, phi = render.equirect_grid(7, 13)
+    values = np.random.default_rng(170).normal(size=7 * 13) * 1e-5
+    coords = [f"{t},{p}" for t in map(render.fmt, theta)
+              for p in map(render.fmt, phi)]
+    header = ["theta", "phi", "value"]
+    render.write_csv(tmp_path / "text.csv", header, comments=["seed=0"],
+                     columns=(coords, values))
+    render.write_csv(tmp_path / "floats.csv", header, comments=["seed=0"],
+                     columns=(np.repeat(theta, 13), np.tile(phi, 7), values))
+    assert (tmp_path / "text.csv").read_bytes() == \
+        (tmp_path / "floats.csv").read_bytes()
