@@ -147,6 +147,11 @@ def norm_bounds(model: QrtModel, s: float, rho: np.ndarray | None = None):
 
 _DUALITY_CHUNK = 256  # Haar samples per generator
 _RHO_BYTES = 2**23  # one (k, d, d) stack of sampled density matrices
+# Work budget of one duality run, in units of d**2 log2(d) per sample: the
+# additions of the Pauli transform (4**n n for n qubits).  One unit takes
+# 13-18 ns for every model on a 2-vCPU host (spin S = 20 and 100 on the
+# banded route, qubits and fermions n = 6..10), so the budget is 15-20 s.
+DUALITY_WORK = 10**9
 
 
 def haar_chunks(dim: int, nsamples: int, seed: int):
@@ -190,11 +195,18 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     sample's sector purity (``model.sector_purities``), zero where tau = 0.
     The filter scales mean, standard error and rhs alike, so z is taken
     once per sector (at s = 0) and is the same in every s row.  Rows are
-    ordered by s, then sector.
+    ordered by s, then sector.  A run over ``DUALITY_WORK`` raises
+    ValueError before any sample is drawn.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
     labels, d = model.labels(), model.dim
+    work = nsamples * d * d * math.log2(d)
+    if work > DUALITY_WORK:
+        raise ValueError(
+            f"duality of {nsamples} samples at d={d} needs about {work:.2g} "
+            f"units of work (samples x d**2 x log2 d), over the "
+            f"{DUALITY_WORK:.0e} budget; use fewer --samples")
     # Moments of the samples shifted by each sector's first sample, so a
     # (near-)constant sector, such as the trivial one, has a variance at
     # the rounding level of its spread, not of its mean squared.

@@ -19,6 +19,8 @@ model declares and never test its class.
   and sphere count and differ only in this.
 * ``sector_of(word)``: sector of a Pauli word, the support pattern for
   qubits and the Majorana weight for fermions; a spin refuses.
+  ``word_sectors(x, z)`` is the same by bit arithmetic over mask arrays,
+  as rows of ``labels()``.
 * ``point_as_group(point)``: group element carrying the identity point to
   the point.
 * ``point_rings(points)``: the point unitaries factored on rings,
@@ -35,13 +37,17 @@ Banded and dense paths
   diagonal, so the model keeps one float CG-diagonal table (``cg_diagonals``,
   half of each diagonal, about d**3 / 6 doubles) and never forms a
   (2 lam + 1, d, d) block.  The table serves 2S <= 200.
+* Qubit and fermion sector purities come from the fast Pauli transform
+  (``paulis.pauli_transform``): all 4**n traces Tr(P A) in n passes of
+  4**n additions, summed into sectors through ``word_sectors`` (built
+  once per model).  No block is formed, and they serve n <= 10.
 * The phase-space center kernel reads one (L, d) table per model,
   ``hw_sector_diagonals`` (the diagonals of Pi_lam(|hw><hw|)), and no block.
-* Dense (d_lam, d, d) sector blocks (``irrep_block``) remain the route of
-  the harmonics, of ``project`` (``gfd_project``) and of the ``verify``
-  checks, and the purity route of the qubit and fermionic models.  Spin
-  blocks are filled from the same table (no exact CG per entry) and serve
-  2S <= 60; qubit and fermionic blocks serve n <= 4.
+* Dense (d_lam, d, d) sector blocks (``irrep_block``) serve only the
+  harmonics, ``project`` (``gfd_project``) and the ``verify`` checks.
+  Spin blocks are filled from the same table (no exact CG per entry) and
+  serve 2S <= 60; qubit and fermionic blocks come from
+  ``paulis.words_dense``, one call per block, and serve n <= 4.
 * The exact Racah route of ``clebsch`` stays the oracle: it gives tau and
   the closed-form purities that the tests compare the table against.
 
@@ -68,7 +74,8 @@ import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
 from .clebsch import HalfInt, cg_hw_zero
 from .paulis import (PauliString, majorana, majorana_product, majorana_weight,
-                     multipartite_label)
+                     multipartite_label, pauli_transform, word_masks,
+                     words_dense)
 
 _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
@@ -107,8 +114,8 @@ class IrrepBlock:
 
     def project(self, A: np.ndarray) -> np.ndarray:
         """Component of A inside this sector: sum_j <D_j, A> D_j."""
-        coeffs = np.einsum("jab,ab->j", self.basis.conj(), A)
-        return np.einsum("j,jab->ab", coeffs, self.basis)
+        flat = self.basis.reshape(self.dim, -1)
+        return ((flat.conj() @ A.ravel()) @ flat).reshape(A.shape)
 
 
 @dataclass
@@ -151,6 +158,7 @@ class QrtModel:
 
     def __init__(self):
         self._block_cache: dict = {}
+        self._word_order = None
 
     # subclasses implement: labels, irrep_dim, tau, _build_block,
     # point_unitary, group_unitary, random_point, random_group, act,
@@ -168,9 +176,8 @@ class QrtModel:
         block = self._block_cache.get(label)
         if block is None:
             block = self._build_block(label)
-            block.hw_overlap = np.real(
-                np.einsum("jab,a,b->j", block.basis,
-                          self.hw_state().conj(), self.hw_state()))
+            hw = self.hw_state()
+            block.hw_overlap = np.real((block.basis @ hw) @ hw.conj())
             self._block_cache[label] = block
         return block
 
@@ -187,31 +194,40 @@ class QrtModel:
         return self.irrep_block(label).project(A)
 
     def sector_purities(self, A: np.ndarray) -> dict:
-        """Label -> P_lam(A) = sum_j |<D_j, A>|^2 over the dense blocks.
+        """Label -> P_lam(A) = sum_j |<D_j, A>|^2, by the Pauli transform.
 
-        A is one (d, d) operator or a (..., d, d) stack; each value has the
-        stack's leading shape (0-d for one operator)."""
-        out = {}
-        for block in self.blocks():
-            coeffs = np.einsum("jab,...ab->...j", block.basis.conj(), A)
-            out[block.label] = np.sum(np.abs(coeffs) ** 2, axis=-1)
-        return out
+        The basis elements are the words P / sqrt(d) of each sector, so
+        ``|Tr(P A)|**2 / d`` from ``pauli_transform`` (all 4**n words at
+        once) summed over the words of each sector (``word_sectors``)
+        gives the spectrum; no dense block is built.  A is one (d, d)
+        operator or a (..., d, d) stack; each value has the stack's
+        leading shape (0-d for one operator).
+        """
+        if self._word_order is None:
+            rows = self.word_sectors(*word_masks(self.dim.bit_length() - 1))
+            order = np.argsort(rows, kind="stable")
+            starts = np.searchsorted(rows[order], np.arange(len(self.labels())))
+            self._word_order = (order, starts)
+        order, starts = self._word_order
+        T = pauli_transform(A)
+        sums = np.add.reduceat((T.real ** 2 + T.imag ** 2)[..., order],
+                               starts, axis=-1)
+        sums /= self.dim
+        return {lam: sums[..., i] for i, lam in enumerate(self.labels())}
 
     def hw_sector_diagonals(self) -> np.ndarray:
         """(L, d) real table: row lam is the diagonal of Pi_lam(|hw><hw|).
 
         For qubits and fermions ``|0...0><0...0| = 2**-n sum_S Z_S`` over the
         Z-words, each diagonal with entry (-1)**|S & k| at basis index k
-        (qubit 0 is the leading bit of k) and in sector ``sector_of(Z_S)``.
+        (qubit 0 is the leading bit of k) and in sector ``word_sectors(0, S)``.
         """
         n = self.dim.bit_length() - 1
         k, q = np.arange(self.dim), np.arange(n)
         bits = (k[:, None] >> (n - 1 - q)) & 1
         signs = 1.0 - 2 * ((((k[:, None] >> q) & 1) @ bits.T) % 2)
-        row = {lam: i for i, lam in enumerate(self.labels())}
-        out = np.zeros((len(row), self.dim))
-        np.add.at(out, [row[self.sector_of(PauliString(n, 0, int(z)))]
-                        for z in k], signs)
+        out = np.zeros((len(self.labels()), self.dim))
+        np.add.at(out, self.word_sectors(np.zeros_like(k), k), signs)
         return out / self.dim
 
     def tau_from_hw(self, label) -> float:
@@ -244,6 +260,18 @@ class QrtModel:
     def sector_of(self, word: PauliString):
         """Sector label of a Pauli word (qubit models only)."""
         raise ValueError(f"{self!r} has no Pauli-word sectors")
+
+    def word_sectors(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """Row in ``labels()`` of the sector of each word X^x Z^z, for
+        integer mask arrays: ``sector_of`` by bit arithmetic."""
+        raise ValueError(f"{self!r} has no Pauli-word sectors")
+
+    def _word_block(self, lam, words: list[PauliString]) -> IrrepBlock:
+        """Dense block of the words ``w / sqrt(d)``."""
+        basis = words_dense(self.dim.bit_length() - 1, [w.x for w in words],
+                            [w.z for w in words], [w.phase for w in words])
+        basis /= math.sqrt(self.dim)
+        return IrrepBlock(lam, len(words), basis)
 
     def hw_state(self) -> np.ndarray:
         """The highest-weight reference state: the first basis vector."""
@@ -630,15 +658,20 @@ class MultipartiteModel(QrtModel):
         """The support pattern of the word."""
         return multipartite_label(word)
 
+    def word_sectors(self, x, z) -> np.ndarray:
+        """Row of the support mask ``x | z`` (bit q is qubit q)."""
+        row = np.empty(self.dim, dtype=np.intp)
+        masks = [sum(bit << q for q, bit in enumerate(lam))
+                 for lam in self.labels()]
+        row[masks] = np.arange(len(masks))
+        return row[np.asarray(x) | np.asarray(z)]
+
     def _build_block(self, lam) -> IrrepBlock:
         if self.n > _DENSE_QUBIT_CAP:
             raise ValueError(
                 f"dense sector bases capped at n <= {_DENSE_QUBIT_CAP}")
         lam = tuple(lam)
-        words = self.sector_strings(lam)
-        norm = math.sqrt(self.dim)
-        basis = np.array([w.to_dense() / norm for w in words])
-        return IrrepBlock(lam, len(words), basis)
+        return self._word_block(lam, self.sector_strings(lam))
 
     def point_unitary(self, point) -> np.ndarray:
         if len(point) != self.n:
@@ -655,7 +688,17 @@ class MultipartiteModel(QrtModel):
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[1:] != (self.n, 2):
             raise ValueError("need one (theta, phi) pair per qubit")
-        thetas, ring = np.unique(pts[:, :, 0], axis=0, return_inverse=True)
+        # Rings in lexicographic order of the theta tuples: rank the first
+        # column, then fold in one column at a time and re-rank, so codes
+        # stay below N**2 (one np.ravel_multi_index over all n columns
+        # can pass int64 at N = 8192, n = 5).
+        _, first, ring = np.unique(pts[:, 0, 0], return_index=True,
+                                   return_inverse=True)
+        for col in pts[:, 1:, 0].T:
+            values, rank = np.unique(col, return_inverse=True)
+            _, first, ring = np.unique(ring * len(values) + rank,
+                                       return_index=True, return_inverse=True)
+        thetas = pts[first, :, 0]
         shifts = self.n - 1 - np.arange(self.n)
         charge = 0.5 - ((np.arange(self.dim)[:, None] >> shifts) & 1)
 
@@ -774,23 +817,33 @@ class FermionicModel(QrtModel):
         """The number of Majorana factors of the word."""
         return majorana_weight(word)
 
+    def word_sectors(self, x, z) -> np.ndarray:
+        """The Majorana weight, which is also the row: with t_k the parity
+        of x above mode k, mode k holds the factors b_k = z_k ^ t_k and
+        a_k = x_k ^ b_k, and the weight is sum_k a_k + b_k."""
+        x, z = np.asarray(x, dtype=np.int64), np.asarray(z, dtype=np.int64)
+        t, shift = x >> 1, 1
+        while shift < self.n:  # suffix parity: t_k = xor of x_j, j > k
+            t ^= t >> shift
+            shift *= 2
+        b = z ^ t
+        return (np.bitwise_count(x ^ b).astype(np.intp)
+                + np.bitwise_count(b))
+
     def _build_block(self, lam: int) -> IrrepBlock:
         if self.n > _DENSE_QUBIT_CAP:
             raise ValueError(
                 f"dense sector bases capped at n <= {_DENSE_QUBIT_CAP}")
         if not 0 <= lam <= 2 * self.n:
             raise ValueError(f"sector {lam} outside 0..2n")
-        words = self.sector_strings(lam)
-        norm = math.sqrt(self.dim)
-        basis = np.array([w.to_dense() / norm for w in words])
-        return IrrepBlock(lam, len(words), basis)
+        return self._word_block(lam, self.sector_strings(lam))
 
     def majorana_dense(self):
         if self._majorana_dense is None:
-            self._majorana_dense = [
-                majorana(mu, self.n).to_dense()
-                for mu in range(1, 2 * self.n + 1)
-            ]
+            cs = [majorana(mu, self.n) for mu in range(1, 2 * self.n + 1)]
+            self._majorana_dense = list(words_dense(
+                self.n, [c.x for c in cs], [c.z for c in cs],
+                [c.phase for c in cs]))
         return self._majorana_dense
 
     def point_unitary(self, point) -> np.ndarray:

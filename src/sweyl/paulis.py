@@ -10,19 +10,12 @@ carry the canonical phase so that Hermitian operators have real weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
 _DENSE_CAP = 12  # qubits; dense matrices are a debugging/small-n tool
-
-_SINGLE = {
-    (0, 0): np.eye(2, dtype=complex),
-    (1, 0): np.array([[0, 1], [1, 0]], dtype=complex),        # X
-    (0, 1): np.array([[1, 0], [0, -1]], dtype=complex),       # Z
-    (1, 1): np.array([[0, -1], [1, 0]], dtype=complex),       # XZ = -iY
-}
 
 _PHASE = (1, 1j, -1, -1j)
 
@@ -127,13 +120,7 @@ class PauliString:
         )
 
     def to_dense(self) -> np.ndarray:
-        if self.n > _DENSE_CAP:
-            raise ValueError(f"dense conversion capped at {_DENSE_CAP} qubits")
-        mats = [
-            _SINGLE[((self.x >> q) & 1, (self.z >> q) & 1)]
-            for q in range(self.n)
-        ]
-        return _PHASE[self.phase] * reduce(np.kron, mats)
+        return words_dense(self.n, self.x, self.z, self.phase)[0]
 
     def __str__(self) -> str:
         letters = {(0, 0): "I", (1, 0): "X", (1, 1): "Y", (0, 1): "Z"}
@@ -223,12 +210,95 @@ class PauliSum:
         return all(abs(v.imag) <= tol for v in self.terms.values())
 
     def to_dense(self) -> np.ndarray:
-        if self.n > _DENSE_CAP:
-            raise ValueError(f"dense conversion capped at {_DENSE_CAP} qubits")
+        xs = np.array([x for x, _ in self.terms], dtype=np.int64)
+        zs = np.array([z for _, z in self.terms], dtype=np.int64)
+        rows, vals = _word_columns(self.n, xs, zs, np.bitwise_count(xs & zs))
+        coeffs = np.array(list(self.terms.values()), dtype=complex)
         out = np.zeros((2 ** self.n, 2 ** self.n), dtype=complex)
-        for ps, coeff in self.strings():
-            out += coeff * ps.to_dense()
+        cols = np.broadcast_to(np.arange(2 ** self.n), rows.shape)
+        np.add.at(out, (rows, cols), coeffs[:, None] * vals)
         return out
+
+
+def _word_columns(n: int, xs, zs, phases):
+    """Rows and values of the words ``i**phase X^x Z^z``: column k of word
+    m has its one entry ``vals[m, k] = i**phase (-1)**popcount(k & zbar)``
+    at row ``rows[m, k] = k ^ xbar``, where xbar and zbar are the masks with
+    their n bits reversed (qubit 0 is the leading factor, the top bit of
+    the basis index k)."""
+    if n > _DENSE_CAP:
+        raise ValueError(f"dense conversion capped at {_DENSE_CAP} qubits")
+    xs, zs = (np.asarray(m, dtype=np.int64).reshape(-1, 1) for m in (xs, zs))
+    xbar, zbar = np.zeros_like(xs), np.zeros_like(zs)
+    for q in range(n):
+        xbar |= ((xs >> q) & 1) << (n - 1 - q)
+        zbar |= ((zs >> q) & 1) << (n - 1 - q)
+    k = np.arange(2 ** n)
+    # bitwise_count gives uint8: cast before forming 1 - 2 * parity.
+    sign = 1 - 2 * (np.bitwise_count(k & zbar).astype(np.int64) & 1)
+    phase = np.asarray(_PHASE)[np.asarray(phases, dtype=np.int64) % 4]
+    return k ^ xbar, phase.reshape(-1, 1) * sign
+
+
+def words_dense(n: int, xs, zs, phases) -> np.ndarray:
+    """(m, 2**n, 2**n) dense matrices of the words ``i**phase X^x Z^z``,
+    one per entry of the mask and phase arrays (scalars give m = 1).
+
+    Entry ``[k ^ xbar, k] = i**phase (-1)**popcount(k & zbar)``, with xbar
+    and zbar the bit-reversed masks; the rest is zero.
+    """
+    rows, vals = _word_columns(n, xs, zs, phases)
+    out = np.zeros((len(rows), 2 ** n, 2 ** n), dtype=complex)
+    out[np.arange(len(rows))[:, None], rows, np.arange(2 ** n)] = vals
+    return out
+
+
+def word_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(x, z) masks of the 4**n words in ``pauli_transform`` order: word w
+    has the digit ``x_q + 2 z_q`` of qubit q at place 4**(n-1-q)."""
+    w = np.arange(4 ** n, dtype=np.int64)
+    x, z = np.zeros_like(w), np.zeros_like(w)
+    for q in range(n):
+        digit = w >> (2 * (n - 1 - q))
+        x |= (digit & 1) << q
+        z |= ((digit >> 1) & 1) << q
+    return x, z
+
+
+def pauli_transform(A: np.ndarray) -> np.ndarray:
+    """``Tr(X^x Z^z A)`` for all 4**n words, of one (2**n, 2**n) operator or
+    a (..., 2**n, 2**n) stack; returns (..., 4**n), words in ``word_masks``
+    order.
+
+    Each qubit's row bit r and column bit c are interleaved into one base-4
+    digit ``2 r + c`` of the entry index, ``(a, b, c, d)`` for rc = 00, 01,
+    10, 11; the map ``(a, b, c, d) -> (a + d, b + c, a - d, b - c)`` on
+    every digit gives the traces against I, X, Z and XZ (Hantzko,
+    Binkowski & Gupta, arXiv:2310.13421).  Each of the n passes maps the
+    leading digit and writes it back as the trailing one, so every pass
+    reads whole contiguous quarters and the digits are back in order at
+    the end: 4**n additions per pass and operator.
+    """
+    A = np.asarray(A)
+    n = A.shape[-1].bit_length() - 1
+    if A.shape[-2:] != (2 ** n, 2 ** n):
+        raise ValueError(f"need a 2**n x 2**n operator, got {A.shape[-2:]}")
+    lead = A.shape[:-2]
+    m = math.prod(lead)
+    T = np.empty((m, 4 ** n), dtype=np.result_type(A, 1.0))
+    axes = [0] + [1 + a for q in range(n) for a in (q, n + q)]
+    T.reshape((m,) + (2,) * (2 * n))[...] = \
+        A.reshape((m,) + (2,) * (2 * n)).transpose(axes)
+    out, rest = np.empty_like(T), 4 ** n // 4
+    for _ in range(n):
+        a, b, c, d = T.reshape(m, 4, rest).transpose(1, 0, 2)
+        dst = out.reshape(m, rest, 4)
+        np.add(a, d, out=dst[:, :, 0])
+        np.add(b, c, out=dst[:, :, 1])
+        np.subtract(a, d, out=dst[:, :, 2])
+        np.subtract(b, c, out=dst[:, :, 3])
+        T, out = out, T
+    return T.reshape(lead + (4 ** n,))
 
 
 def trace_inner(a: PauliSum, b: PauliSum) -> complex:

@@ -15,7 +15,7 @@ import numpy as np
 from . import gfd, phase_space as ps
 from .clebsch import HalfInt, clebsch_gordan
 from .models import FermionicModel, MultipartiteModel, QrtModel, SpinModel
-from .paulis import majorana
+from .paulis import majorana, words_dense
 
 
 @dataclass
@@ -83,6 +83,19 @@ def duality_identity_deviation(model: QrtModel) -> float:
     return dev
 
 
+def _basis_deviation(model: QrtModel) -> float:
+    """Largest deviation of the dense sector bases from Hermitian and
+    orthonormal.  The stacked bases and their Gram matrix, each the size
+    of all blocks, are freed on return."""
+    blocks = model.blocks()
+    dev = max(float(np.max(np.abs(B - B.conj().T)))
+              for block in blocks for B in block.basis)
+    flat = np.vstack([block.basis.reshape(block.dim, -1) for block in blocks])
+    gram = flat.conj() @ flat.T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return max(dev, float(np.max(np.abs(gram))))
+
+
 def dense_bytes(model: QrtModel) -> int:
     """Bytes the dense checks hold at their peak, from d and the node
     count N of the default grid: the cached sector bases, 16 d**4; the
@@ -131,15 +144,15 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     # Majorana anticommutation on n modes (the model's own n for qubit
     # models, --n for a spin), clamped to 1..3.
     reg = max(1, min(n, 3))
-    nmodes = 2 * reg
-    dev = 0.0
-    for mu in range(1, nmodes + 1):
-        for nu in range(1, nmodes + 1):
-            a, b = majorana(mu, reg), majorana(nu, reg)
-            anti = (a * b).to_dense() + (b * a).to_dense()
-            target = 2 * np.eye(2 ** reg) if mu == nu else 0.0
-            dev = max(dev, float(np.max(np.abs(anti - target))))
-    results.append(check("majorana_anticommutation", dev, _LIN_TOL))
+    cs = [majorana(mu, reg) for mu in range(1, 2 * reg + 1)]
+    prods = [a * b for a in cs for b in cs]  # c_mu c_nu, mu-major
+    dense = words_dense(reg, [p.x for p in prods], [p.z for p in prods],
+                        [p.phase for p in prods])
+    dense = dense.reshape(len(cs), len(cs), 2 ** reg, 2 ** reg)
+    anti = dense + dense.transpose(1, 0, 2, 3)
+    anti -= 2 * np.eye(len(cs))[:, :, None, None] * np.eye(2 ** reg)
+    results.append(check("majorana_anticommutation",
+                         float(np.max(np.abs(anti))), _LIN_TOL))
 
     # Sector weights: two routes and normalization.
     dev = max(abs(model.tau(lam) - model.tau_from_hw(lam))
@@ -151,16 +164,8 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                          _LIN_TOL))
 
     # Sector bases: Hermitian, orthonormal, complete.
-    dev = 0.0
-    gram_blocks = []
-    for block in model.blocks():
-        dev = max(dev, max(float(np.max(np.abs(B - B.conj().T)))
-                           for B in block.basis))
-        gram_blocks.append(block.basis.reshape(block.dim, -1))
-    allb = np.vstack(gram_blocks)
-    gram = allb.conj() @ allb.T
-    dev = max(dev, float(np.max(np.abs(gram - np.eye(len(allb))))))
-    results.append(check("sector_orthonormality", dev, _LIN_TOL))
+    results.append(check("sector_orthonormality", _basis_deviation(model),
+                         _LIN_TOL))
     A = _random_hermitian(model.dim, rng)
     recon = sum(block.project(A) for block in model.blocks())
     results.append(check("sector_completeness",

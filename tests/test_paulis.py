@@ -1,12 +1,14 @@
 """Bit-packed Pauli algebra against dense matrix oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from sweyl.paulis import (PauliString, PauliSum, majorana, majorana_product,
                           majorana_weight, multipartite_label, rotate_qubit,
-                          trace_inner)
+                          trace_inner, words_dense)
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -195,3 +197,31 @@ def test_majorana_product_and_weight():
         assert majorana_weight(majorana(mu, n)) == 1
         for nu in range(mu + 1, 2 * n + 1):
             assert majorana_weight(majorana_product([mu, nu], n)) == 2
+
+
+def test_words_dense_equals_the_kron_product():
+    # Every (x, z, phase) for n <= 4, one word at a time and as one stack,
+    # against the product of single-qubit matrices (XZ = -iY per qubit).
+    single = {(0, 0): I2, (1, 0): X, (0, 1): Z, (1, 1): X @ Z}
+    for n in range(1, 5):
+        words = [(x, z, k) for x in range(2 ** n) for z in range(2 ** n)
+                 for k in range(4)]
+        stack = words_dense(n, *zip(*words))
+        for (x, z, k), got in zip(words, stack):
+            mats = [single[((x >> q) & 1, (z >> q) & 1)] for q in range(n)]
+            want = 1j ** k * functools.reduce(np.kron, mats)
+            assert np.array_equal(got, want)
+            assert np.array_equal(PauliString(n, x, z, k).to_dense(), want)
+
+
+def test_paulisum_to_dense_equals_the_sum_of_kron_products():
+    rng = np.random.default_rng(23)
+    for n in range(1, 5):
+        op = PauliSum(n)
+        for _ in range(3 * n):
+            op.add_string(rand_string(rng, n), complex(*rng.normal(size=2)))
+        want = np.zeros((2 ** n, 2 ** n), dtype=complex)
+        for ps, coeff in op.strings():
+            want += coeff * _phase(str(ps)) * dense(_body(str(ps)))
+        assert np.max(np.abs(op.to_dense() - want)) <= 1e-15 * len(op.terms)
+    assert not np.any(PauliSum(2).to_dense())

@@ -11,7 +11,9 @@ from sweyl import gfd
 from sweyl import phase_space as ps
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
-from sweyl.paulis import PauliString, PauliSum
+from sweyl.paulis import PauliString, PauliSum, word_masks
+
+from oracles import dense_block_purities
 
 
 @functools.lru_cache(maxsize=None)
@@ -95,3 +97,59 @@ def test_filter_identity_on_random_pure_states(case, seed, s):
     want = gfd.phase_purity(gfd.purity_spectrum(rho, model), s, model)
     for lam in model.labels():
         assert abs(quad[lam] - want[lam]) <= 1e-11 * (1 + abs(want[lam]))
+
+
+# -- the Pauli transform behind qubit and fermion sector purities -----------
+
+_transform_cases = given(kind=st.sampled_from(["multipartite", "fermionic"]),
+                         n=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1),
+                         hermitian=st.booleans(),
+                         lead=st.sampled_from([(), (1,), (3,), (2, 3)]))
+
+
+@_fast
+@_transform_cases
+def test_transform_purities_match_dense_blocks(kind, n, seed, hermitian, lead):
+    model = _model(kind, n)
+    rng = np.random.default_rng(seed)
+    A = np.stack([_operator(model.dim, rng) for _ in range(math.prod(lead))])
+    A = A.reshape(lead + (model.dim, model.dim))
+    if hermitian:
+        A = (A + np.swapaxes(A, -1, -2).conj()) / 2
+    hs = np.sum(np.abs(A) ** 2, axis=(-2, -1))
+    got = model.sector_purities(A)
+    want = dense_block_purities(model, A)
+    for lam in model.labels():
+        assert got[lam].shape == lead
+        assert np.all(np.abs(got[lam] - want[lam]) <= 1e-13 * hs)
+
+
+@_fast
+@_qubit_cases
+def test_stacked_transform_equals_one_by_one(kind, n, seed):
+    model = _model(kind, n)
+    rng = np.random.default_rng(seed)
+    A = np.stack([_operator(model.dim, rng) for _ in range(6)])
+    A = A.reshape(2, 3, model.dim, model.dim)
+    got = model.sector_purities(A)
+    for idx in np.ndindex(2, 3):
+        want = model.sector_purities(A[idx])
+        hs = float(np.sum(np.abs(A[idx]) ** 2))
+        for lam in model.labels():
+            assert abs(got[lam][idx] - want[lam]) <= 1e-15 * hs
+
+
+@pytest.mark.parametrize("kind", ["multipartite", "fermionic"])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_word_sectors_equal_sector_of(kind, n):
+    model = _model(kind, n)
+    x, z = word_masks(n)
+    row = {lam: i for i, lam in enumerate(model.labels())}
+    want = [row[model.sector_of(PauliString(n, int(a), int(b)))]
+            for a, b in zip(x, z)]
+    assert model.word_sectors(x, z).tolist() == want
+
+
+def test_empty_paulisum_on_a_spin_raises():
+    with pytest.raises(ValueError):
+        gfd.purity_spectrum(PauliSum(1), SpinModel(HalfInt(1)))

@@ -5,14 +5,16 @@ import io
 import json
 import math
 import tempfile
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweyl import render
+from sweyl import gfd, render
 from sweyl.cli import main
-from sweyl.verify import CheckResult
+from sweyl.paulis import PauliString, PauliSum
+from sweyl.verify import CheckResult, make_model
 
 
 def test_fmt_round_trips_doubles():
@@ -218,14 +220,48 @@ def test_robinson_remap_matches_pixel_loop(tmp_path, h, w):
 
 
 @pytest.mark.parametrize("argv", [
-    ["purities", "--qrt", "multipartite", "--n", "5"],
-    ["purities", "--qrt", "fermionic", "--n", "5"],
+    ["purities", "--qrt", "fermionic", "--n", "11"],
+    ["verify", "--qrt", "fermionic", "--n", "5"],  # dense blocks: n <= 4
     ["purities", "--qrt", "multipartite", "--n", "11"],
 ])
 def test_cli_oversized_qubit_models_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("qrt", ["multipartite", "fermionic"])
+def test_cli_purities_n10_matches_pauli_route(tmp_path, qrt):
+    # hw = 2**-n sum_S Z_S and ghz = 2**-n sum_(|S| even) (Z_S + X_all Z_S),
+    # read through each word's sector_of, against the CLI's Pauli transform.
+    n, full = 10, (1 << 10) - 1
+    assert main(["purities", "--qrt", qrt, "--n", str(n), "--state", "hw",
+                 "--state", "ghz", "--s", "0", "--out", str(tmp_path)]) == 0
+    hw, ghz = PauliSum(n), PauliSum(n)
+    for z in range(1 << n):
+        hw.add_string(PauliString(n, 0, z), 2.0 ** -n)
+        if z.bit_count() % 2 == 0:
+            ghz.add_string(PauliString(n, 0, z), 2.0 ** -n)
+            ghz.add_string(PauliString(n, full, z), 2.0 ** -n)
+    model = make_model(qrt, n=n)
+    _, rows = render.read_csv(tmp_path / "purities.csv")
+    assert len(rows) == 2 * len(model.labels())
+    for state, op in (("hw", hw), ("ghz", ghz)):
+        want = gfd.purity_spectrum(op, model)
+        got = {r[3]: float(r[6]) for r in rows if r[1] == state}
+        for lam in model.labels():
+            key = "".join(map(str, lam)) if qrt == "multipartite" else str(lam)
+            assert abs(got[key] - want[lam]) <= 1e-14
+
+
+def test_cli_duality_over_the_work_budget_exits_2_fast(tmp_path, capsys):
+    # 3000 x 4**10 x 10 = 3.1e10 units against the 1e9 budget.
+    start = time.perf_counter()
+    code = main(["duality", "--qrt", "fermionic", "--n", "10", "--samples",
+                 "3000", "--out", str(tmp_path)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3.1e+10" in err
 
 
 def test_colorize_rounding_level_field_is_uniform(tmp_path):

@@ -206,3 +206,22 @@ def test_preformatted_coordinates_write_the_same_bytes(tmp_path):
                      columns=(np.repeat(theta, 13), np.tile(phi, 7), values))
     assert (tmp_path / "text.csv").read_bytes() == \
         (tmp_path / "floats.csv").read_bytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_qubit_rings_group_like_row_unique(n):
+    # Rings are the distinct theta tuples in lexicographic order, as
+    # np.unique(axis=0) sorts the rows; thetas repeat within columns.
+    rng = np.random.default_rng(180 + n)
+    model = MultipartiteModel(n)
+    pts = rng.uniform(0, 2 * np.pi, size=(500, n, 2))
+    pts[:, :, 0] = rng.choice(np.linspace(0, np.pi, 4), size=(500, n))
+    pts[::7, 0, 0] = -0.0  # signed zero sorts with 0.0
+    thetas, ring = np.unique(pts[:, :, 0], axis=0, return_inverse=True)
+    rings = model.point_rings(pts)
+    assert rings.count == len(thetas)
+    assert np.array_equal(rings.ring, ring.ravel())
+    R = rings.rotations(0, rings.count)
+    for r in range(rings.count):
+        want = model.point_unitary([(t, 0.0) for t in thetas[r]])
+        assert np.max(np.abs(R[r] - want)) <= 1e-14
