@@ -171,25 +171,26 @@ def _phasespace_bytes(ntheta: int, nphi: int, dim: int, nsvals: int,
                       model_dim: int, nstates: int) -> int:
     """Bytes the ``phasespace`` route holds at its peak.
 
-    One chunk of rings: ``phase_space.RING_BYTES``, or one ring of nphi
-    points with 2d - 1 offsets of at most d pairs where that is more.  Per
-    node the complex fields of every ``--s``, about 100 B of preformatted
-    "theta,phi" text, about 95 B of node arrays, values and the CSV
-    writer's Python cells, and about 75 B of CSV text (270 B in all,
-    measured with tracemalloc at 120 000 nodes).  And the model's d x d
-    states.
+    One chunk of rings for all states: ``phase_space.RING_BYTES``, or one
+    ring of nphi points with 2d - 1 offsets of at most d pairs where that
+    is more.  Per node the complex (N, states, svals) field table, about
+    100 B of preformatted "theta,phi" text, about 95 B of node arrays,
+    values and the CSV writer's Python cells, and about 75 B of CSV text
+    (270 B in all, measured with tracemalloc at 120 000 nodes).  And the
+    model's d x d states.
     """
-    chunk = max(ps.RING_BYTES, ps.ring_bytes(dim, 2 * dim - 1, dim, nphi))
-    return (chunk + ntheta * nphi * (16 * nsvals + 100 + 95 + 75)
+    chunk = max(ps.RING_BYTES,
+                ps.ring_bytes(dim, 2 * dim - 1, dim, nphi, nstates))
+    return (chunk + ntheta * nphi * (16 * nstates * nsvals + 100 + 95 + 75)
             + nstates * model_dim * model_dim * 16)
 
 
 def cmd_phasespace(args) -> int:
-    """Field tables and heatmaps; one ring transform per state serves
-    every ``--s`` (``rotated_diagonals`` with the stacked center
-    diagonals).  Refused (exit 2) before anything N-sized is built: a
-    grid over ``phase_space.STACK_BUDGET`` bytes, and an ``--s > 0`` with
-    ``eps kappa**s > 1e-8`` (``kappa``)."""
+    """Field tables and heatmaps; one ring transform serves every state
+    and every ``--s`` (``rotated_diagonals`` of the stacked states with
+    the stacked center diagonals).  Refused (exit 2) before anything
+    N-sized is built: a grid over ``phase_space.STACK_BUDGET`` bytes, and
+    an ``--s > 0`` with ``eps kappa**s > 1e-8`` (``kappa``)."""
     model = _model(args)
     if not model.nspheres:
         raise ValueError(f"{model.kind} phase space has no spherical projection")
@@ -226,20 +227,20 @@ def cmd_phasespace(args) -> int:
     coords = [f"{t},{p}" for t in map(render.fmt, theta) for p in phi_text]
     if model.sphere_tuples:
         nodes = nodes[:, None, :]
-    rhos = []
+    ops, rest = [], 1
     for sel in states:
         psi = model.named_state(sel, seed=args.seed)
-        rhos.append(np.outer(psi, psi.conj()))
+        rho = np.outer(psi, psi.conj())
+        if target is not model:
+            rho, rest = _marginal_qubit_operator(model, rho)
+        ops.append(rho)
+    fields = ps.rotated_diagonals(target, np.stack(ops), nodes, centers)
     os.makedirs(args.out, exist_ok=True)
 
-    for sel, rho in zip(states, rhos):
-        A, rest = rho, 1
-        if target is not model:
-            A, rest = _marginal_qubit_operator(model, rho)
-        fields = ps.rotated_diagonals(target, A, nodes, centers)
+    for i, sel in enumerate(states):
         for k, s in enumerate(svals):
             # rest ** ((s-1)/2): measure factor of the traced qubits
-            vals = np.real(fields[:, k]) * float(rest) ** ((s - 1) / 2)
+            vals = np.real(fields[:, i, k]) * float(rest) ** ((s - 1) / 2)
             field = vals.reshape(ntheta, nphi)
 
             tag = f"{_file_tag(sel)}_s{s:+g}"
@@ -300,12 +301,25 @@ def cmd_star(args) -> int:
     A, B = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
     grid = ps.sphere_quadrature(2 * model.band)  # doubled band limit
     out_points = [model.random_point(rng) for _ in range(args.points)]
+    # Three ring passes serve every s: the fields of A and B, their sums
+    # against the dual kernels (the operators back), and the symbols of
+    # the products, through which the double quadrature of
+    # ``phase_space.star_product`` factors.
+    specs = [ps.KernelSpec.cahill_glauber(s) for s in svals]
+    centers = np.stack([ps.center_diagonal(model, spec) for spec in specs],
+                       axis=1)
+    duals = np.stack([ps.center_diagonal(model, spec.dual())
+                      for spec in specs], axis=1)
+    fields = ps.rotated_diagonals(model, np.stack([A, B]), grid.points,
+                                  centers)
+    wn = (np.asarray(grid.weights)[:, None, None] * fields).reshape(
+        len(fields), -1)
+    back = ps.kernel_sums(model, grid.points, wn, np.tile(duals, 2))
+    products = back[:len(svals)] @ back[len(svals):]
+    stars = ps.rotated_diagonals(model, products, out_points, centers)
     results = []
-    for s in svals:
-        spec = ps.KernelSpec.cahill_glauber(s)
-        fa = ps.symbol_field(model, A, grid, spec)
-        fb = ps.symbol_field(model, B, grid, spec)
-        vals = ps.star_product(fa, fb, s, out_points)
+    for k, (s, spec) in enumerate(zip(svals, specs)):
+        vals = stars[:, k, k]
         ref = np.array([ps.symbol(model, A @ B, pch, spec)
                         for pch in out_points])
         dev = float(np.max(np.abs(vals - ref)) / (1 + np.max(np.abs(ref))))

@@ -73,7 +73,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
 from .clebsch import HalfInt, cg_hw_zero
-from .paulis import (PauliString, majorana, majorana_product, majorana_weight,
+from .paulis import (PauliString, majorana, majorana_weight,
                      multipartite_label, pauli_transform, word_masks,
                      words_dense)
 
@@ -266,12 +266,22 @@ class QrtModel:
         integer mask arrays: ``sector_of`` by bit arithmetic."""
         raise ValueError(f"{self!r} has no Pauli-word sectors")
 
-    def _word_block(self, lam, words: list[PauliString]) -> IrrepBlock:
-        """Dense block of the words ``w / sqrt(d)``."""
-        basis = words_dense(self.dim.bit_length() - 1, [w.x for w in words],
-                            [w.z for w in words], [w.phase for w in words])
+    def sector_words(self, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(x, z, phase) arrays of the Hermitian basis words of one sector,
+        ``i**phase X^x Z^z`` (qubit models only)."""
+        raise ValueError(f"{self!r} has no Pauli-word sectors")
+
+    def sector_strings(self, lam) -> list[PauliString]:
+        """The basis words of one sector, as ``PauliString``s."""
+        n = self.dim.bit_length() - 1
+        return [PauliString(n, int(x), int(z), int(p))
+                for x, z, p in zip(*self.sector_words(lam))]
+
+    def _word_block(self, lam) -> IrrepBlock:
+        """Dense block of the sector's words ``w / sqrt(d)``."""
+        basis = words_dense(self.dim.bit_length() - 1, *self.sector_words(lam))
         basis /= math.sqrt(self.dim)
-        return IrrepBlock(lam, len(words), basis)
+        return IrrepBlock(lam, len(basis), basis)
 
     def hw_state(self) -> np.ndarray:
         """The highest-weight reference state: the first basis vector."""
@@ -643,16 +653,18 @@ class MultipartiteModel(QrtModel):
     def tau(self, lam) -> float:
         return 1.0 / (3 ** sum(lam) * 2 ** self.n)
 
-    def sector_strings(self, lam) -> list[PauliString]:
-        """All Pauli words with the given support pattern."""
-        support = [q for q, bit in enumerate(lam) if bit]
-        words = []
-        for letters in itertools.product("XYZ", repeat=len(support)):
-            label = ["I"] * self.n
-            for q, ch in zip(support, letters):
-                label[q] = ch
-            words.append(PauliString.from_label("".join(label)))
-        return words
+    def sector_words(self, lam):
+        """The Pauli words with support pattern lam, by bit arithmetic: word
+        w carries letter ``XYZ[digit]`` on the j-th support qubit, with the
+        base-3 digits of w read from the first support qubit (the order of
+        ``itertools.product("XYZ", repeat=len(support))``); phase 1 per Y."""
+        support = np.flatnonzero(lam)
+        w = np.arange(3 ** len(support))
+        digits = w[:, None] // 3 ** np.arange(len(support))[::-1] % 3
+        bits = 1 << support
+        x = (digits != 2) @ bits
+        z = (digits != 0) @ bits
+        return x, z, np.sum(digits == 1, axis=1) % 4
 
     def sector_of(self, word: PauliString) -> tuple[int, ...]:
         """The support pattern of the word."""
@@ -670,8 +682,7 @@ class MultipartiteModel(QrtModel):
         if self.n > _DENSE_QUBIT_CAP:
             raise ValueError(
                 f"dense sector bases capped at n <= {_DENSE_QUBIT_CAP}")
-        lam = tuple(lam)
-        return self._word_block(lam, self.sector_strings(lam))
+        return self._word_block(tuple(lam))
 
     def point_unitary(self, point) -> np.ndarray:
         if len(point) != self.n:
@@ -804,14 +815,30 @@ class FermionicModel(QrtModel):
         return math.comb(self.n, lam // 2) / (
             math.comb(2 * self.n, lam) * self.dim)
 
-    def sector_strings(self, lam: int) -> list[PauliString]:
-        """Hermitian basis words: phased ascending Majorana products."""
-        extra = (lam * (lam - 1) // 2) % 4
-        out = []
-        for combo in itertools.combinations(range(1, 2 * self.n + 1), lam):
-            ps = majorana_product(combo, self.n)
-            out.append(PauliString(ps.n, ps.x, ps.z, ps.phase + extra))
-        return out
+    def sector_words(self, lam: int):
+        """Hermitian basis words, the ascending Majorana products
+        ``c_mu1 ... c_mulam`` times i**(lam (lam - 1) / 2), by bit
+        arithmetic.  A product is a 2n-bit mask with c_mu at bit 2n - mu,
+        so the masks of weight lam in descending order are the products in
+        ``itertools.combinations`` order.  With a_k, b_k the bits of
+        c_(2k+1) = Z..Z X and c_(2k+2) = Z..Z Y on mode k: x_k = a_k ^ b_k,
+        z_k = b_k ^ (parity of x above k), and the phase counts the Y
+        factors (their Z strings pass no X of a later factor)."""
+        n = self.n
+        masks = np.arange(4 ** n - 1, -1, -1, dtype=np.int64)
+        masks = masks[np.bitwise_count(masks) == lam]
+        x = np.zeros_like(masks)
+        z = np.zeros_like(masks)
+        ys = np.zeros_like(masks)
+        above = np.zeros_like(masks)  # parity of x on the modes above k
+        for k in reversed(range(n)):
+            a = (masks >> (2 * n - 1 - 2 * k)) & 1
+            b = (masks >> (2 * n - 2 - 2 * k)) & 1
+            x |= (a ^ b) << k
+            z |= (b ^ above) << k
+            ys += b
+            above ^= a ^ b
+        return x, z, (ys + lam * (lam - 1) // 2) % 4
 
     def sector_of(self, word: PauliString) -> int:
         """The number of Majorana factors of the word."""
@@ -836,7 +863,7 @@ class FermionicModel(QrtModel):
                 f"dense sector bases capped at n <= {_DENSE_QUBIT_CAP}")
         if not 0 <= lam <= 2 * self.n:
             raise ValueError(f"sector {lam} outside 0..2n")
-        return self._word_block(lam, self.sector_strings(lam))
+        return self._word_block(lam)
 
     def majorana_dense(self):
         if self._majorana_dense is None:

@@ -29,8 +29,13 @@ of McEwen & Wiaux (IEEE TSP 59, 5876 (2011)).  On a ring the rotated
 diagonals are a finite Fourier series in phi, whose coefficients, sums
 of ``conj(R_ab) A_ac R_cb`` over the pairs of one charge difference,
 take one O(d**3) pass per ring (``rotated_diagonals``); evaluating the
-series costs O(N d**2).  ``reconstruct`` is the adjoint transform at
+series costs O(N d**2).  ``kernel_sums`` is the adjoint transform at
 the same cost, O(n_rings d**3 + N d**2) against O(N d**3) per node.
+The rotations, pair products and Fourier factors depend only on the
+model and the points, so both transforms take a stack of operators (or
+of fields) and build them once for all; ``symbol_field``,
+``reconstruct``, ``convert_field`` and ``star_product`` are one-operator
+callers, and the CLI makes one forward and one adjoint pass per grid.
 Models with no phase (fermions) are the case of one ring per point and
 one charge difference, which is the plain ``diag(U^H A U)``.
 ``kernel_stack`` (``U D0 U^H``) is the tests' reference route;
@@ -364,19 +369,22 @@ def _offsets(charge: np.ndarray):
     return q, half
 
 
-def ring_bytes(dim: int, noffsets: int, npairs: int, size: int) -> int:
-    """Bytes one ring of ``size`` points holds in the transforms, counted
-    as complex: R and conj(R), a pair product of at most ``npairs`` pairs
-    and its gathers, the offset sums and a gathered copy (rings of mixed
-    point counts), the Fourier factors with the temporaries of their exp,
-    and one bucket product."""
-    return 16 * (2 * dim * dim + 3 * npairs * dim + 2 * noffsets * dim
-                 + 3 * size * noffsets + size * dim)
+def ring_bytes(dim: int, noffsets: int, npairs: int, size: int,
+               nops: int) -> int:
+    """Bytes one ring of ``size`` points holds in the transforms of
+    ``nops`` operators (or fields), counted as complex: R and conj(R), a
+    pair product of at most ``npairs`` pairs and its gathers, the pair
+    weights' product and its combination (2 nops d), the offset sums and a
+    gathered copy (2 noffsets nops d), the Fourier factors with the
+    temporaries of their exp, and one bucket product (size nops d)."""
+    return 16 * (2 * dim * dim + 3 * npairs * dim + 2 * nops * dim
+                 + 2 * noffsets * nops * dim + 3 * size * noffsets
+                 + size * nops * dim)
 
 
-def _ring_chunks(rings, q: np.ndarray, half, dim: int):
-    """Chunks of rings whose transform arrays fit in ``RING_BYTES``, or one
-    ring where a single one does not.
+def _ring_chunks(rings, q: np.ndarray, half, dim: int, nops: int):
+    """Chunks of rings whose transform arrays for ``nops`` operators fit
+    in ``RING_BYTES``, or one ring where a single one does not.
 
     Yields ``(Rt, buckets)``: Rt the chunk's ring rotations in the layout
     (a, ring, b), and per point count s among its rings a bucket
@@ -390,11 +398,13 @@ def _ring_chunks(rings, q: np.ndarray, half, dim: int):
     starts = np.cumsum(sizes) - sizes
     npairs = max(len(h[1]) for h in half)
     size = sizes.max(initial=0)
-    step = max(1, RING_BYTES // ring_bytes(dim, len(q), npairs, size))
+    step = max(1, RING_BYTES // ring_bytes(dim, len(q), npairs, size, nops))
     for lo in range(0, rings.count, step):
         hi = min(lo + step, rings.count)
         buckets = []
-        for s in np.unique(sizes[lo:hi]):
+        # The distinct sizes, ascending; a plain np.unique would import
+        # numpy.ma (np.ma.is_masked) on first use.
+        for s in np.flatnonzero(np.bincount(sizes[lo:hi])):
             rows = np.flatnonzero(sizes[lo:hi] == s)
             idx = order[starts[lo + rows][:, None] + np.arange(s)]
             E = np.ones(idx.shape + (len(q),), dtype=complex)
@@ -407,7 +417,8 @@ def _ring_chunks(rings, q: np.ndarray, half, dim: int):
 
 def rotated_diagonals(model: QrtModel, A: np.ndarray, points,
                       centers: np.ndarray | None = None) -> np.ndarray:
-    """(N, d) table of the diagonals ``(U_n^H A U_n)_bb`` at the points.
+    """Diagonals ``(U_n^H A U_n)_bb`` at the points, of one (d, d)
+    operator, (N, d), or of each operator of a (K, d, d) stack, (N, K, d).
 
     The ring transform of the model's ``point_rings`` factorization
     ``U_n = diag(exp(-i charge . phi_n)) R_r`` (r the ring of n): with
@@ -420,37 +431,80 @@ def rotated_diagonals(model: QrtModel, A: np.ndarray, points,
     products of R times ``np.diagonal(A, q)`` for each of the 2d - 1
     offsets.  The sum over q is one small product per ring, O(N d**2) in
     all, against O(N d**3) for one ``U^H A U`` per node.  Rings are taken
-    in chunks under ``RING_BYTES``.  ``points`` is any sequence
-    ``point_rings`` accepts.  The symbol at s is the table times
-    ``center_diagonal(model, spec)``; given a (d, k) matrix of such
-    diagonals as ``centers``, the result is the (N, k) product, formed
-    ring by ring (``M @ centers`` first) without the (N, d) table.
+    in chunks under ``RING_BYTES``.  The rotations, their pair products
+    and the Fourier factors depend only on the model and the points, so
+    one pass serves every operator of a stack: the pair weights of all K
+    operators are one (4K, P) matrix per offset group.  ``points`` is any
+    sequence ``point_rings`` accepts.  The symbol at s is the table times
+    ``center_diagonal(model, spec)``; given a (d, w) matrix of such
+    diagonals as ``centers``, the last axis is the width-w product, formed
+    ring by ring (``M @ centers`` first) without the d-wide table.
     """
     A = np.asarray(A)
+    ops = A.reshape((-1,) + A.shape[-2:])
+    nops, d = len(ops), model.dim
     rings = model.point_rings(points)
     q, half = _offsets(rings.charge)
     # q_g from A_ab; -q_g from the swapped pairs, as conj(conj(A_ba) X).
-    weights = [np.stack([A[a, b].real, A[a, b].imag,
-                         A[b, a].real, -A[b, a].imag])
+    weights = [np.concatenate([ops[:, a, b].real, ops[:, a, b].imag,
+                               ops[:, b, a].real, -ops[:, b, a].imag])
                for _, a, b, _, _ in half]
-    width = model.dim if centers is None else np.shape(centers)[1]
-    table = np.empty((len(rings.ring), width), dtype=complex)
-    for Rt, buckets in _ring_chunks(rings, q, half, model.dim):
+    width = d if centers is None else np.shape(centers)[1]
+    table = np.empty((len(rings.ring), nops, width), dtype=complex)
+    flat = table.reshape(len(table), -1)
+    for Rt, buckets in _ring_chunks(rings, q, half, d, nops):
         # In the layout (a, ring, b) a pair's products are one
         # (P, k d) matrix; conj is free on real rotations (a spin's).
         k, Rc = Rt.shape[1], Rt.conj()
-        M = np.empty((k, len(q), model.dim), dtype=complex)
+        M = np.empty((k, len(q), nops, d), dtype=complex)
         for (g, a, b, ra, rb), V in zip(half, weights):
             X = (Rc[ra] * Rt[rb]).reshape(len(a), -1)
-            Y = (V @ X).reshape(4, k, -1)
+            Y = (V @ X).reshape(4, nops, k, d).transpose(0, 2, 1, 3)
             M[:, g] = Y[0] + 1j * Y[1]
             if 2 * g + 1 < len(q):
                 M[:, -1 - g] = np.conj(Y[2] + 1j * Y[3])
         if centers is not None:
             M = M @ centers
+        M = M.reshape(k, len(q), -1)
         for rows, idx, E in buckets:
-            table[idx] = E @ M[rows]
-    return table
+            flat[idx] = E @ M[rows]
+    return table if A.ndim == 3 else table[:, 0]
+
+
+def kernel_sums(model: QrtModel, points, weights: np.ndarray,
+                centers: np.ndarray) -> np.ndarray:
+    """(K, d, d) sums ``sum_n weights[n, k] U_n diag(centers[:, k]) U_n^H``
+    for (N, K) node weights and (d, K) center diagonals: the adjoint of
+    ``rotated_diagonals``, one pass for all K columns.  With
+    ``q = charge_a - charge_c``,
+
+        out_ac = sum_r sum_b R_ab conj(R_cb) W_(r,q) c_b,
+        W_(r,q) = sum_(n in r) w_n exp(-i phi_n . q),
+
+    O(n_rings d**3 K + N d**2 K), with the rotations, their pair products
+    and the Fourier factors built once for all columns.
+    """
+    wn = np.asarray(weights)
+    nops, d = wn.shape[1], model.dim
+    rings = model.point_rings(points)
+    q, half = _offsets(rings.charge)
+    out = np.zeros((d, d, nops), dtype=complex)
+    for Rt, buckets in _ring_chunks(rings, q, half, d, nops):
+        k, Rc = Rt.shape[1], Rt.conj()
+        W = np.empty((k, len(q), nops), dtype=complex)
+        for rows, idx, E in buckets:
+            W[rows] = E.conj().transpose(0, 2, 1) @ wn[idx]
+        W = W[:, :, None, :] * centers  # (k, nq, d, K)
+        for g, a, b, ra, rb in half:
+            # out_ab from W_q; out_ba = conj(sum X conj(W_-q)).
+            X = (Rt[ra] * Rc[rb]).reshape(len(a), -1)
+            G = np.stack([W[:, g].real, W[:, g].imag,
+                          W[:, -1 - g].real, -W[:, -1 - g].imag], axis=-1)
+            Y = (X @ G.reshape(k * d, -1)).reshape(len(a), nops, 4)
+            out[a, b] += Y[..., 0] + 1j * Y[..., 1]
+            if 2 * g + 1 < len(q):
+                out[b, a] += np.conj(Y[..., 2] + 1j * Y[..., 3])
+    return np.ascontiguousarray(out.transpose(2, 0, 1))
 
 
 @dataclass
@@ -536,37 +590,14 @@ def reconstruct(field: SymbolField) -> np.ndarray:
 
     Exact for structured grids resolving the model band limit; sectors with
     no phase-space image (fermionic odd sectors) are irrecoverably absent.
-    The adjoint of the ring transform of ``rotated_diagonals``: with node
-    weights ``w_n = weight_n F_n`` and c the dual center diagonal,
-
-        out_ac = sum_r sum_b R_ab conj(R_cb) W_(r,q) c_b,
-        W_(r,q) = sum_(n in r) w_n exp(-i phi_n . q),
-
-    at ``q = charge_a - charge_c``: O(n_rings d**3 + N d**2).
+    The quadrature sum ``sum_n weight_n F_n Delta_n(-s)`` is one column of
+    ``kernel_sums``: O(n_rings d**3 + N d**2).
     """
     model, grid = field.model, field.grid
     _check_band(model, grid)
     wn = np.asarray(grid.weights) * field.values
     c = center_diagonal(model, field.spec.dual())
-    rings = model.point_rings(grid.points)
-    q, half = _offsets(rings.charge)
-    out = np.zeros((model.dim, model.dim), dtype=complex)
-    for Rt, buckets in _ring_chunks(rings, q, half, model.dim):
-        k, Rc = Rt.shape[1], Rt.conj()
-        W = np.empty((k, len(q), 1), dtype=complex)
-        for rows, idx, E in buckets:
-            W[rows] = E.conj().transpose(0, 2, 1) @ wn[idx][:, :, None]
-        W = W * c
-        for g, a, b, ra, rb in half:
-            # out_ab from W_q; out_ba = conj(sum X conj(W_-q)).
-            X = (Rt[ra] * Rc[rb]).reshape(len(a), -1)
-            G = np.stack([W[:, g].real, W[:, g].imag,
-                          W[:, -1 - g].real, -W[:, -1 - g].imag], axis=-1)
-            Y = X @ G.reshape(-1, 4)
-            out[a, b] += Y[:, 0] + 1j * Y[:, 1]
-            if 2 * g + 1 < len(q):
-                out[b, a] += np.conj(Y[:, 2] + 1j * Y[:, 3])
-    return out
+    return kernel_sums(model, grid.points, wn[:, None], c[:, None])[0]
 
 
 def convert_field(field: SymbolField, s_target: float, out_grid) -> SymbolField:

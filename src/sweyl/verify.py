@@ -8,12 +8,13 @@ use a configurable one so the suite can demonstrate failure reporting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gfd, phase_space as ps
-from .clebsch import HalfInt, clebsch_gordan
+from .clebsch import HalfInt, _cg_signed_square
 from .models import FermionicModel, MultipartiteModel, QrtModel, SpinModel
 from .paulis import majorana, words_dense
 
@@ -124,7 +125,8 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     rng = np.random.default_rng(seed)
     results = []
 
-    # CG orthogonality over a small exhaustive range.
+    # CG orthogonality over a small exhaustive range, on the exact
+    # signed squares of twice the labels (no HalfInt per call).
     dev = 0.0
     for tj1 in range(0, 5):
         for tj2 in range(0, 5):
@@ -135,9 +137,9 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                         tm2 = tM - tm1
                         if abs(tm2) > tj2:
                             continue
-                        acc += clebsch_gordan(
-                            HalfInt(tj1), HalfInt(tm1), HalfInt(tj2),
-                            HalfInt(tm2), HalfInt(tJ), HalfInt(tM)) ** 2
+                        sign, square = _cg_signed_square(tj1, tm1, tj2, tm2,
+                                                         tJ, tM)
+                        acc += (sign * math.sqrt(float(square))) ** 2
                     dev = max(dev, abs(acc - 1.0))
     results.append(check("cg_normalization", dev, _LIN_TOL))
 
@@ -216,26 +218,37 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     dev = float(np.max(np.abs(gram - np.eye(len(ally)))))
     results.append(check("harmonic_orthonormality", dev, quad_tol))
 
+    # One forward pass for [A, B, rho_-1, rho_0, rho_1] at every s, and one
+    # adjoint pass for the three reconstructions of A.
     B = _random_hermitian(model.dim, rng)
+    psis = [model.haar_state(rng) for _ in range(3)]
+    rhos = [np.outer(psi, psi.conj()) for psi in psis]
+    svals = (-1.0, 0.0, 1.0)
+    specs = [ps.KernelSpec.cahill_glauber(s) for s in svals]
+    centers = np.stack([ps.center_diagonal(model, spec) for spec in specs],
+                       axis=1)
+    fields = ps.rotated_diagonals(model, np.stack([A, B, *rhos]),
+                                  grid.points, centers)
+    fa, fb = fields[:, 0], fields[:, 1, ::-1]  # A at s, B at -s
+    # The dual of s is -s: the reversed columns.
+    recon = ps.kernel_sums(model, grid.points, w[:, None] * fa,
+                           centers[:, ::-1])
     dev = 0.0
     dev_tr = 0.0
     dev_rec = 0.0
     dev_std = 0.0
-    for s in (-1.0, 0.0, 1.0):
-        fa = ps.symbol_field(model, A, grid, ps.KernelSpec.cahill_glauber(s))
-        fb = ps.symbol_field(model, B, grid, ps.KernelSpec.cahill_glauber(-s))
-        lhs = complex(np.sum(w * np.conj(fa.values) * fb.values))
+    for k, s in enumerate(svals):
+        lhs = complex(np.sum(w * np.conj(fa[:, k]) * fb[:, k]))
         rhs = complex(np.trace(A.conj().T @ B))
         dev_tr = max(dev_tr, abs(lhs - rhs) / (1 + abs(rhs)))
-        dev_rec = max(dev_rec, float(np.max(np.abs(ps.reconstruct(fa) - A))))
-        std = complex(np.sum(w * fa.values))
+        dev_rec = max(dev_rec, float(np.max(np.abs(recon[k] - A))))
+        std = complex(np.sum(w * fa[:, k]))
         dev_std = max(dev_std, abs(std - model.dim ** ((s - 1) / 2)
                                    * np.trace(A)))
-        psi_h = model.haar_state(rng)
-        rho = np.outer(psi_h, psi_h.conj())
-        fr = ps.symbol_field(model, rho, grid, ps.KernelSpec.cahill_glauber(s))
+        fr = ps.SymbolField(model, grid, specs[k], fields[:, 2 + k, k])
         pt_quad = ps.phase_purity_quadrature(fr, harmonics=harm)
-        pt_ref = gfd.phase_purity(gfd.purity_spectrum(rho, model), s, model)
+        pt_ref = gfd.phase_purity(gfd.purity_spectrum(rhos[k], model), s,
+                                  model)
         for lam in model.labels():
             ref = pt_ref[lam]
             dev = max(dev, abs(pt_quad[lam] - ref) / (1 + abs(ref)))

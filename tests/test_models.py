@@ -13,6 +13,8 @@ from sweyl.models import (FermionicModel, FermionicPoint, MultipartiteModel,
 from sweyl.paulis import PauliString
 from sweyl.phase_space import adjoint_matrix
 
+from oracles import product_sector_words
+
 H = HalfInt.of
 
 ALL_MODELS = [SpinModel(H("1/2")), SpinModel(1), SpinModel(2),
@@ -277,6 +279,17 @@ def test_sector_of_agrees_with_sector_strings(model):
     for lam in model.labels():
         for word in model.sector_strings(lam):
             assert model.sector_of(word) == lam
+
+
+@pytest.mark.parametrize(
+    "model", [MultipartiteModel(n) for n in (1, 2, 3, 4)]
+    + [FermionicModel(n) for n in (1, 2, 3, 4)], ids=repr)
+def test_sector_words_match_word_by_word_products(model):
+    # Same words, same order, same phases as the per-word route.
+    for lam in model.labels():
+        x, z, phase = model.sector_words(lam)
+        assert list(zip(x.tolist(), z.tolist(), phase.tolist())) == \
+            product_sector_words(model, lam)
 
 
 def test_spin_has_no_pauli_sectors():

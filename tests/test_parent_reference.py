@@ -1,7 +1,8 @@
-"""CLI outputs against a stored reference from the per-node route.
+"""CLI outputs against a stored reference from an earlier commit.
 
 The fixed config set (the benchmark's phase-space, star and verify jobs at
-fixed seeds, on smaller display grids) runs through ``phasespace``,
+fixed seeds, on smaller display grids, and runs of three states or two
+and three ``--s`` values in one call) runs through ``phasespace``,
 ``star`` and ``verify``.  Every CSV value must match the reference within
 1e-12 of its column's maximum.  JSON checks must match in name, bound and
 pass/fail exactly; a check value is a rounding residue (the S = 8
@@ -10,8 +11,8 @@ with any change of operation order, so it must match within 1e-2 of its
 bound: the margin to the gate is unchanged.
 
 ``data/parent_reference.json`` was written by running this module as a
-script with the source of commit a5bcb5b (per-node ``U^H A U`` fields and
-reconstruction) first on ``PYTHONPATH``:
+script with the source of commit ff09491 (one ring transform per
+operator and per call) first on ``PYTHONPATH``:
 
     PYTHONPATH=<checkout>/src python tests/test_parent_reference.py OUT.json
 """
@@ -37,8 +38,20 @@ CONFIGS = {
     "phasespace.mp4": ["phasespace", "--qrt", "multipartite", "--n", "4",
                        "--state", "ghz", "--state", "haar", "--s", "-1",
                        "--s", "0", "--grid", "16x32", "--seed", "13"],
+    # Three states x three --s in one pass: a swapped state or s column
+    # of the batched field table shows here.
+    "phasespace.S5_2x3": ["phasespace", "--qrt", "spin", "--spin-S", "5/2",
+                          "--state", "hw", "--state", "haar", "--state",
+                          "m=1/2", "--s", "-1", "--s", "0", "--s", "0.5",
+                          "--grid", "12x24", "--seed", "18"],
+    "phasespace.mp3x3": ["phasespace", "--qrt", "multipartite", "--n", "3",
+                         "--state", "ghz", "--state", "haar", "--state",
+                         "hw", "--s", "0.5", "--s", "-1", "--s", "0",
+                         "--grid", "12x24", "--seed", "19"],
     "star.S2": ["star", "--qrt", "spin", "--spin-S", "2", "--s", "0",
                 "--s", "1", "--seed", "14"],
+    "star.S5_2": ["star", "--qrt", "spin", "--spin-S", "5/2", "--s", "0.5",
+                  "--s", "-1", "--points", "7", "--seed", "20"],
     "verify.S8": ["verify", "--qrt", "spin", "--spin-S", "8", "--seed", "15"],
     "verify.mp3": ["verify", "--qrt", "multipartite", "--n", "3",
                    "--seed", "16"],

@@ -447,3 +447,50 @@ def test_cli_fuzz_exits_cleanly(argv):
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
+def test_cli_phasespace_states_and_s_stay_under_estimate(tmp_path):
+    # Three states x three --s in one pass: the (N, states, svals) field
+    # table is the estimate's per-node term.
+    import tracemalloc
+
+    from sweyl.cli import _phasespace_bytes
+
+    argv = ["phasespace", "--spin-S", "6", "--state", "hw", "--state", "ghz",
+            "--state", "haar", "--s", "-1", "--s", "0", "--s", "0.5",
+            "--grid", "96x192", "--out", str(tmp_path)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert len(list(tmp_path.glob("field_*.csv"))) == 9
+    assert peak <= _phasespace_bytes(96, 192, 13, 3, 13, 3)
+
+
+@pytest.mark.parametrize("qrt", [["--qrt", "spin", "--spin-S", "3"],
+                                 ["--qrt", "multipartite", "--n", "2"]],
+                         ids=["spin", "multipartite"])
+def test_cli_phasespace_and_verify_do_not_import_numpy_ma(tmp_path, qrt):
+    # A plain np.unique runs np.ma.is_masked, which imports numpy.ma
+    # (11-19 ms) in every process that reaches it.
+    import os
+    import subprocess
+    import sys
+
+    import sweyl
+
+    code = ("import sys\n"
+            "from sweyl.cli import main\n"
+            f"assert main({['phasespace', '--grid', '8x16'] + qrt}"
+            f" + ['--out', {str(tmp_path)!r}]) == 0\n"
+            f"assert main({['verify'] + qrt}"
+            f" + ['--out', {str(tmp_path)!r}]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(sweyl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split("\n")[-2] == "False"

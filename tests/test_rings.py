@@ -158,7 +158,7 @@ def test_ring_chunks_split_without_changing_the_result(monkeypatch):
     monkeypatch.setattr(ps, "RING_BYTES", 3 * 2 ** 20)
     rings = model.point_rings(grid.points)
     q, half = ps._offsets(rings.charge)
-    chunks = list(ps._ring_chunks(rings, q, half, model.dim))
+    chunks = list(ps._ring_chunks(rings, q, half, model.dim, 1))
     assert len(chunks) > 1
     assert sum(Rt.shape[1] for Rt, _ in chunks) == rings.count
     assert np.max(np.abs(ps.rotated_diagonals(model, A, grid.points)
@@ -225,3 +225,78 @@ def test_qubit_rings_group_like_row_unique(n):
     for r in range(rings.count):
         want = model.point_unitary([(t, 0.0) for t in thetas[r]])
         assert np.max(np.abs(R[r] - want)) <= 1e-14
+
+
+BATCH_MODELS = ([SpinModel(HalfInt(k)) for k in (1, 2, 7, 20)]
+                + [MultipartiteModel(n) for n in (1, 2, 3)]
+                + [FermionicModel(n) for n in (1, 2, 3)])
+
+
+def batch_grid(model):
+    if model.band is None:
+        return ps.mc_group_quadrature(model, 11, seed=model.n)
+    return ps.default_grid(model)
+
+
+def assert_close_to(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("nops", [1, 3, 5])
+@pytest.mark.parametrize("model", BATCH_MODELS, ids=repr)
+def test_batched_transforms_match_one_by_one_and_kernel_stack(model, nops):
+    rng = np.random.default_rng(190 + model.dim + nops)
+    grid = batch_grid(model)
+    points, w = grid.points, np.asarray(grid.weights)
+    ops = np.stack([rand_operator(model.dim, rng) for _ in range(nops)])
+    # Column k of the centers (and of the fields below) is spec k mod 4.
+    specs = [SPECS[k % len(SPECS)] for k in range(nops)]
+    centers = np.stack([ps.center_diagonal(model, s) for s in specs], axis=1)
+    stacks = [ps.kernel_stack(model, points, s) for s in specs]
+    table = ps.rotated_diagonals(model, ops, points)
+    folded = ps.rotated_diagonals(model, ops, points, centers)
+    assert table.shape == (len(points), nops, model.dim)
+    assert folded.shape == (len(points), nops, nops)
+    for i, A in enumerate(ops):
+        assert_close_to(table[:, i], ps.rotated_diagonals(model, A, points))
+        for k, stack in enumerate(stacks):
+            want = np.einsum("nab,ba->n", stack, A)
+            assert_close_to(folded[:, i, k], want)
+            assert_close_to(table[:, i] @ centers[:, k], want)
+
+    # The adjoint on random fields (a round trip back to A would cancel
+    # terms up to kappa times larger): each column is reconstruct of its
+    # field and the weighted sum of the dual kernel stack.
+    shape = (len(points), nops)
+    fields = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    duals = np.stack([ps.center_diagonal(model, s.dual()) for s in specs],
+                     axis=1)
+    back = ps.kernel_sums(model, points, w[:, None] * fields, duals)
+    assert back.shape == (nops, model.dim, model.dim)
+    for k, spec in enumerate(specs):
+        field = ps.SymbolField(model, grid, spec, fields[:, k])
+        assert_close_to(back[k], ps.reconstruct(field))
+        dual_stack = ps.kernel_stack(model, points, spec.dual())
+        assert_close_to(back[k], np.einsum("n,nab->ab", w * fields[:, k],
+                                           dual_stack))
+
+
+def test_batched_chunk_split_matches_one_pass(monkeypatch):
+    model = SpinModel(10)
+    grid = ps.default_grid(model)
+    rng = np.random.default_rng(200)
+    ops = np.stack([rand_operator(model.dim, rng) for _ in range(3)])
+    centers = np.stack([ps.center_diagonal(model, s) for s in SPECS[:3]],
+                       axis=1)
+    weights = rng.normal(size=(len(grid.points), 3))
+    whole = ps.rotated_diagonals(model, ops, grid.points, centers)
+    sums = ps.kernel_sums(model, grid.points, weights, centers)
+    monkeypatch.setattr(ps, "RING_BYTES", 2 ** 20)
+    rings = model.point_rings(grid.points)
+    q, half = ps._offsets(rings.charge)
+    assert len(list(ps._ring_chunks(rings, q, half, model.dim, 3))) > 1
+    assert_close_to(ps.rotated_diagonals(model, ops, grid.points, centers),
+                    whole)
+    assert_close_to(ps.kernel_sums(model, grid.points, weights, centers),
+                    sums)
