@@ -7,17 +7,14 @@ from .gfd import (DualityRow, PuritySpectrum, closed_form_spin_purity,
                   phase_purity, purity_spectrum, s_flow_generator)
 from .models import (FermionicModel, FermionicPoint, IrrepBlock,
                      MultipartiteModel, QrtModel, SpinModel)
-from .paulis import (PauliString, PauliSum, majorana, majorana_product,
-                     majorana_weight, multipartite_label, rotate_qubit,
+from .paulis import (PauliString, PauliSum, majorana, rotate_qubit,
                      trace_inner)
 from .phase_space import (KernelSpec, McQuadrature, ProductQuadrature,
-                          SphereQuadrature, SymbolField, adjoint_matrix,
-                          convert_field, default_grid, harmonic_matrix,
-                          harmonic_via_adjoint, kernel_stack,
+                          SphereQuadrature, SymbolField, convert_field,
+                          default_grid, harmonic_matrix, kernel_stack,
                           mc_group_quadrature, phase_purity_quadrature,
                           product_quadrature, reconstruct, sphere_quadrature,
-                          star_kernel, star_kernel_factored, star_product,
-                          sw_kernel, symbol, symbol_field)
+                          star_product, sw_kernel, symbol, symbol_field)
 
 __version__ = "0.1.0"
 

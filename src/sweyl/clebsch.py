@@ -33,7 +33,10 @@ class HalfInt:
         """Coerce an int, float, Fraction, string or HalfInt to HalfInt."""
         if isinstance(value, HalfInt):
             return value
-        frac = Fraction(value) * 2
+        try:
+            frac = Fraction(value) * 2
+        except ZeroDivisionError:
+            raise ValueError(f"{value!r} has a zero denominator") from None
         if frac.denominator != 1:
             raise ValueError(f"{value!r} is not an integer or half-integer")
         return cls(int(frac))
@@ -165,11 +168,6 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     """
     sign, square = _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
     return sign * math.sqrt(float(square))
-
-
-def clebsch_gordan_signed_square(j1, m1, j2, m2, J, M):
-    """Exact signed square (sign, Fraction) of a CG coefficient."""
-    return _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
 
 
 def cg_hw_zero(S, lam) -> float:

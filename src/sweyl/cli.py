@@ -22,6 +22,13 @@ from .clebsch import HalfInt
 from .models import MultipartiteModel
 
 
+# Work budget of one ``star`` run, in units of d**3 + 2 10**4 per output
+# point and --s value (the point's draw, ring and reference symbol).  At
+# the cap, spin S = 2 and 30 with one --s and S = 10 with two took 17, 17
+# and 19 s on a 2-vCPU host, the order of ``gfd.DUALITY_WORK``.
+STAR_WORK = 4 * 10**9
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qrt", choices=("spin", "multipartite", "fermionic"),
                    default="spin")
@@ -205,6 +212,7 @@ def cmd_phasespace(args) -> int:
     svals = args.s if args.s else [0.0]
     # Multi-qubit fields render the marginal on the first sphere.
     target = MultipartiteModel(1) if model.sphere_tuples else model
+    target.check_sector_size()  # before the exact tau of every sector
     centers = np.stack(  # an overflowing factor exits 1 here
         [ps.center_diagonal(target, ps.KernelSpec.cahill_glauber(s))
          for s in svals], axis=1)
@@ -294,8 +302,14 @@ def cmd_star(args) -> int:
     if model.dim > 61:  # O(N d**3) work on N = O(d**2) doubled-band nodes
         raise ValueError(f"star is capped at 2S <= 60, got S={model.S}")
     svals = args.s if args.s else [0.0]
-    rng = np.random.default_rng(args.seed)
     d = model.dim
+    cap = STAR_WORK // (len(svals) * (d ** 3 + 2 * 10**4))
+    if args.points > cap:
+        raise ValueError(
+            f"star at d={d} with {len(svals)} --s value(s) is capped at "
+            f"{cap} points by its work budget ({STAR_WORK:.0e} units of "
+            f"d**3 + 2e4 per point and --s), got --points {args.points}")
+    rng = np.random.default_rng(args.seed)
     g1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     g2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
     A, B = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
@@ -350,6 +364,8 @@ def main(argv=None) -> int:
         S = HalfInt.of(args.spin_S)
         if S.twice < 1:
             raise ValueError("spin must be positive")
+        if S.twice > sys.float_info.max:
+            raise ValueError(f"2S of {args.spin_S} does not fit a float")
     except ValueError as exc:
         print(f"error: bad --spin-S: {exc}", file=sys.stderr)
         return 2

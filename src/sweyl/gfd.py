@@ -19,7 +19,7 @@ import numpy as np
 
 from .clebsch import HalfInt, clebsch_gordan
 from .models import QrtModel
-from .paulis import PauliString, PauliSum
+from .paulis import PauliSum
 
 
 @dataclass
@@ -43,9 +43,11 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
     """Purity spectrum of an operator, dense or Pauli-sum represented.
 
     Dense input goes through the model's ``sector_purities`` (banded CG
-    diagonals for spin, dense sector bases otherwise).  PauliSum input
-    (qubit models only) reduces to coefficient reads through the model's
-    ``sector_of``, valid at any supported n.
+    diagonals for a spin, the fast Pauli transform for qubits and
+    fermions).  PauliSum input reads the sectors of all its words in one
+    ``model.word_sectors`` call and sums ``|c|**2 2**n`` per sector, at
+    any supported n; a spin has no Pauli-word sectors and raises
+    ValueError.
     """
     if isinstance(A, PauliSum):
         return _purity_spectrum_pauli(A, model)
@@ -56,17 +58,18 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
 def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
     if model.dim != 2 ** A.n:
         raise ValueError("qubit counts differ")
-    model.sector_of(PauliString.identity(A.n))  # a spin refuses every word
-    entries = {lam: 0.0 for lam in model.labels()}
-    scale = 2 ** A.n  # |<P/sqrt(2^n), A>|^2 = |a_P|^2 2^n
-    for ps, coeff in A.strings():
-        entries[model.sector_of(ps)] += abs(coeff) ** 2 * scale
-    return PuritySpectrum(entries)
+    masks = np.array(list(A.terms), dtype=np.int64).reshape(-1, 2)
+    rows = model.word_sectors(masks[:, 0], masks[:, 1])  # a spin refuses
+    # |<P/sqrt(2^n), A>|^2 = |a_P|^2 2^n
+    weights = np.abs(np.array(list(A.terms.values()), dtype=complex)) ** 2
+    labels = model.labels()
+    sums = np.bincount(rows, weights * 2 ** A.n, minlength=len(labels))
+    return PuritySpectrum({lam: float(v) for lam, v in zip(labels, sums)})
 
 
 def gfd_project(A: np.ndarray, model: QrtModel, label) -> np.ndarray:
-    """Component of A in one sector."""
-    return model.project(np.asarray(A), label)
+    """Component of A in one sector, through its dense block."""
+    return model.irrep_block(label).project(np.asarray(A))
 
 
 def closed_form_spin_purity(S, m, lam: int) -> float:

@@ -17,10 +17,10 @@ model declares and never test its class.
 * ``sphere_tuples``: a qubit phase point is a tuple of n (theta, phi)
   pairs, a spin point one bare pair.  Spin 1/2 and one qubit share band
   and sphere count and differ only in this.
-* ``sector_of(word)``: sector of a Pauli word, the support pattern for
-  qubits and the Majorana weight for fermions; a spin refuses.
-  ``word_sectors(x, z)`` is the same by bit arithmetic over mask arrays,
-  as rows of ``labels()``.
+* ``word_sectors(x, z)``: sectors of the Pauli words X^x Z^z, for
+  integer mask arrays, as rows of ``labels()``: the support pattern for
+  qubits and the Majorana weight for fermions, by bit arithmetic; a spin
+  refuses with ValueError.
 * ``point_as_group(point)``: group element carrying the identity point to
   the point.
 * ``point_rings(points)``: the point unitaries factored on rings,
@@ -44,7 +44,7 @@ Banded and dense paths
 * The phase-space center kernel reads one (L, d) table per model,
   ``hw_sector_diagonals`` (the diagonals of Pi_lam(|hw><hw|)), and no block.
 * Dense (d_lam, d, d) sector blocks (``irrep_block``) serve only the
-  harmonics, ``project`` (``gfd_project``) and the ``verify`` checks.
+  harmonics, ``gfd_project`` and the ``verify`` checks.
   Spin blocks are filled from the same table (no exact CG per entry) and
   serve 2S <= 60; qubit and fermionic blocks come from
   ``paulis.words_dense``, one call per block, and serve n <= 4.
@@ -73,9 +73,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
 from .clebsch import HalfInt, cg_hw_zero
-from .paulis import (PauliString, majorana, majorana_weight,
-                     multipartite_label, pauli_transform, word_masks,
-                     words_dense)
+from .paulis import majorana, pauli_transform, word_masks, words_dense
 
 _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
@@ -189,10 +187,6 @@ class QrtModel:
         cannot serve this size.  The dense route needs no check here: its
         blocks refuse when first built, before any large allocation."""
 
-    def project(self, A: np.ndarray, label) -> np.ndarray:
-        """Component of A in one sector, through its dense block."""
-        return self.irrep_block(label).project(A)
-
     def sector_purities(self, A: np.ndarray) -> dict:
         """Label -> P_lam(A) = sum_j |<D_j, A>|^2, by the Pauli transform.
 
@@ -257,25 +251,15 @@ class QrtModel:
         R = rings.rotations(0, rings.count)
         return rings.phases() * (R @ self.hw_state())[rings.ring]
 
-    def sector_of(self, word: PauliString):
-        """Sector label of a Pauli word (qubit models only)."""
-        raise ValueError(f"{self!r} has no Pauli-word sectors")
-
     def word_sectors(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Row in ``labels()`` of the sector of each word X^x Z^z, for
-        integer mask arrays: ``sector_of`` by bit arithmetic."""
+        integer mask arrays (qubit models only)."""
         raise ValueError(f"{self!r} has no Pauli-word sectors")
 
     def sector_words(self, lam) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(x, z, phase) arrays of the Hermitian basis words of one sector,
         ``i**phase X^x Z^z`` (qubit models only)."""
         raise ValueError(f"{self!r} has no Pauli-word sectors")
-
-    def sector_strings(self, lam) -> list[PauliString]:
-        """The basis words of one sector, as ``PauliString``s."""
-        n = self.dim.bit_length() - 1
-        return [PauliString(n, int(x), int(z), int(p))
-                for x, z, p in zip(*self.sector_words(lam))]
 
     def _word_block(self, lam) -> IrrepBlock:
         """Dense block of the sector's words ``w / sqrt(d)``."""
@@ -666,10 +650,6 @@ class MultipartiteModel(QrtModel):
         z = (digits != 0) @ bits
         return x, z, np.sum(digits == 1, axis=1) % 4
 
-    def sector_of(self, word: PauliString) -> tuple[int, ...]:
-        """The support pattern of the word."""
-        return multipartite_label(word)
-
     def word_sectors(self, x, z) -> np.ndarray:
         """Row of the support mask ``x | z`` (bit q is qubit q)."""
         row = np.empty(self.dim, dtype=np.intp)
@@ -839,10 +819,6 @@ class FermionicModel(QrtModel):
             ys += b
             above ^= a ^ b
         return x, z, (ys + lam * (lam - 1) // 2) % 4
-
-    def sector_of(self, word: PauliString) -> int:
-        """The number of Majorana factors of the word."""
-        return majorana_weight(word)
 
     def word_sectors(self, x, z) -> np.ndarray:
         """The Majorana weight, which is also the row: with t_k the parity

@@ -351,31 +351,3 @@ def majorana(mu: int, n: int) -> PauliString:
         z |= 1 << (k - 1)
     ps = PauliString(n, x, z, 0)
     return PauliString(n, x, z, ps.canonical_phase)
-
-
-def majorana_product(mus, n: int) -> PauliString:
-    """Ordered product of Majorana operators with exact phase tracking."""
-    out = PauliString.identity(n)
-    for mu in mus:
-        out = out * majorana(mu, n)
-    return out
-
-
-def majorana_weight(ps: PauliString) -> int:
-    """Number of Majorana factors in the unique expansion of a string."""
-    lam = 0
-    t = 0  # parity of Majorana count on higher modes
-    for q in reversed(range(ps.n)):
-        xq = (ps.x >> q) & 1
-        zq = (ps.z >> q) & 1
-        m2 = zq ^ t
-        m1 = xq ^ m2
-        lam += m1 + m2
-        t ^= xq
-    return lam
-
-
-def multipartite_label(ps: PauliString) -> tuple[int, ...]:
-    """Support pattern of a string as a 0/1 tuple over qubits."""
-    m = ps.x | ps.z
-    return tuple((m >> q) & 1 for q in range(ps.n))

@@ -87,15 +87,6 @@ class KernelSpec:
     def coeff_map(self) -> dict:
         return dict(self.coeffs)
 
-    def symbol_factor(self, model: QrtModel, lam) -> float:
-        """Factor multiplying ``Y_j <D_j, A>`` in the symbol expansion."""
-        tau = model.tau(lam)
-        if tau == 0:
-            return 0.0
-        if self.is_generalized:
-            return self.coeff_map().get(lam, 0.0)
-        return tau ** (-self.s / 2)
-
     def center_factor(self, model: QrtModel, lam) -> float:
         """Factor multiplying ``sum_j <D_j> D_j`` in the center kernel."""
         tau = model.tau(lam)
@@ -547,24 +538,6 @@ def harmonic_matrix(model: QrtModel, points) -> dict:
     return out
 
 
-def adjoint_matrix(model: QrtModel, lam, g) -> np.ndarray:
-    """Conjugation action of a group element on one sector basis."""
-    U = model.group_unitary(g)
-    block = model.irrep_block(lam)
-    rotated = np.einsum("ab,jbc,dc->jad", U, block.basis, U.conj())
-    return np.real(np.einsum("kab,jab->jk", block.basis.conj(), rotated))
-
-
-def harmonic_via_adjoint(model: QrtModel, lam, point) -> np.ndarray:
-    """All Y^lam_j at a point through the adjoint-representation route."""
-    tau = model.tau(lam)
-    if tau == 0:
-        raise ValueError(f"sector {lam} has no harmonics (tau = 0)")
-    block = model.irrep_block(lam)
-    phi = adjoint_matrix(model, lam, model.point_as_group(point))
-    return (block.hw_overlap @ phi) / math.sqrt(tau)
-
-
 # -- quadrature functionals ---------------------------------------------------
 
 def phase_purity_quadrature(field: SymbolField,
@@ -612,42 +585,6 @@ def convert_field(field: SymbolField, s_target: float, out_grid) -> SymbolField:
 
 
 # -- twisted product ----------------------------------------------------------
-
-def star_kernel(model: QrtModel, s_triple, p1, p2, p3) -> complex:
-    """Integral kernel of the twisted product, a three-kernel trace."""
-    s1, s2, s3 = s_triple
-    a = sw_kernel(model, p1, KernelSpec.cahill_glauber(s1))
-    b = sw_kernel(model, p2, KernelSpec.cahill_glauber(-s2))
-    c = sw_kernel(model, p3, KernelSpec.cahill_glauber(-s3))
-    return complex(np.trace(a @ b @ c))
-
-
-def star_kernel_factored(model: QrtModel, s_triple, p1, p2, p3) -> complex:
-    """Same kernel assembled from sector factors and basis triple traces.
-
-    The kernel separates into tau powers ``tau1**(-s1/2) tau2**(s2/2)
-    tau3**(s3/2)`` times structure constants Tr[D_j1 D_j2 D_j3] times a
-    product of harmonics at the three points.
-    """
-    s1, s2, s3 = s_triple
-    harm = harmonic_matrix(model, [p1, p2, p3])
-    labels = list(harm)
-    y1, y2, y3 = ({lam: H[:, k] for lam, H in harm.items()} for k in range(3))
-    acc = 0j
-    for l1 in labels:
-        b1 = model.irrep_block(l1).basis
-        t1 = model.tau(l1) ** (-s1 / 2)
-        for l2 in labels:
-            b2 = model.irrep_block(l2).basis
-            t2 = model.tau(l2) ** (s2 / 2)
-            for l3 in labels:
-                b3 = model.irrep_block(l3).basis
-                t3 = model.tau(l3) ** (s3 / 2)
-                C = np.einsum("iab,jbc,kca->ijk", b1, b2, b3)
-                acc += t1 * t2 * t3 * np.einsum(
-                    "ijk,i,j,k->", C, y1[l1], y2[l2], y3[l3])
-    return complex(acc)
-
 
 def star_product(field_a: SymbolField, field_b: SymbolField,
                  s_out: float, out_points) -> np.ndarray:

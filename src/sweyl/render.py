@@ -143,16 +143,6 @@ def write_csv(path, header: list[str], rows=(), comments=(), *,
         fh.write(body)
 
 
-def read_csv(path):
-    """Read back a CSV written by write_csv: (header, list of row lists)."""
-    with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    lines = [ln for ln in lines if not ln.startswith("#")]
-    header = lines[0].split(",")
-    rows = [ln.split(",") for ln in lines[1:]]
-    return header, rows
-
-
 def equirect_grid(ntheta: int, nphi: int):
     """Cell-centered display grid over the sphere."""
     theta = (np.arange(ntheta) + 0.5) * math.pi / ntheta

@@ -1,22 +1,81 @@
 """Reference routes kept for the tests: slow, direct and independent of
-the fast paths they check."""
+the fast paths they check.
+
+None of these is called by the package.  They are the per-word sector of
+a Pauli word (``sector_of``, beside the models' bit-arithmetic
+``word_sectors``), the word-by-word purities and Majorana algebra behind
+it, the
+exact signed CG square, the three-kernel and factored twisted-product
+couplings, the adjoint-representation harmonics, the symbol factor of a
+kernel spec, dense-block sector purities, and the CSV reader that reads
+``render.write_csv`` output back.
+"""
 
 import itertools
+import math
 
 import numpy as np
 
-from sweyl.models import MultipartiteModel
-from sweyl.paulis import PauliString, majorana_product
+from sweyl.clebsch import _cg_signed_square, _checked_labels
+from sweyl.models import FermionicModel, MultipartiteModel
+from sweyl.paulis import PauliString, majorana
+from sweyl.phase_space import KernelSpec, harmonic_matrix, sw_kernel
 
 
-def dense_block_purities(model, A) -> dict:
-    """Label -> P_lam(A) = sum_j |<D_j, A>|^2 over the model's dense sector
-    blocks, for one (d, d) operator or a (..., d, d) stack."""
-    out = {}
-    for block in model.blocks():
-        coeffs = np.einsum("jab,...ab->...j", block.basis.conj(), A)
-        out[block.label] = np.sum(np.abs(coeffs) ** 2, axis=-1)
+# -- Pauli words and sectors ---------------------------------------------------
+
+def majorana_product(mus, n: int) -> PauliString:
+    """Ordered product of Majorana operators with exact phase tracking."""
+    out = PauliString.identity(n)
+    for mu in mus:
+        out = out * majorana(mu, n)
     return out
+
+
+def majorana_weight(ps: PauliString) -> int:
+    """Number of Majorana factors in the unique expansion of a string."""
+    lam = 0
+    t = 0  # parity of Majorana count on higher modes
+    for q in reversed(range(ps.n)):
+        xq = (ps.x >> q) & 1
+        zq = (ps.z >> q) & 1
+        m2 = zq ^ t
+        m1 = xq ^ m2
+        lam += m1 + m2
+        t ^= xq
+    return lam
+
+
+def multipartite_label(ps: PauliString) -> tuple[int, ...]:
+    """Support pattern of a string as a 0/1 tuple over qubits."""
+    m = ps.x | ps.z
+    return tuple((m >> q) & 1 for q in range(ps.n))
+
+
+def sector_of(model, word: PauliString):
+    """Sector label of one Pauli word: the support pattern for qubits, the
+    Majorana weight for fermions; a spin has no Pauli-word sectors."""
+    if isinstance(model, MultipartiteModel):
+        return multipartite_label(word)
+    if isinstance(model, FermionicModel):
+        return majorana_weight(word)
+    raise ValueError(f"{model!r} has no Pauli-word sectors")
+
+
+def pauli_sum_purities(model, op) -> dict:
+    """Label -> P_lam of a ``PauliSum``, one word at a time:
+    ``|c|**2 2**n`` summed into each word's ``sector_of``."""
+    out = {lam: 0.0 for lam in model.labels()}
+    for word, coeff in op.strings():
+        out[sector_of(model, word)] += abs(coeff) ** 2 * 2 ** op.n
+    return out
+
+
+def sector_strings(model, lam) -> list[PauliString]:
+    """The basis words of one sector, as ``PauliString``s."""
+    n = model.dim.bit_length() - 1
+    return [PauliString(n, int(x), int(z), int(p))
+            for x, z, p in zip(*model.sector_words(lam))]
 
 
 def product_sector_words(model, lam) -> list[tuple[int, int, int]]:
@@ -38,3 +97,98 @@ def product_sector_words(model, lam) -> list[tuple[int, int, int]]:
             w = majorana_product(combo, model.n)
             words.append(PauliString(w.n, w.x, w.z, w.phase + extra))
     return [(w.x, w.z, w.phase) for w in words]
+
+
+def dense_block_purities(model, A) -> dict:
+    """Label -> P_lam(A) = sum_j |<D_j, A>|^2 over the model's dense sector
+    blocks, for one (d, d) operator or a (..., d, d) stack."""
+    out = {}
+    for block in model.blocks():
+        coeffs = np.einsum("jab,...ab->...j", block.basis.conj(), A)
+        out[block.label] = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    return out
+
+
+# -- Clebsch-Gordan ------------------------------------------------------------
+
+def clebsch_gordan_signed_square(j1, m1, j2, m2, J, M):
+    """Exact signed square (sign, Fraction) of a CG coefficient."""
+    return _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
+
+
+# -- kernels and harmonics -----------------------------------------------------
+
+def symbol_factor(spec: KernelSpec, model, lam) -> float:
+    """Factor multiplying ``Y_j <D_j, A>`` in the symbol expansion."""
+    tau = model.tau(lam)
+    if tau == 0:
+        return 0.0
+    if spec.is_generalized:
+        return spec.coeff_map().get(lam, 0.0)
+    return tau ** (-spec.s / 2)
+
+
+def adjoint_matrix(model, lam, g) -> np.ndarray:
+    """Conjugation action of a group element on one sector basis."""
+    U = model.group_unitary(g)
+    block = model.irrep_block(lam)
+    rotated = np.einsum("ab,jbc,dc->jad", U, block.basis, U.conj())
+    return np.real(np.einsum("kab,jab->jk", block.basis.conj(), rotated))
+
+
+def harmonic_via_adjoint(model, lam, point) -> np.ndarray:
+    """All Y^lam_j at a point through the adjoint-representation route."""
+    tau = model.tau(lam)
+    if tau == 0:
+        raise ValueError(f"sector {lam} has no harmonics (tau = 0)")
+    block = model.irrep_block(lam)
+    phi = adjoint_matrix(model, lam, model.point_as_group(point))
+    return (block.hw_overlap @ phi) / math.sqrt(tau)
+
+
+def star_kernel(model, s_triple, p1, p2, p3) -> complex:
+    """Integral kernel of the twisted product, a three-kernel trace."""
+    s1, s2, s3 = s_triple
+    a = sw_kernel(model, p1, KernelSpec.cahill_glauber(s1))
+    b = sw_kernel(model, p2, KernelSpec.cahill_glauber(-s2))
+    c = sw_kernel(model, p3, KernelSpec.cahill_glauber(-s3))
+    return complex(np.trace(a @ b @ c))
+
+
+def star_kernel_factored(model, s_triple, p1, p2, p3) -> complex:
+    """Same kernel assembled from sector factors and basis triple traces.
+
+    The kernel separates into tau powers ``tau1**(-s1/2) tau2**(s2/2)
+    tau3**(s3/2)`` times structure constants Tr[D_j1 D_j2 D_j3] times a
+    product of harmonics at the three points.
+    """
+    s1, s2, s3 = s_triple
+    harm = harmonic_matrix(model, [p1, p2, p3])
+    labels = list(harm)
+    y1, y2, y3 = ({lam: H[:, k] for lam, H in harm.items()} for k in range(3))
+    acc = 0j
+    for l1 in labels:
+        b1 = model.irrep_block(l1).basis
+        t1 = model.tau(l1) ** (-s1 / 2)
+        for l2 in labels:
+            b2 = model.irrep_block(l2).basis
+            t2 = model.tau(l2) ** (s2 / 2)
+            for l3 in labels:
+                b3 = model.irrep_block(l3).basis
+                t3 = model.tau(l3) ** (s3 / 2)
+                C = np.einsum("iab,jbc,kca->ijk", b1, b2, b3)
+                acc += t1 * t2 * t3 * np.einsum(
+                    "ijk,i,j,k->", C, y1[l1], y2[l2], y3[l3])
+    return complex(acc)
+
+
+# -- rendering -----------------------------------------------------------------
+
+def read_csv(path):
+    """Read back a CSV written by write_csv: (header, list of row lists)."""
+    with open(path, encoding="utf-8") as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in lines if not ln.startswith("#")]
+    header = lines[0].split(",")
+    rows = [ln.split(",") for ln in lines[1:]]
+    return header, rows

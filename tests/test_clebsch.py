@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from sweyl.clebsch import (HalfInt, cg_hw_zero, clebsch_gordan,
-                           clebsch_gordan_signed_square)
+from sweyl.clebsch import HalfInt, cg_hw_zero, clebsch_gordan
+
+from oracles import clebsch_gordan_signed_square
 
 sympy = pytest.importorskip("sympy")
 from sympy.physics.quantum.cg import CG  # noqa: E402
@@ -61,6 +62,11 @@ def test_halfint_rejects_quarters():
         H(0.25)
     with pytest.raises(ValueError):
         H("1/3")
+
+
+def test_halfint_rejects_a_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        H("3/0")
 
 
 def test_known_values():

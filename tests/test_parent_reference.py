@@ -24,8 +24,9 @@ import tempfile
 
 import pytest
 
-from sweyl import render
 from sweyl.cli import main
+
+from oracles import read_csv
 
 CONFIGS = {
     "phasespace.S6": ["phasespace", "--qrt", "spin", "--spin-S", "6",
@@ -70,7 +71,7 @@ def run_config(argv) -> dict:
         for name in sorted(os.listdir(out)):
             path = os.path.join(out, name)
             if name.endswith(".csv"):
-                header, rows = render.read_csv(path)
+                header, rows = read_csv(path)
                 tables[name] = {"header": header,
                                 "columns": [list(map(float, col))
                                             for col in zip(*rows)]}

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from sweyl.paulis import (PauliString, PauliSum, majorana, majorana_product,
-                          majorana_weight, multipartite_label, rotate_qubit,
+from sweyl.paulis import (PauliString, PauliSum, majorana, rotate_qubit,
                           trace_inner, words_dense)
+
+from oracles import majorana_product, majorana_weight, multipartite_label
 
 I2 = np.eye(2)
 X = np.array([[0, 1], [1, 0]], dtype=complex)

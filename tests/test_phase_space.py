@@ -11,6 +11,9 @@ from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 from sweyl.paulis import PauliString
 
+from oracles import (harmonic_via_adjoint, star_kernel, star_kernel_factored,
+                     symbol_factor)
+
 H = HalfInt.of
 
 
@@ -91,7 +94,7 @@ def test_default_grid_point_formats_of_spin_half_and_one_qubit():
 def test_kernel_spec_factors():
     model = SpinModel(1)
     spec = ps.KernelSpec.cahill_glauber(1.0)
-    assert spec.symbol_factor(model, 2) == pytest.approx(math.sqrt(30.0))
+    assert symbol_factor(spec, model, 2) == pytest.approx(math.sqrt(30.0))
     assert spec.center_factor(model, 2) == pytest.approx(30.0)
     assert ps.KernelSpec.cahill_glauber(-1.0).center_factor(model, 2) == \
         pytest.approx(1.0)
@@ -102,7 +105,7 @@ def test_kernel_spec_generalized():
     model = SpinModel(1)
     spec = ps.KernelSpec.generalized({0: 1.0, 1: 2.0, 2: 0.0})
     assert spec.is_generalized
-    assert spec.symbol_factor(model, 1) == 2.0
+    assert symbol_factor(spec, model, 1) == 2.0
     with pytest.raises(ValueError):
         spec.dual()  # zero coefficient is not invertible
     bad = ps.KernelSpec.generalized({0: 0.0, 1: 1.0, 2: 1.0})
@@ -226,7 +229,7 @@ def test_harmonic_via_adjoint_route():
             point = model.random_point(rng)
             ymat = ps.harmonic_matrix(model, [point])
             for lam in ymat:
-                alt = ps.harmonic_via_adjoint(model, lam, point)
+                alt = harmonic_via_adjoint(model, lam, point)
                 assert np.max(np.abs(alt - ymat[lam][:, 0])) < 1e-10
 
 
@@ -235,7 +238,7 @@ def test_fermionic_odd_sector_has_no_harmonics():
     harm = ps.harmonic_matrix(model, [model.identity_point()])
     assert sorted(harm) == [0, 2, 4]
     with pytest.raises(ValueError):
-        ps.harmonic_via_adjoint(model, 1, model.identity_point())
+        harmonic_via_adjoint(model, 1, model.identity_point())
 
 
 # -- symbols and filters ------------------------------------------------------
@@ -397,8 +400,8 @@ def test_star_kernel_factorization():
     rng = np.random.default_rng(15)
     pts = [model.random_point(rng) for _ in range(3)]
     for s_triple in [(0.0, 0.0, 0.0), (1.0, -0.5, 0.5)]:
-        direct = ps.star_kernel(model, s_triple, *pts)
-        factored = ps.star_kernel_factored(model, s_triple, *pts)
+        direct = star_kernel(model, s_triple, *pts)
+        factored = star_kernel_factored(model, s_triple, *pts)
         assert factored == pytest.approx(direct, rel=1e-10, abs=1e-10)
 
 

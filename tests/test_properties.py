@@ -13,7 +13,7 @@ from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 from sweyl.paulis import PauliString, PauliSum, word_masks
 
-from oracles import dense_block_purities
+from oracles import dense_block_purities, sector_of
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,7 +63,7 @@ def test_qubit_spectrum_is_group_invariant(kind, n, seed):
 @_fast
 @_qubit_cases
 def test_pauli_route_matches_dense_route(kind, n, seed):
-    # The PauliSum route reads each word's sector from model.sector_of.
+    # The PauliSum route reads its words' sectors from model.word_sectors.
     model = _model(kind, n)
     rng = np.random.default_rng(seed)
     op = PauliSum(n)
@@ -145,7 +145,19 @@ def test_word_sectors_equal_sector_of(kind, n):
     model = _model(kind, n)
     x, z = word_masks(n)
     row = {lam: i for i, lam in enumerate(model.labels())}
-    want = [row[model.sector_of(PauliString(n, int(a), int(b)))]
+    want = [row[sector_of(model, PauliString(n, int(a), int(b)))]
+            for a, b in zip(x, z)]
+    assert model.word_sectors(x, z).tolist() == want
+
+
+@pytest.mark.parametrize("kind", ["multipartite", "fermionic"])
+@pytest.mark.parametrize("n", range(7, 11))
+def test_word_sectors_equal_sector_of_sampled(kind, n):
+    # Past n = 8 the fermionic suffix parity needs its fourth doubling.
+    model = _model(kind, n)
+    x, z = np.random.default_rng(n).integers(0, 2 ** n, size=(2, 2000))
+    row = {lam: i for i, lam in enumerate(model.labels())}
+    want = [row[sector_of(model, PauliString(n, int(a), int(b)))]
             for a, b in zip(x, z)]
     assert model.word_sectors(x, z).tolist() == want
 

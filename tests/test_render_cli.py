@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweyl import gfd, render
+from sweyl import cli, gfd, render
 from sweyl.cli import main
 from sweyl.paulis import PauliString, PauliSum
 from sweyl.verify import CheckResult, make_model
+
+from oracles import pauli_sum_purities, read_csv
 
 
 def test_fmt_round_trips_doubles():
@@ -58,7 +60,7 @@ def test_csv_round_trip(tmp_path):
     rows = [["a", 1 / 3, 2e-17], ["b", -0.1, 1e300]]
     path = tmp_path / "t.csv"
     render.write_csv(path, ["name", "x", "y"], rows, comments=["seed=3"])
-    header, got = render.read_csv(path)
+    header, got = read_csv(path)
     assert header == ["name", "x", "y"]
     assert got[0][0] == "a"
     assert float(got[0][1]) == 1 / 3  # full precision survives
@@ -121,7 +123,7 @@ def test_cli_purities_csv(tmp_path):
     code = main(["purities", "--qrt", "spin", "--spin-S", "1",
                  "--state", "hw", "--s", "1", "--out", str(tmp_path)])
     assert code == 0
-    header, rows = render.read_csv(tmp_path / "purities.csv")
+    header, rows = read_csv(tmp_path / "purities.csv")
     assert header[:4] == ["model", "state", "s", "sector"]
     by_sector = {r[3]: r for r in rows}
     assert float(by_sector["2"][5]) == pytest.approx(1 / 30)  # tau
@@ -160,7 +162,7 @@ def test_cli_phasespace_multipartite_marginal(tmp_path):
                  "--state", "hw", "--s", "-1", "--grid", "6x6",
                  "--out", str(tmp_path)])
     assert code == 0
-    header, rows = render.read_csv(tmp_path / "field_hw_s-1.csv")
+    header, rows = read_csv(tmp_path / "field_hw_s-1.csv")
     for theta, phi, value in ((float(c) for c in r) for r in rows):
         want = 0.5 * math.cos(theta / 2) ** 2  # (1/rest) * qubit Husimi
         assert value == pytest.approx(want, abs=1e-12)
@@ -233,7 +235,8 @@ def test_cli_oversized_qubit_models_exit_2(tmp_path, capsys, argv):
 @pytest.mark.parametrize("qrt", ["multipartite", "fermionic"])
 def test_cli_purities_n10_matches_pauli_route(tmp_path, qrt):
     # hw = 2**-n sum_S Z_S and ghz = 2**-n sum_(|S| even) (Z_S + X_all Z_S),
-    # read through each word's sector_of, against the CLI's Pauli transform.
+    # read through each word's oracle sector_of, against the CLI's Pauli
+    # transform and the PauliSum route's word_sectors.
     n, full = 10, (1 << 10) - 1
     assert main(["purities", "--qrt", qrt, "--n", str(n), "--state", "hw",
                  "--state", "ghz", "--s", "0", "--out", str(tmp_path)]) == 0
@@ -244,14 +247,16 @@ def test_cli_purities_n10_matches_pauli_route(tmp_path, qrt):
             ghz.add_string(PauliString(n, 0, z), 2.0 ** -n)
             ghz.add_string(PauliString(n, full, z), 2.0 ** -n)
     model = make_model(qrt, n=n)
-    _, rows = render.read_csv(tmp_path / "purities.csv")
+    _, rows = read_csv(tmp_path / "purities.csv")
     assert len(rows) == 2 * len(model.labels())
     for state, op in (("hw", hw), ("ghz", ghz)):
-        want = gfd.purity_spectrum(op, model)
+        want = pauli_sum_purities(model, op)
+        route = gfd.purity_spectrum(op, model)
         got = {r[3]: float(r[6]) for r in rows if r[1] == state}
         for lam in model.labels():
             key = "".join(map(str, lam)) if qrt == "multipartite" else str(lam)
             assert abs(got[key] - want[lam]) <= 1e-14
+            assert abs(route[lam] - want[lam]) <= 1e-14
 
 
 def test_cli_duality_over_the_work_budget_exits_2_fast(tmp_path, capsys):
@@ -262,6 +267,36 @@ def test_cli_duality_over_the_work_budget_exits_2_fast(tmp_path, capsys):
     assert code == 2 and time.perf_counter() - start < 1.0
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "3.1e+10" in err
+
+
+def test_cli_phasespace_past_the_spin_table_exits_2_fast(tmp_path, capsys):
+    # Refused by the CG table's cap before the exact tau of 2001 sectors
+    # (about 26 s at S = 1000).
+    start = time.perf_counter()
+    code = main(["phasespace", "--spin-S", "1000", "--grid", "2x4",
+                 "--out", str(tmp_path)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    assert "capped at 2S <= 200" in capsys.readouterr().err
+
+
+def test_cli_star_points_over_the_work_budget_exit_2_fast(tmp_path, capsys):
+    # 4e9 // (d**3 + 2e4) points at S = 2: 198757 take about 17 s.
+    start = time.perf_counter()
+    code = main(["star", "--spin-S", "2", "--points", "198758",
+                 "--out", str(tmp_path)])
+    assert code == 2 and time.perf_counter() - start < 1.0
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "capped at 198757 points" in err
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_star_points_cap_boundary(tmp_path, monkeypatch):
+    # Two --s at d = 3: a budget of 3 points' work admits 3 and refuses 4.
+    monkeypatch.setattr(cli, "STAR_WORK", 3 * 2 * (3 ** 3 + 2 * 10**4))
+    argv = ["star", "--spin-S", "1", "--s", "0", "--s", "-1",
+            "--out", str(tmp_path)]
+    assert main(argv + ["--points", "3"]) == 0
+    assert main(argv + ["--points", "4"]) == 2
 
 
 def test_colorize_rounding_level_field_is_uniform(tmp_path):
@@ -340,7 +375,7 @@ def test_cli_purities_spin_60_hw_matches_closed_form(tmp_path):
 
     assert main(["purities", "--qrt", "spin", "--spin-S", "60", "--state", "hw",
                  "--state", "haar", "--out", str(tmp_path)]) == 0
-    header, rows = render.read_csv(tmp_path / "purities.csv")
+    header, rows = read_csv(tmp_path / "purities.csv")
     col = {name: i for i, name in enumerate(header)}
     hw = [r for r in rows if r[col["state"]] == "hw"]
     assert len(hw) == 3 * 121
@@ -358,6 +393,10 @@ def test_cli_purities_spin_60_hw_matches_closed_form(tmp_path):
     ["verify", "--quad-tol", "0"],
     ["verify", "--quad-tol", "inf"],
     ["star", "--points", "0"],
+    ["purities", "--spin-S", "3/0"],
+    ["verify", "--qrt", "multipartite", "--spin-S", "3/0"],
+    ["purities", "--spin-S", "1e400"],
+    ["star", "--points", "1" + "0" * 30],
 ])
 def test_cli_bad_numeric_flags_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

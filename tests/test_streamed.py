@@ -12,6 +12,8 @@ from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 from sweyl.paulis import PauliSum
 from sweyl.verify import _LIN_TOL, duality_identity_deviation
 
+from oracles import read_csv
+
 SPECS = [ps.KernelSpec.cahill_glauber(s) for s in (-1.0, 0.0, 0.5, 1.0)]
 
 
@@ -161,7 +163,7 @@ def test_hw_field_matches_legendre_closed_form(tmp_path, spin):
     lams = np.array(model.labels())
     taus = np.array([model.tau(lam) for lam in lams])
     for s in svals:
-        _, rows = render.read_csv(tmp_path / f"field_hw_s{s:+g}.csv")
+        _, rows = read_csv(tmp_path / f"field_hw_s{s:+g}.csv")
         theta, _, got = np.array(rows, dtype=float).T
         P = special.eval_legendre(lams[:, None], np.cos(theta)[None, :])
         coeffs = (2 * lams + 1) * taus ** ((1 - s) / 2)
@@ -281,7 +283,7 @@ def test_cli_phasespace_several_s_match_pointwise_symbol(tmp_path):
         rho = np.outer(psi, psi.conj())
         for s in (-1.0, 0.5):
             tag = f"{sel.replace('=', '').replace('/', '_')}_s{s:+g}"
-            _, rows = render.read_csv(tmp_path / f"field_{tag}.csv")
+            _, rows = read_csv(tmp_path / f"field_{tag}.csv")
             spec = ps.KernelSpec.cahill_glauber(s)
             for theta, phi, value in ((float(c) for c in r) for r in rows):
                 ref = ps.symbol(model, rho, (theta, phi), spec).real
