@@ -19,11 +19,11 @@ import numpy as np
 
 from . import __version__, gfd, phase_space as ps, render, verify
 from .clebsch import HalfInt
-from .models import MultipartiteModel
+from .models import TABLE_BYTES, MultipartiteModel
 
 
 # Work budget of one ``star`` run, in units of d**3 + 2 10**4 per output
-# point and --s value (the point's draw, ring and reference symbol).  At
+# point and --s value (the point's draw, synthesis and reference symbol).  At
 # the cap, spin S = 2 and 30 with one --s and S = 10 with two took 17, 17
 # and 19 s on a 2-vCPU host, the order of ``gfd.DUALITY_WORK``.
 STAR_WORK = 4 * 10**9
@@ -178,24 +178,25 @@ def _phasespace_bytes(ntheta: int, nphi: int, dim: int, nsvals: int,
                       model_dim: int, nstates: int) -> int:
     """Bytes the ``phasespace`` route holds at its peak.
 
-    One chunk of rings for all states: ``phase_space.RING_BYTES``, or one
-    ring of nphi points with 2d - 1 offsets of at most d pairs where that
-    is more.  Per node the complex (N, states, svals) field table, about
-    100 B of preformatted "theta,phi" text, about 95 B of node arrays,
-    values and the CSV writer's Python cells, and about 75 B of CSV text
-    (270 B in all, measured with tracemalloc at 120 000 nodes).  And the
-    model's d x d states.
+    One chunk of the synthesis for all states and svals: about
+    ``models.TABLE_BYTES``, and at most one theta (its Legendre table and
+    products, under 2 MiB at the 2S <= 200 of the CG table) and one point
+    more.  The filtered coefficients, 2 d**2 complex numbers per state and
+    s.  Per node the complex (N, states, svals) field table, about 100 B
+    of preformatted "theta,phi" text, about 95 B of node arrays, values
+    and the CSV writer's Python cells, and about 75 B of CSV text (270 B
+    in all, measured with tracemalloc at 120 000 nodes).  And the model's
+    d x d states.
     """
-    chunk = max(ps.RING_BYTES,
-                ps.ring_bytes(dim, 2 * dim - 1, dim, nphi, nstates))
-    return (chunk + ntheta * nphi * (16 * nstates * nsvals + 100 + 95 + 75)
+    return (2 * TABLE_BYTES + 32 * nstates * nsvals * dim * dim
+            + ntheta * nphi * (16 * nstates * nsvals + 100 + 95 + 75)
             + nstates * model_dim * model_dim * 16)
 
 
 def cmd_phasespace(args) -> int:
-    """Field tables and heatmaps; one ring transform serves every state
-    and every ``--s`` (``rotated_diagonals`` of the stacked states with
-    the stacked center diagonals).  Refused (exit 2) before anything
+    """Field tables and heatmaps; one synthesis serves every state and
+    every ``--s`` (``fields`` of the stacked states with the stacked
+    per-sector factors).  Refused (exit 2) before anything
     N-sized is built: a grid over ``phase_space.STACK_BUDGET`` bytes, and
     an ``--s > 0`` with ``eps kappa**s > 1e-8`` (``kappa``)."""
     model = _model(args)
@@ -213,8 +214,8 @@ def cmd_phasespace(args) -> int:
     # Multi-qubit fields render the marginal on the first sphere.
     target = MultipartiteModel(1) if model.sphere_tuples else model
     target.check_sector_size()  # before the exact tau of every sector
-    centers = np.stack(  # an overflowing factor exits 1 here
-        [ps.center_diagonal(target, ps.KernelSpec.cahill_glauber(s))
+    factors = np.stack(  # an overflowing factor exits 1 here
+        [ps.sector_factors(target, ps.KernelSpec.cahill_glauber(s))
          for s in svals], axis=1)
     kappa = ps.kappa(target)
     for s in svals:
@@ -242,7 +243,7 @@ def cmd_phasespace(args) -> int:
         if target is not model:
             rho, rest = _marginal_qubit_operator(model, rho)
         ops.append(rho)
-    fields = ps.rotated_diagonals(target, np.stack(ops), nodes, centers)
+    fields = ps.fields(target, np.stack(ops), nodes, factors)
     os.makedirs(args.out, exist_ok=True)
 
     for i, sel in enumerate(states):
@@ -315,22 +316,21 @@ def cmd_star(args) -> int:
     A, B = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
     grid = ps.sphere_quadrature(2 * model.band)  # doubled band limit
     out_points = [model.random_point(rng) for _ in range(args.points)]
-    # Three ring passes serve every s: the fields of A and B, their sums
+    # Three passes serve every s: the fields of A and B, their sums
     # against the dual kernels (the operators back), and the symbols of
     # the products, through which the double quadrature of
     # ``phase_space.star_product`` factors.
     specs = [ps.KernelSpec.cahill_glauber(s) for s in svals]
-    centers = np.stack([ps.center_diagonal(model, spec) for spec in specs],
+    factors = np.stack([ps.sector_factors(model, spec) for spec in specs],
                        axis=1)
-    duals = np.stack([ps.center_diagonal(model, spec.dual())
+    duals = np.stack([ps.sector_factors(model, spec.dual())
                       for spec in specs], axis=1)
-    fields = ps.rotated_diagonals(model, np.stack([A, B]), grid.points,
-                                  centers)
+    fields = ps.fields(model, np.stack([A, B]), grid.points, factors)
     wn = (np.asarray(grid.weights)[:, None, None] * fields).reshape(
         len(fields), -1)
     back = ps.kernel_sums(model, grid.points, wn, np.tile(duals, 2))
     products = back[:len(svals)] @ back[len(svals):]
-    stars = ps.rotated_diagonals(model, products, out_points, centers)
+    stars = ps.fields(model, products, out_points, factors)
     results = []
     for k, (s, spec) in enumerate(zip(svals, specs)):
         vals = stars[:, k, k]

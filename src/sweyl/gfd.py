@@ -204,12 +204,15 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     if nsamples < 2:
         raise ValueError("need at least two samples")
     labels, d = model.labels(), model.dim
-    work = nsamples * d * d * math.log2(d)
-    if work > DUALITY_WORK:
+    # A count over the budget is refused in integers (d**2 log2 d >= 4),
+    # before its estimate could pass the float range.
+    work = nsamples * d * d * math.log2(d) if nsamples <= DUALITY_WORK else 0
+    if not 0 < work <= DUALITY_WORK:
+        need = f"about {work:.2g}" if work else f"over {DUALITY_WORK:.0e}"
         raise ValueError(
-            f"duality of {nsamples} samples at d={d} needs about {work:.2g} "
-            f"units of work (samples x d**2 x log2 d), over the "
-            f"{DUALITY_WORK:.0e} budget; use fewer --samples")
+            f"duality of {nsamples} samples at d={d} needs {need} units of "
+            f"work (samples x d**2 x log2 d), over the {DUALITY_WORK:.0e} "
+            "budget; use fewer --samples")
     # Moments of the samples shifted by each sector's first sample, so a
     # (near-)constant sector, such as the trivial one, has a variance at
     # the rounding level of its spread, not of its mean squared.

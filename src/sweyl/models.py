@@ -23,26 +23,39 @@ model declares and never test its class.
   refuses with ValueError.
 * ``point_as_group(point)``: group element carrying the identity point to
   the point.
-* ``point_rings(points)``: the point unitaries factored on rings,
-  ``U_n = diag(exp(-i charge . phi_n)) R[ring_n]`` (``Rings``).  A spin
-  point is ``diag(exp(-i phi m)) R_y(theta)`` with charge m = S - a, so a
-  ring is one theta; a qubit point is the tensor product of n of those,
-  with one phase per qubit, so a ring is one tuple of thetas.  Fermions
-  declare the trivial factorization: each point its own ring, no phase.
+* ``coefficients(A)``: the coefficients ``c_k = Tr(B_k A)`` of an operator
+  on the model's operator basis B_k, without a dense sector block: for a
+  spin ``Tr(T^lam_q A)``, a CG row dotted with one diagonal of A; for
+  qubits and fermions ``Tr(X^x Z^z A)``, the fast Pauli transform.
+  ``operators(b)`` is its transpose, ``sum_k b_k B_k``.
+* ``coefficient_sectors()``: the row in ``labels()`` of each coefficient's
+  sector.
+* ``synthesis(c, points)`` and ``synthesis_adjoint(w, points)``: the
+  fields ``F_n = sum_k E[n, k] c_k`` at phase points of coefficient
+  vectors, and the transpose ``sum_n w_n E[n, k]``.  Summed over one
+  sector's coefficients of A, ``E[n, k] c_k`` is ``Tr(U_n
+  Pi_lam(|hw><hw|) U_n^H A)``, so the field of a filter with one factor
+  f_lam per sector is the synthesis of ``f_lam c``.  A spin synthesizes on
+  spherical harmonics, ``F = sum_q exp(-i q phi) sum_lam x0_lam sqrt(4 pi
+  / (2 lam + 1)) Ybar_lam q(theta) c_lam q`` (Varilly & Gracia-Bondia,
+  Ann. Phys. 190, 107 (1989)); qubits and fermions sum the Pauli words,
+  ``E[n, W] = conj(<Omega_n| W |Omega_n>) / d``.  Work arrays are held a
+  chunk of about ``TABLE_BYTES`` at a time.
 
 Banded and dense paths
 ----------------------
-* Sector purities (``sector_purities``, hence ``gfd.purity_spectrum``) of
-  the spin model are banded: every tensor operator T^lam_q lives on one
-  diagonal, so the model keeps one float CG-diagonal table (``cg_diagonals``,
-  half of each diagonal, about d**3 / 6 doubles) and never forms a
-  (2 lam + 1, d, d) block.  The table serves 2S <= 200.
+* Sector purities (``sector_purities``, hence ``gfd.purity_spectrum``) and
+  the coefficients of the spin model are banded: every tensor operator
+  T^lam_q lives on one diagonal, so the model keeps one float CG-diagonal
+  table (``cg_diagonals``, half of each diagonal, about d**3 / 6 doubles)
+  and never forms a (2 lam + 1, d, d) block.  The table serves 2S <= 200.
 * Qubit and fermion sector purities come from the fast Pauli transform
   (``paulis.pauli_transform``): all 4**n traces Tr(P A) in n passes of
   4**n additions, summed into sectors through ``word_sectors`` (built
   once per model).  No block is formed, and they serve n <= 10.
-* The phase-space center kernel reads one (L, d) table per model,
-  ``hw_sector_diagonals`` (the diagonals of Pi_lam(|hw><hw|)), and no block.
+* The center kernel of ``sw_kernel`` and ``kernel_stack`` reads one (L, d)
+  table per model, ``hw_sector_diagonals`` (the diagonals of
+  Pi_lam(|hw><hw|)), and no block.
 * Dense (d_lam, d, d) sector blocks (``irrep_block``) serve only the
   harmonics, ``gfd_project`` and the ``verify`` checks.
   Spin blocks are filled from the same table (no exact CG per entry) and
@@ -64,21 +77,23 @@ Conventions
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
 from .clebsch import HalfInt, cg_hw_zero
-from .paulis import majorana, pauli_transform, word_masks, words_dense
+from .paulis import (majorana, pauli_operators, pauli_transform, word_masks,
+                     words_dense)
 
 _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
 _DENSE_SPIN_CAP = 60  # 2S for dense spin blocks: d**4 complex, 221 MB at 60
 _TABLE_SPIN_CAP = 200  # 2S for the CG-diagonal table: 11 MB at 200
+TABLE_BYTES = 4 * 2**20  # live bytes of one chunk of points in a synthesis
 
 
 def _exp_antihermitian(G: np.ndarray) -> np.ndarray:
@@ -116,33 +131,6 @@ class IrrepBlock:
         return ((flat.conj() @ A.ravel()) @ flat).reshape(A.shape)
 
 
-@dataclass
-class Rings:
-    """Point unitaries factored on rings of points that share a rotation:
-
-        U_n = diag(exp(-1j * charge @ phi[n])) @ R[ring[n]].
-
-    Attributes
-    ----------
-    charge : (d, p) charges of the basis states under p phase angles
-    phi : (N, p) phase angles of each point
-    ring : (N,) ring of each point, in 0..count-1
-    count : number of rings
-    rotations : ``rotations(lo, hi)`` is the (hi - lo, d, d) stack of the
-        ring rotations R of rings lo..hi-1, built on demand
-    """
-
-    charge: np.ndarray
-    phi: np.ndarray
-    ring: np.ndarray
-    count: int
-    rotations: Callable[[int, int], np.ndarray]
-
-    def phases(self) -> np.ndarray:
-        """(N, d) diagonals ``exp(-1j * charge @ phi[n])``."""
-        return np.exp(-1j * (self.phi @ self.charge.T))
-
-
 class QrtModel:
     """Shared plumbing for the three concrete models, including the
     reference states (``hw_state``, ``ghz_state``, index ``basis_state``).
@@ -156,12 +144,13 @@ class QrtModel:
 
     def __init__(self):
         self._block_cache: dict = {}
+        self._word_rows = None
         self._word_order = None
 
     # subclasses implement: labels, irrep_dim, tau, _build_block,
     # point_unitary, group_unitary, random_point, random_group, act,
-    # identity_point and point_as_group.  point_rings may be overridden
-    # with a factorization whose product equals the per-point unitaries.
+    # identity_point and point_as_group.  The coefficient route below is
+    # the Pauli-word one of qubits and fermions; a spin overrides it.
 
     def labels(self):
         raise NotImplementedError
@@ -191,20 +180,20 @@ class QrtModel:
         """Label -> P_lam(A) = sum_j |<D_j, A>|^2, by the Pauli transform.
 
         The basis elements are the words P / sqrt(d) of each sector, so
-        ``|Tr(P A)|**2 / d`` from ``pauli_transform`` (all 4**n words at
-        once) summed over the words of each sector (``word_sectors``)
+        ``|Tr(P A)|**2 / d`` from ``coefficients`` (all 4**n words at once)
+        summed over the words of each sector (``coefficient_sectors``)
         gives the spectrum; no dense block is built.  A is one (d, d)
         operator or a (..., d, d) stack; each value has the stack's
         leading shape (0-d for one operator).
         """
         if self._word_order is None:
-            rows = self.word_sectors(*word_masks(self.dim.bit_length() - 1))
+            rows = self.coefficient_sectors()
             order = np.argsort(rows, kind="stable")
             starts = np.searchsorted(rows[order], np.arange(len(self.labels())))
             self._word_order = (order, starts)
         order, starts = self._word_order
-        T = pauli_transform(A)
-        sums = np.add.reduceat((T.real ** 2 + T.imag ** 2)[..., order],
+        c = self.coefficients(A)
+        sums = np.add.reduceat((c.real ** 2 + c.imag ** 2)[..., order],
                                starts, axis=-1)
         sums /= self.dim
         return {lam: sums[..., i] for i, lam in enumerate(self.labels())}
@@ -232,24 +221,54 @@ class QrtModel:
     def coherent_state(self, point) -> np.ndarray:
         return self.point_unitary(point) @ self.hw_state()
 
-    def point_rings(self, points) -> Rings:
-        """The trivial factorization: each point its own ring, no phase."""
-        return Rings(np.zeros((self.dim, 0)), np.zeros((len(points), 0)),
-                     np.arange(len(points)), len(points),
-                     lambda lo, hi: np.array([self.point_unitary(p)
-                                              for p in points[lo:hi]]))
-
     def point_unitaries(self, points) -> np.ndarray:
         """(N, d, d) stack of ``point_unitary`` over many points."""
-        rings = self.point_rings(points)
-        R = rings.rotations(0, rings.count)
-        return rings.phases()[:, :, None] * R[rings.ring]
+        return np.array([self.point_unitary(p) for p in points])
 
     def coherent_states(self, points) -> np.ndarray:
         """(N, d) stack of ``coherent_state`` over many points."""
-        rings = self.point_rings(points)
-        R = rings.rotations(0, rings.count)
-        return rings.phases() * (R @ self.hw_state())[rings.ring]
+        return self.point_unitaries(points)[:, :, 0]  # hw is basis vector 0
+
+    # The Pauli-word coefficients Tr(X^x Z^z A) of all 4**n words, of one
+    # operator or a (..., d, d) stack, and their transpose sum_W b_W X^x Z^z.
+    coefficients = staticmethod(pauli_transform)
+    operators = staticmethod(pauli_operators)
+
+    def coefficient_sectors(self) -> np.ndarray:
+        """Row in ``labels()`` of the sector of each coefficient."""
+        if self._word_rows is None:
+            n = self.dim.bit_length() - 1
+            self._word_rows = self.word_sectors(*word_masks(n))
+        return self._word_rows
+
+    def _expectations(self, points) -> np.ndarray:
+        """(N, 4**n) table ``<Omega_n| X^x Z^z |Omega_n>``: the Pauli
+        transform of the coherent projectors."""
+        psi = self.coherent_states(points)
+        return pauli_transform(psi[:, :, None] * psi.conj()[:, None, :])
+
+    def _word_chunks(self, points):
+        """(rows, E) per chunk of points: ``E = conj(_expectations) / d``."""
+        step = max(1, TABLE_BYTES // (32 * self.dim ** 2))
+        for lo in range(0, len(points), step):
+            E = self._expectations(points[lo:lo + step])
+            yield slice(lo, lo + step), E.conj() / self.dim
+
+    def synthesis(self, c: np.ndarray, points) -> np.ndarray:
+        """(N, K) fields ``sum_W conj(<Omega_n|W|Omega_n>) c[k, W] / d`` of
+        (K, 4**n) word coefficients."""
+        out = np.empty((len(points), len(c)), dtype=complex)
+        for rows, E in self._word_chunks(points):
+            out[rows] = E @ np.transpose(c)
+        return out
+
+    def synthesis_adjoint(self, w: np.ndarray, points) -> np.ndarray:
+        """(K, 4**n) word sums ``sum_n w[n, k] conj(<Omega_n|W|Omega_n>) /
+        d`` of (N, K) node weights: the transpose of ``synthesis``."""
+        out = np.zeros((w.shape[1], self.dim ** 2), dtype=complex)
+        for rows, E in self._word_chunks(points):
+            out += np.transpose(w[rows]) @ E
+        return out
 
     def word_sectors(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Row in ``labels()`` of the sector of each word X^x Z^z, for
@@ -368,6 +387,33 @@ def _cg_diagonals(tS: int) -> list[np.ndarray]:
     return table
 
 
+def _legendre_table(theta: np.ndarray, d: int) -> np.ndarray:
+    """(d, d, k) table of the orthonormal ``Ybar_lam q(theta) = Y_lam
+    q(theta, 0)`` (Condon-Shortley phase) at entry (q, lam, t), zero for
+    lam < q.  The sectoral seeds ``Ybar_00 = 1/sqrt(4 pi)``, ``Ybar_qq =
+    -sqrt((2q+1)/(2q)) sin(theta) Ybar_(q-1)(q-1)`` and ``Ybar_(q+1)q =
+    sqrt(2q+3) cos(theta) Ybar_qq`` start ``Ybar_lam q = a (cos(theta)
+    Ybar_(lam-1)q - b Ybar_(lam-2)q)``, ``a = sqrt((4 lam**2 - 1) /
+    (lam**2 - q**2))``, ``b = sqrt(((lam-1)**2 - q**2) / (4 (lam-1)**2 -
+    1))``: stable far past 2S = 200 (Holmes & Featherstone, J. Geodesy 76,
+    279 (2002)), one step for every q at once.
+    """
+    x, y = np.cos(theta), np.sin(theta)
+    q = np.arange(d - 1)
+    T = np.zeros((d, d, len(x)))
+    T[0, 0] = 1 / math.sqrt(4 * math.pi)
+    for p in range(1, d):
+        T[p, p] = -math.sqrt((2 * p + 1) / (2 * p)) * y * T[p - 1, p - 1]
+    T[q, q + 1] = np.sqrt(2 * q + 3)[:, None] * x * T[q, q]
+    for lam in range(2, d):
+        p = q[:lam - 1]
+        a = np.sqrt((4 * lam * lam - 1) / (lam * lam - p * p))[:, None]
+        b = np.sqrt(((lam - 1) ** 2 - p * p) / (4 * (lam - 1) ** 2 - 1))
+        T[:lam - 1, lam] = a * (x * T[:lam - 1, lam - 1]
+                                - b[:, None] * T[:lam - 1, lam - 2])
+    return T
+
+
 class SpinModel(QrtModel):
     """Single spin S under global SU(2) rotations.
 
@@ -444,6 +490,13 @@ class SpinModel(QrtModel):
             self._cg_table = _cg_diagonals(self.S.twice)
         return self._cg_table
 
+    def _cg_rows(self, q: int) -> np.ndarray:
+        """(d - q, d - q) full rows of ``cg_diagonals()[q]``: row lam - q
+        is the q-th superdiagonal of T^lam_q, the half and its mirror."""
+        half, n = self.cg_diagonals()[q], self.dim - q
+        parity = (-1.0) ** np.arange(n)[:, None]
+        return np.hstack([half, parity * half[:, :n // 2][:, ::-1]])
+
     def tensor_operator(self, lam: int, j: int) -> np.ndarray:
         """Irreducible tensor operator T^lam_j (not Hermitian for j != 0).
 
@@ -464,20 +517,23 @@ class SpinModel(QrtModel):
             T = (-1) ** q * T.T.copy()
         return T
 
-    def sector_purities(self, A: np.ndarray) -> dict:
-        """Banded sector purities from the CG table:
+    def hw_sector_diagonals(self) -> np.ndarray:
+        """(d, d) table: row lam is the diagonal x_0 x of Pi_lam(|S><S|) =
+        x_0 T^lam_0, x = diag T^lam_0 (CG row q = 0 and its mirror)."""
+        x = self._cg_rows(0)
+        return x[:, :1] * x
 
-            P_lam(A) = sum_(q>=0) |T_q diag_q(A)|^2
-                       + sum_(q>0) |T_q diag_-q(A)|^2
+    def _cg_products(self, A: np.ndarray):
+        """Per diagonal q, (q, even, odd): the CG rows of diagonal q times
+        the diagonals q and -q of A, ``T_q diag_(+-q)(A)``, as real (...,
+        rows, 2 or 4) arrays of (re, im) pairs of diagonal q, then -q.
 
-        at row lam - q of the diagonal matrix T_q.  Rows of even parity
-        (lam - q even) are symmetric, so they pair their half of the table
-        with the diagonal folded as v_k + v_(n-1-k); odd rows use
-        v_k - v_(n-1-k), which vanishes exactly on mirror-symmetric input.
-        O(d) numpy calls, O(d**3) flops and memory per operator; a stack
-        is served as in ``QrtModel.sector_purities``.
+        Rows of even parity (lam - q even, rows lam = q, q + 2, ...) are
+        symmetric, so they pair their half of the table with the diagonal
+        folded as v_k + v_(n-1-k); odd rows use v_k - v_(n-1-k), which
+        vanishes exactly on mirror-symmetric input.  O(d) numpy calls,
+        O(d**3) flops and memory per operator.
         """
-        out = np.zeros(A.shape[:-2] + (self.dim,))
         for q, half in enumerate(self.cg_diagonals()):
             n, h = self.dim - q, (self.dim - q) // 2
             diags = [np.diagonal(A, q, -2, -1)]
@@ -488,19 +544,124 @@ class SpinModel(QrtModel):
             minus[..., :h, :] -= V[..., ::-1, :][..., :h, :]
             minus[..., h:, :] = 0.0
             # Complex columns viewed as (re, im) pairs: real matmuls.
-            even = half[0::2] @ plus.view(float)
-            odd = half[1::2] @ minus.view(float)
+            yield (q, half[0::2] @ plus.view(float),
+                   half[1::2] @ minus.view(float))
+
+    def sector_purities(self, A: np.ndarray) -> dict:
+        """Banded sector purities from the CG table:
+
+            P_lam(A) = sum_(q>=0) |T_q diag_q(A)|^2
+                       + sum_(q>0) |T_q diag_-q(A)|^2
+
+        at row lam - q of the diagonal matrix T_q (``_cg_products``); a
+        stack is served as in ``QrtModel.sector_purities``.
+        """
+        out = np.zeros(A.shape[:-2] + (self.dim,))
+        for q, even, odd in self._cg_products(A):
             out[..., q::2] += np.sum(even ** 2, axis=-1)
             out[..., q + 1::2] += np.sum(odd ** 2, axis=-1)
         return {lam: out[..., lam] for lam in self.labels()}
 
-    def hw_sector_diagonals(self) -> np.ndarray:
-        """(d, d) table: row lam is the diagonal x_0 x of Pi_lam(|S><S|) =
-        x_0 T^lam_0, x = diag T^lam_0 (CG row q = 0 and its mirror)."""
-        half = self.cg_diagonals()[0]
-        parity = (-1.0) ** np.arange(self.dim)[:, None]
-        x = np.hstack([half, parity * half[:, :self.dim // 2][:, ::-1]])
-        return x[:, :1] * x
+    # The coefficient route: coefficient (q, lam) at q + d - 1, lam of a
+    # (2d - 1, d) layout, zero for lam < |q|.
+
+    def coefficients(self, A: np.ndarray) -> np.ndarray:
+        """``c_lam q = Tr(T^lam_q A)``, (..., (2d - 1) d) for one operator or
+        a (..., d, d) stack: the CG rows of diagonal |q| dotted with
+        ``np.diagonal(A, -q)``, times ``(-1)**q`` for q < 0
+        (``_cg_products``); no block."""
+        A, d = np.asarray(A), self.dim
+        c = np.zeros(A.shape[:-2] + (2 * d - 1, d), dtype=complex)
+        for q, even, odd in self._cg_products(A):
+            for lam, x in ((q, even.view(complex)), (q + 1, odd.view(complex))):
+                c[..., d - 1 + q, lam::2] = x[..., -1]
+                if q:
+                    c[..., d - 1 - q, lam::2] = (-1) ** q * x[..., 0]
+        return c.reshape(A.shape[:-2] + (-1,))
+
+    def coefficient_sectors(self) -> np.ndarray:
+        return np.tile(np.arange(self.dim), 2 * self.dim - 1)
+
+    def operators(self, b: np.ndarray) -> np.ndarray:
+        """``sum b_lam q T^lam_q``: the CG rows put back on the diagonals."""
+        d = self.dim
+        b = np.reshape(b, np.shape(b)[:-1] + (2 * d - 1, d))
+        out = np.zeros(b.shape[:-2] + (d, d), dtype=complex)
+        for q in range(d):
+            rows, k = self._cg_rows(q), np.arange(d - q)
+            pairs = ((d - 1 + q, k, k + q, 1), (d - 1 - q, k + q, k, (-1) ** q))
+            for r, i, j, sign in pairs[:1 + (q > 0)]:
+                v = b[..., r, q:]
+                out[..., i, j] = sign * (v.real @ rows + 1j * (v.imag @ rows))
+        return out
+
+    def _harmonic_weights(self) -> np.ndarray:
+        """(2d - 1, d) weights ``x0_lam sqrt(4 pi / (2 lam + 1))`` of the
+        synthesis, x0_lam = <S S; S -S|lam 0>, times ``(-1)**q`` for q < 0
+        (``Ybar_lam(-q) = (-1)**q Ybar_lam q``)."""
+        q, lam = np.arange(1 - self.dim, self.dim)[:, None], np.arange(self.dim)
+        sign = np.where(q < 0, (-1.0) ** np.abs(q), 1.0)
+        x0 = self._cg_rows(0)[:, 0]
+        return sign * x0 * np.sqrt(4 * np.pi / (2 * lam + 1))
+
+    def _rings(self, points, width: int):
+        """Chunks of a synthesis of ``width`` columns, of about
+        ``TABLE_BYTES`` for the Legendre table and its products per distinct
+        theta and the Fourier factors per point (one point where that is
+        more; a ring of equal theta cut by a chunk boundary starts again).
+        Yields (thetas, rings, idx, E): the chunk's distinct thetas, a
+        slice of idx per ring, the point indices, and their (n, 2d - 1)
+        factors ``exp(-i q phi)``, one exp per distinct phi."""
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        qs = np.arange(1 - self.dim, self.dim)
+        order = np.argsort(pts[:, 0], kind="stable")
+        theta = pts[order, 0]
+        new = np.ones(len(theta), dtype=bool)
+        new[1:] = theta[1:] != theta[:-1]
+        per_theta = 32 * self.dim ** 2 + 32 * len(qs) * width
+        cost = np.cumsum(32 * len(qs) + per_theta * new)
+        lo = 0
+        while lo < len(theta):
+            spent = TABLE_BYTES + (cost[lo - 1] if lo else 0)
+            hi = max(lo + 1, int(np.searchsorted(cost, spent, side="right")))
+            new[lo] = True
+            bounds = np.append(np.flatnonzero(new[lo:hi]), hi - lo)
+            phi, row = np.unique(pts[order[lo:hi], 1], return_inverse=True)
+            E = np.exp(-1j * np.outer(phi, qs))[row.ravel()]
+            rings = list(map(slice, bounds[:-1], bounds[1:]))
+            yield theta[lo + bounds[:-1]], rings, order[lo:hi], E
+            lo = hi
+
+    def synthesis(self, c: np.ndarray, points) -> np.ndarray:
+        """(N, K) fields ``sum_q exp(-i q phi) G_q(theta)`` of (K, (2d - 1)
+        d) coefficients, ``G_q = sum_lam Ybar_lam q(theta) x0_lam sqrt(4 pi
+        / (2 lam + 1)) c_lam q``: per chunk the Legendre sums, one product
+        per q, then per ring of equal theta one product with the Fourier
+        factors of its points."""
+        d = self.dim
+        cw = (np.reshape(c, (-1, 2 * d - 1, d))
+              * self._harmonic_weights()).transpose(1, 0, 2)  # (q, K, lam)
+        out = np.empty((len(points), cw.shape[1]), dtype=complex)
+        for theta, rings, idx, E in self._rings(points, cw.shape[1]):
+            Y = _legendre_table(theta, d)
+            G = np.concatenate([cw[:d - 1] @ Y[:0:-1], cw[d - 1:] @ Y])
+            for r, ring in enumerate(rings):
+                out[idx[ring]] = E[ring] @ G[:, :, r]
+        return out
+
+    def synthesis_adjoint(self, w: np.ndarray, points) -> np.ndarray:
+        """(K, (2d - 1) d) sums of (N, K) node weights against the
+        synthesis: its steps in reverse, per ring the Fourier sums
+        ``sum_n exp(-i q phi_n) w_n``, then the Legendre sums."""
+        d = self.dim
+        b = np.zeros((2 * d - 1, d, w.shape[1]), dtype=complex)
+        for theta, rings, idx, E in self._rings(points, w.shape[1]):
+            W = np.stack([E[ring].T @ w[idx[ring]] for ring in rings], axis=1)
+            Y = _legendre_table(theta, d)
+            b[:d - 1] += Y[:0:-1] @ W[:d - 1]
+            b[d - 1:] += Y @ W[d - 1:]
+        b *= self._harmonic_weights()[:, :, None]
+        return b.transpose(2, 0, 1).reshape(w.shape[1], -1)
 
     def _build_block(self, lam: int) -> IrrepBlock:
         if self.S.twice > _DENSE_SPIN_CAP:
@@ -539,24 +700,13 @@ class SpinModel(QrtModel):
         theta = np.asarray(theta, dtype=float)[..., None, None]
         return ((V * np.exp(-1j * theta * w)) @ V.conj().T).real.copy()
 
-    def _charge(self) -> np.ndarray:
-        """The magnetic numbers m = S - a over the basis."""
-        return (self.S.twice - 2 * np.arange(self.dim)) / 2
-
     def _rot_z_diag(self, angle) -> np.ndarray:
-        """exp(-i angle m) over the basis."""
-        return np.exp(-1j * angle * self._charge())
+        """exp(-i angle m) over the basis, m = S - a."""
+        return np.exp(-0.5j * angle * (self.S.twice - 2 * np.arange(self.dim)))
 
     def point_unitary(self, point) -> np.ndarray:
         theta, phi = point
         return self._rot_z_diag(phi)[:, None] * self._rot_y(theta)
-
-    def point_rings(self, points) -> Rings:
-        """One ring per distinct theta, one phase phi with charge m."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
-        theta, ring = np.unique(pts[:, 0], return_inverse=True)
-        return Rings(self._charge()[:, None], pts[:, 1:], ring.ravel(),
-                     len(theta), lambda lo, hi: self._rot_y(theta[lo:hi]))
 
     def group_unitary(self, g) -> np.ndarray:
         alpha, beta, gamma = g
@@ -667,51 +817,25 @@ class MultipartiteModel(QrtModel):
     def point_unitary(self, point) -> np.ndarray:
         if len(point) != self.n:
             raise ValueError("need one (theta, phi) pair per qubit")
-        mats = [self._qubit.point_unitary(p) for p in point]
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
+        return functools.reduce(np.kron, map(self._qubit.point_unitary, point))
 
-    def point_rings(self, points) -> Rings:
-        """One ring per distinct tuple of thetas; one phase per qubit, with
-        charge +-1/2 by the qubit's bit (qubit 0 is the leading bit)."""
+    def _expectations(self, points) -> np.ndarray:
+        """(N, 4**n) products of each qubit's Bloch components ``(1, n_x,
+        n_z, -i n_y)``, the expectations of ``(I, X, Z, XZ)``; qubit 0 is the
+        leading digit of the word."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 3 or pts.shape[1:] != (self.n, 2):
             raise ValueError("need one (theta, phi) pair per qubit")
-        # Rings in lexicographic order of the theta tuples: rank the first
-        # column, then fold in one column at a time and re-rank, so codes
-        # stay below N**2 (one np.ravel_multi_index over all n columns
-        # can pass int64 at N = 8192, n = 5).
-        _, first, ring = np.unique(pts[:, 0, 0], return_index=True,
-                                   return_inverse=True)
-        for col in pts[:, 1:, 0].T:
-            values, rank = np.unique(col, return_inverse=True)
-            _, first, ring = np.unique(ring * len(values) + rank,
-                                       return_index=True, return_inverse=True)
-        thetas = pts[first, :, 0]
-        shifts = self.n - 1 - np.arange(self.n)
-        charge = 0.5 - ((np.arange(self.dim)[:, None] >> shifts) & 1)
-
-        def rotations(lo, hi):
-            out = self._qubit._rot_y(thetas[lo:hi, 0])
-            for k in range(1, self.n):
-                m = self._qubit._rot_y(thetas[lo:hi, k])
-                count, a, _ = out.shape
-                # Batched np.kron: entry (i*2+k, j*2+l) is out[i, j] m[k, l].
-                out = (out[:, :, None, :, None]
-                       * m[:, None, :, None, :]).reshape(count, 2 * a, 2 * a)
-            return out
-
-        return Rings(charge, pts[:, :, 1], ring.ravel(), len(thetas),
-                     rotations)
+        th, ph = pts[..., 0], pts[..., 1]
+        e = np.stack([np.ones_like(th), np.sin(th) * np.cos(ph), np.cos(th),
+                      -1j * np.sin(th) * np.sin(ph)], axis=-1)
+        E = e[:, 0]
+        for k in range(1, self.n):
+            E = (E[:, :, None] * e[:, k, None, :]).reshape(len(pts), -1)
+        return E
 
     def group_unitary(self, g) -> np.ndarray:
-        mats = [self._qubit.group_unitary(gk) for gk in g]
-        out = mats[0]
-        for m in mats[1:]:
-            out = np.kron(out, m)
-        return out
+        return functools.reduce(np.kron, map(self._qubit.group_unitary, g))
 
     def identity_point(self):
         return ((0.0, 0.0),) * self.n

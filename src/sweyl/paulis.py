@@ -265,6 +265,33 @@ def word_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, z
 
 
+# The map of one digit's four entries in both transforms: output k is
+# ``q[i] + sign q[j]``.
+_FORWARD = ((0, 3, 1), (1, 2, 1), (0, 3, -1), (1, 2, -1))
+_INVERSE = ((0, 2, 1), (1, 3, -1), (1, 3, 1), (0, 2, -1))
+
+
+def _digit_passes(T: np.ndarray, n: int, mix) -> np.ndarray:
+    """n passes of ``mix`` over the base-4 digits of each row of the
+    (m, 4**n) array T: each pass maps the leading digit and writes it back
+    as the trailing one, so every pass reads whole contiguous quarters and
+    the digits are back in order at the end."""
+    out, rest = np.empty_like(T), T.shape[1] // 4
+    for _ in range(n):
+        q = T.reshape(len(T), 4, rest).transpose(1, 0, 2)
+        dst = out.reshape(len(T), rest, 4)
+        for k, (i, j, sign) in enumerate(mix):
+            (np.add if sign > 0 else np.subtract)(q[i], q[j], out=dst[:, :, k])
+        T, out = out, T
+    return T
+
+
+def _interleaved_axes(n: int) -> list[int]:
+    """Axes of a (m, 2, ..., 2) operator stack in the order (r_0, c_0, r_1,
+    c_1, ...): each qubit's row and column bit side by side."""
+    return [0] + [1 + a for q in range(n) for a in (q, n + q)]
+
+
 def pauli_transform(A: np.ndarray) -> np.ndarray:
     """``Tr(X^x Z^z A)`` for all 4**n words, of one (2**n, 2**n) operator or
     a (..., 2**n, 2**n) stack; returns (..., 4**n), words in ``word_masks``
@@ -274,10 +301,8 @@ def pauli_transform(A: np.ndarray) -> np.ndarray:
     digit ``2 r + c`` of the entry index, ``(a, b, c, d)`` for rc = 00, 01,
     10, 11; the map ``(a, b, c, d) -> (a + d, b + c, a - d, b - c)`` on
     every digit gives the traces against I, X, Z and XZ (Hantzko,
-    Binkowski & Gupta, arXiv:2310.13421).  Each of the n passes maps the
-    leading digit and writes it back as the trailing one, so every pass
-    reads whole contiguous quarters and the digits are back in order at
-    the end: 4**n additions per pass and operator.
+    Binkowski & Gupta, arXiv:2310.13421), in n passes of 4**n additions
+    per operator.
     """
     A = np.asarray(A)
     n = A.shape[-1].bit_length() - 1
@@ -286,19 +311,24 @@ def pauli_transform(A: np.ndarray) -> np.ndarray:
     lead = A.shape[:-2]
     m = math.prod(lead)
     T = np.empty((m, 4 ** n), dtype=np.result_type(A, 1.0))
-    axes = [0] + [1 + a for q in range(n) for a in (q, n + q)]
     T.reshape((m,) + (2,) * (2 * n))[...] = \
-        A.reshape((m,) + (2,) * (2 * n)).transpose(axes)
-    out, rest = np.empty_like(T), 4 ** n // 4
-    for _ in range(n):
-        a, b, c, d = T.reshape(m, 4, rest).transpose(1, 0, 2)
-        dst = out.reshape(m, rest, 4)
-        np.add(a, d, out=dst[:, :, 0])
-        np.add(b, c, out=dst[:, :, 1])
-        np.subtract(a, d, out=dst[:, :, 2])
-        np.subtract(b, c, out=dst[:, :, 3])
-        T, out = out, T
-    return T.reshape(lead + (4 ** n,))
+        A.reshape((m,) + (2,) * (2 * n)).transpose(_interleaved_axes(n))
+    return _digit_passes(T, n, _FORWARD).reshape(lead + (4 ** n,))
+
+
+def pauli_operators(b: np.ndarray) -> np.ndarray:
+    """``sum_w b[..., w] X^x Z^z`` over the 4**n words in ``word_masks``
+    order: the transpose of ``pauli_transform``, (..., 4**n) to (..., 2**n,
+    2**n).  Per digit the words I, X, Z and XZ put ``(a + c, b - d, b + d,
+    a - c)`` at rc = 00, 01, 10, 11."""
+    b = np.asarray(b)
+    n = (b.shape[-1].bit_length() - 1) // 2
+    lead = b.shape[:-1]
+    m = math.prod(lead)
+    T = _digit_passes(b.reshape(m, 4 ** n).astype(complex), n, _INVERSE)
+    axes = np.argsort(_interleaved_axes(n))
+    return T.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(
+        lead + (2 ** n, 2 ** n))
 
 
 def trace_inner(a: PauliSum, b: PauliSum) -> complex:

@@ -16,45 +16,36 @@ Nothing here tests a model's class: grids and band checks read the
 geometry each model declares (``band``, ``nspheres``, ``sphere_tuples``,
 ``point_as_group``; see ``models``).
 
-Fields and reconstruction are ring transforms, without (N, d, d) kernel
-stacks or per-node unitaries.  The center kernel ``Delta_0(s) =
-sum_lam tau_lam**(-(s+1)/2) Pi_lam(|hw><hw|)`` is diagonal, and
-``center_diagonal`` reads it from the model's ``hw_sector_diagonals``
-without a sector block.  The field at node n is ``F_n(s) = sum_b c_b(s)
-(U_n^H A U_n)_bb`` with c that diagonal.  Each model declares its point
-unitaries factored on rings (``point_rings``): ``U_n = diag(exp(-i
-charge . phi_n)) R_r``, for a spin ``diag(exp(-i phi m)) R_y(theta)``
-with one ring per theta, as in the equiangular separation of variables
-of McEwen & Wiaux (IEEE TSP 59, 5876 (2011)).  On a ring the rotated
-diagonals are a finite Fourier series in phi, whose coefficients, sums
-of ``conj(R_ab) A_ac R_cb`` over the pairs of one charge difference,
-take one O(d**3) pass per ring (``rotated_diagonals``); evaluating the
-series costs O(N d**2).  ``kernel_sums`` is the adjoint transform at
-the same cost, O(n_rings d**3 + N d**2) against O(N d**3) per node.
-The rotations, pair products and Fourier factors depend only on the
-model and the points, so both transforms take a stack of operators (or
-of fields) and build them once for all; ``symbol_field``,
-``reconstruct``, ``convert_field`` and ``star_product`` are one-operator
-callers, and the CLI makes one forward and one adjoint pass per grid.
-Models with no phase (fermions) are the case of one ring per point and
-one charge difference, which is the plain ``diag(U^H A U)``.
-``kernel_stack`` (``U D0 U^H``) is the tests' reference route;
-``harmonic_matrix`` serves the quadrature checks.  Its high-sector
-harmonics are cancelling sums ``<Omega| D_j |Omega> = O(sqrt(tau))`` that
-lose about ``tau**(-1/2)`` (1.4e5 at S = 8) in relative accuracy; the
-rotated diagonals do not.  At s > 0 any route keeps an error of about
-``eps kappa**s`` of the field's maximum (``kappa``).
+Every field, reconstruction and harmonic goes through one core, the
+model's coefficient route (``models``): a kernel is ``Delta(Omega) =
+sum_lam f_lam Pi_lam(U |hw><hw| U^H)`` with one filter factor f_lam per
+sector (``sector_factors``), so the field of A is ``synthesis(f_lam c)``
+of its coefficients ``c = coefficients(A)``, and ``kernel_sums``, the
+weighted sum of kernels over nodes, is ``operators(f_lam
+synthesis_adjoint(w))``.  ``fields`` and ``kernel_sums`` take a stack
+of operators (or of node weights) and a column of factors per spec, so
+the CLI makes one forward and one adjoint pass per grid;
+``symbol_field``, ``reconstruct``, ``convert_field``, ``star_product``
+and ``phase_purity_quadrature`` are one-operator callers, and
+``harmonic_matrix`` is the fields of the sector bases at f = tau**(-1/2).
+For a spin that is a spherical-harmonic transform, O(n_theta d**3 + N
+d**2); for qubits and fermions a sum over the 4**n Pauli words.
+``kernel_stack`` (``U D0 U^H``, with the center kernel's diagonal
+``center_diagonal``) is the tests' independent reference route.  At s >
+0 any route keeps an error of about ``eps kappa**s`` of the field's
+maximum (``kappa``).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .gfd import PuritySpectrum
-from .models import FermionicModel, QrtModel
+from .models import TABLE_BYTES, FermionicModel, QrtModel
 
 
 # -- kernel specification -----------------------------------------------------
@@ -197,19 +188,9 @@ class ProductQuadrature:
 
 def product_quadrature(nspheres: int, band=0.5) -> ProductQuadrature:
     base = sphere_quadrature(band)
-    pts1 = base.points
-    points = []
-    weights = []
-
-    def rec(prefix, wacc):
-        if len(prefix) == nspheres:
-            points.append(tuple(prefix))
-            weights.append(wacc)
-            return
-        for p, w in zip(pts1, base.weights):
-            rec(prefix + [p], wacc * w)
-
-    rec([], 1.0)
+    points = list(itertools.product(base.points, repeat=nspheres))
+    weights = [math.prod(w, start=1.0)
+               for w in itertools.product(base.weights, repeat=nspheres)]
     return ProductQuadrature((base,) * nspheres, points, np.array(weights))
 
 
@@ -289,8 +270,8 @@ def sw_kernel(model: QrtModel, point, spec: KernelSpec) -> np.ndarray:
 def kernel_stack(model: QrtModel, points, spec: KernelSpec) -> np.ndarray:
     """(N, d, d) stack of kernels at the given points: U_n D0 U_n^H.
 
-    The tests' reference for the streamed routes, with which it shares
-    only ``center_diagonal``.  Three complex (N, d, d) stacks are live at
+    The tests' reference for the coefficient route, with which it shares
+    only ``sector_factors``.  Three complex (N, d, d) stacks are live at
     once; a request over ``STACK_BUDGET`` bytes raises ValueError first.
     """
     need = 3 * len(points) * model.dim ** 2 * 16
@@ -312,12 +293,18 @@ def symbol(model: QrtModel, A: np.ndarray, point, spec: KernelSpec) -> complex:
                              np.asarray(A)))
 
 
-def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
-    """Diagonal c of the center kernel ``sum_lam f_lam Pi_lam(|hw><hw|)``,
-    with f the spec's ``center_factor``: one real d-vector."""
+def sector_factors(model: QrtModel, spec: KernelSpec) -> np.ndarray:
+    """(L,) filter factor f_lam of each sector in ``labels()`` order: the
+    spec's ``center_factor``, the kernel's ``sum_lam f_lam
+    Pi_lam(U|hw><hw|U^H)``."""
     spec.validate(model)
-    f = [spec.center_factor(model, lam) for lam in model.labels()]
-    return np.asarray(f) @ model.hw_sector_diagonals()
+    return np.array([spec.center_factor(model, lam) for lam in model.labels()])
+
+
+def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
+    """Diagonal of the center kernel ``sum_lam f_lam Pi_lam(|hw><hw|)``:
+    one real d-vector."""
+    return sector_factors(model, spec) @ model.hw_sector_diagonals()
 
 
 def kappa(model: QrtModel) -> float:
@@ -326,176 +313,29 @@ def kappa(model: QrtModel) -> float:
     return min(t for t in map(model.tau, model.labels()) if t > 0) ** -0.5
 
 
-RING_BYTES = 4 * 2**20  # live bytes of one chunk of rings in the transforms
-
-
-def _run(idx: np.ndarray):
-    """A run of consecutive indices as a slice (a view, not a copy)."""
-    if (idx[1:] - idx[:-1] == 1).all():
-        return slice(idx[0], idx[-1] + 1)
-    return idx
-
-
-def _offsets(charge: np.ndarray):
-    """Charge differences of the basis pairs, grouped for the transforms.
-
-    Returns the distinct differences ``q = charge_a - charge_b`` as a
-    (nq, p) array in lexicographic order, so that ``-q_g = q_(nq-1-g)``,
-    and one ``(g, a, b, ra, rb)`` per g <= nq - 1 - g: the index pairs
-    (a, b) of ``q_g``, and a and b again as slices where they run
-    consecutively (a spin's diagonals) to gather columns without a copy.
-    Those of ``-q_g`` are the same pairs swapped, so one product of
-    columns serves both; the middle group, q = 0, is its own mirror.
-    """
-    d = len(charge)
-    diff = (charge[:, None, :] - charge[None, :, :]).reshape(d * d, -1)
-    q, group = np.unique(diff, axis=0, return_inverse=True)
-    group = group.ravel()
-    order = np.argsort(group, kind="stable")
-    members = np.split(order, np.cumsum(np.bincount(group))[:-1])
-    half = []
-    for g in range((len(q) + 1) // 2):
-        a, b = divmod(members[g], d)
-        half.append((g, a, b, _run(a), _run(b)))
-    return q, half
-
-
-def ring_bytes(dim: int, noffsets: int, npairs: int, size: int,
-               nops: int) -> int:
-    """Bytes one ring of ``size`` points holds in the transforms of
-    ``nops`` operators (or fields), counted as complex: R and conj(R), a
-    pair product of at most ``npairs`` pairs and its gathers, the pair
-    weights' product and its combination (2 nops d), the offset sums and a
-    gathered copy (2 noffsets nops d), the Fourier factors with the
-    temporaries of their exp, and one bucket product (size nops d)."""
-    return 16 * (2 * dim * dim + 3 * npairs * dim + 2 * nops * dim
-                 + 2 * noffsets * nops * dim + 3 * size * noffsets
-                 + size * nops * dim)
-
-
-def _ring_chunks(rings, q: np.ndarray, half, dim: int, nops: int):
-    """Chunks of rings whose transform arrays for ``nops`` operators fit
-    in ``RING_BYTES``, or one ring where a single one does not.
-
-    Yields ``(Rt, buckets)``: Rt the chunk's ring rotations in the layout
-    (a, ring, b), and per point count s among its rings a bucket
-    ``(rows, idx, E)``: the rings' rows in the chunk, their (len, s) point
-    indices and the (len, s, nq) Fourier factors ``exp(1j * phi_n . q)``,
-    a product over the phase angles, each evaluated once per distinct
-    value (a grid's rings share their phis).
-    """
-    order = np.argsort(rings.ring, kind="stable")
-    sizes = np.bincount(rings.ring, minlength=rings.count)
-    starts = np.cumsum(sizes) - sizes
-    npairs = max(len(h[1]) for h in half)
-    size = sizes.max(initial=0)
-    step = max(1, RING_BYTES // ring_bytes(dim, len(q), npairs, size, nops))
-    for lo in range(0, rings.count, step):
-        hi = min(lo + step, rings.count)
-        buckets = []
-        # The distinct sizes, ascending; a plain np.unique would import
-        # numpy.ma (np.ma.is_masked) on first use.
-        for s in np.flatnonzero(np.bincount(sizes[lo:hi])):
-            rows = np.flatnonzero(sizes[lo:hi] == s)
-            idx = order[starts[lo + rows][:, None] + np.arange(s)]
-            E = np.ones(idx.shape + (len(q),), dtype=complex)
-            for phi, qk in zip(rings.phi[idx].reshape(idx.size, -1).T, q.T):
-                phi, inv = np.unique(phi, return_inverse=True)
-                E *= np.exp(1j * np.outer(phi, qk))[inv].reshape(E.shape)
-            buckets.append((_run(rows), idx, E))
-        yield rings.rotations(lo, hi).transpose(1, 0, 2).copy(), buckets
-
-
-def rotated_diagonals(model: QrtModel, A: np.ndarray, points,
-                      centers: np.ndarray | None = None) -> np.ndarray:
-    """Diagonals ``(U_n^H A U_n)_bb`` at the points, of one (d, d)
-    operator, (N, d), or of each operator of a (K, d, d) stack, (N, K, d).
-
-    The ring transform of the model's ``point_rings`` factorization
-    ``U_n = diag(exp(-i charge . phi_n)) R_r`` (r the ring of n): with
-    ``q = charge_a - charge_b``,
-
-        (U_n^H A U_n)_bb = sum_q exp(i phi_n . q) M_(r,q,b),
-        M_(r,q,b) = sum_(charge_a - charge_c = q) conj(R_ab) A_ac R_cb.
-
-    The offset sums M cost one O(d**3) pass per ring: for a spin, column
-    products of R times ``np.diagonal(A, q)`` for each of the 2d - 1
-    offsets.  The sum over q is one small product per ring, O(N d**2) in
-    all, against O(N d**3) for one ``U^H A U`` per node.  Rings are taken
-    in chunks under ``RING_BYTES``.  The rotations, their pair products
-    and the Fourier factors depend only on the model and the points, so
-    one pass serves every operator of a stack: the pair weights of all K
-    operators are one (4K, P) matrix per offset group.  ``points`` is any
-    sequence ``point_rings`` accepts.  The symbol at s is the table times
-    ``center_diagonal(model, spec)``; given a (d, w) matrix of such
-    diagonals as ``centers``, the last axis is the width-w product, formed
-    ring by ring (``M @ centers`` first) without the d-wide table.
-    """
+def fields(model: QrtModel, A: np.ndarray, points,
+           factors: np.ndarray) -> np.ndarray:
+    """Symbols ``Tr[Delta_n A]`` at the points of one (d, d) operator, (N,
+    W), or of each operator of a (K, d, d) stack, (N, K, W): column w is
+    the kernel of column w of the (L, W) per-sector factors (``factors``
+    stacked over W specs).  The synthesis of the filtered coefficients
+    ``f_lam c``, one pass for all K W columns."""
     A = np.asarray(A)
-    ops = A.reshape((-1,) + A.shape[-2:])
-    nops, d = len(ops), model.dim
-    rings = model.point_rings(points)
-    q, half = _offsets(rings.charge)
-    # q_g from A_ab; -q_g from the swapped pairs, as conj(conj(A_ba) X).
-    weights = [np.concatenate([ops[:, a, b].real, ops[:, a, b].imag,
-                               ops[:, b, a].real, -ops[:, b, a].imag])
-               for _, a, b, _, _ in half]
-    width = d if centers is None else np.shape(centers)[1]
-    table = np.empty((len(rings.ring), nops, width), dtype=complex)
-    flat = table.reshape(len(table), -1)
-    for Rt, buckets in _ring_chunks(rings, q, half, d, nops):
-        # In the layout (a, ring, b) a pair's products are one
-        # (P, k d) matrix; conj is free on real rotations (a spin's).
-        k, Rc = Rt.shape[1], Rt.conj()
-        M = np.empty((k, len(q), nops, d), dtype=complex)
-        for (g, a, b, ra, rb), V in zip(half, weights):
-            X = (Rc[ra] * Rt[rb]).reshape(len(a), -1)
-            Y = (V @ X).reshape(4, nops, k, d).transpose(0, 2, 1, 3)
-            M[:, g] = Y[0] + 1j * Y[1]
-            if 2 * g + 1 < len(q):
-                M[:, -1 - g] = np.conj(Y[2] + 1j * Y[3])
-        if centers is not None:
-            M = M @ centers
-        M = M.reshape(k, len(q), -1)
-        for rows, idx, E in buckets:
-            flat[idx] = E @ M[rows]
+    c = model.coefficients(A.reshape((-1,) + A.shape[-2:]))
+    f = np.asarray(factors)[model.coefficient_sectors()].T  # (W, ncoef)
+    table = model.synthesis((c[:, None] * f).reshape(-1, c.shape[-1]), points)
+    table = table.reshape(len(table), len(c), len(f))
     return table if A.ndim == 3 else table[:, 0]
 
 
 def kernel_sums(model: QrtModel, points, weights: np.ndarray,
-                centers: np.ndarray) -> np.ndarray:
-    """(K, d, d) sums ``sum_n weights[n, k] U_n diag(centers[:, k]) U_n^H``
-    for (N, K) node weights and (d, K) center diagonals: the adjoint of
-    ``rotated_diagonals``, one pass for all K columns.  With
-    ``q = charge_a - charge_c``,
-
-        out_ac = sum_r sum_b R_ab conj(R_cb) W_(r,q) c_b,
-        W_(r,q) = sum_(n in r) w_n exp(-i phi_n . q),
-
-    O(n_rings d**3 K + N d**2 K), with the rotations, their pair products
-    and the Fourier factors built once for all columns.
-    """
-    wn = np.asarray(weights)
-    nops, d = wn.shape[1], model.dim
-    rings = model.point_rings(points)
-    q, half = _offsets(rings.charge)
-    out = np.zeros((d, d, nops), dtype=complex)
-    for Rt, buckets in _ring_chunks(rings, q, half, d, nops):
-        k, Rc = Rt.shape[1], Rt.conj()
-        W = np.empty((k, len(q), nops), dtype=complex)
-        for rows, idx, E in buckets:
-            W[rows] = E.conj().transpose(0, 2, 1) @ wn[idx]
-        W = W[:, :, None, :] * centers  # (k, nq, d, K)
-        for g, a, b, ra, rb in half:
-            # out_ab from W_q; out_ba = conj(sum X conj(W_-q)).
-            X = (Rt[ra] * Rc[rb]).reshape(len(a), -1)
-            G = np.stack([W[:, g].real, W[:, g].imag,
-                          W[:, -1 - g].real, -W[:, -1 - g].imag], axis=-1)
-            Y = (X @ G.reshape(k * d, -1)).reshape(len(a), nops, 4)
-            out[a, b] += Y[..., 0] + 1j * Y[..., 1]
-            if 2 * g + 1 < len(q):
-                out[b, a] += np.conj(Y[..., 2] + 1j * Y[..., 3])
-    return np.ascontiguousarray(out.transpose(2, 0, 1))
+                factors: np.ndarray) -> np.ndarray:
+    """(K, d, d) sums ``sum_n weights[n, k] Delta_n`` for (N, K) node
+    weights, the kernel of column k built from column k of the (L, K)
+    per-sector factors: the adjoint of ``fields``, one pass for all K."""
+    b = model.synthesis_adjoint(np.asarray(weights), points)
+    f = np.asarray(factors)[model.coefficient_sectors()].T
+    return model.operators(b * f)
 
 
 @dataclass
@@ -511,8 +351,8 @@ class SymbolField:
 def symbol_field(model: QrtModel, A: np.ndarray, grid,
                  spec: KernelSpec) -> SymbolField:
     """Evaluate the symbol of A on every grid node (no kernel stack)."""
-    c = center_diagonal(model, spec)[:, None]
-    values = rotated_diagonals(model, A, grid.points, c)[:, 0]
+    f = sector_factors(model, spec)[:, None]
+    values = fields(model, A, grid.points, f)[:, 0]
     return SymbolField(model, grid, spec, values)
 
 
@@ -522,40 +362,45 @@ def harmonic_matrix(model: QrtModel, points) -> dict:
     """Sector harmonics at many points: label -> (d_lam, N) real array.
 
     Row j of sector lam holds ``Y^lam_j = tau_lam**(-1/2) <Omega| D_j
-    |Omega>`` at each point.  Sectors without phase-space image (tau = 0)
-    are omitted.
+    |Omega>`` at each point: the fields of the stacked sector bases at
+    the factors tau**(-1/2) (those of s = 0), with no cancelling sum over
+    coherent states.  It runs in passes of the basis elements whose
+    coefficients (about eight complex copies in ``fields``) fill
+    ``TABLE_BYTES`` or a quarter of the harmonics' own bytes, whichever is
+    more: each pass rebuilds the point tables of the synthesis (Legendre
+    tables and Fourier factors, or word expectations).  Sectors without
+    phase-space image (tau = 0) are omitted.
     """
-    psi = model.coherent_states(points)
-    # <psi_n| D_j |psi_n> = vec(D_j) . vec(conj(psi_n) psi_n^T)
-    outer = (psi.conj()[:, :, None] * psi[:, None, :]).reshape(len(psi), -1).T
-    out = {}
-    for block in model.blocks():
-        tau = model.tau(block.label)
-        if tau == 0:
-            continue
-        vals = block.basis.reshape(block.dim, -1) @ outer
-        out[block.label] = np.real(vals) / math.sqrt(tau)
-    return out
+    f = sector_factors(model, KernelSpec.cahill_glauber(0.0))[:, None]
+    labels = [lam for lam, fl in zip(model.labels(), f) if fl[0]]
+    basis = [D for lam in labels for D in model.irrep_block(lam).basis]
+    vals = np.empty((len(basis), len(points)))
+    ncoef = len(model.coefficient_sectors())
+    step = max(1, max(TABLE_BYTES, vals.nbytes // 4) // (128 * ncoef))
+    for lo in range(0, len(basis), step):
+        part = fields(model, np.array(basis[lo:lo + step]), points, f)
+        vals[lo:lo + step] = part[:, :, 0].real.T
+    ends = np.cumsum([model.irrep_dim(lam) for lam in labels])[:-1]
+    return dict(zip(labels, np.split(vals, ends)))
 
 
 # -- quadrature functionals ---------------------------------------------------
 
-def phase_purity_quadrature(field: SymbolField,
-                            harmonics: dict | None = None) -> PuritySpectrum:
-    """Sector purities of a sampled field via quadrature inner products."""
+def phase_purity_quadrature(field: SymbolField) -> PuritySpectrum:
+    """Sector purities of a sampled field via quadrature inner products.
+
+    The components ``sum_n w_n Y^lam_j(Omega_n) F_n`` on the harmonics are
+    the coordinates of ``kernel_sums`` of the weighted field at the factors
+    tau**(-1/2) in the orthonormal sector bases, so the purities are the
+    model's ``sector_purities`` of that operator.
+    """
     model, grid = field.model, field.grid
     _check_band(model, grid)
-    if harmonics is None:
-        harmonics = harmonic_matrix(model, grid.points)
-    w = np.asarray(grid.weights)
-    entries = {}
-    for lam in model.labels():
-        if lam in harmonics:
-            comps = harmonics[lam] @ (w * field.values)
-            entries[lam] = float(np.sum(np.abs(comps) ** 2))
-        else:
-            entries[lam] = 0.0
-    return PuritySpectrum(entries)
+    w = np.asarray(grid.weights) * field.values
+    f = sector_factors(model, KernelSpec.cahill_glauber(0.0))[:, None]
+    K = kernel_sums(model, grid.points, w[:, None], f)[0]
+    return PuritySpectrum({lam: float(v) for lam, v in
+                           model.sector_purities(K).items()})
 
 
 def reconstruct(field: SymbolField) -> np.ndarray:
@@ -564,13 +409,13 @@ def reconstruct(field: SymbolField) -> np.ndarray:
     Exact for structured grids resolving the model band limit; sectors with
     no phase-space image (fermionic odd sectors) are irrecoverably absent.
     The quadrature sum ``sum_n weight_n F_n Delta_n(-s)`` is one column of
-    ``kernel_sums``: O(n_rings d**3 + N d**2).
+    ``kernel_sums``.
     """
     model, grid = field.model, field.grid
     _check_band(model, grid)
     wn = np.asarray(grid.weights) * field.values
-    c = center_diagonal(model, field.spec.dual())
-    return kernel_sums(model, grid.points, wn[:, None], c[:, None])[0]
+    f = sector_factors(model, field.spec.dual())[:, None]
+    return kernel_sums(model, grid.points, wn[:, None], f)[0]
 
 
 def convert_field(field: SymbolField, s_target: float, out_grid) -> SymbolField:
@@ -605,5 +450,5 @@ def star_product(field_a: SymbolField, field_b: SymbolField,
     if field_a.spec.is_generalized or field_b.spec.is_generalized:
         raise ValueError("twisted product needs standard-family fields")
     product = reconstruct(field_a) @ reconstruct(field_b)
-    c = center_diagonal(model, KernelSpec.cahill_glauber(s_out))[:, None]
-    return rotated_diagonals(model, product, out_points, c)[:, 0]
+    f = sector_factors(model, KernelSpec.cahill_glauber(s_out))[:, None]
+    return fields(model, product, out_points, f)[:, 0]

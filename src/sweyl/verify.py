@@ -98,15 +98,15 @@ def _basis_deviation(model: QrtModel) -> float:
 
 
 def dense_bytes(model: QrtModel) -> int:
-    """Bytes the dense checks hold at their peak, from d and the node
-    count N of the default grid: the cached sector bases, 16 d**4; the
-    coherent-state outer products of ``harmonic_matrix``, a complex
-    (N, d, d) array and its copy; the real harmonics, N d**2 doubles; and
-    the complex harmonics of the largest sector.
+    """The admission rule of the dense checks, from d and the node count N
+    of the default grid alone (nothing O(d) is built): 16 d**4 B for the
+    cached sector bases plus 40 d**2 B per node, room for the d**2 real
+    harmonics, the Gram matrix's copies of them and one sector's complex
+    synthesis.  Under ``phase_space.STACK_BUDGET`` it admits a spin up to
+    2S = 52 and qubits up to n = 4.
     """
     d, nodes = model.dim, ps.default_grid_size(model)
-    widest = max(map(model.irrep_dim, model.labels()))
-    return 16 * d ** 4 + ((2 * 16 + 8) * d * d + 16 * widest) * nodes
+    return 16 * d ** 4 + 40 * d * d * nodes
 
 
 def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
@@ -214,25 +214,30 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     w = np.asarray(grid.weights)
     harm = ps.harmonic_matrix(model, grid.points)
     ally = np.vstack([harm[lam] for lam in model.labels()])
-    gram = (ally * w) @ ally.T
+    del harm  # views of one table, freed before the Gram matrix
+    ally *= np.sqrt(w)  # Gauss-Legendre weights are positive
+    gram = ally @ ally.T
     dev = float(np.max(np.abs(gram - np.eye(len(ally)))))
     results.append(check("harmonic_orthonormality", dev, quad_tol))
 
     # One forward pass for [A, B, rho_-1, rho_0, rho_1] at every s, and one
-    # adjoint pass for the three reconstructions of A.
+    # adjoint pass for the three reconstructions of A (the dual of s is -s:
+    # the reversed columns) and for the rho_s fields at the s = 0 factors
+    # tau**(-1/2), whose sector purities are the quadrature purities of
+    # ``phase_space.phase_purity_quadrature``.
     B = _random_hermitian(model.dim, rng)
     psis = [model.haar_state(rng) for _ in range(3)]
     rhos = [np.outer(psi, psi.conj()) for psi in psis]
     svals = (-1.0, 0.0, 1.0)
     specs = [ps.KernelSpec.cahill_glauber(s) for s in svals]
-    centers = np.stack([ps.center_diagonal(model, spec) for spec in specs],
+    factors = np.stack([ps.sector_factors(model, spec) for spec in specs],
                        axis=1)
-    fields = ps.rotated_diagonals(model, np.stack([A, B, *rhos]),
-                                  grid.points, centers)
+    fields = ps.fields(model, np.stack([A, B, *rhos]), grid.points, factors)
     fa, fb = fields[:, 0], fields[:, 1, ::-1]  # A at s, B at -s
-    # The dual of s is -s: the reversed columns.
-    recon = ps.kernel_sums(model, grid.points, w[:, None] * fa,
-                           centers[:, ::-1])
+    fr = np.stack([fields[:, 2 + k, k] for k in range(3)], axis=1)
+    back = ps.kernel_sums(model, grid.points, w[:, None] * np.hstack([fa, fr]),
+                          np.hstack([factors[:, ::-1], factors[:, [1] * 3]]))
+    recon, quad = back[:3], model.sector_purities(back[3:])
     dev = 0.0
     dev_tr = 0.0
     dev_rec = 0.0
@@ -245,13 +250,11 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
         std = complex(np.sum(w * fa[:, k]))
         dev_std = max(dev_std, abs(std - model.dim ** ((s - 1) / 2)
                                    * np.trace(A)))
-        fr = ps.SymbolField(model, grid, specs[k], fields[:, 2 + k, k])
-        pt_quad = ps.phase_purity_quadrature(fr, harmonics=harm)
         pt_ref = gfd.phase_purity(gfd.purity_spectrum(rhos[k], model), s,
                                   model)
         for lam in model.labels():
             ref = pt_ref[lam]
-            dev = max(dev, abs(pt_quad[lam] - ref) / (1 + abs(ref)))
+            dev = max(dev, abs(quad[lam][k] - ref) / (1 + abs(ref)))
     results.append(check("filter_identity", dev, quad_tol))
     results.append(check("tracing", dev_tr, quad_tol))
     results.append(check("reconstruction", dev_rec, quad_tol))

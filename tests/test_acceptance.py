@@ -93,7 +93,6 @@ def test_criterion_03_filter_identity(tmp_path):
     for k in range(20):
         states[f"haar{k}"] = model.haar_state(rng)
     grid = ps.default_grid(model)
-    harmonics = ps.harmonic_matrix(model, grid.points)
     svals = (-1.0, -0.5, 0.0, 0.5, 1.0)
     stacks = {s: ps.kernel_stack(model, grid.points,
                                  ps.KernelSpec.cahill_glauber(s))
@@ -106,7 +105,7 @@ def test_criterion_03_filter_identity(tmp_path):
         for s in svals:
             field = ps.SymbolField(model, grid, ps.KernelSpec.cahill_glauber(s),
                                    np.einsum("nab,ba->n", stacks[s], rho))
-            quad = ps.phase_purity_quadrature(field, harmonics)
+            quad = ps.phase_purity_quadrature(field)
             want = gfd.phase_purity(spectrum, s, model)
             for lam in model.labels():
                 worst = max(worst,
@@ -310,12 +309,11 @@ def test_criterion_12_norm_bounds_and_flow():
     # Log-derivative of each filtered sector purity in s is -ln tau.
     rho = np.outer(model.ghz_state(), model.ghz_state().conj())
     ds, worst_flow = 1e-3, 0.0
-    harmonics = ps.harmonic_matrix(model, grid.points)
     quads = {}
     for step in (+ds, -ds):
         field = ps.symbol_field(model, rho, grid,
                                 ps.KernelSpec.cahill_glauber(step))
-        quads[step] = ps.phase_purity_quadrature(field, harmonics)
+        quads[step] = ps.phase_purity_quadrature(field)
     for lam in model.labels():
         up, dn = quads[+ds][lam], quads[-ds][lam]
         if up < 1e-12:

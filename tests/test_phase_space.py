@@ -222,6 +222,38 @@ def test_harmonic_orthonormality():
     assert np.max(np.abs(gram - np.eye(model.dim ** 2))) < 1e-12
 
 
+def test_harmonic_orthonormality_at_large_spin():
+    # 2S = 40: the coherent-state sums lost 1.6e-4 here.
+    model = SpinModel(20)
+    grid = ps.default_grid(model)
+    ymat = ps.harmonic_matrix(model, grid.points)
+    rows = np.vstack([ymat[lam] for lam in model.labels()])
+    gram = (rows * grid.weights) @ rows.T
+    assert np.max(np.abs(gram - np.eye(model.dim ** 2))) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model", [SpinModel(H(k / 2)) for k in range(1, 9)]
+    + [MultipartiteModel(n) for n in (1, 2, 3)] + [FermionicModel(2)],
+    ids=repr)
+def test_harmonic_matrix_matches_coherent_state_oracle(model):
+    # Y^lam_j = tau**(-1/2) <Omega| D_j |Omega>, one point at a time.
+    rng = np.random.default_rng(21)
+    pts = [model.random_point(rng) for _ in range(6)]
+    harm = ps.harmonic_matrix(model, pts)
+    for lam in model.labels():
+        tau = model.tau(lam)
+        if tau == 0:
+            assert lam not in harm
+            continue
+        basis = model.irrep_block(lam).basis
+        for k, p in enumerate(pts):
+            psi = model.coherent_state(p)
+            want = np.einsum("a,jab,b->j", psi.conj(), basis, psi).real
+            assert np.max(np.abs(harm[lam][:, k] - want / math.sqrt(tau))) \
+                <= 1e-12
+
+
 def test_harmonic_via_adjoint_route():
     rng = np.random.default_rng(7)
     for model in (SpinModel(H("3/2")), MultipartiteModel(2)):

@@ -397,6 +397,7 @@ def test_cli_purities_spin_60_hw_matches_closed_form(tmp_path):
     ["verify", "--qrt", "multipartite", "--spin-S", "3/0"],
     ["purities", "--spin-S", "1e400"],
     ["star", "--points", "1" + "0" * 30],
+    ["duality", "--samples", "1" + "0" * 400],
 ])
 def test_cli_bad_numeric_flags_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2

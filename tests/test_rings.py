@@ -1,5 +1,6 @@
-"""The ring-factored transforms against the kernel-stack oracle, their
-structure, and the size refusal of the dense ``verify`` route."""
+"""The coefficient-route fields and kernel sums against the kernel-stack
+oracle, on scattered points and on rings of equal theta, their chunking,
+and the size refusal of the dense ``verify`` route."""
 
 import time
 import tracemalloc
@@ -7,8 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from sweyl import models, render, verify
 from sweyl import phase_space as ps
-from sweyl import render, verify
 from sweyl.cli import main
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
@@ -22,17 +23,18 @@ def rand_operator(dim, rng):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
 
+def all_factors(model, specs):
+    return np.stack([ps.sector_factors(model, spec) for spec in specs],
+                    axis=1)
+
+
 def assert_ring_route_matches_oracle(model, A, points):
-    centers = np.stack([ps.center_diagonal(model, spec) for spec in SPECS],
-                       axis=1)
-    table = ps.rotated_diagonals(model, A, points)
-    folded = ps.rotated_diagonals(model, A, points, centers)
+    table = ps.fields(model, A, points, all_factors(model, SPECS))
     for k, spec in enumerate(SPECS):
         stack = ps.kernel_stack(model, points, spec)
         want = np.einsum("nab,ba->n", stack, A)
         bound = 1e-12 * np.max(np.abs(want))
-        assert np.max(np.abs(table @ centers[:, k] - want)) <= bound
-        assert np.max(np.abs(folded[:, k] - want)) <= bound
+        assert np.max(np.abs(table[:, k] - want)) <= bound
 
 
 def scattered_points(model, count, rng):
@@ -107,38 +109,27 @@ def test_reconstruct_inverts_symbol_field(model):
         assert np.max(np.abs(got - A)) <= bound * np.max(np.abs(A))
 
 
-def test_offsets_pair_each_group_with_its_mirror():
-    for charge in (SpinModel(3)._charge()[:, None],
-                   0.5 - np.array([[0, 0], [0, 1], [1, 0], [1, 1]]),
-                   np.zeros((4, 0))):
-        q, half = ps._offsets(charge)
-        assert np.array_equal(q, -q[::-1])
-        seen = []
-        for g, a, b, ra, rb in half:
-            assert np.array_equal(charge[a] - charge[b],
-                                  np.broadcast_to(q[g], (len(a), q.shape[1])))
-            assert np.array_equal(np.arange(len(charge))[ra], a)
-            assert np.array_equal(np.arange(len(charge))[rb], b)
-            seen += list(zip(a, b))
-            if 2 * g + 1 < len(q):
-                seen += list(zip(b, a))
-        assert sorted(seen) == [(a, b) for a in range(len(charge))
-                                for b in range(len(charge))]
+class _NoStack:
+    """A model whose per-node unitaries and coherent states are
+    unavailable: the coefficient route must not need them."""
+
+    def point_unitary(self, point):
+        raise AssertionError("the field route built a per-node unitary")
+
+    point_unitaries = coherent_states = point_unitary
 
 
-class _NoStackSpin(SpinModel):
-    """A spin whose per-node unitary stack is unavailable."""
-
-    def point_unitaries(self, points):
-        raise AssertionError("the ring route built per-node unitaries")
+class _NoStackSpin(_NoStack, SpinModel):
+    pass
 
 
-def test_spin_ring_route_builds_no_per_node_unitaries():
-    model, plain = _NoStackSpin(HalfInt(5)), SpinModel(HalfInt(5))
-    rng = np.random.default_rng(150)
+class _NoStackQubits(_NoStack, MultipartiteModel):
+    pass
+
+
+def assert_core_builds_no_per_node_unitaries(model, plain, grid, rng):
     A, B = rand_operator(model.dim, rng), rand_operator(model.dim, rng)
-    grid = ps.sphere_quadrature(2 * model.band)
-    out_points = scattered_points(model, 5, rng)
+    out_points = scattered_points(plain, 5, rng)
     spec = ps.KernelSpec.cahill_glauber(0.5)
     fa, fb = (ps.symbol_field(model, X, grid, spec) for X in (A, B))
     ref_a = ps.symbol_field(plain, A, grid, spec)
@@ -147,22 +138,47 @@ def test_spin_ring_route_builds_no_per_node_unitaries():
     star = ps.star_product(fa, fb, 0.5, out_points)
     want = [ps.symbol(plain, A @ B, p, spec) for p in out_points]
     assert np.max(np.abs(star - want)) <= 1e-9 * np.max(np.abs(want))
+    harm = ps.harmonic_matrix(model, grid.points)
+    assert sorted(harm) == sorted(plain.labels())
+
+
+def test_spin_ring_route_builds_no_per_node_unitaries():
+    model, plain = _NoStackSpin(HalfInt(5)), SpinModel(HalfInt(5))
+    grid = ps.sphere_quadrature(2 * model.band)
+    assert_core_builds_no_per_node_unitaries(model, plain, grid,
+                                             np.random.default_rng(150))
+
+
+def test_qubit_core_builds_no_per_node_unitaries():
+    model, plain = _NoStackQubits(2), MultipartiteModel(2)
+    grid = ps.product_quadrature(2, band=1.0)
+    assert_core_builds_no_per_node_unitaries(model, plain, grid,
+                                             np.random.default_rng(155))
+
+
+def chunk_thetas(model, points, width):
+    """The distinct thetas of each chunk of a synthesis."""
+    return [theta for theta, _, _, _ in model._rings(points, width)]
 
 
 def test_ring_chunks_split_without_changing_the_result(monkeypatch):
-    # A budget of a few rings splits the default S = 10 grid into chunks.
+    # A budget of a few rings splits the default S = 10 grid into chunks,
+    # some of them inside a ring.
     model = SpinModel(10)
     grid = ps.default_grid(model)
     A = rand_operator(model.dim, np.random.default_rng(160))
-    whole = ps.rotated_diagonals(model, A, grid.points)
-    monkeypatch.setattr(ps, "RING_BYTES", 3 * 2 ** 20)
-    rings = model.point_rings(grid.points)
-    q, half = ps._offsets(rings.charge)
-    chunks = list(ps._ring_chunks(rings, q, half, model.dim, 1))
+    f = all_factors(model, SPECS)
+    whole = ps.fields(model, A, grid.points, f)
+    w = np.random.default_rng(161).normal(size=(len(grid.points), len(SPECS)))
+    sums = ps.kernel_sums(model, grid.points, w, f)
+    monkeypatch.setattr(models, "TABLE_BYTES", 2 ** 17)
+    chunks = chunk_thetas(model, grid.points, len(SPECS))
     assert len(chunks) > 1
-    assert sum(Rt.shape[1] for Rt, _ in chunks) == rings.count
-    assert np.max(np.abs(ps.rotated_diagonals(model, A, grid.points)
+    assert sum(map(len, chunks)) > grid.shape[0]  # a ring was cut
+    assert np.max(np.abs(ps.fields(model, A, grid.points, f)
                          - whole)) <= 1e-13 * np.max(np.abs(whole))
+    assert np.max(np.abs(ps.kernel_sums(model, grid.points, w, f)
+                         - sums)) <= 1e-13 * np.max(np.abs(sums))
 
 
 def test_verify_spin_30_refused_before_building(tmp_path, capsys):
@@ -178,6 +194,22 @@ def test_verify_spin_30_refused_before_building(tmp_path, capsys):
     assert peak < 8 * 2 ** 20
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "MiB" in err
+
+
+def test_verify_huge_spin_refused_before_any_sector_list(tmp_path, capsys):
+    # The admission rule reads d and the grid size alone: no list of the
+    # 2S + 1 sectors is built before the refusal.
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code = main(["verify", "--spin-S", "200000", "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert time.perf_counter() - start < 0.2
+    assert peak < 2 ** 20
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 @pytest.mark.parametrize("spin", ["20", "26"])
@@ -208,25 +240,6 @@ def test_preformatted_coordinates_write_the_same_bytes(tmp_path):
         (tmp_path / "floats.csv").read_bytes()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
-def test_qubit_rings_group_like_row_unique(n):
-    # Rings are the distinct theta tuples in lexicographic order, as
-    # np.unique(axis=0) sorts the rows; thetas repeat within columns.
-    rng = np.random.default_rng(180 + n)
-    model = MultipartiteModel(n)
-    pts = rng.uniform(0, 2 * np.pi, size=(500, n, 2))
-    pts[:, :, 0] = rng.choice(np.linspace(0, np.pi, 4), size=(500, n))
-    pts[::7, 0, 0] = -0.0  # signed zero sorts with 0.0
-    thetas, ring = np.unique(pts[:, :, 0], axis=0, return_inverse=True)
-    rings = model.point_rings(pts)
-    assert rings.count == len(thetas)
-    assert np.array_equal(rings.ring, ring.ravel())
-    R = rings.rotations(0, rings.count)
-    for r in range(rings.count):
-        want = model.point_unitary([(t, 0.0) for t in thetas[r]])
-        assert np.max(np.abs(R[r] - want)) <= 1e-14
-
-
 BATCH_MODELS = ([SpinModel(HalfInt(k)) for k in (1, 2, 7, 20)]
                 + [MultipartiteModel(n) for n in (1, 2, 3)]
                 + [FermionicModel(n) for n in (1, 2, 3)])
@@ -250,28 +263,24 @@ def test_batched_transforms_match_one_by_one_and_kernel_stack(model, nops):
     grid = batch_grid(model)
     points, w = grid.points, np.asarray(grid.weights)
     ops = np.stack([rand_operator(model.dim, rng) for _ in range(nops)])
-    # Column k of the centers (and of the fields below) is spec k mod 4.
+    # Column k of the factors (and of the fields below) is spec k mod 4.
     specs = [SPECS[k % len(SPECS)] for k in range(nops)]
-    centers = np.stack([ps.center_diagonal(model, s) for s in specs], axis=1)
+    factors = all_factors(model, specs)
     stacks = [ps.kernel_stack(model, points, s) for s in specs]
-    table = ps.rotated_diagonals(model, ops, points)
-    folded = ps.rotated_diagonals(model, ops, points, centers)
-    assert table.shape == (len(points), nops, model.dim)
+    folded = ps.fields(model, ops, points, factors)
     assert folded.shape == (len(points), nops, nops)
     for i, A in enumerate(ops):
-        assert_close_to(table[:, i], ps.rotated_diagonals(model, A, points))
+        assert_close_to(folded[:, i], ps.fields(model, A, points, factors))
         for k, stack in enumerate(stacks):
             want = np.einsum("nab,ba->n", stack, A)
             assert_close_to(folded[:, i, k], want)
-            assert_close_to(table[:, i] @ centers[:, k], want)
 
     # The adjoint on random fields (a round trip back to A would cancel
     # terms up to kappa times larger): each column is reconstruct of its
     # field and the weighted sum of the dual kernel stack.
     shape = (len(points), nops)
     fields = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    duals = np.stack([ps.center_diagonal(model, s.dual()) for s in specs],
-                     axis=1)
+    duals = all_factors(model, [s.dual() for s in specs])
     back = ps.kernel_sums(model, points, w[:, None] * fields, duals)
     assert back.shape == (nops, model.dim, model.dim)
     for k, spec in enumerate(specs):
@@ -287,16 +296,12 @@ def test_batched_chunk_split_matches_one_pass(monkeypatch):
     grid = ps.default_grid(model)
     rng = np.random.default_rng(200)
     ops = np.stack([rand_operator(model.dim, rng) for _ in range(3)])
-    centers = np.stack([ps.center_diagonal(model, s) for s in SPECS[:3]],
-                       axis=1)
+    factors = all_factors(model, SPECS[:3])
     weights = rng.normal(size=(len(grid.points), 3))
-    whole = ps.rotated_diagonals(model, ops, grid.points, centers)
-    sums = ps.kernel_sums(model, grid.points, weights, centers)
-    monkeypatch.setattr(ps, "RING_BYTES", 2 ** 20)
-    rings = model.point_rings(grid.points)
-    q, half = ps._offsets(rings.charge)
-    assert len(list(ps._ring_chunks(rings, q, half, model.dim, 3))) > 1
-    assert_close_to(ps.rotated_diagonals(model, ops, grid.points, centers),
-                    whole)
-    assert_close_to(ps.kernel_sums(model, grid.points, weights, centers),
+    whole = ps.fields(model, ops, grid.points, factors)
+    sums = ps.kernel_sums(model, grid.points, weights, factors)
+    monkeypatch.setattr(models, "TABLE_BYTES", 2 ** 18)
+    assert len(chunk_thetas(model, grid.points, 9)) > 1
+    assert_close_to(ps.fields(model, ops, grid.points, factors), whole)
+    assert_close_to(ps.kernel_sums(model, grid.points, weights, factors),
                     sums)

@@ -58,11 +58,13 @@ def test_one_qubit_marginal_nodes_match_kernel_stack():
     theta, phi = render.equirect_grid(6, 10)
     nodes = np.stack((np.repeat(theta, 10), np.tile(phi, 6)), axis=1)
     A = rand_hermitian(2, np.random.default_rng(44))
-    table = ps.rotated_diagonals(target, A, nodes[:, None, :])
+    factors = np.stack([ps.sector_factors(target, spec) for spec in SPECS],
+                       axis=1)
+    table = ps.fields(target, A, nodes[:, None, :], factors)
     points = [((t, p),) for t, p in nodes]
-    for spec in SPECS:
-        got = table @ ps.center_diagonal(target, spec)
-        assert_field_close(got, stack_field(target, A, points, spec))
+    for k, spec in enumerate(SPECS):
+        assert_field_close(table[:, k],
+                           stack_field(target, A, points, spec))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
