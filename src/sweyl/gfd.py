@@ -68,8 +68,11 @@ def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
 
 
 def gfd_project(A: np.ndarray, model: QrtModel, label) -> np.ndarray:
-    """Component of A in one sector, through its dense block."""
-    return model.irrep_block(label).project(np.asarray(A))
+    """Component of A in one sector: ``operators(weights(A))`` with the
+    weights kept on that sector's coefficients only; no dense block."""
+    b = model.weights(np.asarray(A))
+    b[..., model.coefficient_sectors() != model.labels().index(label)] = 0.0
+    return model.operators(b)
 
 
 def closed_form_spin_purity(S, m, lam: int) -> float:

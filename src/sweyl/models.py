@@ -30,6 +30,11 @@ model declares and never test its class.
   ``operators(b)`` is its transpose, ``sum_k b_k B_k``.
 * ``coefficient_sectors()``: the row in ``labels()`` of each coefficient's
   sector.
+* ``weights(A) = conj(coefficients(A^H)) / basis_norm``: the b with
+  ``operators(b) = A``, as the B_k are orthogonal with ``Tr(B_k B_k^H) =
+  basis_norm`` (1 for the spin's T^lam_q, d for words).
+* ``basis_coefficients(lam)``: the coefficients of sector lam's Hermitian
+  basis, by index arithmetic.
 * ``synthesis(c, points)`` and ``synthesis_adjoint(w, points)``: the
   fields ``F_n = sum_k E[n, k] c_k`` at phase points of coefficient
   vectors, and the transpose ``sum_n w_n E[n, k]``.  Summed over one
@@ -44,23 +49,21 @@ model declares and never test its class.
 
 Banded and dense paths
 ----------------------
-* Sector purities (``sector_purities``, hence ``gfd.purity_spectrum``) and
-  the coefficients of the spin model are banded: every tensor operator
-  T^lam_q lives on one diagonal, so the model keeps one float CG-diagonal
-  table (``cg_diagonals``, half of each diagonal, about d**3 / 6 doubles)
-  and never forms a (2 lam + 1, d, d) block.  The table serves 2S <= 200.
-* Qubit and fermion sector purities come from the fast Pauli transform
-  (``paulis.pauli_transform``): all 4**n traces Tr(P A) in n passes of
-  4**n additions, summed into sectors through ``word_sectors`` (built
-  once per model).  No block is formed, and they serve n <= 10.
+* Every runtime sector computation (purities, ``gfd.gfd_project``, the
+  harmonics, the ``verify`` checks) reads the coefficients and forms no
+  (d_lam, d, d) block.  Each T^lam_q lives on one diagonal, so a spin
+  keeps one float CG-diagonal table (``cg_diagonals``, half of each
+  diagonal, about d**3 / 6 doubles); it serves 2S <= 200.  Qubits and
+  fermions use the fast Pauli transform (``paulis.pauli_transform``): all
+  4**n traces Tr(P A) in n passes of 4**n additions, summed into sectors
+  through ``word_sectors`` (built once per model); it serves n <= 10.
 * The center kernel of ``sw_kernel`` and ``kernel_stack`` reads one (L, d)
   table per model, ``hw_sector_diagonals`` (the diagonals of
   Pi_lam(|hw><hw|)), and no block.
-* Dense (d_lam, d, d) sector blocks (``irrep_block``) serve only the
-  harmonics, ``gfd_project`` and the ``verify`` checks.
-  Spin blocks are filled from the same table (no exact CG per entry) and
-  serve 2S <= 60; qubit and fermionic blocks come from
-  ``paulis.words_dense``, one call per block, and serve n <= 4.
+* Dense (d_lam, d, d) sector blocks (``irrep_block``) are only the tests'
+  independent reference: spin blocks, filled from the same table, serve
+  2S <= 60; qubit and fermionic blocks (``paulis.words_dense``, one call
+  per block) serve n <= 4.
 * The exact Racah route of ``clebsch`` stays the oracle: it gives tau and
   the closed-form purities that the tests compare the table against.
 
@@ -80,7 +83,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
@@ -117,13 +120,11 @@ class IrrepBlock:
     label : sector label (int for spin/fermionic, 0/1 tuple for multi-qubit)
     dim : number of basis elements d_lambda
     basis : (d_lambda, d, d) stack of Hermitian orthonormal matrices
-    hw_overlap : (d_lambda,) real vector of <hw| D_j |hw>
     """
 
     label: object
     dim: int
     basis: np.ndarray
-    hw_overlap: np.ndarray = field(default=None)
 
     def project(self, A: np.ndarray) -> np.ndarray:
         """Component of A inside this sector: sum_j <D_j, A> D_j."""
@@ -162,10 +163,7 @@ class QrtModel:
     def irrep_block(self, label) -> IrrepBlock:
         block = self._block_cache.get(label)
         if block is None:
-            block = self._build_block(label)
-            hw = self.hw_state()
-            block.hw_overlap = np.real((block.basis @ hw) @ hw.conj())
-            self._block_cache[label] = block
+            block = self._block_cache[label] = self._build_block(label)
         return block
 
     def blocks(self):
@@ -215,8 +213,9 @@ class QrtModel:
 
     def tau_from_hw(self, label) -> float:
         """Characteristic weight via the highest-weight purity route."""
-        block = self.irrep_block(label)
-        return float(np.sum(block.hw_overlap ** 2)) / block.dim
+        block, hw = self.irrep_block(label), self.hw_state()
+        return float(np.sum(np.real(hw.conj() @ block.basis @ hw) ** 2)
+                     / block.dim)
 
     def coherent_state(self, point) -> np.ndarray:
         return self.point_unitary(point) @ self.hw_state()
@@ -240,6 +239,29 @@ class QrtModel:
             n = self.dim.bit_length() - 1
             self._word_rows = self.word_sectors(*word_masks(n))
         return self._word_rows
+
+    @property
+    def basis_norm(self) -> int:
+        """``Tr(B_k B_k^H)`` of each basis operator: d for the words."""
+        return self.dim
+
+    def weights(self, A: np.ndarray) -> np.ndarray:
+        """The b with ``operators(b) = A``: the basis is orthogonal, so
+        ``b = conj(coefficients(A^H)) / basis_norm``."""
+        AH = np.conj(np.swapaxes(A, -1, -2))
+        return np.conj(self.coefficients(AH)) / self.basis_norm
+
+    def basis_coefficients(self, lam) -> np.ndarray:
+        """(d_lam, 4**n) coefficients of the words ``i**p X^x Z^z / sqrt(d)``
+        of ``sector_words``: ``i**p (-1)**|x & z| sqrt(d)`` at the word's
+        index, where qubit q has the base-4 digit ``x_q + 2 z_q``."""
+        x, z, p = self.sector_words(lam)
+        q = np.arange(self.dim.bit_length() - 1)
+        index = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
+        out = np.zeros((len(x), self.dim ** 2), dtype=complex)
+        out[np.arange(len(x)), index @ 4 ** q[::-1]] = (
+            1j ** (p + 2 * np.bitwise_count(x & z)) * math.sqrt(self.dim))
+        return out
 
     def _expectations(self, points) -> np.ndarray:
         """(N, 4**n) table ``<Omega_n| X^x Z^z |Omega_n>``: the Pauli
@@ -581,6 +603,22 @@ class SpinModel(QrtModel):
 
     def coefficient_sectors(self) -> np.ndarray:
         return np.tile(np.arange(self.dim), 2 * self.dim - 1)
+
+    basis_norm = 1  # the T^lam_q are orthonormal
+
+    def basis_coefficients(self, lam: int) -> np.ndarray:
+        """(2 lam + 1, (2d - 1) d) coefficients of ``_build_block``'s basis,
+        from ``Tr(T^lam_q T^lam_j) = (-1)**j`` at q = -j: T^lam_0 is 1 at
+        (0, lam); with T = T^lam_j, (T + T^H) / sqrt(2) is 1 / sqrt(2) at
+        (j, lam) and (-1)**j / sqrt(2) at (-j, lam), and i (T^H - T) /
+        sqrt(2) is i sign(q) times that."""
+        d, j = self.dim, np.arange(1, lam + 1)
+        out = np.zeros((2 * lam + 1, 2 * d - 1, d), dtype=complex)
+        out[0, d - 1, lam] = 1.0
+        out[2 * j - 1, d - 1 + j, lam] = 1 / math.sqrt(2)
+        out[2 * j - 1, d - 1 - j, lam] = (-1.0) ** j / math.sqrt(2)
+        out[2 * j] = 1j * np.sign(np.arange(1 - d, d))[:, None] * out[2 * j - 1]
+        return out.reshape(2 * lam + 1, -1)
 
     def operators(self, b: np.ndarray) -> np.ndarray:
         """``sum b_lam q T^lam_q``: the CG rows put back on the diagonals."""

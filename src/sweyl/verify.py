@@ -61,17 +61,19 @@ def _random_hermitian(dim: int, rng) -> np.ndarray:
 _LIN_TOL = 1e-10  # bound of the linear-algebra identities
 
 
-def duality_identity_deviation(model: QrtModel) -> float:
+def duality_identity_deviation(model: QrtModel, spectrum=None) -> float:
     """Largest relative deviation of the closed-form Haar duality.
 
     On every non-trivial sector the Haar mean of the s-filtered purity,
     ``tau**(-s) d_lam / (d (d+1))``, equals the highest-weight purity
     filtered at s + 1, ``tau**(-s-1) P_lam(hw) / (d (d+1))``; the common
     factor 1/(d (d+1)) is dropped.  Checked at s = -1, 0, 1 with ``tau``
-    from its closed form and ``P_lam(hw)`` from ``gfd.purity_spectrum``.
+    from its closed form and ``P_lam(hw)`` from ``spectrum``, by default
+    ``gfd.purity_spectrum`` of the highest-weight projector.
     """
-    hw = model.hw_state()
-    spectrum = gfd.purity_spectrum(np.outer(hw, hw.conj()), model)
+    if spectrum is None:
+        hw = model.hw_state()
+        spectrum = gfd.purity_spectrum(np.outer(hw, hw.conj()), model)
     dev = 0.0
     for s in (-1.0, 0.0, 1.0):
         dual = gfd.phase_purity(spectrum, s + 1, model)
@@ -84,26 +86,15 @@ def duality_identity_deviation(model: QrtModel) -> float:
     return dev
 
 
-def _basis_deviation(model: QrtModel) -> float:
-    """Largest deviation of the dense sector bases from Hermitian and
-    orthonormal.  The stacked bases and their Gram matrix, each the size
-    of all blocks, are freed on return."""
-    blocks = model.blocks()
-    dev = max(float(np.max(np.abs(B - B.conj().T)))
-              for block in blocks for B in block.basis)
-    flat = np.vstack([block.basis.reshape(block.dim, -1) for block in blocks])
-    gram = flat.conj() @ flat.T
-    gram[np.diag_indices_from(gram)] -= 1.0
-    return max(dev, float(np.max(np.abs(gram))))
-
-
 def dense_bytes(model: QrtModel) -> int:
-    """The admission rule of the dense checks, from d and the node count N
-    of the default grid alone (nothing O(d) is built): 16 d**4 B for the
-    cached sector bases plus 40 d**2 B per node, room for the d**2 real
-    harmonics, the Gram matrix's copies of them and one sector's complex
-    synthesis.  Under ``phase_space.STACK_BUDGET`` it admits a spin up to
-    2S = 52 and qubits up to n = 4.
+    """The admission rule of the harmonic checks, from d and the node count
+    N of the default grid alone (nothing O(d) is built): 16 d**4 B for the
+    d**2 harmonics' Gram matrix and its deviation, plus 40 d**2 B per node
+    for the real harmonics, their weighted copy and one ``harmonic_matrix``
+    pass (8, 8 and 2 B; at 2S = 52 the estimate is 757 MB and ``verify``
+    peaks at 291 MB ``ru_maxrss``).  Under ``phase_space.STACK_BUDGET`` it
+    admits a spin up to 2S = 52, qubits up to n = 4 and gridless fermions
+    up to n = 6.
     """
     d, nodes = model.dim, ps.default_grid_size(model)
     return 16 * d ** 4 + 40 * d * d * nodes
@@ -113,8 +104,8 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                quad_tol: float = 1e-8) -> list[CheckResult]:
     """Run the invariant suite for one model; returns per-check results.
 
-    A model whose dense checks need over ``phase_space.STACK_BUDGET``
-    bytes (``dense_bytes``) raises ValueError before anything is built.
+    A model whose checks need over ``phase_space.STACK_BUDGET`` bytes
+    (``dense_bytes``) raises ValueError before anything is built.
     """
     model = make_model(qrt, spin_S, n)
     need = dense_bytes(model)
@@ -156,22 +147,28 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     results.append(check("majorana_anticommutation",
                          float(np.max(np.abs(anti))), _LIN_TOL))
 
-    # Sector weights: two routes and normalization.
-    dev = max(abs(model.tau(lam) - model.tau_from_hw(lam))
+    # Sector weights: closed form against the highest-weight purities
+    # P_lam(hw) = tau d_lam, and normalization.
+    hw = model.hw_state()
+    spectrum = gfd.purity_spectrum(np.outer(hw, hw.conj()), model)
+    dev = max(abs(model.tau(lam) - spectrum[lam] / model.irrep_dim(lam))
               for lam in model.labels())
     results.append(check("tau_two_route", dev, _LIN_TOL))
     total = sum(model.irrep_dim(lam) * model.tau(lam) for lam in model.labels())
     results.append(check("tau_normalization", abs(total - 1.0), _LIN_TOL))
-    results.append(check("duality_identity", duality_identity_deviation(model),
-                         _LIN_TOL))
+    results.append(check("duality_identity",
+                         duality_identity_deviation(model, spectrum), _LIN_TOL))
 
-    # Sector bases: Hermitian, orthonormal, complete.
-    results.append(check("sector_orthonormality", _basis_deviation(model),
-                         _LIN_TOL))
+    # Coefficient basis: weights invert operators on the weights of a
+    # complex Gaussian operator (orthonormal) and on A (complete).  The
+    # operator has its own generator, so rng's draws keep their order.
+    G = np.random.default_rng([seed, 1]).normal(size=(2,) + (model.dim,) * 2)
+    b = model.weights(G[0] + 1j * G[1])
+    dev = float(np.max(np.abs(model.weights(model.operators(b)) - b)))
+    results.append(check("sector_orthonormality", dev, _LIN_TOL))
     A = _random_hermitian(model.dim, rng)
-    recon = sum(block.project(A) for block in model.blocks())
-    results.append(check("sector_completeness",
-                         float(np.max(np.abs(recon - A))), _LIN_TOL))
+    dev = float(np.max(np.abs(model.operators(model.weights(A)) - A)))
+    results.append(check("sector_completeness", dev, _LIN_TOL))
 
     # Highest-weight kernel: the s = -1 kernel is the coherent projector.
     pt = model.random_point(rng)
@@ -217,7 +214,8 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     del harm  # views of one table, freed before the Gram matrix
     ally *= np.sqrt(w)  # Gauss-Legendre weights are positive
     gram = ally @ ally.T
-    dev = float(np.max(np.abs(gram - np.eye(len(ally)))))
+    gram[np.diag_indices_from(gram)] -= 1.0
+    dev = float(np.max(np.abs(gram)))
     results.append(check("harmonic_orthonormality", dev, quad_tol))
 
     # One forward pass for [A, B, rho_-1, rho_0, rho_1] at every s, and one

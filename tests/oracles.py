@@ -141,9 +141,10 @@ def harmonic_via_adjoint(model, lam, point) -> np.ndarray:
     tau = model.tau(lam)
     if tau == 0:
         raise ValueError(f"sector {lam} has no harmonics (tau = 0)")
-    block = model.irrep_block(lam)
+    hw = model.hw_state()
+    hw_overlap = np.real(hw.conj() @ model.irrep_block(lam).basis @ hw)
     phi = adjoint_matrix(model, lam, model.point_as_group(point))
-    return (block.hw_overlap @ phi) / math.sqrt(tau)
+    return (hw_overlap @ phi) / math.sqrt(tau)
 
 
 def star_kernel(model, s_triple, p1, p2, p3) -> complex:

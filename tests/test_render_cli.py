@@ -223,13 +223,20 @@ def test_robinson_remap_matches_pixel_loop(tmp_path, h, w):
 
 @pytest.mark.parametrize("argv", [
     ["purities", "--qrt", "fermionic", "--n", "11"],
-    ["verify", "--qrt", "fermionic", "--n", "5"],  # dense blocks: n <= 4
+    ["verify", "--qrt", "fermionic", "--n", "7"],  # dense_bytes: 4.3 GB
     ["purities", "--qrt", "multipartite", "--n", "11"],
 ])
 def test_cli_oversized_qubit_models_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_verify_fermionic_past_the_block_cap_exits_0(tmp_path):
+    # Fermions have no grid and no harmonics, and the sector checks build
+    # no dense block, so n = 5 runs past the n <= 4 block cap.
+    assert main(["verify", "--qrt", "fermionic", "--n", "5",
+                 "--out", str(tmp_path)]) == 0
 
 
 @pytest.mark.parametrize("qrt", ["multipartite", "fermionic"])
