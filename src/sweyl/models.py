@@ -33,8 +33,10 @@ model declares and never test its class.
 * ``weights(A) = conj(coefficients(A^H)) / basis_norm``: the b with
   ``operators(b) = A``, as the B_k are orthogonal with ``Tr(B_k B_k^H) =
   basis_norm`` (1 for the spin's T^lam_q, d for words).
-* ``basis_coefficients(lam)``: the coefficients of sector lam's Hermitian
-  basis, by index arithmetic.
+* ``harmonics(points)``: the (sum d_lam, N) real harmonics ``Y^lam_j =
+  tau_lam**(-1/2) <Omega| D_j |Omega>`` of the tau > 0 sectors in
+  ``labels()`` order, read from the model's point table: one Legendre
+  table for a spin, the word expectations for qubits and fermions.
 * ``synthesis(c, points)`` and ``synthesis_adjoint(w, points)``: the
   fields ``F_n = sum_k E[n, k] c_k`` at phase points of coefficient
   vectors, and the transpose ``sum_n w_n E[n, k]``.  Summed over one
@@ -251,16 +253,24 @@ class QrtModel:
         AH = np.conj(np.swapaxes(A, -1, -2))
         return np.conj(self.coefficients(AH)) / self.basis_norm
 
-    def basis_coefficients(self, lam) -> np.ndarray:
-        """(d_lam, 4**n) coefficients of the words ``i**p X^x Z^z / sqrt(d)``
-        of ``sector_words``: ``i**p (-1)**|x & z| sqrt(d)`` at the word's
-        index, where qubit q has the base-4 digit ``x_q + 2 z_q``."""
-        x, z, p = self.sector_words(lam)
+    def harmonics(self, points) -> np.ndarray:
+        """(sum d_lam, N) harmonics ``Re(i**p <Omega|X^x Z^z|Omega>) /
+        sqrt(tau_lam d)`` of the basis words ``i**p X^x Z^z / sqrt(d)`` of
+        ``sector_words``, tau > 0 sectors only: columns of the expectation
+        table, where qubit q has the base-4 digit ``x_q + 2 z_q``.  The
+        chunks hold ``E = conj(<W>) / d``, and ``Re(i**p <W>) = Re((-i)**p
+        E) d``."""
+        kept = [lam for lam in self.labels() if self.tau(lam)]
+        x, z, p = map(np.concatenate, zip(*map(self.sector_words, kept)))
         q = np.arange(self.dim.bit_length() - 1)
-        index = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
-        out = np.zeros((len(x), self.dim ** 2), dtype=complex)
-        out[np.arange(len(x)), index @ 4 ** q[::-1]] = (
-            1j ** (p + 2 * np.bitwise_count(x & z)) * math.sqrt(self.dim))
+        digits = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
+        index = digits @ 4 ** q[::-1]
+        scale = np.array([1, -1j, -1, 1j])[p % 4] * np.repeat(
+            [math.sqrt(self.dim / self.tau(lam)) for lam in kept],
+            [self.irrep_dim(lam) for lam in kept])
+        out = np.empty((len(index), len(points)))
+        for rows, E in self._word_chunks(points):
+            out[:, rows] = (E[:, index] * scale).real.T
         return out
 
     def _expectations(self, points) -> np.ndarray:
@@ -606,20 +616,6 @@ class SpinModel(QrtModel):
 
     basis_norm = 1  # the T^lam_q are orthonormal
 
-    def basis_coefficients(self, lam: int) -> np.ndarray:
-        """(2 lam + 1, (2d - 1) d) coefficients of ``_build_block``'s basis,
-        from ``Tr(T^lam_q T^lam_j) = (-1)**j`` at q = -j: T^lam_0 is 1 at
-        (0, lam); with T = T^lam_j, (T + T^H) / sqrt(2) is 1 / sqrt(2) at
-        (j, lam) and (-1)**j / sqrt(2) at (-j, lam), and i (T^H - T) /
-        sqrt(2) is i sign(q) times that."""
-        d, j = self.dim, np.arange(1, lam + 1)
-        out = np.zeros((2 * lam + 1, 2 * d - 1, d), dtype=complex)
-        out[0, d - 1, lam] = 1.0
-        out[2 * j - 1, d - 1 + j, lam] = 1 / math.sqrt(2)
-        out[2 * j - 1, d - 1 - j, lam] = (-1.0) ** j / math.sqrt(2)
-        out[2 * j] = 1j * np.sign(np.arange(1 - d, d))[:, None] * out[2 * j - 1]
-        return out.reshape(2 * lam + 1, -1)
-
     def operators(self, b: np.ndarray) -> np.ndarray:
         """``sum b_lam q T^lam_q``: the CG rows put back on the diagonals."""
         d = self.dim
@@ -700,6 +696,27 @@ class SpinModel(QrtModel):
             b[d - 1:] += Y @ W[d - 1:]
         b *= self._harmonic_weights()[:, :, None]
         return b.transpose(2, 0, 1).reshape(w.shape[1], -1)
+
+    def harmonics(self, points) -> np.ndarray:
+        """(d**2, N) real spherical harmonics of ``_build_block``'s bases
+        T^lam_0, (T + T^H) / sqrt(2) and i (T^H - T) / sqrt(2), T = T^lam_j,
+        at rows lam**2, lam**2 + 2j - 1 and lam**2 + 2j: ``Ybar_lam 0``,
+        ``sqrt(2) cos(j phi) Ybar_lam j`` and ``sqrt(2) sin(j phi) Ybar_lam
+        j`` times ``sqrt(4 pi)``, the synthesis weight times ``tau_lam**(-1/2)
+        = sqrt(2 lam + 1) / x0_lam`` (x0_lam > 0 by the table's sign).  One
+        Legendre table, never larger than the output, serves the thetas."""
+        d = self.dim
+        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        theta, ring = np.unique(pts[:, 0], return_inverse=True)
+        Y = _legendre_table(theta, d) * math.sqrt(4 * math.pi)
+        lam = np.arange(d)
+        out = np.empty((d * d, len(pts)))
+        out[lam ** 2] = Y[0][:, ring]
+        for j in range(1, d):
+            Yj = math.sqrt(2) * Y[j, j:][:, ring]
+            out[lam[j:] ** 2 + 2 * j - 1] = np.cos(j * pts[:, 1]) * Yj
+            out[lam[j:] ** 2 + 2 * j] = np.sin(j * pts[:, 1]) * Yj
+        return out
 
     def _build_block(self, lam: int) -> IrrepBlock:
         if self.S.twice > _DENSE_SPIN_CAP:
@@ -913,6 +930,10 @@ class FermionicPoint:
             raise ValueError("generator must be antisymmetric")
         object.__setattr__(self, "h", h)
 
+    def __array__(self, dtype=None, copy=None):
+        """The generator h, so a point reads as its bare array."""
+        return np.array(self.h, dtype=dtype, copy=copy)
+
 
 class FermionicModel(QrtModel):
     """n fermionic modes under Gaussian (matchgate) rotations.
@@ -1012,7 +1033,7 @@ class FermionicModel(QrtModel):
         return self._majorana_dense
 
     def point_unitary(self, point) -> np.ndarray:
-        h = point.h if isinstance(point, FermionicPoint) else np.asarray(point)
+        h = np.asarray(point, dtype=float)
         if h.shape != (2 * self.n, 2 * self.n):
             raise ValueError("generator has wrong shape")
         cs = self.majorana_dense()
@@ -1053,8 +1074,7 @@ class FermionicModel(QrtModel):
         reproduces the composed unitary up to a scalar phase, which cancels
         in every covariant quantity (kernels, overlaps, purities).
         """
-        hg = g.h if isinstance(g, FermionicPoint) else np.asarray(g)
-        hp = point.h if isinstance(point, FermionicPoint) else np.asarray(point)
+        hg, hp = np.asarray(g, dtype=float), np.asarray(point, dtype=float)
         R = np.real(_exp_antihermitian(-4 * hp) @ _exp_antihermitian(-4 * hg))
         return self.point_of_rotation(R)
 

@@ -26,10 +26,10 @@ synthesis_adjoint(w))``.  ``fields`` and ``kernel_sums`` take a stack
 of operators (or of node weights) and a column of factors per spec, so
 the CLI makes one forward and one adjoint pass per grid;
 ``symbol_field``, ``reconstruct``, ``convert_field``, ``star_product``
-and ``phase_purity_quadrature`` are one-operator callers, and
-``harmonic_matrix`` is the synthesis of ``basis_coefficients`` at tau**-0.5.
-For a spin that is a spherical-harmonic transform, O(n_theta d**3 + N
+and ``phase_purity_quadrature`` are one-operator callers.  For a spin
+the synthesis is a spherical-harmonic transform, O(n_theta d**3 + N
 d**2); for qubits and fermions a sum over the 4**n Pauli words.
+``harmonic_matrix`` splits the model's point table ``harmonics``.
 ``kernel_stack`` (``U D0 U^H``, with the center kernel's diagonal
 ``center_diagonal``) is the tests' independent reference route.  At s >
 0 any route keeps an error of about ``eps kappa**s`` of the field's
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfd import PuritySpectrum
-from .models import TABLE_BYTES, FermionicModel, QrtModel
+from .models import FermionicModel, QrtModel
 
 
 # -- kernel specification -----------------------------------------------------
@@ -359,38 +359,14 @@ def symbol_field(model: QrtModel, A: np.ndarray, grid,
 # -- harmonics ----------------------------------------------------------------
 
 def harmonic_matrix(model: QrtModel, points) -> dict:
-    """Sector harmonics at many points: label -> (d_lam, N) real array.
-
-    Row j of sector lam holds ``Y^lam_j = tau_lam**(-1/2) <Omega| D_j
-    |Omega>`` at each point: the real part of the synthesis of the basis
-    coefficients (``basis_coefficients``) times tau**(-1/2), with no
-    cancelling sum over coherent states.  Work is held to ``TABLE_BYTES``
-    or a quarter of the harmonics' own bytes, whichever is more: passes of
-    whole sectors whose coefficients fill a quarter of it (the spin
-    synthesis holds about three more arrays of their size), each over runs
-    of points whose complex output fills it.  Each pass rebuilds the point
-    tables of the synthesis (Legendre tables and Fourier factors, or word
-    expectations).  Sectors without phase-space image (tau = 0) are
-    omitted.
+    """Sector harmonics at many points: label -> (d_lam, N) real array
+    whose row j is ``Y^lam_j = tau_lam**(-1/2) <Omega| D_j |Omega>``, the
+    model's ``harmonics`` split by sector.  Sectors without phase-space
+    image (tau = 0) are omitted.
     """
-    f = sector_factors(model, KernelSpec.cahill_glauber(0.0))
-    kept = [(lam, fl) for lam, fl in zip(model.labels(), f) if fl]
-    rows = np.cumsum([0] + [model.irrep_dim(lam) for lam, _ in kept])
-    vals = np.empty((rows[-1], len(points)))
-    budget = max(TABLE_BYTES, vals.nbytes // 4)
-    step = max(1, budget // (64 * len(model.coefficient_sectors())))
-    for _, group in itertools.groupby(range(len(kept)),
-                                      lambda i: (rows[i + 1] - 1) // step):
-        group = list(group)
-        lo, hi = rows[group[0]], rows[group[-1] + 1]
-        c = np.vstack([model.basis_coefficients(kept[i][0]) * kept[i][1]
-                       for i in group])
-        run = max(1, budget // (16 * len(c)))
-        for p in range(0, len(points), run):
-            part = model.synthesis(c, points[p:p + run])
-            vals[lo:hi, p:p + run] = part.real.T
-            del part  # freed before the next run makes its own
-    return dict(zip([lam for lam, _ in kept], np.split(vals, rows[1:-1])))
+    kept = [lam for lam in model.labels() if model.tau(lam)]
+    rows = np.cumsum([model.irrep_dim(lam) for lam in kept])[:-1]
+    return dict(zip(kept, np.split(model.harmonics(points), rows)))
 
 
 # -- quadrature functionals ---------------------------------------------------

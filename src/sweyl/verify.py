@@ -89,12 +89,12 @@ def duality_identity_deviation(model: QrtModel, spectrum=None) -> float:
 def dense_bytes(model: QrtModel) -> int:
     """The admission rule of the harmonic checks, from d and the node count
     N of the default grid alone (nothing O(d) is built): 16 d**4 B for the
-    d**2 harmonics' Gram matrix and its deviation, plus 40 d**2 B per node
-    for the real harmonics, their weighted copy and one ``harmonic_matrix``
-    pass (8, 8 and 2 B; at 2S = 52 the estimate is 757 MB and ``verify``
-    peaks at 291 MB ``ru_maxrss``).  Under ``phase_space.STACK_BUDGET`` it
-    admits a spin up to 2S = 52, qubits up to n = 4 and gridless fermions
-    up to n = 6.
+    d**2 harmonics' Gram matrix and its deviation, plus 40 d**2 B per node:
+    16 B for the real harmonics of ``harmonic_matrix`` and their stacked
+    copy, weighted in place; the other 24 B, once a synthesis pass, are
+    margin (at 2S = 52 the estimate is 757 MB and ``verify`` peaks at 294
+    MB ``ru_maxrss``).  Under ``phase_space.STACK_BUDGET`` it admits a spin
+    up to 2S = 52, qubits up to n = 4 and gridless fermions up to n = 6.
     """
     d, nodes = model.dim, ps.default_grid_size(model)
     return 16 * d ** 4 + 40 * d * d * nodes

@@ -214,6 +214,15 @@ def test_fermionic_point_validation():
         FermionicPoint(np.zeros((3, 3)))  # odd size has no mode pairing
 
 
+def test_fermionic_point_reads_as_its_generator():
+    model = FermionicModel(2)
+    rng = np.random.default_rng(7)
+    g, point = model.random_group(rng), model.random_point(rng)
+    assert np.array_equal(model.point_unitary(point),
+                          model.point_unitary(point.h))
+    assert np.array_equal(model.act(g, point).h, model.act(g.h, point.h).h)
+
+
 def test_fermionic_unitary_rotates_majoranas():
     # U c_mu U^dag = sum_nu [expm(-4 h)]_{mu nu} c_nu.
     model = FermionicModel(2)

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sweyl import gfd
+from sweyl import gfd, models
 from sweyl import phase_space as ps
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
@@ -234,24 +234,62 @@ def test_harmonic_orthonormality_at_large_spin():
 
 @pytest.mark.parametrize(
     "model", [SpinModel(H(k / 2)) for k in range(1, 9)]
-    + [MultipartiteModel(n) for n in (1, 2, 3)] + [FermionicModel(2)],
+    + [SpinModel(12), SpinModel(20)]
+    + [MultipartiteModel(n) for n in (1, 2, 3, 4)]
+    + [FermionicModel(2), FermionicModel(3)],
     ids=repr)
 def test_harmonic_matrix_matches_coherent_state_oracle(model):
-    # Y^lam_j = tau**(-1/2) <Omega| D_j |Omega>, one point at a time.
+    # Y^lam_j = tau**(-1/2) <Omega| D_j |Omega>, one point at a time, with
+    # Omega = U hw.  The direct sum psi^H D_j psi keeps an error of about
+    # eps / sqrt(tau) (8e-4 at 2S = 40, tau = 1e-25), so the expectation is
+    # read as Tr(U Pi U^H D_j), Pi = Pi_lam(|hw><hw|) = sum_k <hw|D_k|hw>
+    # D_k (D_j lies in sector lam): the small factor is Pi's scale, and
+    # nothing cancels.
     rng = np.random.default_rng(21)
     pts = [model.random_point(rng) for _ in range(6)]
     harm = ps.harmonic_matrix(model, pts)
+    hw = model.hw_state()
     for lam in model.labels():
         tau = model.tau(lam)
         if tau == 0:
             assert lam not in harm
             continue
         basis = model.irrep_block(lam).basis
+        Pi = np.tensordot(np.real(hw.conj() @ basis @ hw), basis, 1)
         for k, p in enumerate(pts):
-            psi = model.coherent_state(p)
-            want = np.einsum("a,jab,b->j", psi.conj(), basis, psi).real
+            U = model.point_unitary(p)
+            want = np.einsum("ab,jba->j", U @ Pi @ U.conj().T, basis).real
             assert np.max(np.abs(harm[lam][:, k] - want / math.sqrt(tau))) \
                 <= 1e-12
+
+
+@pytest.mark.parametrize("model", [SpinModel(8), MultipartiteModel(2),
+                                   FermionicModel(2)], ids=repr)
+def test_harmonic_matrix_reads_one_point_table(model, monkeypatch):
+    # One Legendre table for a whole spin grid, and no synthesis: the
+    # harmonics are the model's point table, not fields of basis rows.
+    calls = {"legendre": 0, "synthesis": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(models, "_legendre_table",
+                        counted("legendre", models._legendre_table))
+    for cls in (models.QrtModel, models.SpinModel):
+        monkeypatch.setattr(cls, "synthesis", counted("synthesis",
+                                                      cls.synthesis))
+    if model.band is None:
+        points = [model.random_point(np.random.default_rng(8))
+                  for _ in range(4)]
+    else:
+        points = ps.default_grid(model).points
+    harm = ps.harmonic_matrix(model, points)
+    assert calls == {"legendre": model.kind == "spin", "synthesis": 0}
+    assert sum(len(Y) for Y in harm.values()) == sum(
+        model.irrep_dim(lam) for lam in model.labels() if model.tau(lam))
 
 
 def test_harmonic_via_adjoint_route():

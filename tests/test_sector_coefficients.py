@@ -1,7 +1,7 @@
 """Sector checks, projections and harmonics on the coefficient route.
 
-``basis_coefficients`` and ``gfd_project`` (through ``weights``) against
-the dense sector blocks of ``irrep_block``, the tests' reference; the
+``gfd_project`` (through ``weights``) and the harmonics against the
+dense sector blocks of ``irrep_block``, the tests' reference; the
 projection at sizes where no block can be built; mutations of the basis
 that the ``verify`` sector checks must report; and a guard that no
 runtime path, from the benchmark's CLI jobs to ``verify --spin-S 26``,
@@ -42,8 +42,6 @@ def test_coefficient_route_matches_dense_blocks(model):
     A = _operator(model, model.dim)
     for lam in model.labels():
         block = model.irrep_block(lam)
-        dense = model.coefficients(block.basis)
-        assert np.max(np.abs(model.basis_coefficients(lam) - dense)) <= 1e-14
         assert np.max(np.abs(gfd.gfd_project(A, model, lam)
                              - block.project(A))) <= 1e-13
 
