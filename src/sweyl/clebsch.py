@@ -112,7 +112,8 @@ def _checked_labels(j1, m1, j2, m2, J, M) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
-    """Signed square of a CG coefficient as an exact Fraction.
+    """Signed square of a CG coefficient as an exact Fraction: Racah's sum
+    in integers over one common denominator, one Fraction at the end.
 
     Returns ``(sign, square)`` with sign in {-1, 0, 1}.  Selection-rule
     violations return (0, Fraction(0)).
@@ -137,26 +138,23 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
     Jm = (tJ - tM) // 2
 
     f = math.factorial
-    norm = Fraction(
-        (tJ + 1) * f(a) * f(b) * f(c) * f(JM) * f(Jm)
-        * f(jm1) * f(jp1) * f(jm2) * f(jp2),
-        f((tj1 + tj2 + tJ) // 2 + 1),
-    )
-
-    k_lo = max(0, (tj1 + tm2 - tJ) // 2, (tj2 - tm1 - tJ) // 2)
-    k_hi = min(a, jm1, jp2)
-    total = Fraction(0)
+    x, y = (tJ - tj1 - tm2) // 2, (tJ - tj2 + tm1) // 2
+    k_lo, k_hi = max(0, -x, -y), min(a, jm1, jp2)
+    # Racah's terms over one common denominator L: each factorial divides
+    # its value at the end of the range where it is largest.
+    L = (f(k_hi) * f(a - k_lo) * f(jm1 - k_lo) * f(jp2 - k_lo) * f(x + k_hi)
+         * f(y + k_hi))
+    total = 0
     for k in range(k_lo, k_hi + 1):
-        den = (
-            f(k) * f(a - k) * f(jm1 - k) * f(jp2 - k)
-            * f((tJ - tj1 - tm2) // 2 + k) * f((tJ - tj2 + tm1) // 2 + k)
-        )
-        total += Fraction(-1 if k % 2 else 1, den)
-
+        den = f(k) * f(a - k) * f(jm1 - k) * f(jp2 - k) * f(x + k) * f(y + k)
+        total += -(L // den) if k % 2 else L // den
     if total == 0:
         return 0, Fraction(0)
+    norm = ((tJ + 1) * f(a) * f(b) * f(c) * f(JM) * f(Jm)
+            * f(jm1) * f(jp1) * f(jm2) * f(jp2))
     sign = 1 if total > 0 else -1
-    return sign, total * total * norm
+    return sign, Fraction(total * total * norm,
+                          L * L * f((tj1 + tj2 + tJ) // 2 + 1))
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:

@@ -10,7 +10,6 @@ invocations produce byte-identical CSV/JSON/PPM outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -124,46 +123,59 @@ def _sector_name(lam) -> str:
 
 
 def _write_json(path, config, checks, seed) -> None:
-    doc = {"config": config, "checks": checks, "seed": seed}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    render.write_json(path, {"config": config, "checks": checks, "seed": seed})
 
 
 def cmd_purities(args) -> int:
+    """Sector purities ``P_lam`` and their filtered images ``tau**(-s)
+    P_lam`` of every ``--state``, in one batched pass.  The states' density
+    matrices go to ``gfd.purity_spectrum`` as (k, d, d) stacks of at most
+    ``gfd._RHO_BYTES`` (one state per stack when a single one is larger,
+    as at n = 10, so the peak stays that of one state), the filters are one
+    array product, and the table is written column by column."""
     model = _model(args)
     model.check_sector_size()  # before any d x d state is formed
     states = args.state or ["hw"]
     svals = args.s if args.s else [-1.0, 0.0, 1.0]
-    rows = []
-    for sel in states:
-        psi = model.named_state(sel, seed=args.seed)
-        rho = np.outer(psi, psi.conj())
-        spectrum = gfd.purity_spectrum(rho, model)
-        for s in svals:
-            filtered = gfd.phase_purity(spectrum, s, model)
-            for lam in model.labels():
-                rows.append([
-                    model.kind, _state_label(sel), s, _sector_name(lam),
-                    float(model.irrep_dim(lam)), model.tau(lam),
-                    spectrum[lam], filtered[lam],
-                ])
-    os.makedirs(args.out, exist_ok=True)
+    labels = model.labels()
+    step = max(1, gfd._RHO_BYTES // (16 * model.dim ** 2))
+
+    def spectra(sels):  # (sectors, k) purities of one stack of states
+        psi = np.stack([model.named_state(sel, seed=args.seed) for sel in sels])
+        rho = psi[:, :, None] * psi.conj()[:, None, :]
+        return gfd.purity_spectrum(rho, model).as_array(labels)
+
+    purity = np.hstack([spectra(states[lo:lo + step])
+                        for lo in range(0, len(states), step)]).T
+    # Python-float factors, as in gfd.phase_purity (numpy's ** may round
+    # differently); an overflowing one raises OverflowError: exit 1.
+    taus = [model.tau(lam) for lam in labels]
+    factors = np.array([[tau ** (-s) if tau > 0 else 0.0 for tau in taus]
+                        for s in svals])
+    filtered = purity[:, None, :] * factors  # (states, svals, sectors)
+    nk, ns, nl = filtered.shape
     header = ["model", "state", "s", "sector", "dim", "tau",
               "purity", "phase_purity"]
+    columns = [
+        [model.kind] * filtered.size,
+        [_state_label(sel) for sel in states for _ in range(ns * nl)],
+        np.repeat(np.tile(svals, nk), nl),
+        [_sector_name(lam) for lam in labels] * (nk * ns),
+        np.tile([float(model.irrep_dim(lam)) for lam in labels], nk * ns),
+        np.tile(taus, nk * ns),
+        np.repeat(purity, ns, axis=0).ravel(),
+        filtered.ravel(),
+    ]
+    os.makedirs(args.out, exist_ok=True)
     if args.format == "json":
-        path = os.path.join(args.out, "purities.json")
-        doc = {
-            "config": _config(args, states=states, s=svals),
-            "rows": [dict(zip(header, r)) for r in rows],
-            "seed": args.seed,
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        render.write_json(
+            os.path.join(args.out, "purities.json"),
+            {"config": _config(args, states=states, s=svals),
+             "seed": args.seed}, "rows", header, columns)
     else:
         render.write_csv(os.path.join(args.out, "purities.csv"),
-                         header, rows, comments=[f"seed={args.seed}"])
+                         header, comments=[f"seed={args.seed}"],
+                         columns=columns)
     return 0
 
 

@@ -42,9 +42,10 @@ class PuritySpectrum:
 def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
     """Purity spectrum of an operator, dense or Pauli-sum represented.
 
-    Dense input goes through the model's ``sector_purities`` (banded CG
-    diagonals for a spin, the fast Pauli transform for qubits and
-    fermions).  PauliSum input reads the sectors of all its words in one
+    Dense input, one (d, d) operator or a (K, d, d) stack, goes through
+    the model's ``sector_purities`` (banded CG diagonals for a spin, the
+    fast Pauli transform for qubits and fermions); a stack's entries are
+    (K,) arrays.  PauliSum input reads the sectors of all its words in one
     ``model.word_sectors`` call and sums ``|c|**2 2**n`` per sector, at
     any supported n; a spin has no Pauli-word sectors and raises
     ValueError.
@@ -52,7 +53,8 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
     if isinstance(A, PauliSum):
         return _purity_spectrum_pauli(A, model)
     entries = model.sector_purities(np.asarray(A))
-    return PuritySpectrum({lam: float(v) for lam, v in entries.items()})
+    return PuritySpectrum({lam: v if v.ndim else float(v)
+                           for lam, v in entries.items()})
 
 
 def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:

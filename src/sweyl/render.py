@@ -10,6 +10,7 @@ equirectangular rows built from the published 5-degree coefficient table.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 
 import numpy as np
@@ -141,6 +142,43 @@ def write_csv(path, header: list[str], rows=(), comments=(), *,
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
         fh.write(body)
+
+
+def write_json(path, doc: dict, key=None, header=(), columns=()) -> None:
+    """Write what ``json.dump(doc, fh, indent=2, sort_keys=True)`` and a
+    newline write, with ``doc[key]`` the list of row objects
+    ``dict(zip(header, row))`` of a table given as str/float ``columns``.
+
+    The rows go through one ``%`` template: float columns as
+    ``float.__repr__`` (``NaN`` / ``Infinity`` / ``-Infinity`` when not
+    finite), str columns through ``encode_basestring_ascii``; the rest of
+    the document through ``json.dumps``, where the table stands as ``[]``
+    on the only line that starts with its key at depth 1.
+    """
+    text = json.dumps(doc if key is None else {**doc, key: []}, indent=2,
+                      sort_keys=True)
+    if key is not None and columns and len(columns[0]):
+        cells = []
+        for c in columns:
+            if isinstance(c[0], str):
+                cells.append(map(json.encoder.encode_basestring_ascii, c))
+                continue
+            vals = np.asarray(c, dtype=float)
+            text_vals = list(map(float.__repr__, vals.tolist()))
+            for i in np.flatnonzero(~np.isfinite(vals)):
+                text_vals[i] = json.dumps(float(vals[i]))
+            cells.append(text_vals)
+        order = sorted(range(len(header)), key=header.__getitem__)
+        row = ",\n".join("      " + json.dumps(header[i]).replace("%", "%%")
+                          + ": %s" for i in order)
+        body = ",\n".join(["    {\n" + row + "\n    }"] * len(columns[0]))
+        table = body % tuple(itertools.chain.from_iterable(
+            zip(*(cells[i] for i in order))))
+        start = f"\n  {json.dumps(key)}: ["
+        text = text.replace(start + "]", f"{start}\n{table}\n  ]", 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def equirect_grid(ntheta: int, nphi: int):

@@ -88,13 +88,14 @@ def duality_identity_deviation(model: QrtModel, spectrum=None) -> float:
 
 def dense_bytes(model: QrtModel) -> int:
     """The admission rule of the harmonic checks, from d and the node count
-    N of the default grid alone (nothing O(d) is built): 16 d**4 B for the
-    d**2 harmonics' Gram matrix and its deviation, plus 40 d**2 B per node:
-    16 B for the real harmonics of ``harmonic_matrix`` and their stacked
-    copy, weighted in place; the other 24 B, once a synthesis pass, are
-    margin (at 2S = 52 the estimate is 757 MB and ``verify`` peaks at 294
-    MB ``ru_maxrss``).  Under ``phase_space.STACK_BUDGET`` it admits a spin
-    up to 2S = 52, qubits up to n = 4 and gridless fermions up to n = 6.
+    N of the default grid alone (nothing O(d) is built).  Their peak holds
+    the d**2 harmonics' Gram matrix, 8 d**4 B (its deviation is taken in
+    place), and the real (d**2, N) point table they come from, 8 d**2 B per
+    node (weighted in place and freed after the Gram product).  The rule
+    allows twice the one and five times the other, 16 d**4 + 40 d**2 N B:
+    at 2S = 52 that is 757 MB, where ``verify`` peaks at 235 MB
+    ``ru_maxrss``.  Under ``phase_space.STACK_BUDGET`` it admits a spin up
+    to 2S = 52, qubits up to n = 4 and gridless fermions up to n = 6.
     """
     d, nodes = model.dim, ps.default_grid_size(model)
     return 16 * d ** 4 + 40 * d * d * nodes
@@ -209,13 +210,14 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     # Quadrature-mediated identities (structured grids only).
     grid = ps.default_grid(model)
     w = np.asarray(grid.weights)
-    harm = ps.harmonic_matrix(model, grid.points)
-    ally = np.vstack([harm[lam] for lam in model.labels()])
-    del harm  # views of one table, freed before the Gram matrix
+    # Every sector of a gridded model has tau > 0, so the point table is
+    # all of the harmonics in label order, read once and freed early.
+    ally = model.harmonics(grid.points)
     ally *= np.sqrt(w)  # Gauss-Legendre weights are positive
     gram = ally @ ally.T
+    del ally
     gram[np.diag_indices_from(gram)] -= 1.0
-    dev = float(np.max(np.abs(gram)))
+    dev = float(np.max(np.abs(gram, out=gram)))
     results.append(check("harmonic_orthonormality", dev, quad_tol))
 
     # One forward pass for [A, B, rho_-1, rho_0, rho_1] at every s, and one

@@ -7,15 +7,18 @@ a Pauli word (``sector_of``, beside the models' bit-arithmetic
 it, the
 exact signed CG square, the three-kernel and factored twisted-product
 couplings, the adjoint-representation harmonics, the symbol factor of a
-kernel spec, dense-block sector purities, and the CSV reader that reads
-``render.write_csv`` output back.
+kernel spec, dense-block sector purities, the per-state ``purities``
+command, and the CSV reader that reads ``render.write_csv`` output back.
 """
 
 import itertools
+import json
 import math
+import os
 
 import numpy as np
 
+from sweyl import cli, gfd, render
 from sweyl.clebsch import _cg_signed_square, _checked_labels
 from sweyl.models import FermionicModel, MultipartiteModel
 from sweyl.paulis import PauliString, majorana
@@ -184,6 +187,45 @@ def star_kernel_factored(model, s_triple, p1, p2, p3) -> complex:
 
 
 # -- rendering -----------------------------------------------------------------
+
+def purities_by_state(argv) -> None:
+    """The ``purities`` command one state at a time: one ``purity_spectrum``
+    and one ``phase_purity`` per state and s, a list per row, and the
+    whole document through ``json.dump``."""
+    args = cli._parser().parse_args(argv)
+    model = cli._model(args)
+    model.check_sector_size()
+    states = args.state or ["hw"]
+    svals = args.s if args.s else [-1.0, 0.0, 1.0]
+    rows = []
+    for sel in states:
+        psi = model.named_state(sel, seed=args.seed)
+        spectrum = gfd.purity_spectrum(np.outer(psi, psi.conj()), model)
+        for s in svals:
+            filtered = gfd.phase_purity(spectrum, s, model)
+            for lam in model.labels():
+                rows.append([
+                    model.kind, cli._state_label(sel), s,
+                    cli._sector_name(lam), float(model.irrep_dim(lam)),
+                    model.tau(lam), spectrum[lam], filtered[lam],
+                ])
+    os.makedirs(args.out, exist_ok=True)
+    header = ["model", "state", "s", "sector", "dim", "tau",
+              "purity", "phase_purity"]
+    if args.format == "json":
+        doc = {
+            "config": cli._config(args, states=states, s=svals),
+            "rows": [dict(zip(header, r)) for r in rows],
+            "seed": args.seed,
+        }
+        with open(os.path.join(args.out, "purities.json"), "w",
+                  encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    else:
+        render.write_csv(os.path.join(args.out, "purities.csv"),
+                         header, rows, comments=[f"seed={args.seed}"])
+
 
 def read_csv(path):
     """Read back a CSV written by write_csv: (header, list of row lists)."""

@@ -171,3 +171,31 @@ def test_cg_hw_zero():
         cg_hw_zero(H(1), 3)
     with pytest.raises(ValueError):
         cg_hw_zero(H(1), -1)
+
+
+def _label_sets(max_twice: int):
+    """Every (2j1, 2m1, 2j2, 2m2, 2J, 2M) with a non-zero coefficient
+    allowed by the selection rules, 2j1, 2j2 <= max_twice."""
+    for tj1 in range(max_twice + 1):
+        for tj2 in range(max_twice + 1):
+            for tJ in range(abs(tj1 - tj2), tj1 + tj2 + 1, 2):
+                for tm1 in range(-tj1, tj1 + 1, 2):
+                    for tm2 in range(-tj2, tj2 + 1, 2):
+                        if abs(tm1 + tm2) <= tJ:
+                            yield tj1, tm1, tj2, tm2, tJ, tm1 + tm2
+
+
+def test_signed_square_equals_sympy_exactly():
+    # The integer Racah sum against sympy's exact CG, squared: equal as
+    # rationals, with the same sign, on every label set with 2j <= 6.
+    from sympy import Rational, sign
+    count = 0
+    for labels in _label_sets(6):
+        ours_sign, ours = clebsch_gordan_signed_square(
+            *(HalfInt(t) for t in labels))
+        ref = CG(*(Rational(t, 2) for t in labels)).doit()
+        assert isinstance(ours, Fraction)
+        assert Rational(ours.numerator, ours.denominator) == ref ** 2
+        assert ours_sign == sign(ref)
+        count += 1
+    assert count == 2408
