@@ -10,6 +10,7 @@ invocations produce byte-identical CSV/JSON/PPM outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -37,6 +38,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
+@functools.cache  # parse_args leaves the parser as it was
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="sweyl",
@@ -194,14 +196,14 @@ def _phasespace_bytes(ntheta: int, nphi: int, dim: int, nsvals: int,
     ``models.TABLE_BYTES``, and at most one theta (its Legendre table and
     products, under 2 MiB at the 2S <= 200 of the CG table) and one point
     more.  The filtered coefficients, 2 d**2 complex numbers per state and
-    s.  Per node the complex (N, states, svals) field table, about 100 B
-    of preformatted "theta,phi" text, about 95 B of node arrays, values
-    and the CSV writer's Python cells, and about 75 B of CSV text (270 B
-    in all, measured with tracemalloc at 120 000 nodes).  And the model's
-    d x d states.
+    s.  Per node the complex (N, states, svals) field table and 270 B:
+    about 100 B of preformatted "theta,phi" text, 30 B of node arrays and
+    values, and the CSV writer's inverse index and texts of distinct
+    values (235 B in all when every value is distinct, measured with
+    tracemalloc at 120 000 nodes).  And the model's d x d states.
     """
     return (2 * TABLE_BYTES + 32 * nstates * nsvals * dim * dim
-            + ntheta * nphi * (16 * nstates * nsvals + 100 + 95 + 75)
+            + ntheta * nphi * (16 * nstates * nsvals + 270)
             + nstates * model_dim * model_dim * 16)
 
 

@@ -1,10 +1,11 @@
 """Deterministic plain-text outputs: CSV tables, PPM heatmaps, projections.
 
-Everything here is display plumbing.  Floats print with 17 significant
-digits so that CSV round-trips reproduce the in-memory doubles exactly;
-images are plain-text P3 PPM so byte-identical reruns are trivial to
-check.  The Robinson projection is a display-only monotone remap of
-equirectangular rows built from the published 5-degree coefficient table.
+Everything here is display plumbing.  A writer's bytes are those of its
+cells' own ``%.17g`` (CSV, which reads back as the same doubles),
+``float.__repr__`` (JSON) or ``%d`` (plain-text P3 PPM), while each
+distinct double of a float column is formatted once.  The Robinson
+projection is a display-only monotone remap of equirectangular rows built
+from the published 5-degree coefficient table.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ _PLEN = np.array([row[1] for row in ROBINSON_TABLE], dtype=float)
 _PDFE = np.array([row[2] for row in ROBINSON_TABLE], dtype=float)
 
 BACKGROUND = (200, 200, 200)
+
+# P3 text of level v: "v " at index v, "v\n" at 256 + v; NUL-padded.
+_PPM_CELLS = np.array([b"%d " % v for v in range(256)]
+                      + [b"%d\n" % v for v in range(256)], dtype="S4")
+_CSV_BLOCK = 512  # rows per write: only one block of row strings is alive
 
 
 def fmt(x: float) -> str:
@@ -90,10 +96,10 @@ def write_ppm(path, rgb: np.ndarray, comments=()) -> None:
         lines.append(f"# {c}")
     lines.append(f"{w} {h}")
     lines.append("255\n")
-    body = "%d %d %d\n" * (h * w) % tuple(rgb.reshape(-1).tolist())
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines))
-        fh.write(body)
+    body = _PPM_CELLS[rgb.reshape(-1, 3) + np.array([0, 0, 256])]
+    with open(path, "wb") as fh:
+        fh.write("\n".join(lines).encode("utf-8"))
+        fh.write(body.tobytes().replace(b"\0", b""))
 
 
 def robinson_remap(rgb: np.ndarray, background=BACKGROUND) -> np.ndarray:
@@ -119,6 +125,20 @@ def robinson_remap(rgb: np.ndarray, background=BACKGROUND) -> np.ndarray:
     return out
 
 
+def _float_cells(column, spec: str, json_names: bool = False) -> list[str]:
+    """``spec % v`` of each cell of a float column, formatted once per
+    distinct bit pattern (so ``-0.0`` is not ``0.0``); ``json_names``
+    spells the non-finite values as ``json.dumps`` does."""
+    bits, inverse = np.unique(np.asarray(column, dtype=float).view(np.uint64),
+                              return_inverse=True)
+    uniq = bits.view(float)
+    texts = ("\n".join([spec] * len(uniq)) % tuple(uniq.tolist())).split("\n")
+    if json_names:
+        for i in np.flatnonzero(~np.isfinite(uniq)):
+            texts[i] = json.dumps(float(uniq[i]))
+    return np.array(texts, dtype=object)[inverse].tolist()
+
+
 def write_csv(path, header: list[str], rows=(), comments=(), *,
               columns=None) -> None:
     """Write a table of str/float columns; floats at 17 significant digits.
@@ -131,17 +151,16 @@ def write_csv(path, header: list[str], rows=(), comments=(), *,
     """
     if columns is None:
         columns = list(zip(*rows)) or [()] * len(header)
-    text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
-    cols = [c if t else np.asarray(c, dtype=float).tolist()
-            for c, t in zip(columns, text)]
-    template = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+    cols = [c if len(c) and isinstance(c[0], str) else _float_cells(c, "%.17g")
+            for c in columns]
     lines = [f"# {c}" for c in comments]
-    lines.append(",".join(header) + "\n")
-    body = template * len(cols[0]) % tuple(itertools.chain.from_iterable(
-        zip(*cols)))
+    lines.append(",".join(header))
+    rows = map(",".join, zip(*cols))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines))
-        fh.write(body)
+        for _ in range(0, len(cols[0]), _CSV_BLOCK):
+            fh.write("\n" + "\n".join(itertools.islice(rows, _CSV_BLOCK)))
+        fh.write("\n")
 
 
 def write_json(path, doc: dict, key=None, header=(), columns=()) -> None:
@@ -158,16 +177,9 @@ def write_json(path, doc: dict, key=None, header=(), columns=()) -> None:
     text = json.dumps(doc if key is None else {**doc, key: []}, indent=2,
                       sort_keys=True)
     if key is not None and columns and len(columns[0]):
-        cells = []
-        for c in columns:
-            if isinstance(c[0], str):
-                cells.append(map(json.encoder.encode_basestring_ascii, c))
-                continue
-            vals = np.asarray(c, dtype=float)
-            text_vals = list(map(float.__repr__, vals.tolist()))
-            for i in np.flatnonzero(~np.isfinite(vals)):
-                text_vals[i] = json.dumps(float(vals[i]))
-            cells.append(text_vals)
+        cells = [map(json.encoder.encode_basestring_ascii, c)
+                 if isinstance(c[0], str) else _float_cells(c, "%r", True)
+                 for c in columns]
         order = sorted(range(len(header)), key=header.__getitem__)
         row = ",\n".join("      " + json.dumps(header[i]).replace("%", "%%")
                           + ": %s" for i in order)

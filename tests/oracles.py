@@ -8,7 +8,8 @@ it, the
 exact signed CG square, the three-kernel and factored twisted-product
 couplings, the adjoint-representation harmonics, the symbol factor of a
 kernel spec, dense-block sector purities, the per-state ``purities``
-command, and the CSV reader that reads ``render.write_csv`` output back.
+command, the ``%``-template writers that format every cell, and the CSV
+reader that reads ``render.write_csv`` output back.
 """
 
 import itertools
@@ -225,6 +226,65 @@ def purities_by_state(argv) -> None:
     else:
         render.write_csv(os.path.join(args.out, "purities.csv"),
                          header, rows, comments=[f"seed={args.seed}"])
+
+
+def template_write_csv(path, header, rows=(), comments=(), *, columns=None):
+    """``render.write_csv`` with every float cell formatted by one ``%``
+    template over the whole table."""
+    if columns is None:
+        columns = list(zip(*rows)) or [()] * len(header)
+    text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
+    cols = [c if t else np.asarray(c, dtype=float).tolist()
+            for c, t in zip(columns, text)]
+    template = ",".join("%s" if t else "%.17g" for t in text) + "\n"
+    lines = [f"# {c}" for c in comments]
+    lines.append(",".join(header) + "\n")
+    body = template * len(cols[0]) % tuple(itertools.chain.from_iterable(
+        zip(*cols)))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+        fh.write(body)
+
+
+def template_write_ppm(path, rgb, comments=()):
+    """``render.write_ppm`` through one ``%d`` template over all pixels."""
+    rgb = np.asarray(rgb)
+    h, w, _ = rgb.shape
+    lines = ["P3"] + [f"# {c}" for c in comments] + [f"{w} {h}", "255\n"]
+    body = "%d %d %d\n" * (h * w) % tuple(rgb.reshape(-1).tolist())
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+        fh.write(body)
+
+
+def template_write_json(path, doc, key=None, header=(), columns=()):
+    """``render.write_json`` with every float cell through
+    ``float.__repr__`` (``json.dumps`` when not finite) and the rows
+    through one ``%`` template."""
+    text = json.dumps(doc if key is None else {**doc, key: []}, indent=2,
+                      sort_keys=True)
+    if key is not None and columns and len(columns[0]):
+        cells = []
+        for c in columns:
+            if isinstance(c[0], str):
+                cells.append(map(json.encoder.encode_basestring_ascii, c))
+                continue
+            vals = np.asarray(c, dtype=float)
+            text_vals = list(map(float.__repr__, vals.tolist()))
+            for i in np.flatnonzero(~np.isfinite(vals)):
+                text_vals[i] = json.dumps(float(vals[i]))
+            cells.append(text_vals)
+        order = sorted(range(len(header)), key=header.__getitem__)
+        row = ",\n".join("      " + json.dumps(header[i]).replace("%", "%%")
+                          + ": %s" for i in order)
+        body = ",\n".join(["    {\n" + row + "\n    }"] * len(columns[0]))
+        table = body % tuple(itertools.chain.from_iterable(
+            zip(*(cells[i] for i in order))))
+        start = f"\n  {json.dumps(key)}: ["
+        text = text.replace(start + "]", f"{start}\n{table}\n  ]", 1)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+        fh.write("\n")
 
 
 def read_csv(path):

@@ -135,3 +135,26 @@ def test_write_json_matches_json_dump(table, key, doc, nested):
         render.write_json(path, doc, key, header, columns)
         with open(path, "rb") as fh:
             assert fh.read() == want.encode()
+
+
+@pytest.mark.parametrize("values", [
+    [0.25] * 12,
+    [1.0, -3.5, 1.0, 2.0 / 3.0, -3.5, 2.0 / 3.0, 1.0, 1.0],
+    [0.0, -0.0, 0.0, -0.0, 1.0, -0.0],
+    [math.nan, math.inf, -math.inf, -math.nan, 1.0, math.nan, -math.inf],
+    [5e-324, -5e-324, 2.2250738585072009e-308, 5e-324, 1e-310, -1e-310],
+    [3.0, -7.0, 0.0, 2.0 ** 53, 1e16, 3.0, -2.0],
+    [],
+], ids=["constant", "repeats", "signed-zeros", "non-finite", "subnormals",
+        "int-valued", "empty"])
+def test_write_json_repeated_and_special_cells_match_json_dump(tmp_path,
+                                                               values):
+    # Each distinct double is formatted once and mapped back to its rows;
+    # -0.0 keeps its sign and every NaN spells NaN.
+    header = ["b", "a", "label"]
+    columns = [values, values[::-1], [f"r{i}" for i in range(len(values))]]
+    doc = {"seed": 1, "config": {"s": [0.5, -0.0]}}
+    rows = [dict(zip(header, row)) for row in zip(*columns)]
+    render.write_json(tmp_path / "doc.json", doc, "rows", header, columns)
+    want = json.dumps({**doc, "rows": rows}, indent=2, sort_keys=True) + "\n"
+    assert (tmp_path / "doc.json").read_bytes() == want.encode()

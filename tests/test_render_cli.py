@@ -16,7 +16,9 @@ from sweyl.cli import main
 from sweyl.paulis import PauliString, PauliSum
 from sweyl.verify import CheckResult, make_model
 
-from oracles import pauli_sum_purities, read_csv
+from oracles import (pauli_sum_purities, purities_by_state, read_csv,
+                     template_write_csv, template_write_json,
+                     template_write_ppm)
 
 
 def test_fmt_round_trips_doubles():
@@ -541,3 +543,53 @@ def test_cli_phasespace_and_verify_do_not_import_numpy_ma(tmp_path, qrt):
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.split("\n")[-2] == "False"
+
+
+WHOLE_RUNS = {
+    "spin_phase": ["phasespace", "--qrt", "spin", "--spin-S", "6",
+                   "--state", "ghz", "--state", "hw", "--s", "-1", "--s", "0",
+                   "--grid", "64x128", "--projection", "robinson"],
+    "qubit_grid": ["phasespace", "--qrt", "multipartite", "--n", "4",
+                   "--state", "ghz", "--state", "haar", "--s", "-1",
+                   "--s", "0", "--grid", "64x128"],
+    "purities": ["purities", "--spin-S", "45/2", "--state", "ghz",
+                 "--state", "m=5/2", "--state", "haar", "--format", "json"],
+}
+
+
+@pytest.mark.parametrize("argv", WHOLE_RUNS.values(), ids=WHOLE_RUNS.keys())
+def test_cli_outputs_match_the_template_writers(tmp_path, monkeypatch, argv):
+    # The same run through the writers that format every cell: both runs
+    # share this process's numerics, so any difference is the writers'.
+    argv = argv + ["--seed", "3"]
+    assert main(argv + ["--out", str(tmp_path / "fast")]) == 0
+    monkeypatch.setattr(render, "write_csv", template_write_csv)
+    monkeypatch.setattr(render, "write_ppm", template_write_ppm)
+    monkeypatch.setattr(render, "write_json", template_write_json)
+    assert main(argv + ["--out", str(tmp_path / "template")]) == 0
+    names = sorted(p.name for p in (tmp_path / "fast").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "template").iterdir())
+    assert len(names) == (8 if argv[0] == "phasespace" else 1)
+    for name in names:
+        assert ((tmp_path / "fast" / name).read_bytes()
+                == (tmp_path / "template" / name).read_bytes()), name
+
+
+def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path):
+    # The cached parser starts every parse from its defaults: repeated
+    # --state / --s flags of one call never reach the next.
+    assert cli._parser() is cli._parser()
+    assert main(["purities", "--spin-S", "1", "--state", "ghz", "--state",
+                 "haar", "--s", "0.5", "--out", str(tmp_path / "a")]) == 0
+    assert main(["purities", "--spin-S", "1",
+                 "--out", str(tmp_path / "b")]) == 0
+    _, rows = read_csv(tmp_path / "b" / "purities.csv")
+    assert {r[1] for r in rows} == {"hw"}
+    assert {float(r[2]) for r in rows} == {-1.0, 0.0, 1.0}
+    args = cli._parser().parse_args(["purities", "--state", "m=1"])
+    assert args.state == ["m=1"] and args.s is None
+    # The per-state reference parses through the same cached parser.
+    purities_by_state(["purities", "--spin-S", "1",
+                       "--out", str(tmp_path / "ref")])
+    assert ((tmp_path / "b" / "purities.csv").read_bytes()
+            == (tmp_path / "ref" / "purities.csv").read_bytes())

@@ -273,6 +273,58 @@ def test_write_ppm_is_byte_identical(tmp_path, h, w):
         (tmp_path / "loop.ppm").read_bytes()
 
 
+_NEG_NAN = float(np.copysign(np.nan, -1.0))
+
+
+@pytest.mark.parametrize("values", [
+    [0.25] * 40,
+    [1.0, -3.5, 1.0, 1.0, 2.0 / 3.0, -3.5, 2.0 / 3.0, 1.0] * 5,
+    [0.0, -0.0, 0.0, -0.0, 1.0, -0.0],
+    [np.nan, np.inf, -np.inf, _NEG_NAN, 1.0, np.nan, -np.inf, np.inf],
+    [5e-324, -5e-324, 2.2250738585072009e-308, 5e-324, 1e-310, -1e-310],
+    [3, 3.0, -7, 0, 2**53, 1e16, -2.0, 3],
+], ids=["constant", "repeats", "signed-zeros", "non-finite", "subnormals",
+        "int-valued"])
+def test_write_csv_repeated_and_special_cells_are_byte_identical(tmp_path,
+                                                                 values):
+    # Each distinct double is formatted once and mapped back to its rows.
+    rows = [[f"r{i}", v, values[-1 - i]] for i, v in enumerate(values)]
+    header = ["label", "value", "mirror"]
+    render.write_csv(tmp_path / "rows.csv", header, rows, comments=["c"])
+    render.write_csv(tmp_path / "cols.csv", header, comments=["c"],
+                     columns=list(zip(*rows)))
+    _csv_cell_loop(tmp_path / "loop.csv", header, rows, comments=["c"])
+    want = (tmp_path / "loop.csv").read_bytes()
+    assert (tmp_path / "rows.csv").read_bytes() == want
+    assert (tmp_path / "cols.csv").read_bytes() == want
+
+
+@pytest.mark.parametrize("nrows", [0, 1] + [k * render._CSV_BLOCK + r for k in
+                                           (1, 3) for r in (-1, 0, 1)])
+def test_write_csv_row_blocks_are_byte_identical(tmp_path, nrows):
+    # An empty table is its header; longer ones are joined in row blocks.
+    rng = np.random.default_rng(nrows)
+    rows = [[str(i), float(v)] for i, v in
+            enumerate(rng.integers(-3, 4, size=nrows) / 7)]
+    render.write_csv(tmp_path / "fast.csv", ["i", "v"], rows, comments=["x"])
+    _csv_cell_loop(tmp_path / "loop.csv", ["i", "v"], rows, comments=["x"])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "loop.csv").read_bytes()
+
+
+def test_write_ppm_every_level_in_every_channel_is_byte_identical(tmp_path):
+    levels = np.arange(256, dtype=np.uint8)
+    shuffled = levels * np.uint8(7) + np.uint8(3)  # a permutation mod 256
+    rgb = np.stack([levels, levels[::-1], shuffled], axis=-1).reshape(16, 16, 3)
+    for k in range(3):
+        assert set(rgb[..., k].ravel()) == set(range(256))
+    comments = ["seed=0", "état=ψ s=−1 proj=robinson"]
+    render.write_ppm(tmp_path / "fast.ppm", rgb, comments=comments)
+    _ppm_pixel_loop(tmp_path / "loop.ppm", rgb, comments=comments)
+    assert (tmp_path / "fast.ppm").read_bytes() == \
+        (tmp_path / "loop.ppm").read_bytes()
+
+
 def test_cli_phasespace_several_s_match_pointwise_symbol(tmp_path):
     # Several --s share each state's table; every field matches the
     # pointwise symbol.
