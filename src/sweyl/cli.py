@@ -190,19 +190,19 @@ def _marginal_qubit_operator(model: MultipartiteModel, A: np.ndarray):
 
 def _phasespace_bytes(ntheta: int, nphi: int, dim: int, nsvals: int,
                       model_dim: int, nstates: int) -> int:
-    """Bytes the ``phasespace`` route holds at its peak.
-
-    One chunk of the synthesis for all states and svals: about
-    ``models.TABLE_BYTES``, and at most one theta (its Legendre table and
-    products, under 2 MiB at the 2S <= 200 of the CG table) and one point
-    more.  The filtered coefficients, 2 d**2 complex numbers per state and
-    s.  Per node the complex (N, states, svals) field table and 270 B:
-    about 100 B of preformatted "theta,phi" text, 30 B of node arrays and
-    values, and the CSV writer's inverse index and texts of distinct
-    values (235 B in all when every value is distinct, measured with
-    tracemalloc at 120 000 nodes).  And the model's d x d states.
-    """
-    return (2 * TABLE_BYTES + 32 * nstates * nsvals * dim * dim
+    """Bytes the ``phasespace`` route holds at its peak, K = states x svals:
+    the spin's CG table (d**3 / 6 doubles) and its build (d**3 / 4 more);
+    three (K, 2d - 1, d) complex coefficient arrays; four times one
+    synthesis chunk of (2d - 1, K, k) Legendre sums (at most
+    ``models.TABLE_BYTES`` or one theta; a recursion step's product and
+    rows are under thrice the sums); twice the (nphi, 2d - 1) complex
+    Fourier factors of one ring.  Per node the complex (N, K) fields and
+    270 B: about 100 B of "theta,phi" text, 30 B of node arrays and values
+    and the CSV writer's index and texts of distinct values (235 B when
+    all differ, tracemalloc at 120 000 nodes).  And the d x d states."""
+    sums = 16 * (2 * dim - 1) * nstates * nsvals  # per theta
+    return (4 * dim ** 3 + 3 * sums * dim + 32 * nphi * (2 * dim - 1)
+            + 4 * sums * min(ntheta, max(1, TABLE_BYTES // sums))
             + ntheta * nphi * (16 * nstates * nsvals + 270)
             + nstates * model_dim * model_dim * 16)
 
@@ -212,7 +212,7 @@ def cmd_phasespace(args) -> int:
     every ``--s`` (``fields`` of the stacked states with the stacked
     per-sector factors).  Refused (exit 2) before anything
     N-sized is built: a grid over ``phase_space.STACK_BUDGET`` bytes, and
-    an ``--s > 0`` with ``eps kappa**s > 1e-8`` (``kappa``)."""
+    an ``--s > 0`` with ``eps kappa**s > 1e-8`` (``check_kappa``)."""
     model = _model(args)
     if not model.nspheres:
         raise ValueError(f"{model.kind} phase space has no spherical projection")
@@ -231,11 +231,7 @@ def cmd_phasespace(args) -> int:
     factors = np.stack(  # an overflowing factor exits 1 here
         [ps.sector_factors(target, ps.KernelSpec.cahill_glauber(s))
          for s in svals], axis=1)
-    kappa = ps.kappa(target)
-    for s in svals:
-        if s > 0 and s * math.log(kappa) > math.log(1e-8 / np.finfo(float).eps):
-            raise ValueError(f"--s {s:g} at kappa = {kappa:.3g} leaves an error "
-                             "eps * kappa**s over 1e-8 of the field's maximum")
+    ps.check_kappa(target, svals)
     need = _phasespace_bytes(ntheta, nphi, target.dim, len(svals),
                              model.dim, len(states))
     if need > ps.STACK_BUDGET:
@@ -317,6 +313,7 @@ def cmd_star(args) -> int:
     if model.dim > 61:  # O(N d**3) work on N = O(d**2) doubled-band nodes
         raise ValueError(f"star is capped at 2S <= 60, got S={model.S}")
     svals = args.s if args.s else [0.0]
+    ps.check_kappa(model, svals)
     d = model.dim
     cap = STAR_WORK // (len(svals) * (d ** 3 + 2 * 10**4))
     if args.points > cap:

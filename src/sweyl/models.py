@@ -36,7 +36,7 @@ model declares and never test its class.
 * ``harmonics(points)``: the (sum d_lam, N) real harmonics ``Y^lam_j =
   tau_lam**(-1/2) <Omega| D_j |Omega>`` of the tau > 0 sectors in
   ``labels()`` order, read from the model's point table: one Legendre
-  table for a spin, the word expectations for qubits and fermions.
+  recursion for a spin, the word expectations for qubits and fermions.
 * ``synthesis(c, points)`` and ``synthesis_adjoint(w, points)``: the
   fields ``F_n = sum_k E[n, k] c_k`` at phase points of coefficient
   vectors, and the transpose ``sum_n w_n E[n, k]``.  Summed over one
@@ -46,8 +46,8 @@ model declares and never test its class.
   spherical harmonics, ``F = sum_q exp(-i q phi) sum_lam x0_lam sqrt(4 pi
   / (2 lam + 1)) Ybar_lam q(theta) c_lam q`` (Varilly & Gracia-Bondia,
   Ann. Phys. 190, 107 (1989)); qubits and fermions sum the Pauli words,
-  ``E[n, W] = conj(<Omega_n| W |Omega_n>) / d``.  Work arrays are held a
-  chunk of about ``TABLE_BYTES`` at a time.
+  ``E[n, W] = conj(<Omega_n| W |Omega_n>) / d``.  Work arrays (a spin's
+  Legendre sums over distinct thetas) are held about ``TABLE_BYTES``.
 
 Banded and dense paths
 ----------------------
@@ -98,7 +98,7 @@ _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
 _DENSE_SPIN_CAP = 60  # 2S for dense spin blocks: d**4 complex, 221 MB at 60
 _TABLE_SPIN_CAP = 200  # 2S for the CG-diagonal table: 11 MB at 200
-TABLE_BYTES = 4 * 2**20  # live bytes of one chunk of points in a synthesis
+TABLE_BYTES = 4 * 2**20  # live bytes of one chunk of a synthesis
 
 
 def _exp_antihermitian(G: np.ndarray) -> np.ndarray:
@@ -419,31 +419,29 @@ def _cg_diagonals(tS: int) -> list[np.ndarray]:
     return table
 
 
-def _legendre_table(theta: np.ndarray, d: int) -> np.ndarray:
-    """(d, d, k) table of the orthonormal ``Ybar_lam q(theta) = Y_lam
-    q(theta, 0)`` (Condon-Shortley phase) at entry (q, lam, t), zero for
-    lam < q.  The sectoral seeds ``Ybar_00 = 1/sqrt(4 pi)``, ``Ybar_qq =
-    -sqrt((2q+1)/(2q)) sin(theta) Ybar_(q-1)(q-1)`` and ``Ybar_(q+1)q =
-    sqrt(2q+3) cos(theta) Ybar_qq`` start ``Ybar_lam q = a (cos(theta)
-    Ybar_(lam-1)q - b Ybar_(lam-2)q)``, ``a = sqrt((4 lam**2 - 1) /
-    (lam**2 - q**2))``, ``b = sqrt(((lam-1)**2 - q**2) / (4 (lam-1)**2 -
-    1))``: stable far past 2S = 200 (Holmes & Featherstone, J. Geodesy 76,
-    279 (2002)), one step for every q at once.
-    """
+def _legendre_rows(theta: np.ndarray, d: int):
+    """Yield, for lam = 0 ... d - 1, the (lam + 1, k) orthonormal
+    ``Ybar_lam q(theta) = Y_lam q(theta, 0)`` (Condon-Shortley phase), q <=
+    lam, from the rows lam - 1 and lam - 2 alone.  The sectoral seeds
+    ``Ybar_00 = 1/sqrt(4 pi)``, ``Ybar_qq = -sqrt((2q+1)/(2q)) sin(theta)
+    Ybar_(q-1)(q-1)`` and ``Ybar_(q+1)q = sqrt(2q+3) cos(theta) Ybar_qq``
+    start ``Ybar_lam q = a (cos(theta) Ybar_(lam-1)q - b Ybar_(lam-2)q)``,
+    ``a = sqrt((4 lam**2 - 1) / (lam**2 - q**2))``, ``b = sqrt(((lam-1)**2
+    - q**2) / (4 (lam-1)**2 - 1))``: stable far past 2S = 200 (Holmes &
+    Featherstone, J. Geodesy 76, 279 (2002)), one step for every q at once."""
     x, y = np.cos(theta), np.sin(theta)
-    q = np.arange(d - 1)
-    T = np.zeros((d, d, len(x)))
-    T[0, 0] = 1 / math.sqrt(4 * math.pi)
-    for p in range(1, d):
-        T[p, p] = -math.sqrt((2 * p + 1) / (2 * p)) * y * T[p - 1, p - 1]
-    T[q, q + 1] = np.sqrt(2 * q + 3)[:, None] * x * T[q, q]
-    for lam in range(2, d):
-        p = q[:lam - 1]
+    prev = row = np.full((1, len(x)), 1 / math.sqrt(4 * math.pi))
+    yield row
+    for lam in range(1, d):
+        new = np.empty((lam + 1, len(x)))
+        p = np.arange(lam - 1)
         a = np.sqrt((4 * lam * lam - 1) / (lam * lam - p * p))[:, None]
         b = np.sqrt(((lam - 1) ** 2 - p * p) / (4 * (lam - 1) ** 2 - 1))
-        T[:lam - 1, lam] = a * (x * T[:lam - 1, lam - 1]
-                                - b[:, None] * T[:lam - 1, lam - 2])
-    return T
+        new[:lam - 1] = a * (x * row[:lam - 1] - b[:, None] * prev[:lam - 1])
+        new[lam - 1] = math.sqrt(2 * lam + 1) * x * row[lam - 1]
+        new[lam] = -math.sqrt((2 * lam + 1) / (2 * lam)) * y * row[lam - 1]
+        prev, row = row, new
+        yield row
 
 
 class SpinModel(QrtModel):
@@ -639,48 +637,41 @@ class SpinModel(QrtModel):
         return sign * x0 * np.sqrt(4 * np.pi / (2 * lam + 1))
 
     def _rings(self, points, width: int):
-        """Chunks of a synthesis of ``width`` columns, of about
-        ``TABLE_BYTES`` for the Legendre table and its products per distinct
-        theta and the Fourier factors per point (one point where that is
-        more; a ring of equal theta cut by a chunk boundary starts again).
-        Yields (thetas, rings, idx, E): the chunk's distinct thetas, a
-        slice of idx per ring, the point indices, and their (n, 2d - 1)
-        factors ``exp(-i q phi)``, one exp per distinct phi."""
+        """Chunks of distinct thetas, ``TABLE_BYTES`` of Legendre sums of
+        ``width`` columns each (or one theta): (thetas, per ring its point
+        indices and rows of E, ``E = exp(-i q phi)`` of the distinct phis)."""
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         qs = np.arange(1 - self.dim, self.dim)
         order = np.argsort(pts[:, 0], kind="stable")
         theta = pts[order, 0]
-        new = np.ones(len(theta), dtype=bool)
-        new[1:] = theta[1:] != theta[:-1]
-        per_theta = 32 * self.dim ** 2 + 32 * len(qs) * width
-        cost = np.cumsum(32 * len(qs) + per_theta * new)
-        lo = 0
-        while lo < len(theta):
-            spent = TABLE_BYTES + (cost[lo - 1] if lo else 0)
-            hi = max(lo + 1, int(np.searchsorted(cost, spent, side="right")))
-            new[lo] = True
-            bounds = np.append(np.flatnonzero(new[lo:hi]), hi - lo)
-            phi, row = np.unique(pts[order[lo:hi], 1], return_inverse=True)
-            E = np.exp(-1j * np.outer(phi, qs))[row.ravel()]
-            rings = list(map(slice, bounds[:-1], bounds[1:]))
-            yield theta[lo + bounds[:-1]], rings, order[lo:hi], E
-            lo = hi
+        bounds = np.flatnonzero(np.diff(theta, prepend=-np.inf, append=np.inf))
+        step = max(1, TABLE_BYTES // (16 * len(qs) * width))
+        for r in range(0, len(bounds) - 1, step):
+            cut = bounds[r:r + step + 1]
+            phi, row = np.unique(pts[order[cut[0]:cut[-1]], 1],
+                                 return_inverse=True)
+            rings = [(order[lo:hi], row.ravel()[lo - cut[0]:hi - cut[0]])
+                     for lo, hi in zip(cut[:-1], cut[1:])]
+            yield theta[cut[:-1]], rings, np.exp(-1j * np.outer(phi, qs))
 
     def synthesis(self, c: np.ndarray, points) -> np.ndarray:
         """(N, K) fields ``sum_q exp(-i q phi) G_q(theta)`` of (K, (2d - 1)
         d) coefficients, ``G_q = sum_lam Ybar_lam q(theta) x0_lam sqrt(4 pi
-        / (2 lam + 1)) c_lam q``: per chunk the Legendre sums, one product
-        per q, then per ring of equal theta one product with the Fourier
-        factors of its points."""
+        / (2 lam + 1)) c_lam q`` summed one recursion step at a time per
+        chunk, then one product per ring with the Fourier factors of its
+        points."""
         d = self.dim
         cw = (np.reshape(c, (-1, 2 * d - 1, d))
               * self._harmonic_weights()).transpose(1, 0, 2)  # (q, K, lam)
         out = np.empty((len(points), cw.shape[1]), dtype=complex)
-        for theta, rings, idx, E in self._rings(points, cw.shape[1]):
-            Y = _legendre_table(theta, d)
-            G = np.concatenate([cw[:d - 1] @ Y[:0:-1], cw[d - 1:] @ Y])
-            for r, ring in enumerate(rings):
-                out[idx[ring]] = E[ring] @ G[:, :, r]
+        for theta, rings, E in self._rings(points, cw.shape[1]):
+            G = np.zeros(cw.shape[:2] + theta.shape, dtype=complex)
+            for lam, Y in enumerate(_legendre_rows(theta, d)):
+                band = slice(d - 1 - lam, d + lam)  # q = -lam ... lam
+                G[band] += cw[band, :, lam, None] * np.concatenate(
+                    [Y[:0:-1], Y])[:, None]
+            for r, (idx, row) in enumerate(rings):
+                out[idx] = E[row] @ G[:, :, r]
         return out
 
     def synthesis_adjoint(self, w: np.ndarray, points) -> np.ndarray:
@@ -689,11 +680,12 @@ class SpinModel(QrtModel):
         ``sum_n exp(-i q phi_n) w_n``, then the Legendre sums."""
         d = self.dim
         b = np.zeros((2 * d - 1, d, w.shape[1]), dtype=complex)
-        for theta, rings, idx, E in self._rings(points, w.shape[1]):
-            W = np.stack([E[ring].T @ w[idx[ring]] for ring in rings], axis=1)
-            Y = _legendre_table(theta, d)
-            b[:d - 1] += Y[:0:-1] @ W[:d - 1]
-            b[d - 1:] += Y @ W[d - 1:]
+        for theta, rings, E in self._rings(points, w.shape[1]):
+            W = np.stack([E[row].T @ w[idx] for idx, row in rings], axis=2)
+            for lam, Y in enumerate(_legendre_rows(theta, d)):
+                band = slice(d - 1 - lam, d + lam)
+                b[band, lam] += (W[band] @ np.concatenate(
+                    [Y[:0:-1], Y])[:, :, None])[..., 0]
         b *= self._harmonic_weights()[:, :, None]
         return b.transpose(2, 0, 1).reshape(w.shape[1], -1)
 
@@ -703,19 +695,20 @@ class SpinModel(QrtModel):
         at rows lam**2, lam**2 + 2j - 1 and lam**2 + 2j: ``Ybar_lam 0``,
         ``sqrt(2) cos(j phi) Ybar_lam j`` and ``sqrt(2) sin(j phi) Ybar_lam
         j`` times ``sqrt(4 pi)``, the synthesis weight times ``tau_lam**(-1/2)
-        = sqrt(2 lam + 1) / x0_lam`` (x0_lam > 0 by the table's sign).  One
-        Legendre table, never larger than the output, serves the thetas."""
+        = sqrt(2 lam + 1) / x0_lam`` (x0_lam > 0 by the table's sign), lam
+        by lam from one Legendre recursion over the distinct thetas."""
         d = self.dim
         pts = np.asarray(points, dtype=float).reshape(-1, 2)
         theta, ring = np.unique(pts[:, 0], return_inverse=True)
-        Y = _legendre_table(theta, d) * math.sqrt(4 * math.pi)
-        lam = np.arange(d)
+        jphi = np.arange(1, d)[:, None] * pts[:, 1]
+        cos, sin = np.cos(jphi), np.sin(jphi)
         out = np.empty((d * d, len(pts)))
-        out[lam ** 2] = Y[0][:, ring]
-        for j in range(1, d):
-            Yj = math.sqrt(2) * Y[j, j:][:, ring]
-            out[lam[j:] ** 2 + 2 * j - 1] = np.cos(j * pts[:, 1]) * Yj
-            out[lam[j:] ** 2 + 2 * j] = np.sin(j * pts[:, 1]) * Yj
+        for lam, Y in enumerate(_legendre_rows(theta, d)):
+            Y = Y * math.sqrt(4 * math.pi)
+            out[lam ** 2] = Y[0][ring]
+            Yj = math.sqrt(2) * Y[1:][:, ring]
+            out[lam ** 2 + 1:(lam + 1) ** 2:2] = cos[:lam] * Yj
+            out[lam ** 2 + 2:(lam + 1) ** 2:2] = sin[:lam] * Yj
         return out
 
     def _build_block(self, lam: int) -> IrrepBlock:

@@ -27,8 +27,8 @@ of operators (or of node weights) and a column of factors per spec, so
 the CLI makes one forward and one adjoint pass per grid;
 ``symbol_field``, ``reconstruct``, ``convert_field``, ``star_product``
 and ``phase_purity_quadrature`` are one-operator callers.  For a spin
-the synthesis is a spherical-harmonic transform, O(n_theta d**3 + N
-d**2); for qubits and fermions a sum over the 4**n Pauli words.
+the synthesis is a spherical-harmonic transform, O((n_theta d + N) d)
+per column; for qubits and fermions a sum over the 4**n Pauli words.
 ``harmonic_matrix`` splits the model's point table ``harmonics``.
 ``kernel_stack`` (``U D0 U^H``, with the center kernel's diagonal
 ``center_diagonal``) is the tests' independent reference route.  At s >
@@ -311,6 +311,15 @@ def kappa(model: QrtModel) -> float:
     """``tau_min**(-1/2)`` over tau > 0: a field at s > 0 keeps an error of
     about ``eps kappa**s`` of its maximum."""
     return min(t for t in map(model.tau, model.labels()) if t > 0) ** -0.5
+
+
+def check_kappa(model: QrtModel, svals) -> None:
+    """ValueError naming kappa for an s > 0 with ``eps kappa**s > 1e-8``."""
+    k = kappa(model)
+    for s in svals:
+        if s > 0 and s * math.log(k) > math.log(1e-8 / np.finfo(float).eps):
+            raise ValueError(f"--s {s:g} at kappa = {k:.3g} leaves an error "
+                             "eps * kappa**s over 1e-8 of the field's maximum")
 
 
 def fields(model: QrtModel, A: np.ndarray, points,

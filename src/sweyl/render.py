@@ -62,15 +62,15 @@ def colorize(values: np.ndarray) -> np.ndarray:
 
     Fields with negative entries get a symmetric diverging scale (blue,
     white, red) centered at zero; non-negative fields get a linear
-    grayscale between min and max.  A field whose spread is at rounding
-    level (at most 1e-12 of its largest magnitude) is drawn as the
-    constant it is, in one colour, not as stretched rounding noise.
-    """
+    grayscale between min and max.  At rounding level, 1e-12 of the largest
+    magnitude, a spread is drawn as the constant it is, in one colour, and
+    a negative minimum as zero, not as stretched rounding noise."""
     vals = np.asarray(values, dtype=float)
-    if vals.max() - vals.min() <= 1e-12 * np.max(np.abs(vals)):
+    tol = 1e-12 * np.max(np.abs(vals))
+    if vals.max() - vals.min() <= tol:
         vals = np.full_like(vals, vals.max())
     out = np.zeros(vals.shape + (3,), dtype=np.uint8)
-    if vals.min() < 0:
+    if vals.min() < -tol:
         vmax = np.max(np.abs(vals))
         t = vals / vmax if vmax > 0 else np.zeros_like(vals)
         fade = np.floor(255 * (1 - np.abs(t)) + 0.5).astype(np.uint8)

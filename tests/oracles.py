@@ -132,6 +132,27 @@ def symbol_factor(spec: KernelSpec, model, lam) -> float:
     return tau ** (-spec.s / 2)
 
 
+def legendre_table(theta: np.ndarray, d: int) -> np.ndarray:
+    """(d, d, k) table of the orthonormal ``Ybar_lam q(theta)`` at entry
+    (q, lam, t), zero for lam < q: the Holmes-Featherstone recursion with
+    every row kept, all sectoral seeds first, then one step in lam for
+    every q at once."""
+    x, y = np.cos(theta), np.sin(theta)
+    q = np.arange(d - 1)
+    T = np.zeros((d, d, len(x)))
+    T[0, 0] = 1 / math.sqrt(4 * math.pi)
+    for p in range(1, d):
+        T[p, p] = -math.sqrt((2 * p + 1) / (2 * p)) * y * T[p - 1, p - 1]
+    T[q, q + 1] = np.sqrt(2 * q + 3)[:, None] * x * T[q, q]
+    for lam in range(2, d):
+        p = q[:lam - 1]
+        a = np.sqrt((4 * lam * lam - 1) / (lam * lam - p * p))[:, None]
+        b = np.sqrt(((lam - 1) ** 2 - p * p) / (4 * (lam - 1) ** 2 - 1))
+        T[:lam - 1, lam] = a * (x * T[:lam - 1, lam - 1]
+                                - b[:, None] * T[:lam - 1, lam - 2])
+    return T
+
+
 def adjoint_matrix(model, lam, g) -> np.ndarray:
     """Conjugation action of a group element on one sector basis."""
     U = model.group_unitary(g)

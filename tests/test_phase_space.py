@@ -266,7 +266,7 @@ def test_harmonic_matrix_matches_coherent_state_oracle(model):
 @pytest.mark.parametrize("model", [SpinModel(8), MultipartiteModel(2),
                                    FermionicModel(2)], ids=repr)
 def test_harmonic_matrix_reads_one_point_table(model, monkeypatch):
-    # One Legendre table for a whole spin grid, and no synthesis: the
+    # One Legendre recursion for a whole spin grid, and no synthesis: the
     # harmonics are the model's point table, not fields of basis rows.
     calls = {"legendre": 0, "synthesis": 0}
 
@@ -276,8 +276,8 @@ def test_harmonic_matrix_reads_one_point_table(model, monkeypatch):
             return fn(*args)
         return call
 
-    monkeypatch.setattr(models, "_legendre_table",
-                        counted("legendre", models._legendre_table))
+    monkeypatch.setattr(models, "_legendre_rows",
+                        counted("legendre", models._legendre_rows))
     for cls in (models.QrtModel, models.SpinModel):
         monkeypatch.setattr(cls, "synthesis", counted("synthesis",
                                                       cls.synthesis))

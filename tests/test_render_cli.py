@@ -323,6 +323,26 @@ def test_colorize_rounding_level_field_is_uniform(tmp_path):
             (tmp_path / "b.ppm").read_bytes()
 
 
+def test_colorize_rounding_level_negatives_stay_grayscale(tmp_path):
+    # A Husimi field is non-negative, but summation order leaves its zeros
+    # at +-ulps of its maximum: it must be drawn as the clipped field.
+    rng = np.random.default_rng(6)
+    field = np.maximum(rng.normal(size=(16, 32)), 0.0)
+    noise = rng.integers(-4, 5, size=field.shape) * np.spacing(field.max())
+    noisy = field + noise
+    assert noisy.min() < 0
+    render.write_ppm(tmp_path / "noisy.ppm", render.colorize(noisy))
+    render.write_ppm(tmp_path / "clipped.ppm",
+                     render.colorize(np.maximum(noisy, 0.0)))
+    assert (tmp_path / "noisy.ppm").read_bytes() == \
+        (tmp_path / "clipped.ppm").read_bytes()
+    assert tuple(render.colorize(noisy)[field == 0][0]) == (0, 0, 0)
+    # A negative part above rounding level keeps the diverging scale, on
+    # which zero is white.
+    rgb = render.colorize(field - 1e-9 * field.max())
+    assert tuple(rgb[field == 0][0]) == (255, 255, 255)
+
+
 def test_cli_phasespace_half_integer_m(tmp_path, capsys):
     code = main(["phasespace", "--spin-S", "3/2", "--state", "m=1/2",
                  "--state", "m=-3/2", "--grid", "4x8", "--out", str(tmp_path)])
@@ -343,6 +363,8 @@ def test_cli_phasespace_half_integer_m(tmp_path, capsys):
     # eps * kappa**s = 1.6e-3 of the field's maximum
     ["phasespace", "--qrt", "spin", "--spin-S", "30", "--s", "1"],
     ["star", "--qrt", "spin", "--spin-S", "31"],
+    # the kappa rule: a correct star would read 8e-5 against its 1e-6 bound
+    ["star", "--qrt", "spin", "--spin-S", "20", "--s", "0", "--s", "1"],
 ])
 def test_cli_oversized_spin_exit_2_before_allocating(tmp_path, capsys, argv):
     import tracemalloc

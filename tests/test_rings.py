@@ -14,6 +14,8 @@ from sweyl.cli import main
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 
+from oracles import legendre_table
+
 SPECS = [ps.KernelSpec.cahill_glauber(s) for s in (-1.0, 0.0, 0.5, 1.0)]
 SPINS = [1, 2, 7, 20, 30]  # 2S
 
@@ -156,14 +158,30 @@ def test_qubit_core_builds_no_per_node_unitaries():
                                              np.random.default_rng(155))
 
 
+@pytest.mark.parametrize("twice_s", [1, 2, 24, 100, 200])
+def test_legendre_rows_match_the_whole_table(twice_s):
+    # The poles, the equator, points beside the poles and random thetas.
+    rng = np.random.default_rng(twice_s)
+    theta = np.concatenate([[0.0, np.pi / 2, np.pi, 1e-9, np.pi - 1e-9],
+                            rng.uniform(0, np.pi, 11)])
+    d = twice_s + 1
+    table = legendre_table(theta, d)
+    rows = list(models._legendre_rows(theta, d))
+    assert len(rows) == d
+    for lam, row in enumerate(rows):
+        want = table[:lam + 1, lam]
+        assert row.shape == want.shape
+        assert np.max(np.abs(row - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 def chunk_thetas(model, points, width):
     """The distinct thetas of each chunk of a synthesis."""
-    return [theta for theta, _, _, _ in model._rings(points, width)]
+    return [theta for theta, _, _ in model._rings(points, width)]
 
 
 def test_ring_chunks_split_without_changing_the_result(monkeypatch):
-    # A budget of a few rings splits the default S = 10 grid into chunks,
-    # some of them inside a ring.
+    # A budget of a few rings splits the 21 thetas of the default S = 10
+    # grid into chunks of whole rings.
     model = SpinModel(10)
     grid = ps.default_grid(model)
     A = rand_operator(model.dim, np.random.default_rng(160))
@@ -171,10 +189,10 @@ def test_ring_chunks_split_without_changing_the_result(monkeypatch):
     whole = ps.fields(model, A, grid.points, f)
     w = np.random.default_rng(161).normal(size=(len(grid.points), len(SPECS)))
     sums = ps.kernel_sums(model, grid.points, w, f)
-    monkeypatch.setattr(models, "TABLE_BYTES", 2 ** 17)
+    monkeypatch.setattr(models, "TABLE_BYTES", 2 ** 14)
     chunks = chunk_thetas(model, grid.points, len(SPECS))
     assert len(chunks) > 1
-    assert sum(map(len, chunks)) > grid.shape[0]  # a ring was cut
+    assert sum(map(len, chunks)) == grid.shape[0]  # each theta once
     assert np.max(np.abs(ps.fields(model, A, grid.points, f)
                          - whole)) <= 1e-13 * np.max(np.abs(whole))
     assert np.max(np.abs(ps.kernel_sums(model, grid.points, w, f)
@@ -300,7 +318,7 @@ def test_batched_chunk_split_matches_one_pass(monkeypatch):
     weights = rng.normal(size=(len(grid.points), 3))
     whole = ps.fields(model, ops, grid.points, factors)
     sums = ps.kernel_sums(model, grid.points, weights, factors)
-    monkeypatch.setattr(models, "TABLE_BYTES", 2 ** 18)
+    monkeypatch.setattr(models, "TABLE_BYTES", 2 ** 15)
     assert len(chunk_thetas(model, grid.points, 9)) > 1
     assert_close_to(ps.fields(model, ops, grid.points, factors), whole)
     assert_close_to(ps.kernel_sums(model, grid.points, weights, factors),

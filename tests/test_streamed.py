@@ -177,6 +177,8 @@ def test_hw_field_matches_legendre_closed_form(tmp_path, spin):
 def test_kappa_rule_boundary_at_s_1(tmp_path, spin, code):
     assert main(["phasespace", "--spin-S", spin, "--s", "1", "--grid", "2x2",
                  "--out", str(tmp_path)]) == code
+    assert main(["star", "--spin-S", spin, "--s", "1", "--points", "3",
+                 "--out", str(tmp_path)]) == code
 
 
 @pytest.mark.parametrize(
