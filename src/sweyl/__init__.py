@@ -9,8 +9,7 @@ from .models import (FermionicModel, FermionicPoint, IrrepBlock,
                      MultipartiteModel, QrtModel, SpinModel)
 from .paulis import (PauliString, PauliSum, majorana, rotate_qubit,
                      trace_inner)
-from .phase_space import (KernelSpec, McQuadrature, ProductQuadrature,
-                          SphereQuadrature, SymbolField, convert_field,
+from .phase_space import (KernelSpec, Quadrature, SymbolField, convert_field,
                           default_grid, harmonic_matrix, kernel_stack,
                           mc_group_quadrature, phase_purity_quadrature,
                           product_quadrature, reconstruct, sphere_quadrature,

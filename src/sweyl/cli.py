@@ -226,7 +226,7 @@ def cmd_phasespace(args) -> int:
     states = args.state or ["hw"]
     svals = args.s if args.s else [0.0]
     # Multi-qubit fields render the marginal on the first sphere.
-    target = MultipartiteModel(1) if model.sphere_tuples else model
+    target = MultipartiteModel(1) if model.nspheres > 1 else model
     target.check_sector_size()  # before the exact tau of every sector
     factors = np.stack(  # an overflowing factor exits 1 here
         [ps.sector_factors(target, ps.KernelSpec.cahill_glauber(s))
@@ -240,12 +240,11 @@ def cmd_phasespace(args) -> int:
             f"about {need / 2**20:.0f} MiB, over the "
             f"{ps.STACK_BUDGET >> 20} MiB budget; use a smaller --grid")
     theta, phi = render.equirect_grid(ntheta, nphi)
-    nodes = np.stack((np.repeat(theta, nphi), np.tile(phi, ntheta)), axis=1)
+    nodes = np.stack((np.repeat(theta, nphi), np.tile(phi, ntheta)),
+                     axis=1)[:, None]  # (N, 1, 2): one sphere
     # The "theta,phi" text of every row, formatted once for all tables.
     phi_text = [render.fmt(p) for p in phi]
     coords = [f"{t},{p}" for t in map(render.fmt, theta) for p in phi_text]
-    if model.sphere_tuples:
-        nodes = nodes[:, None, :]
     ops, rest = [], 1
     for sel in states:
         psi = model.named_state(sel, seed=args.seed)
@@ -308,7 +307,7 @@ def cmd_duality(args) -> int:
 
 def cmd_star(args) -> int:
     model = _model(args)
-    if model.nspheres != 1 or model.sphere_tuples:
+    if args.qrt != "spin":
         raise ValueError("star command supports the spin model")
     if model.dim > 61:  # O(N d**3) work on N = O(d**2) doubled-band nodes
         raise ValueError(f"star is capped at 2S <= 60, got S={model.S}")
@@ -322,9 +321,7 @@ def cmd_star(args) -> int:
             f"{cap} points by its work budget ({STAR_WORK:.0e} units of "
             f"d**3 + 2e4 per point and --s), got --points {args.points}")
     rng = np.random.default_rng(args.seed)
-    g1 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    g2 = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    A, B = (g1 + g1.conj().T) / 2, (g2 + g2.conj().T) / 2
+    A, B = verify._random_hermitian(d, rng), verify._random_hermitian(d, rng)
     grid = ps.sphere_quadrature(2 * model.band)  # doubled band limit
     out_points = [model.random_point(rng) for _ in range(args.points)]
     # Three passes serve every s: the fields of A and B, their sums

@@ -290,8 +290,6 @@ def coherent_fidelity(model: QrtModel, psi: np.ndarray) -> float:
 
     def overlap(coords) -> float:
         point = tuple((coords[2 * k], coords[2 * k + 1]) for k in range(nspheres))
-        if not model.sphere_tuples:
-            point = point[0]
         amp = np.vdot(model.coherent_state(point), psi)
         return float(np.abs(amp) ** 2)
 

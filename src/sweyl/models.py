@@ -13,10 +13,11 @@ model declares and never test its class.
 
 * ``band``: band limit of the harmonics on each sphere, S for a spin and
   1/2 for qubits; None for fermions, which have no structured quadrature.
-* ``nspheres``: sphere factors of phase space: 1, n and 0.
-* ``sphere_tuples``: a qubit phase point is a tuple of n (theta, phi)
-  pairs, a spin point one bare pair.  Spin 1/2 and one qubit share band
-  and sphere count and differ only in this.
+* ``nspheres``: sphere factors of phase space: 1, n and 0.  A point is
+  an (nspheres, 2) row of (theta, phi) per sphere and N points an (N,
+  nspheres, 2) float array, as in ``phase_space.Quadrature``; a
+  one-sphere model also reads bare pairs, so spin 1/2 and one qubit share
+  their grids.  A fermionic point is a ``FermionicPoint``.
 * ``word_sectors(x, z)``: sectors of the Pauli words X^x Z^z, for
   integer mask arrays, as rows of ``labels()``: the support pattern for
   qubits and the Majorana weight for fermions, by bit arithmetic; a spin
@@ -143,7 +144,6 @@ class QrtModel:
     dim: int
     band: float | None
     nspheres: int
-    sphere_tuples: bool
 
     def __init__(self):
         self._block_cache: dict = {}
@@ -218,6 +218,19 @@ class QrtModel:
         block, hw = self.irrep_block(label), self.hw_state()
         return float(np.sum(np.real(hw.conj() @ block.basis @ hw) ** 2)
                      / block.dim)
+
+    def _sphere_points(self, points) -> np.ndarray:
+        """Points as an (N, nspheres, 2) float array of (theta, phi) per
+        sphere, or ValueError naming any other shape; a one-sphere model
+        also reads bare (N, 2) pairs."""
+        pts = np.asarray(points, dtype=float)
+        if self.nspheres == 1 and pts.ndim == 2:
+            pts = pts[:, None]
+        if pts.shape[1:] != (self.nspheres, 2):
+            raise ValueError(
+                f"need one (theta, phi) pair per sphere of {self!r}: points "
+                f"of shape (N, {self.nspheres}, 2), got {pts.shape}")
+        return pts
 
     def coherent_state(self, point) -> np.ndarray:
         return self.point_unitary(point) @ self.hw_state()
@@ -447,13 +460,13 @@ def _legendre_rows(theta: np.ndarray, d: int):
 class SpinModel(QrtModel):
     """Single spin S under global SU(2) rotations.
 
-    Phase points are (theta, phi) on the sphere; group elements are
-    z-y-z Euler triples (alpha, beta, gamma).
+    Phase points are (theta, phi) on the sphere, a bare pair or a
+    one-sphere row; group elements are z-y-z Euler triples (alpha, beta,
+    gamma).
     """
 
     kind = "spin"
     nspheres = 1
-    sphere_tuples = False
 
     def __init__(self, S):
         super().__init__()
@@ -640,7 +653,7 @@ class SpinModel(QrtModel):
         """Chunks of distinct thetas, ``TABLE_BYTES`` of Legendre sums of
         ``width`` columns each (or one theta): (thetas, per ring its point
         indices and rows of E, ``E = exp(-i q phi)`` of the distinct phis)."""
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        pts = self._sphere_points(points)[:, 0]
         qs = np.arange(1 - self.dim, self.dim)
         order = np.argsort(pts[:, 0], kind="stable")
         theta = pts[order, 0]
@@ -698,7 +711,7 @@ class SpinModel(QrtModel):
         = sqrt(2 lam + 1) / x0_lam`` (x0_lam > 0 by the table's sign), lam
         by lam from one Legendre recursion over the distinct thetas."""
         d = self.dim
-        pts = np.asarray(points, dtype=float).reshape(-1, 2)
+        pts = self._sphere_points(points)[:, 0]
         theta, ring = np.unique(pts[:, 0], return_inverse=True)
         jphi = np.arange(1, d)[:, None] * pts[:, 1]
         cos, sin = np.cos(jphi), np.sin(jphi)
@@ -753,7 +766,7 @@ class SpinModel(QrtModel):
         return np.exp(-0.5j * angle * (self.S.twice - 2 * np.arange(self.dim)))
 
     def point_unitary(self, point) -> np.ndarray:
-        theta, phi = point
+        theta, phi = np.reshape(point, 2)
         return self._rot_z_diag(phi)[:, None] * self._rot_y(theta)
 
     def group_unitary(self, g) -> np.ndarray:
@@ -765,7 +778,7 @@ class SpinModel(QrtModel):
         return (0.0, 0.0)
 
     def point_as_group(self, point):
-        theta, phi = point
+        theta, phi = np.reshape(point, 2)
         return (phi, theta, 0.0)
 
     def random_point(self, rng):
@@ -800,13 +813,13 @@ class SpinModel(QrtModel):
 class MultipartiteModel(QrtModel):
     """n qubits under local SU(2) x ... x SU(2) rotations.
 
-    Phase points are n-tuples of (theta, phi); group elements are n-tuples
-    of Euler triples.  Sector labels are 0/1 support patterns.
+    Phase points are (n, 2) rows of (theta, phi), one pair per qubit;
+    group elements are n-tuples of Euler triples.  Sector labels are 0/1
+    support patterns.
     """
 
     kind = "multipartite"
     band = 0.5
-    sphere_tuples = True
 
     def __init__(self, n: int):
         super().__init__()
@@ -871,9 +884,7 @@ class MultipartiteModel(QrtModel):
         """(N, 4**n) products of each qubit's Bloch components ``(1, n_x,
         n_z, -i n_y)``, the expectations of ``(I, X, Z, XZ)``; qubit 0 is the
         leading digit of the word."""
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 3 or pts.shape[1:] != (self.n, 2):
-            raise ValueError("need one (theta, phi) pair per qubit")
+        pts = self._sphere_points(points)
         th, ph = pts[..., 0], pts[..., 1]
         e = np.stack([np.ones_like(th), np.sin(th) * np.cos(ph), np.cos(th),
                       -1j * np.sin(th) * np.sin(ph)], axis=-1)
@@ -939,7 +950,6 @@ class FermionicModel(QrtModel):
     kind = "fermionic"
     band = None  # no structured quadrature: Monte-Carlo grids only
     nspheres = 0
-    sphere_tuples = False
 
     def __init__(self, n: int):
         super().__init__()

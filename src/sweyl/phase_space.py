@@ -13,8 +13,12 @@ and reconstruction/tracing identities hold without extra volume factors;
 the price is a ``d**((s-1)/2)`` factor in the standardization integral.
 
 Nothing here tests a model's class: grids and band checks read the
-geometry each model declares (``band``, ``nspheres``, ``sphere_tuples``,
-``point_as_group``; see ``models``).
+geometry each model declares (``band``, ``nspheres``, ``point_as_group``;
+see ``models``).  Every structured grid is one ``Quadrature``: an (N,
+nspheres, 2) array of (theta, phi) per sphere and N weights, so a spin
+grid is (N, 1, 2) and an n-qubit grid the product of n such rules
+(``product_quadrature``); a Monte-Carlo grid is a list of fermionic
+points.
 
 Every field, reconstruction and harmonic goes through one core, the
 model's coefficient route (``models``): a kernel is ``Delta(Omega) =
@@ -38,7 +42,7 @@ maximum (``kappa``).
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,23 +113,22 @@ class KernelSpec:
 # -- quadrature grids ---------------------------------------------------------
 
 @dataclass
-class SphereQuadrature:
-    """Tensor Gauss-Legendre x uniform-phi grid on one sphere.
+class Quadrature:
+    """Nodes and weights of a phase-space integral, normalized measure.
 
-    Nodes integrate the normalized measure exactly for integrands that are
-    products of two functions band-limited at ``2 * band`` (polynomial
-    degree ``4 * band`` in cos(theta), azimuthal order ``4 * band``).
+    A structured grid holds an (N, nspheres, 2) float array of (theta,
+    phi) per sphere, one row per node, and integrates exactly products of
+    two functions band-limited at ``2 * band`` on each sphere (polynomial
+    degree ``4 * band`` in cos(theta), azimuthal order ``4 * band``);
+    a one-sphere grid keeps its (ntheta, nphi) ``shape``.  A Monte-Carlo
+    grid holds a list of ``FermionicPoint``s with equal weights and no
+    band: its identities hold in expectation only.
     """
 
-    theta: np.ndarray
-    phi: np.ndarray
+    points: object
     weights: np.ndarray
-    band: float
-    shape: tuple[int, int]
-
-    @property
-    def points(self):
-        return list(zip(self.theta, self.phi))
+    band: float | None = None
+    shape: tuple[int, int] | None = None
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -158,58 +161,43 @@ def gauss_legendre(n: int):
     return x, (w + w[::-1]) / 2
 
 
-def sphere_quadrature(band, oversample: float = 1.0) -> SphereQuadrature:
-    """Build a sphere grid resolving harmonic content up to ``2 * band``."""
+def _sphere_shape(band: float, oversample: float = 1.0) -> tuple[int, int]:
+    """(ntheta, nphi) of the Gauss-Legendre x uniform-phi rule at a band."""
+    return (max(1, math.ceil(oversample * (2 * band + 1))),
+            max(1, math.ceil(oversample * (4 * band + 2))))
+
+
+def sphere_quadrature(band, oversample: float = 1.0) -> Quadrature:
+    """Tensor Gauss-Legendre x uniform-phi grid on one sphere, resolving
+    harmonic content up to ``2 * band``: (N, 1, 2) points."""
     band = float(band)
     if band < 0:
         raise ValueError("band must be non-negative")
-    ntheta = max(1, math.ceil(oversample * (2 * band + 1)))
-    nphi = max(1, math.ceil(oversample * (4 * band + 2)))
+    shape = ntheta, nphi = _sphere_shape(band, oversample)
     x, wx = gauss_legendre(ntheta)
-    theta1 = np.arccos(x)
-    phi1 = 2 * math.pi * np.arange(nphi) / nphi
-    th, ph = np.meshgrid(theta1, phi1, indexing="ij")
+    phi = 2 * math.pi * np.arange(nphi) / nphi
+    points = np.stack(np.meshgrid(np.arccos(x), phi, indexing="ij"), axis=-1)
     w = np.repeat(wx / (2 * nphi), nphi)
-    return SphereQuadrature(th.ravel(), ph.ravel(), w, band, (ntheta, nphi))
+    return Quadrature(points.reshape(-1, 1, 2), w, band, shape)
 
 
-@dataclass
-class ProductQuadrature:
-    """Product grid over several spheres (multi-qubit phase space)."""
-
-    factors: tuple[SphereQuadrature, ...]
-    points: list
-    weights: np.ndarray
-
-    @property
-    def band(self) -> float:
-        return min(f.band for f in self.factors)
-
-
-def product_quadrature(nspheres: int, band=0.5) -> ProductQuadrature:
+def product_quadrature(nspheres: int, band=0.5) -> Quadrature:
+    """Product grid over several spheres (multi-qubit phase space): node
+    (i_1, ..., i_n) of the one-sphere rule, the last sphere fastest, with
+    weight ``w_i1 ... w_in`` multiplied left to right."""
     base = sphere_quadrature(band)
-    points = list(itertools.product(base.points, repeat=nspheres))
-    weights = [math.prod(w, start=1.0)
-               for w in itertools.product(base.weights, repeat=nspheres)]
-    return ProductQuadrature((base,) * nspheres, points, np.array(weights))
-
-
-@dataclass
-class McQuadrature:
-    """Monte-Carlo 'grid': Haar-distributed points with equal weights."""
-
-    points: list
-    weights: np.ndarray
-    band = None
+    index = np.indices((len(base.weights),) * nspheres).reshape(nspheres, -1)
+    weights = functools.reduce(np.multiply.outer, [base.weights] * nspheres)
+    return Quadrature(base.points[index.T, 0], weights.ravel(), base.band)
 
 
 def mc_group_quadrature(model: FermionicModel, nnodes: int,
-                        seed: int) -> McQuadrature:
+                        seed: int) -> Quadrature:
     """Haar-random rotation points for Monte-Carlo fermionic integrals."""
     rng = np.random.default_rng(seed)
     points = [model.point_of_rotation(_haar_rotation(2 * model.n, rng))
               for _ in range(nnodes)]
-    return McQuadrature(points, np.full(nnodes, 1.0 / nnodes))
+    return Quadrature(points, np.full(nnodes, 1.0 / nnodes))
 
 
 def _haar_rotation(dim: int, rng) -> np.ndarray:
@@ -230,19 +218,17 @@ def default_grid_size(model: QrtModel) -> int:
     """Node count of ``default_grid(model)``, without building it."""
     if model.band is None:
         return 0
-    ntheta = max(1, math.ceil(2 * model.band + 1))
-    nphi = max(1, math.ceil(4 * model.band + 2))
-    return (ntheta * nphi) ** model.nspheres
+    return math.prod(_sphere_shape(model.band)) ** model.nspheres
 
 
-def default_grid(model: QrtModel):
+def default_grid(model: QrtModel) -> Quadrature:
     """Structured quadrature adapted to the model's band limit."""
     if model.band is None:
         raise ValueError(
             "no structured quadrature for this model; use mc_group_quadrature")
-    if model.sphere_tuples:
-        return product_quadrature(model.nspheres, model.band)
-    return sphere_quadrature(model.band)
+    if model.nspheres == 1:  # the rule itself, not a copy of it
+        return sphere_quadrature(model.band)
+    return product_quadrature(model.nspheres, model.band)
 
 
 def _check_band(model: QrtModel, grid, factor: int = 1) -> None:

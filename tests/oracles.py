@@ -4,8 +4,8 @@ the fast paths they check.
 None of these is called by the package.  They are the per-word sector of
 a Pauli word (``sector_of``, beside the models' bit-arithmetic
 ``word_sectors``), the word-by-word purities and Majorana algebra behind
-it, the
-exact signed CG square, the three-kernel and factored twisted-product
+it, the exact signed CG square, the node-by-node product grid
+(``tuple_product_grid``), the three-kernel and factored twisted-product
 couplings, the adjoint-representation harmonics, the symbol factor of a
 kernel spec, dense-block sector purities, the per-state ``purities``
 command, the ``%``-template writers that format every cell, and the CSV
@@ -23,7 +23,8 @@ from sweyl import cli, gfd, render
 from sweyl.clebsch import _cg_signed_square, _checked_labels
 from sweyl.models import FermionicModel, MultipartiteModel
 from sweyl.paulis import PauliString, majorana
-from sweyl.phase_space import KernelSpec, harmonic_matrix, sw_kernel
+from sweyl.phase_space import (KernelSpec, gauss_legendre, harmonic_matrix,
+                               sw_kernel)
 
 
 # -- Pauli words and sectors ---------------------------------------------------
@@ -151,6 +152,26 @@ def legendre_table(theta: np.ndarray, d: int) -> np.ndarray:
         T[:lam - 1, lam] = a * (x * T[:lam - 1, lam - 1]
                                 - b[:, None] * T[:lam - 1, lam - 2])
     return T
+
+
+def tuple_product_grid(nspheres: int, band: float):
+    """The product grid built node by node: the Gauss-Legendre x
+    uniform-phi rule's (theta, phi) pairs zipped from a ravelled meshgrid,
+    ``itertools.product`` of them over the spheres, and each node's weight
+    ``math.prod(start=1.0)`` of its spheres' weights; read back as an (N,
+    nspheres, 2) points array and an (N,) weights array."""
+    ntheta, nphi = math.ceil(2 * band + 1), math.ceil(4 * band + 2)
+    x, wx = gauss_legendre(ntheta)
+    th, ph = np.meshgrid(np.arccos(x), 2 * math.pi * np.arange(nphi) / nphi,
+                         indexing="ij")
+    pairs = list(zip(th.ravel(), ph.ravel()))
+    w = np.repeat(wx / (2 * nphi), nphi)
+    chain = itertools.chain.from_iterable
+    nodes = itertools.product(pairs, repeat=nspheres)
+    points = np.fromiter(chain(chain(nodes)), float)
+    weights = np.fromiter((math.prod(ws, start=1.0) for ws in
+                           itertools.product(w, repeat=nspheres)), float)
+    return points.reshape(-1, nspheres, 2), weights
 
 
 def adjoint_matrix(model, lam, g) -> np.ndarray:

@@ -276,11 +276,9 @@ def test_basis_state_selectors():
 def test_declared_phase_space_geometry():
     spin, qubits, modes = SpinModel(H("5/2")), MultipartiteModel(3), \
         FermionicModel(2)
-    assert (spin.band, spin.nspheres, spin.sphere_tuples) == (2.5, 1, False)
-    assert (qubits.band, qubits.nspheres, qubits.sphere_tuples) == \
-        (0.5, 3, True)
-    assert (modes.band, modes.nspheres, modes.sphere_tuples) == \
-        (None, 0, False)
+    assert (spin.band, spin.nspheres) == (2.5, 1)
+    assert (qubits.band, qubits.nspheres) == (0.5, 3)
+    assert (modes.band, modes.nspheres) == (None, 0)
 
 
 @pytest.mark.parametrize("model", [MultipartiteModel(2), FermionicModel(2)],

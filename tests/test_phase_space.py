@@ -12,7 +12,7 @@ from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 from sweyl.paulis import PauliString
 
 from oracles import (harmonic_via_adjoint, star_kernel, star_kernel_factored,
-                     symbol_factor)
+                     symbol_factor, tuple_product_grid)
 
 H = HalfInt.of
 
@@ -63,6 +63,40 @@ def test_product_quadrature():
     assert float(grid.weights @ vals) == pytest.approx(1 / 4)
 
 
+@pytest.mark.parametrize("band", [0.5, 1.5])
+@pytest.mark.parametrize("nspheres", [1, 2, 3, 4])
+def test_product_quadrature_matches_node_by_node_grid(nspheres, band):
+    points, weights = tuple_product_grid(nspheres, band)
+    grid = ps.product_quadrature(nspheres, band)
+    assert np.array_equal(grid.points, points)
+    assert np.array_equal(grid.weights, weights)
+
+
+def test_spin_reads_a_bare_pair_and_a_one_sphere_row_alike():
+    model = SpinModel(H("3/2"))
+    pair, row = (0.7, 2.3), [[0.7, 2.3]]
+    assert np.array_equal(model.point_unitary(pair), model.point_unitary(row))
+    assert model.point_as_group(pair) == model.point_as_group(row)
+
+
+def test_spin_refuses_a_two_sphere_grid():
+    model = SpinModel(2)
+    points = ps.product_quadrature(2).points  # 64 nodes on two spheres
+    f = ps.sector_factors(model, ps.KernelSpec.cahill_glauber(0.0))[:, None]
+    A = np.eye(model.dim)
+    for call in (lambda: ps.fields(model, A, points, f),
+                 lambda: ps.kernel_sums(model, points,
+                                        np.ones((len(points), 1)), f),
+                 lambda: ps.harmonic_matrix(model, points)):
+        with pytest.raises(ValueError, match=r"\(64, 2, 2\)"):
+            call()
+    # One qubit has the spin's geometry, so it takes a spin grid.
+    grid = ps.sphere_quadrature(1)
+    qubit = MultipartiteModel(1)
+    assert ps.harmonic_matrix(qubit, grid.points)[(1,)].shape == \
+        (3, len(grid.weights))
+
+
 def test_mc_group_quadrature():
     model = FermionicModel(2)
     grid = ps.mc_group_quadrature(model, 32, seed=5)
@@ -81,11 +115,10 @@ def test_default_grid_dispatch():
 
 
 def test_default_grid_point_formats_of_spin_half_and_one_qubit():
-    # Same band and sphere count; the points differ in their form.
+    # Same band and sphere count, so the same (N, 1, 2) grid.
     spin = ps.default_grid(SpinModel(H("1/2")))
     qubit = ps.default_grid(MultipartiteModel(1))
-    assert len(spin.points) == len(qubit.points)
-    assert [(p,) for p in spin.points] == qubit.points
+    assert np.array_equal(spin.points, qubit.points)
     assert np.array_equal(spin.weights, qubit.weights)
 
 

@@ -5,7 +5,8 @@
 of ``src/sweyl`` breaks ``perfbench/run.py --trace 1``.  The tracer is
 imported as it is, through ``sys.path``, and only read.  The reference
 routes of ``tests/oracles.py`` live outside the package: none of their
-names is defined in a package module or class.
+names is defined in a package module or class.  The grid counter of
+``--trace 1`` keeps its node counts.
 """
 
 import importlib
@@ -16,6 +17,8 @@ import pytest
 
 import sweyl
 import sweyl.cli  # noqa: F401  loads every module the tracer patches
+from sweyl import phase_space as ps
+from sweyl.models import MultipartiteModel, SpinModel
 
 import oracles
 
@@ -100,3 +103,17 @@ def test_oracle_names_stay_out_of_the_package():
     clashes = sorted(f"{mod}:{key}" for mod, key in _snapshot()
                      if key.rpartition(".")[2] in defined)
     assert clashes == []
+
+
+@pytest.mark.parametrize("model,nodes", [
+    (SpinModel(8), 578),  # one 17 x 34 sphere rule
+    (MultipartiteModel(3), 520),  # 512 nodes and the nested 8-node rule
+], ids=repr)
+def test_default_grid_node_count(tracing, model, nodes):
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        ps.default_grid(model)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["phase_space.grid.nodes"] == nodes
