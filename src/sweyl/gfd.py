@@ -279,8 +279,9 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
 def coherent_fidelity(model: QrtModel, psi: np.ndarray) -> float:
     """Largest squared overlap of psi with the coherent-state family.
 
-    Scans a coarse (theta, phi) grid (per sphere), then refines by
-    coordinate-wise golden-section search down to 1e-6 radians.
+    Scans a coarse (theta, phi) grid (per sphere, one batch of
+    ``coherent_states`` per sweep), then refines by coordinate-wise
+    golden-section search down to 1e-6 radians.
     """
     psi = np.asarray(psi, dtype=complex)
     nspheres = model.nspheres
@@ -297,53 +298,46 @@ def coherent_fidelity(model: QrtModel, psi: np.ndarray) -> float:
     thetas = (np.arange(ntheta) + 0.5) * math.pi / ntheta
     phis = np.arange(nphi) * 2 * math.pi / nphi
 
-    best, best_coords = -1.0, None
+    def best_of(trial):  # the first best row of coordinates, one batch
+        amps = model.coherent_states(trial.reshape(len(trial), nspheres, 2))
+        return trial[int(np.argmax(np.abs(amps.conj() @ psi) ** 2))]
+
     if nspheres == 1:
-        for th in thetas:
-            for ph in phis:
-                val = overlap((th, ph))
-                if val > best:
-                    best, best_coords = val, [th, ph]
+        best_coords = list(best_of(np.stack(
+            [np.repeat(thetas, nphi), np.tile(phis, ntheta)], axis=1)))
     else:
         # Coordinate-wise coarse sweeps from a few deterministic starts.
-        starts = [[math.pi / 2, 0.0] * nspheres]
         rng = np.random.default_rng(7)
-        for _ in range(4):
-            starts.append(list(np.concatenate(
-                [[math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)]
-                 for _ in range(nspheres)])))
-        for coords in starts:
-            coords = list(coords)
+        starts = [[math.pi / 2, 0.0] * nspheres] + [
+            [x for _ in range(nspheres) for x in (
+                math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))]
+            for _ in range(4)]
+        best = -1.0
+        for coords in starts:  # sweeps of one coordinate, one batch each
             for _ in range(6):
                 for k in range(2 * nspheres):
                     grid = thetas if k % 2 == 0 else phis
-                    vals = []
-                    for gval in grid:
-                        coords[k] = gval
-                        vals.append(overlap(coords))
-                    coords[k] = grid[int(np.argmax(vals))]
+                    trial = np.tile(coords, (len(grid), 1))
+                    trial[:, k] = grid
+                    coords = best_of(trial)
             val = overlap(coords)
             if val > best:
                 best, best_coords = val, list(coords)
 
-    # Golden-section refinement, coordinate by coordinate.
-    spans = []
-    for k in range(2 * nspheres):
-        step = (math.pi / ntheta) if k % 2 == 0 else (2 * math.pi / nphi)
-        spans.append(2 * step)
+    # Golden-section refinement, coordinate by coordinate, two steps each way.
+    spans = [2 * math.pi / ntheta, 4 * math.pi / nphi] * nspheres
     coords = list(best_coords)
     for _ in range(30):
         moved = 0.0
         for k in range(2 * nspheres):
-            lo = coords[k] - spans[k]
-            hi = coords[k] + spans[k]
 
             def slice_f(x, k=k):
                 trial = list(coords)
                 trial[k] = x
                 return overlap(trial)
 
-            x, _ = _golden_max(slice_f, lo, hi, angle_tol / 4)
+            x, _ = _golden_max(slice_f, coords[k] - spans[k],
+                               coords[k] + spans[k], angle_tol / 4)
             moved = max(moved, abs(x - coords[k]))
             coords[k] = x
             spans[k] = max(spans[k] / 2, 8 * angle_tol)

@@ -477,7 +477,7 @@ class SpinModel(QrtModel):
         self.band = self.S.twice / 2
         self._ops = None
         self._jy_eig = None
-        self._cg_table = None
+        self._cg_table = self._cg_idx = None
         self._taus: dict = {}
 
     def __repr__(self):
@@ -504,14 +504,10 @@ class SpinModel(QrtModel):
     def spin_operators(self):
         """(Jx, Jy, Jz) dense, with the m-descending basis convention."""
         if self._ops is None:
-            tS = self.S.twice
-            m = np.array([(tS - 2 * i) / 2 for i in range(self.dim)])
+            S = self.S.twice / 2
+            m = S - np.arange(self.dim)  # J+ raises m[i] at row i - 1
             Jz = np.diag(m).astype(complex)
-            Jp = np.zeros((self.dim, self.dim), dtype=complex)
-            S = tS / 2
-            for i in range(1, self.dim):
-                mm = m[i]  # raise m -> m + 1, row i-1, column i
-                Jp[i - 1, i] = math.sqrt(S * (S + 1) - mm * (mm + 1))
+            Jp = np.diag(np.sqrt(S * (S + 1) - m[1:] * (m[1:] + 1)), 1) + 0j
             Jm = Jp.conj().T
             Jx = (Jp + Jm) / 2
             Jy = (Jp - Jm) / (2j)
@@ -533,12 +529,15 @@ class SpinModel(QrtModel):
             self._cg_table = _cg_diagonals(self.S.twice)
         return self._cg_table
 
-    def _cg_rows(self, q: int) -> np.ndarray:
-        """(d - q, d - q) full rows of ``cg_diagonals()[q]``: row lam - q
-        is the q-th superdiagonal of T^lam_q, the half and its mirror."""
+    def _cg_rows(self, q: int, buf=None) -> np.ndarray:
+        """(d - q, d - q) rows of ``cg_diagonals()[q]``, half and mirror: row
+        lam - q is diagonal q of T^lam_q (in the head of ``buf`` if given)."""
         half, n = self.cg_diagonals()[q], self.dim - q
-        parity = (-1.0) ** np.arange(n)[:, None]
-        return np.hstack([half, parity * half[:, :n // 2][:, ::-1]])
+        rows = (np.empty(n * n) if buf is None else buf[:n * n]).reshape(n, n)
+        rows[:, :half.shape[1]] = half
+        np.multiply((-1.0) ** np.arange(n)[:, None], half[:, :n // 2][:, ::-1],
+                    out=rows[:, half.shape[1]:])
+        return rows
 
     def tensor_operator(self, lam: int, j: int) -> np.ndarray:
         """Irreducible tensor operator T^lam_j (not Hermitian for j != 0).
@@ -549,13 +548,9 @@ class SpinModel(QrtModel):
         """
         if not 0 <= lam <= self.S.twice or abs(j) > lam:
             raise ValueError(f"no T^{lam}_{j} for S={self.S}")
-        q = abs(j)
-        n = self.dim - q
-        half = self.cg_diagonals()[q][lam - q]
-        parity = -1 if (lam - q) % 2 else 1
-        k = np.arange(n)
+        q, k = abs(j), np.arange(self.dim - abs(j))
         T = np.zeros((self.dim, self.dim), dtype=complex)
-        T[k, k + q] = np.concatenate([half, parity * half[:n // 2][::-1]])
+        T[k, k + q] = self._cg_rows(q)[lam - q]
         if j < 0:
             T = (-1) ** q * T.T.copy()
         return T
@@ -567,28 +562,41 @@ class SpinModel(QrtModel):
         return x[:, :1] * x
 
     def _cg_products(self, A: np.ndarray):
-        """Per diagonal q, (q, even, odd): the CG rows of diagonal q times
-        the diagonals q and -q of A, ``T_q diag_(+-q)(A)``, as real (...,
-        rows, 2 or 4) arrays of (re, im) pairs of diagonal q, then -q.
-
-        Rows of even parity (lam - q even, rows lam = q, q + 2, ...) are
-        symmetric, so they pair their half of the table with the diagonal
-        folded as v_k + v_(n-1-k); odd rows use v_k - v_(n-1-k), which
-        vanishes exactly on mirror-symmetric input.  O(d) numpy calls,
-        O(d**3) flops and memory per operator.
-        """
-        for q, half in enumerate(self.cg_diagonals()):
-            n, h = self.dim - q, (self.dim - q) // 2
-            diags = [np.diagonal(A, q, -2, -1)]
-            diags += [np.diagonal(A, -q, -2, -1)] if q else []
-            V = np.stack(diags, axis=-1).astype(complex)  # (..., n, 1 or 2)
-            plus, minus = V[..., :n - h, :].copy(), V[..., :n - h, :].copy()
-            plus[..., :h, :] += V[..., ::-1, :][..., :h, :]
-            minus[..., :h, :] -= V[..., ::-1, :][..., :h, :]
-            minus[..., h:, :] = 0.0
-            # Complex columns viewed as (re, im) pairs: real matmuls.
-            yield (q, half[0::2] @ plus.view(float),
-                   half[1::2] @ minus.view(float))
+        """Blocks (q0, P) of the CG rows of diagonal q = q0 + i times the
+        diagonals q and -q of A, ``T_q diag_(+-q)(A)``: P[i, ..., lam] holds
+        row lam - q as (re, im) pairs of diagonal q, then -q (zero for lam <
+        q, and in the first pair for q = 0).  Rows of even parity (lam - q
+        even) are symmetric, so they pair their half of the table with the
+        diagonal folded as v_k + v_(n-1-k); odd rows use v_k - v_(n-1-k),
+        which vanishes exactly on mirror-symmetric input.  One gather of
+        cached flat indices per block of q reads both folds of a stack, then
+        each q costs two real matmuls with the stack as batch axis.  A block
+        holds about ``TABLE_BYTES / 8``, so it stays in cache: O(1) numpy
+        calls per block, two per q, O(d**3) flops per operator."""
+        A, d, table = np.asarray(A), self.dim, self.cg_diagonals()
+        if self._cg_idx is None:  # [j, q, k, s]: entry k of diagonal q (s =
+            # 0) or -q (s = 1), at j = 1 its mirror entry d - q - 1 - k
+            j, q, k, s = np.indices((2, d, (d + 1) // 2, 2), dtype=np.int32)
+            self._cg_idx = ((k + j * (d - 1 - q - 2 * k)) * (d + 1)
+                            + q * (1 + s * (d - 1)))
+        flat = A.reshape(A.shape[:-2] + (d * d,))
+        step = max(1, TABLE_BYTES // (640 * d * flat[..., 0].size))
+        for q0 in range(0, d, step):
+            qs = range(q0, min(q0 + step, d))  # rows past a fold: clipped
+            V = flat.take(self._cg_idx[:, q0:qs.stop, :(d - q0 + 1) // 2],
+                          axis=-1, mode="clip").astype(complex, copy=False)
+            v, w = V[..., 0, :, :, :], V[..., 1, :, :, :]  # entries, mirrors
+            minus = (v - w).view(float)
+            c = np.arange(q0 + (d - 1 - q0) % 2, qs.stop, 2)  # odd d - q:
+            w[..., c - q0, (d - 1 - c) // 2, :] = -0.0  # centre + -0.0 = centre
+            plus = np.add(v, w, out=v).view(float)
+            P = np.zeros((len(qs),) + A.shape[:-2] + (d, 4))
+            for i, q in enumerate(qs):
+                m, lo = (d - q + 1) // 2, 2 * (q == 0)
+                for r, F in enumerate((plus, minus)):  # even rows, then odd
+                    np.matmul(table[q][r::2], F[..., i, :m, lo:],
+                              out=P[i, ..., q + r::2, lo:])
+            yield q0, P
 
     def sector_purities(self, A: np.ndarray) -> dict:
         """Banded sector purities from the CG table:
@@ -596,13 +604,14 @@ class SpinModel(QrtModel):
             P_lam(A) = sum_(q>=0) |T_q diag_q(A)|^2
                        + sum_(q>0) |T_q diag_-q(A)|^2
 
-        at row lam - q of the diagonal matrix T_q (``_cg_products``); a
-        stack is served as in ``QrtModel.sector_purities``.
+        at row lam - q of the diagonal matrix T_q (``_cg_products``), in
+        ascending q; a stack is served as in ``QrtModel.sector_purities``.
         """
         out = np.zeros(A.shape[:-2] + (self.dim,))
-        for q, even, odd in self._cg_products(A):
-            out[..., q::2] += np.sum(even ** 2, axis=-1)
-            out[..., q + 1::2] += np.sum(odd ** 2, axis=-1)
+        for _, P in self._cg_products(A):  # pairs in np.sum's order, then q
+            P = np.square(P, out=P)
+            out = np.sum([out, *P[..., 0] + P[..., 1] + P[..., 2] + P[..., 3]],
+                         axis=0)
         return {lam: out[..., lam] for lam in self.labels()}
 
     # The coefficient route: coefficient (q, lam) at q + d - 1, lam of a
@@ -615,11 +624,13 @@ class SpinModel(QrtModel):
         (``_cg_products``); no block."""
         A, d = np.asarray(A), self.dim
         c = np.zeros(A.shape[:-2] + (2 * d - 1, d), dtype=complex)
-        for q, even, odd in self._cg_products(A):
-            for lam, x in ((q, even.view(complex)), (q + 1, odd.view(complex))):
-                c[..., d - 1 + q, lam::2] = x[..., -1]
-                if q:
-                    c[..., d - 1 - q, lam::2] = (-1) ** q * x[..., 0]
+        for q0, P in self._cg_products(A):
+            P = np.moveaxis(P.view(complex), 0, -3)  # (..., q, lam, +-q)
+            q = np.arange(q0, q0 + P.shape[-3])[:, None]
+            rows = slice(d - 1 + q0, d + q[-1, 0])  # rows q; flipped, rows -q
+            sign = np.where(q <= np.arange(d), (-1.0) ** q, 1.0)  # 1 * +0 = +0
+            np.multiply(sign, P[..., 0], out=c[..., ::-1, :][..., rows, :])
+            c[..., rows, :] = P[..., 1]  # last: row q = 0 takes no sign
         return c.reshape(A.shape[:-2] + (-1,))
 
     def coefficient_sectors(self) -> np.ndarray:
@@ -632,8 +643,9 @@ class SpinModel(QrtModel):
         d = self.dim
         b = np.reshape(b, np.shape(b)[:-1] + (2 * d - 1, d))
         out = np.zeros(b.shape[:-2] + (d, d), dtype=complex)
+        buf = np.empty(d * d)  # one buffer serves every q's rows
         for q in range(d):
-            rows, k = self._cg_rows(q), np.arange(d - q)
+            rows, k = self._cg_rows(q, buf), np.arange(d - q)
             pairs = ((d - 1 + q, k, k + q, 1), (d - 1 - q, k + q, k, (-1) ** q))
             for r, i, j, sign in pairs[:1 + (q > 0)]:
                 v = b[..., r, q:]
@@ -646,7 +658,7 @@ class SpinModel(QrtModel):
         (``Ybar_lam(-q) = (-1)**q Ybar_lam q``)."""
         q, lam = np.arange(1 - self.dim, self.dim)[:, None], np.arange(self.dim)
         sign = np.where(q < 0, (-1.0) ** np.abs(q), 1.0)
-        x0 = self._cg_rows(0)[:, 0]
+        x0 = self.cg_diagonals()[0][:, 0]
         return sign * x0 * np.sqrt(4 * np.pi / (2 * lam + 1))
 
     def _rings(self, points, width: int):
@@ -769,6 +781,12 @@ class SpinModel(QrtModel):
         theta, phi = np.reshape(point, 2)
         return self._rot_z_diag(phi)[:, None] * self._rot_y(theta)
 
+    def coherent_states(self, points) -> np.ndarray:
+        """(N, d) batch: column 0 of ``point_unitary`` from J_y's eigenbasis."""
+        pts, (w, V) = self._sphere_points(points)[:, 0], self._jy_eigh()
+        col = ((np.exp(-1j * pts[:, :1] * w) * V[0].conj()) @ V.T).real
+        return self._rot_z_diag(pts[:, 1:]) * col
+
     def group_unitary(self, g) -> np.ndarray:
         alpha, beta, gamma = g
         U = self._rot_z_diag(alpha)[:, None] * self._rot_y(beta)
@@ -879,6 +897,13 @@ class MultipartiteModel(QrtModel):
         if len(point) != self.n:
             raise ValueError("need one (theta, phi) pair per qubit")
         return functools.reduce(np.kron, map(self._qubit.point_unitary, point))
+
+    def coherent_states(self, points) -> np.ndarray:
+        """(N, 2**n) products of each qubit's batched coherent states."""
+        pts = self._sphere_points(points)
+        return functools.reduce(
+            lambda E, e: (E[:, :, None] * e[:, None]).reshape(len(pts), -1),
+            [self._qubit.coherent_states(pts[:, k]) for k in range(self.n)])
 
     def _expectations(self, points) -> np.ndarray:
         """(N, 4**n) products of each qubit's Bloch components ``(1, n_x,

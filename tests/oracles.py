@@ -7,9 +7,11 @@ a Pauli word (``sector_of``, beside the models' bit-arithmetic
 it, the exact signed CG square, the node-by-node product grid
 (``tuple_product_grid``), the three-kernel and factored twisted-product
 couplings, the adjoint-representation harmonics, the symbol factor of a
-kernel spec, dense-block sector purities, the per-state ``purities``
-command, the ``%``-template writers that format every cell, and the CSV
-reader that reads ``render.write_csv`` output back.
+kernel spec, dense-block sector purities, the per-diagonal spin
+coefficients and operators, the point-by-point coherent fidelity, the
+per-state ``purities`` command, the ``%``-template writers that format
+every cell, and the CSV reader that reads ``render.write_csv`` output
+back.
 """
 
 import itertools
@@ -111,6 +113,71 @@ def dense_block_purities(model, A) -> dict:
     for block in model.blocks():
         coeffs = np.einsum("jab,...ab->...j", block.basis.conj(), A)
         out[block.label] = np.sum(np.abs(coeffs) ** 2, axis=-1)
+    return out
+
+
+# -- spin coefficients, one diagonal at a time --------------------------------
+
+def cg_products_per_q(model, A):
+    """Per diagonal q, (q, even, odd): the CG rows of diagonal q times
+    the diagonals q and -q of A, ``T_q diag_(+-q)(A)``, as real (...,
+    rows, 2 or 4) arrays of (re, im) pairs of diagonal q, then -q.
+
+    Rows of even parity (lam - q even, rows lam = q, q + 2, ...) are
+    symmetric, so they pair their half of the table with the diagonal
+    folded as v_k + v_(n-1-k); odd rows use v_k - v_(n-1-k), which
+    vanishes exactly on mirror-symmetric input.  O(d) numpy calls,
+    O(d**3) flops and memory per operator.
+    """
+    for q, half in enumerate(model.cg_diagonals()):
+        n, h = model.dim - q, (model.dim - q) // 2
+        diags = [np.diagonal(A, q, -2, -1)]
+        diags += [np.diagonal(A, -q, -2, -1)] if q else []
+        V = np.stack(diags, axis=-1).astype(complex)  # (..., n, 1 or 2)
+        plus, minus = V[..., :n - h, :].copy(), V[..., :n - h, :].copy()
+        plus[..., :h, :] += V[..., ::-1, :][..., :h, :]
+        minus[..., :h, :] -= V[..., ::-1, :][..., :h, :]
+        minus[..., h:, :] = 0.0
+        # Complex columns viewed as (re, im) pairs: real matmuls.
+        yield (q, half[0::2] @ plus.view(float),
+               half[1::2] @ minus.view(float))
+
+
+def cg_sector_purities(model, A) -> dict:
+    """``SpinModel.sector_purities`` from ``cg_products_per_q``."""
+    out = np.zeros(A.shape[:-2] + (model.dim,))
+    for q, even, odd in cg_products_per_q(model, A):
+        out[..., q::2] += np.sum(even ** 2, axis=-1)
+        out[..., q + 1::2] += np.sum(odd ** 2, axis=-1)
+    return {lam: out[..., lam] for lam in model.labels()}
+
+
+def cg_coefficients(model, A) -> np.ndarray:
+    """``SpinModel.coefficients`` from ``cg_products_per_q``."""
+    A, d = np.asarray(A), model.dim
+    c = np.zeros(A.shape[:-2] + (2 * d - 1, d), dtype=complex)
+    for q, even, odd in cg_products_per_q(model, A):
+        for lam, x in ((q, even.view(complex)), (q + 1, odd.view(complex))):
+            c[..., d - 1 + q, lam::2] = x[..., -1]
+            if q:
+                c[..., d - 1 - q, lam::2] = (-1) ** q * x[..., 0]
+    return c.reshape(A.shape[:-2] + (-1,))
+
+
+def cg_operators(model, b) -> np.ndarray:
+    """``SpinModel.operators`` with each q's full rows built afresh by
+    ``np.hstack`` of the half table and its signed mirror."""
+    d = model.dim
+    b = np.reshape(b, np.shape(b)[:-1] + (2 * d - 1, d))
+    out = np.zeros(b.shape[:-2] + (d, d), dtype=complex)
+    for q, half in enumerate(model.cg_diagonals()):
+        n, k = d - q, np.arange(d - q)
+        parity = (-1.0) ** np.arange(n)[:, None]
+        rows = np.hstack([half, parity * half[:, :n // 2][:, ::-1]])
+        pairs = ((d - 1 + q, k, k + q, 1), (d - 1 - q, k + q, k, (-1) ** q))
+        for r, i, j, sign in pairs[:1 + (q > 0)]:
+            v = b[..., r, q:]
+            out[..., i, j] = sign * (v.real @ rows + 1j * (v.imag @ rows))
     return out
 
 
@@ -337,3 +404,78 @@ def read_csv(path):
     header = lines[0].split(",")
     rows = [ln.split(",") for ln in lines[1:]]
     return header, rows
+
+
+# -- coherent-state fidelity ---------------------------------------------------
+
+def coherent_fidelity_pointwise(model, psi) -> float:
+    """``gfd.coherent_fidelity`` with its coarse scan one ``coherent_state``
+    at a time."""
+    psi = np.asarray(psi, dtype=complex)
+    nspheres = model.nspheres
+    if not nspheres:
+        raise ValueError("coherent fidelity needs a spherical phase space")
+    angle_tol = 1e-6  # radians
+
+    def overlap(coords) -> float:
+        point = tuple((coords[2 * k], coords[2 * k + 1]) for k in range(nspheres))
+        amp = np.vdot(model.coherent_state(point), psi)
+        return float(np.abs(amp) ** 2)
+
+    ntheta, nphi = 64, 128  # coarse scan per sphere
+    thetas = (np.arange(ntheta) + 0.5) * math.pi / ntheta
+    phis = np.arange(nphi) * 2 * math.pi / nphi
+
+    best, best_coords = -1.0, None
+    if nspheres == 1:
+        for th in thetas:
+            for ph in phis:
+                val = overlap((th, ph))
+                if val > best:
+                    best, best_coords = val, [th, ph]
+    else:
+        # Coordinate-wise coarse sweeps from a few deterministic starts.
+        starts = [[math.pi / 2, 0.0] * nspheres]
+        rng = np.random.default_rng(7)
+        for _ in range(4):
+            starts.append(list(np.concatenate(
+                [[math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi)]
+                 for _ in range(nspheres)])))
+        for coords in starts:
+            coords = list(coords)
+            for _ in range(6):
+                for k in range(2 * nspheres):
+                    grid = thetas if k % 2 == 0 else phis
+                    vals = []
+                    for gval in grid:
+                        coords[k] = gval
+                        vals.append(overlap(coords))
+                    coords[k] = grid[int(np.argmax(vals))]
+            val = overlap(coords)
+            if val > best:
+                best, best_coords = val, list(coords)
+
+    # Golden-section refinement, coordinate by coordinate.
+    spans = []
+    for k in range(2 * nspheres):
+        step = (math.pi / ntheta) if k % 2 == 0 else (2 * math.pi / nphi)
+        spans.append(2 * step)
+    coords = list(best_coords)
+    for _ in range(30):
+        moved = 0.0
+        for k in range(2 * nspheres):
+            lo = coords[k] - spans[k]
+            hi = coords[k] + spans[k]
+
+            def slice_f(x, k=k):
+                trial = list(coords)
+                trial[k] = x
+                return overlap(trial)
+
+            x, _ = gfd._golden_max(slice_f, lo, hi, angle_tol / 4)
+            moved = max(moved, abs(x - coords[k]))
+            coords[k] = x
+            spans[k] = max(spans[k] / 2, 8 * angle_tol)
+        if moved < angle_tol:
+            break
+    return overlap(coords)

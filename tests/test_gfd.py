@@ -268,7 +268,7 @@ def test_coherent_fidelity_multipartite():
 
 
 def test_coherent_fidelity_one_qubit():
-    # One qubit has one sphere but tuple points, unlike spin 1/2.
+    # One qubit has one sphere, as spin 1/2 has: one batch scans its grid.
     model = MultipartiteModel(1)
     psi = model.coherent_state(((0.4, 2.0),))
     assert gfd.coherent_fidelity(model, psi) == pytest.approx(1.0, abs=1e-8)
