@@ -118,42 +118,31 @@ def _file_tag(sel: str) -> str:
     return _state_label(sel).replace("/", "_")
 
 
-def _sector_name(lam) -> str:
-    if isinstance(lam, tuple):
-        return "".join(str(b) for b in lam)
-    return str(lam)
-
-
-def _write_json(path, config, checks, seed) -> None:
-    render.write_json(path, {"config": config, "checks": checks, "seed": seed})
+def _report(args, results, **config) -> int:
+    """Write the check report ``<command>.json`` (config, checks, seed);
+    exit 0 when every check passed, else 1."""
+    os.makedirs(args.out, exist_ok=True)
+    render.write_json(os.path.join(args.out, f"{args.command}.json"),
+                      {"config": _config(args, **config),
+                       "checks": [r.as_dict() for r in results],
+                       "seed": args.seed})
+    return 0 if all(r.passed for r in results) else 1
 
 
 def cmd_purities(args) -> int:
     """Sector purities ``P_lam`` and their filtered images ``tau**(-s)
-    P_lam`` of every ``--state``, in one batched pass.  The states' density
-    matrices go to ``gfd.purity_spectrum`` as (k, d, d) stacks of at most
-    ``gfd._RHO_BYTES`` (one state per stack when a single one is larger,
-    as at n = 10, so the peak stays that of one state), the filters are one
-    array product, and the table is written column by column."""
+    P_lam`` of every ``--state`` in one batched pass: ``gfd.state_purities``
+    of the states (so at n = 10 the peak is that of one state), one array
+    product with the filters, and the table written column by column."""
     model = _model(args)
     model.check_sector_size()  # before any d x d state is formed
     states = args.state or ["hw"]
     svals = args.s if args.s else [-1.0, 0.0, 1.0]
     labels = model.labels()
-    step = max(1, gfd._RHO_BYTES // (16 * model.dim ** 2))
-
-    def spectra(sels):  # (sectors, k) purities of one stack of states
-        psi = np.stack([model.named_state(sel, seed=args.seed) for sel in sels])
-        rho = psi[:, :, None] * psi.conj()[:, None, :]
-        return gfd.purity_spectrum(rho, model).as_array(labels)
-
-    purity = np.hstack([spectra(states[lo:lo + step])
-                        for lo in range(0, len(states), step)]).T
-    # Python-float factors, as in gfd.phase_purity (numpy's ** may round
-    # differently); an overflowing one raises OverflowError: exit 1.
-    taus = [model.tau(lam) for lam in labels]
-    factors = np.array([[tau ** (-s) if tau > 0 else 0.0 for tau in taus]
-                        for s in svals])
+    psi = np.stack([model.named_state(sel, seed=args.seed) for sel in states])
+    purity = np.concatenate(list(gfd.state_purities(model, psi)))
+    # An overflowing factor raises OverflowError: exit 1.
+    factors = np.stack([gfd.filter_factors(model, s) for s in svals])
     filtered = purity[:, None, :] * factors  # (states, svals, sectors)
     nk, ns, nl = filtered.shape
     header = ["model", "state", "s", "sector", "dim", "tau",
@@ -162,9 +151,9 @@ def cmd_purities(args) -> int:
         [model.kind] * filtered.size,
         [_state_label(sel) for sel in states for _ in range(ns * nl)],
         np.repeat(np.tile(svals, nk), nl),
-        [_sector_name(lam) for lam in labels] * (nk * ns),
+        [model.sector_name(lam) for lam in labels] * (nk * ns),
         np.tile([float(model.irrep_dim(lam)) for lam in labels], nk * ns),
-        np.tile(taus, nk * ns),
+        np.tile(model.taus, nk * ns),
         np.repeat(purity, ns, axis=0).ravel(),
         filtered.ravel(),
     ]
@@ -292,17 +281,13 @@ def cmd_duality(args) -> int:
     svals = args.s if args.s else [-1.0, 0.0]
     results = []
     for row in gfd.duality_check(model, svals, args.samples, args.seed):
-        name = f"duality[s={row.s:g},sector={_sector_name(row.label)}]"
+        name = f"duality[s={row.s:g},sector={model.sector_name(row.label)}]"
         if row.trivial:
             results.append(verify.check(
                 name, abs(row.lhs_mean - row.rhs), 1e-10))
         else:
             results.append(verify.check(name, abs(row.zscore), 4.0))
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "duality.json"),
-                _config(args, s=svals, samples=args.samples),
-                [r.as_dict() for r in results], args.seed)
-    return 0 if all(r.passed for r in results) else 1
+    return _report(args, results, s=svals, samples=args.samples)
 
 
 def cmd_star(args) -> int:
@@ -346,24 +331,17 @@ def cmd_star(args) -> int:
                         for pch in out_points])
         dev = float(np.max(np.abs(vals - ref)) / (1 + np.max(np.abs(ref))))
         results.append(verify.check(f"star_product[s={s:g}]", dev, 1e-6))
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "star.json"),
-                _config(args, s=svals, points=args.points),
-                [r.as_dict() for r in results], args.seed)
-    return 0 if all(r.passed for r in results) else 1
+    return _report(args, results, s=svals, points=args.points)
 
 
 def cmd_verify(args) -> int:
     results = verify.run_checks(args.qrt, args.spin_S, args.n,
                                 seed=args.seed, quad_tol=args.quad_tol)
-    checks = [r.as_dict() for r in results]
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(os.path.join(args.out, "verify.json"),
-                _config(args, quad_tol=args.quad_tol), checks, args.seed)
+    code = _report(args, results, quad_tol=args.quad_tol)
     for r in results:
         status = "ok" if r.passed else "FAIL"
         print(f"{status:4s} {r.name}: value={r.value:.3e} bound={r.bound:.1e}")
-    return 0 if all(r.passed for r in results) else 1
+    return code
 
 
 def main(argv=None) -> int:

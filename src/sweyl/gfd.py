@@ -24,19 +24,19 @@ from .paulis import PauliSum
 
 @dataclass
 class PuritySpectrum:
-    """Sector-indexed purities of an operator."""
+    """Sector purities of an operator or of a stack: ``values[..., i]`` is
+    sector ``labels[i]``, ``spec[label]`` a float or an array."""
 
-    entries: dict
+    labels: list
+    values: np.ndarray
 
-    def __getitem__(self, label) -> float:
-        return self.entries[label]
+    def __getitem__(self, label):
+        v = self.values[..., self.labels.index(label)]
+        return v if v.ndim else float(v)
 
     @property
     def total(self) -> float:
-        return float(sum(self.entries.values()))
-
-    def as_array(self, labels) -> np.ndarray:
-        return np.array([self.entries[lam] for lam in labels])
+        return float(sum(self.values.tolist()))  # in label order
 
 
 def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
@@ -44,17 +44,15 @@ def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
 
     Dense input, one (d, d) operator or a (K, d, d) stack, goes through
     the model's ``sector_purities`` (banded CG diagonals for a spin, the
-    fast Pauli transform for qubits and fermions); a stack's entries are
-    (K,) arrays.  PauliSum input reads the sectors of all its words in one
+    fast Pauli transform for qubits and fermions), giving (L,) or (K, L)
+    values.  PauliSum input reads the sectors of all its words in one
     ``model.word_sectors`` call and sums ``|c|**2 2**n`` per sector, at
     any supported n; a spin has no Pauli-word sectors and raises
     ValueError.
     """
     if isinstance(A, PauliSum):
         return _purity_spectrum_pauli(A, model)
-    entries = model.sector_purities(np.asarray(A))
-    return PuritySpectrum({lam: v if v.ndim else float(v)
-                           for lam, v in entries.items()})
+    return PuritySpectrum(model.labels(), model.sector_purities(np.asarray(A)))
 
 
 def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
@@ -65,8 +63,8 @@ def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
     # |<P/sqrt(2^n), A>|^2 = |a_P|^2 2^n
     weights = np.abs(np.array(list(A.terms.values()), dtype=complex)) ** 2
     labels = model.labels()
-    sums = np.bincount(rows, weights * 2 ** A.n, minlength=len(labels))
-    return PuritySpectrum({lam: float(v) for lam, v in zip(labels, sums)})
+    return PuritySpectrum(labels, np.bincount(rows, weights * 2 ** A.n,
+                                              minlength=len(labels)))
 
 
 def gfd_project(A: np.ndarray, model: QrtModel, label) -> np.ndarray:
@@ -84,25 +82,33 @@ def closed_form_spin_purity(S, m, lam: int) -> float:
     return clebsch_gordan(S, m, S, -m, HalfInt(2 * lam), 0) ** 2
 
 
+def filter_factors(model: QrtModel, s: float) -> np.ndarray:
+    """(L,) phase-space filter ``tau_lam**(-s)`` in ``labels()`` order, 0
+    where tau = 0 (no phase-space image).  Each factor is a Python float
+    power, which may round apart from ``np.power`` in the last bit, and a
+    factor past the float range raises OverflowError."""
+    return np.array([t ** -s if t > 0 else 0.0 for t in model.taus.tolist()])
+
+
 def phase_purity(spectrum: PuritySpectrum, s: float, model: QrtModel) -> PuritySpectrum:
     """Purity spectrum of the s-filtered phase-space image.
 
     Sectors with tau = 0 (fermionic odd sectors) do not map to phase space
     and come out exactly zero.
     """
-    entries = {}
-    for lam in model.labels():
-        tau = model.tau(lam)
-        entries[lam] = spectrum.entries[lam] * tau ** (-s) if tau > 0 else 0.0
-    return PuritySpectrum(entries)
+    return PuritySpectrum(spectrum.labels,
+                          spectrum.values * filter_factors(model, s))
+
+
+def kernel_spectrum(model: QrtModel, s: float) -> PuritySpectrum:
+    """Purity spectrum of the s-kernel at every point: tau**(-s) d_lam."""
+    dims = np.array([model.irrep_dim(lam) for lam in model.labels()])
+    return PuritySpectrum(model.labels(), filter_factors(model, s) * dims)
 
 
 def kernel_purity(model: QrtModel, lam, s: float) -> float:
     """Sector purity of the s-kernel: tau**(-s) * d_lam, point-independent."""
-    tau = model.tau(lam)
-    if tau == 0:
-        return 0.0
-    return tau ** (-s) * model.irrep_dim(lam)
+    return kernel_spectrum(model, s)[lam]
 
 
 def haar_mean_purity(model: QrtModel, lam) -> float:
@@ -144,9 +150,7 @@ def norm_bounds(model: QrtModel, s: float, rho: np.ndarray | None = None):
     Returns ``(lo, hi) = (min, max over tau > 0 sectors of tau**(-s))``
     times Tr[rho^2] (1.0 when rho is omitted, i.e. any pure state).
     """
-    taus = [model.tau(lam) for lam in model.labels()]
-    taus = [t for t in taus if t > 0]
-    factors = [t ** (-s) for t in taus]
+    factors = filter_factors(model, s)[model.taus > 0].tolist()
     purity = 1.0 if rho is None else float(np.real(np.trace(rho @ rho)))
     return min(factors) * purity, max(factors) * purity
 
@@ -160,6 +164,17 @@ _RHO_BYTES = 2**23  # one (k, d, d) stack of sampled density matrices
 # 13-18 ns for every model on a 2-vCPU host (spin S = 20 and 100 on the
 # banded route, qubits and fermions n = 6..10), so the budget is 15-20 s.
 DUALITY_WORK = 10**9
+
+
+def state_purities(model: QrtModel, psi: np.ndarray):
+    """(k, L) sector purities of consecutive chunks of a (K, d) stack of
+    pure states.  Each chunk's density matrices, at most ``_RHO_BYTES``
+    (one state when a single one is larger), go to ``purity_spectrum``."""
+    step = max(1, _RHO_BYTES // (16 * model.dim ** 2))
+    for lo in range(0, len(psi), step):
+        chunk = psi[lo:lo + step]
+        rho = chunk[:, :, None] * chunk.conj()[:, None, :]
+        yield purity_spectrum(rho, model).values
 
 
 def haar_chunks(dim: int, nsamples: int, seed: int):
@@ -199,8 +214,8 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     state at s+1 divided by d(d+1).  The trivial sector is deterministic
     (every pure state gives exactly d**(s-1)); its row reports that exact
     value as rhs.  One pass of ``haar_chunks`` serves every s in
-    ``svals``: the filtered purity at s is ``tau**(-s)`` times the
-    sample's sector purity (``model.sector_purities``), zero where tau = 0.
+    ``svals``: the filtered purity at s is ``filter_factors`` times the
+    sample's sector purity (``state_purities``).
     The filter scales mean, standard error and rhs alike, so z is taken
     once per sector (at s = 0) and is the same in every s row.  Rows are
     ordered by s, then sector.  A run over ``DUALITY_WORK`` raises
@@ -222,11 +237,8 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     # (near-)constant sector, such as the trivial one, has a variance at
     # the rounding level of its spread, not of its mean squared.
     shift, sums, sqsums = None, 0.0, 0.0
-    step = max(1, _RHO_BYTES // (16 * d * d))
     for chunk in haar_chunks(d, nsamples, seed):
-        for psi in np.split(chunk, range(step, len(chunk), step)):
-            P = model.sector_purities(psi[:, :, None] * psi.conj()[:, None, :])
-            vals = np.stack([P[lam] for lam in labels], axis=1)
+        for vals in state_purities(model, chunk):
             shift = vals[0].copy() if shift is None else shift
             vals -= shift
             sums += np.sum(vals, axis=0)
@@ -238,14 +250,14 @@ def duality_check(model: QrtModel, svals, nsamples: int,
 
     hw = model.hw_state()
     hw_spectrum = purity_spectrum(np.outer(hw, hw.conj()), model)
+    trivial = [lam == model.trivial_label for lam in labels]
 
-    def sector_rows(s):
-        dual = phase_purity(hw_spectrum, s + 1, model)
-        for i, lam in enumerate(labels):
-            tau, trivial = model.tau(lam), lam == model.trivial_label
-            f = tau ** (-s) if tau > 0 else 0.0
-            rhs = float(d) ** (s - 1) if trivial else dual[lam] / (d * (d + 1))
-            yield lam, f * float(mean[i]), f * float(se[i]), rhs, trivial
+    def sector_rows(s):  # (label, mean, se, rhs, trivial) per sector
+        f = filter_factors(model, s)
+        rhs = phase_purity(hw_spectrum, s + 1, model).values / (d * (d + 1))
+        rhs[trivial] = float(d) ** (s - 1)
+        return zip(labels, (f * mean).tolist(), (f * se).tolist(),
+                   rhs.tolist(), trivial)
 
     zs = [(m - r) / e if e > 0 else 0.0 if abs(m - r) < 1e-12 else math.inf
           for _, m, e, r, _ in sector_rows(0.0)]

@@ -22,8 +22,9 @@ model declares and never test its class.
   integer mask arrays, as rows of ``labels()``: the support pattern for
   qubits and the Majorana weight for fermions, by bit arithmetic; a spin
   refuses with ValueError.
-* ``point_as_group(point)``: group element carrying the identity point to
-  the point.
+* ``taus``: the (L,) weights tau_lam in ``labels()`` order, built once;
+  ``tau(lam)`` reads one.  ``sector_name(lam)``: the name in tables and
+  checks, the joined bits of a qubit support pattern, else ``str(lam)``.
 * ``coefficients(A)``: the coefficients ``c_k = Tr(B_k A)`` of an operator
   on the model's operator basis B_k, without a dense sector block: for a
   spin ``Tr(T^lam_q A)``, a CG row dotted with one diagonal of A; for
@@ -150,13 +151,20 @@ class QrtModel:
         self._word_rows = None
         self._word_order = None
 
-    # subclasses implement: labels, irrep_dim, tau, _build_block,
+    # subclasses implement: labels, irrep_dim, taus, _build_block,
     # point_unitary, group_unitary, random_point, random_group, act,
-    # identity_point and point_as_group.  The coefficient route below is
-    # the Pauli-word one of qubits and fermions; a spin overrides it.
+    # identity_point and point_as_group (read by the tests only).  The
+    # coefficient route below is the Pauli-word one; a spin overrides it.
 
     def labels(self):
         raise NotImplementedError
+
+    def tau(self, lam) -> float:
+        """Characteristic weight of one sector: its entry of ``taus``."""
+        return float(self.taus[self.labels().index(lam)])
+
+    def sector_name(self, lam) -> str:
+        return str(lam)
 
     @property
     def trivial_label(self):
@@ -176,15 +184,15 @@ class QrtModel:
         cannot serve this size.  The dense route needs no check here: its
         blocks refuse when first built, before any large allocation."""
 
-    def sector_purities(self, A: np.ndarray) -> dict:
-        """Label -> P_lam(A) = sum_j |<D_j, A>|^2, by the Pauli transform.
+    def sector_purities(self, A: np.ndarray) -> np.ndarray:
+        """(..., L) purities P_lam(A) = sum_j |<D_j, A>|^2 in ``labels()``
+        order, by the Pauli transform.
 
         The basis elements are the words P / sqrt(d) of each sector, so
         ``|Tr(P A)|**2 / d`` from ``coefficients`` (all 4**n words at once)
         summed over the words of each sector (``coefficient_sectors``)
         gives the spectrum; no dense block is built.  A is one (d, d)
-        operator or a (..., d, d) stack; each value has the stack's
-        leading shape (0-d for one operator).
+        operator, giving (L,), or a (..., d, d) stack.
         """
         if self._word_order is None:
             rows = self.coefficient_sectors()
@@ -196,7 +204,7 @@ class QrtModel:
         sums = np.add.reduceat((c.real ** 2 + c.imag ** 2)[..., order],
                                starts, axis=-1)
         sums /= self.dim
-        return {lam: sums[..., i] for i, lam in enumerate(self.labels())}
+        return sums
 
     def hw_sector_diagonals(self) -> np.ndarray:
         """(L, d) real table: row lam is the diagonal of Pi_lam(|hw><hw|).
@@ -273,13 +281,14 @@ class QrtModel:
         table, where qubit q has the base-4 digit ``x_q + 2 z_q``.  The
         chunks hold ``E = conj(<W>) / d``, and ``Re(i**p <W>) = Re((-i)**p
         E) d``."""
-        kept = [lam for lam in self.labels() if self.tau(lam)]
+        labels, taus = self.labels(), self.taus
+        kept = [labels[i] for i in np.flatnonzero(taus)]
         x, z, p = map(np.concatenate, zip(*map(self.sector_words, kept)))
         q = np.arange(self.dim.bit_length() - 1)
         digits = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
         index = digits @ 4 ** q[::-1]
         scale = np.array([1, -1j, -1, 1j])[p % 4] * np.repeat(
-            [math.sqrt(self.dim / self.tau(lam)) for lam in kept],
+            np.sqrt(self.dim / taus[taus > 0]),
             [self.irrep_dim(lam) for lam in kept])
         out = np.empty((len(index), len(points)))
         for rows, E in self._word_chunks(points):
@@ -478,7 +487,6 @@ class SpinModel(QrtModel):
         self._ops = None
         self._jy_eig = None
         self._cg_table = self._cg_idx = None
-        self._taus: dict = {}
 
     def __repr__(self):
         return f"SpinModel(S={self.S})"
@@ -493,13 +501,11 @@ class SpinModel(QrtModel):
     def irrep_dim(self, lam: int) -> int:
         return 2 * lam + 1
 
-    def tau(self, lam: int) -> float:
-        """Exact-CG weight <S S; S -S | lam 0>**2 / (2 lam + 1), cached."""
-        tau = self._taus.get(lam)
-        if tau is None:
-            tau = cg_hw_zero(self.S, lam) ** 2 / (2 * lam + 1)
-            self._taus[lam] = tau
-        return tau
+    @functools.cached_property
+    def taus(self) -> np.ndarray:
+        """Exact-CG weights <S S; S -S | lam 0>**2 / (2 lam + 1)."""
+        return np.array([cg_hw_zero(self.S, lam) ** 2 / (2 * lam + 1)
+                         for lam in self.labels()])
 
     def spin_operators(self):
         """(Jx, Jy, Jz) dense, with the m-descending basis convention."""
@@ -598,7 +604,7 @@ class SpinModel(QrtModel):
                               out=P[i, ..., q + r::2, lo:])
             yield q0, P
 
-    def sector_purities(self, A: np.ndarray) -> dict:
+    def sector_purities(self, A: np.ndarray) -> np.ndarray:
         """Banded sector purities from the CG table:
 
             P_lam(A) = sum_(q>=0) |T_q diag_q(A)|^2
@@ -612,7 +618,7 @@ class SpinModel(QrtModel):
             P = np.square(P, out=P)
             out = np.sum([out, *P[..., 0] + P[..., 1] + P[..., 2] + P[..., 3]],
                          axis=0)
-        return {lam: out[..., lam] for lam in self.labels()}
+        return out
 
     # The coefficient route: coefficient (q, lam) at q + d - 1, lam of a
     # (2d - 1, d) layout, zero for lam < |q|.
@@ -863,8 +869,13 @@ class MultipartiteModel(QrtModel):
     def irrep_dim(self, lam) -> int:
         return 3 ** sum(lam)
 
-    def tau(self, lam) -> float:
-        return 1.0 / (3 ** sum(lam) * 2 ** self.n)
+    @functools.cached_property
+    def taus(self) -> np.ndarray:
+        return np.array([1.0 / (3 ** sum(lam) * 2 ** self.n)
+                         for lam in self.labels()])
+
+    def sector_name(self, lam) -> str:
+        return "".join(map(str, lam))
 
     def sector_words(self, lam):
         """The Pauli words with support pattern lam, by bit arithmetic: word
@@ -1000,11 +1011,11 @@ class FermionicModel(QrtModel):
     def irrep_dim(self, lam: int) -> int:
         return math.comb(2 * self.n, lam)
 
-    def tau(self, lam: int) -> float:
-        if lam % 2:
-            return 0.0
-        return math.comb(self.n, lam // 2) / (
-            math.comb(2 * self.n, lam) * self.dim)
+    @functools.cached_property
+    def taus(self) -> np.ndarray:
+        return np.array([0.0 if lam % 2 else math.comb(self.n, lam // 2)
+                         / (math.comb(2 * self.n, lam) * self.dim)
+                         for lam in self.labels()])
 
     def sector_words(self, lam: int):
         """Hermitian basis words, the ascending Majorana products

@@ -13,12 +13,11 @@ and reconstruction/tracing identities hold without extra volume factors;
 the price is a ``d**((s-1)/2)`` factor in the standardization integral.
 
 Nothing here tests a model's class: grids and band checks read the
-geometry each model declares (``band``, ``nspheres``, ``point_as_group``;
-see ``models``).  Every structured grid is one ``Quadrature``: an (N,
-nspheres, 2) array of (theta, phi) per sphere and N weights, so a spin
-grid is (N, 1, 2) and an n-qubit grid the product of n such rules
-(``product_quadrature``); a Monte-Carlo grid is a list of fermionic
-points.
+geometry each model declares (``band``, ``nspheres``; see ``models``).
+Every structured grid is one ``Quadrature``: an (N, nspheres, 2) array of
+(theta, phi) per sphere and N weights, so a spin grid is (N, 1, 2) and an
+n-qubit grid the product of n such rules (``product_quadrature``); a
+Monte-Carlo grid is a list of fermionic points.
 
 Every field, reconstruction and harmonic goes through one core, the
 model's coefficient route (``models``): a kernel is ``Delta(Omega) =
@@ -48,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gfd import PuritySpectrum
+from .gfd import PuritySpectrum, filter_factors
 from .models import FermionicModel, QrtModel
 
 
@@ -84,12 +83,15 @@ class KernelSpec:
 
     def center_factor(self, model: QrtModel, lam) -> float:
         """Factor multiplying ``sum_j <D_j> D_j`` in the center kernel."""
-        tau = model.tau(lam)
-        if tau == 0:
-            return 0.0
-        if self.is_generalized:
-            return self.coeff_map().get(lam, 0.0) * tau ** (-0.5)
-        return tau ** (-(self.s + 1) / 2)
+        return float(self._factors(model)[model.labels().index(lam)])
+
+    def _factors(self, model: QrtModel) -> np.ndarray:
+        """(L,) ``center_factor`` of each sector in ``labels()`` order."""
+        if not self.is_generalized:
+            return filter_factors(model, (self.s + 1) / 2)
+        k, f = self.coeff_map(), filter_factors(model, 0.5)
+        return np.where(f > 0, [k.get(lam, 0.0) for lam in model.labels()] * f,
+                        0.0)
 
     def dual(self) -> "KernelSpec":
         """The spec pairing with this one in the tracing identity."""
@@ -284,7 +286,7 @@ def sector_factors(model: QrtModel, spec: KernelSpec) -> np.ndarray:
     spec's ``center_factor``, the kernel's ``sum_lam f_lam
     Pi_lam(U|hw><hw|U^H)``."""
     spec.validate(model)
-    return np.array([spec.center_factor(model, lam) for lam in model.labels()])
+    return spec._factors(model)
 
 
 def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
@@ -296,7 +298,7 @@ def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
 def kappa(model: QrtModel) -> float:
     """``tau_min**(-1/2)`` over tau > 0: a field at s > 0 keeps an error of
     about ``eps kappa**s`` of its maximum."""
-    return min(t for t in map(model.tau, model.labels()) if t > 0) ** -0.5
+    return min(t for t in model.taus.tolist() if t > 0) ** -0.5
 
 
 def check_kappa(model: QrtModel, svals) -> None:
@@ -359,7 +361,7 @@ def harmonic_matrix(model: QrtModel, points) -> dict:
     model's ``harmonics`` split by sector.  Sectors without phase-space
     image (tau = 0) are omitted.
     """
-    kept = [lam for lam in model.labels() if model.tau(lam)]
+    kept = [lam for lam, t in zip(model.labels(), model.taus) if t]
     rows = np.cumsum([model.irrep_dim(lam) for lam in kept])[:-1]
     return dict(zip(kept, np.split(model.harmonics(points), rows)))
 
@@ -379,8 +381,7 @@ def phase_purity_quadrature(field: SymbolField) -> PuritySpectrum:
     w = np.asarray(grid.weights) * field.values
     f = sector_factors(model, KernelSpec.cahill_glauber(0.0))[:, None]
     K = kernel_sums(model, grid.points, w[:, None], f)[0]
-    return PuritySpectrum({lam: float(v) for lam, v in
-                           model.sector_purities(K).items()})
+    return PuritySpectrum(model.labels(), model.sector_purities(K))
 
 
 def reconstruct(field: SymbolField) -> np.ndarray:

@@ -8,8 +8,10 @@ it, the exact signed CG square, the node-by-node product grid
 (``tuple_product_grid``), the three-kernel and factored twisted-product
 couplings, the adjoint-representation harmonics, the symbol factor of a
 kernel spec, dense-block sector purities, the per-diagonal spin
-coefficients and operators, the point-by-point coherent fidelity, the
-per-state ``purities`` command, the ``%``-template writers that format
+coefficients and operators, the label-by-label sector filters of
+``{label: purity}`` dicts (phase purities, the ``purities`` factors, the
+duality rows, the kernel purities and the center factors), the point-by-point coherent
+fidelity, the per-state ``purities`` command, the ``%``-template writers that format
 every cell, and the CSV reader that reads ``render.write_csv`` output
 back.
 """
@@ -143,13 +145,13 @@ def cg_products_per_q(model, A):
                half[1::2] @ minus.view(float))
 
 
-def cg_sector_purities(model, A) -> dict:
+def cg_sector_purities(model, A) -> np.ndarray:
     """``SpinModel.sector_purities`` from ``cg_products_per_q``."""
     out = np.zeros(A.shape[:-2] + (model.dim,))
     for q, even, odd in cg_products_per_q(model, A):
         out[..., q::2] += np.sum(even ** 2, axis=-1)
         out[..., q + 1::2] += np.sum(odd ** 2, axis=-1)
-    return {lam: out[..., lam] for lam in model.labels()}
+    return out
 
 
 def cg_coefficients(model, A) -> np.ndarray:
@@ -179,6 +181,82 @@ def cg_operators(model, b) -> np.ndarray:
             v = b[..., r, q:]
             out[..., i, j] = sign * (v.real @ rows + 1j * (v.imag @ rows))
     return out
+
+
+# -- sector filters, label by label --------------------------------------------
+
+def phase_purity_entries(entries: dict, s, model) -> dict:
+    """``gfd.phase_purity`` of a ``{label: purity}`` dict, one Python
+    float power per sector."""
+    out = {}
+    for lam in model.labels():
+        tau = model.tau(lam)
+        out[lam] = entries[lam] * tau ** (-s) if tau > 0 else 0.0
+    return out
+
+
+def purities_factors(model, svals) -> np.ndarray:
+    """(svals, sectors) filter factors of the ``purities`` command."""
+    taus = [model.tau(lam) for lam in model.labels()]
+    return np.array([[tau ** (-s) if tau > 0 else 0.0 for tau in taus]
+                     for s in svals])
+
+
+def kernel_purity_per_label(model, lam, s) -> float:
+    """``gfd.kernel_purity`` of one sector, tau**(-s) d_lam."""
+    tau = model.tau(lam)
+    if tau == 0:
+        return 0.0
+    return tau ** (-s) * model.irrep_dim(lam)
+
+
+def center_factor_per_label(spec: KernelSpec, model, lam) -> float:
+    """``KernelSpec.center_factor`` of one sector, the coefficient map
+    rebuilt per call."""
+    tau = model.tau(lam)
+    if tau == 0:
+        return 0.0
+    if spec.is_generalized:
+        return spec.coeff_map().get(lam, 0.0) * tau ** (-0.5)
+    return tau ** (-(spec.s + 1) / 2)
+
+
+def duality_rows_per_label(model, svals, nsamples: int, seed: int) -> list:
+    """``gfd.duality_check`` with the rows of each s built sector by sector
+    from dict spectra, one Python float filter factor per sector."""
+    labels, d = model.labels(), model.dim
+    shift, sums, sqsums = None, 0.0, 0.0
+    step = max(1, gfd._RHO_BYTES // (16 * d * d))
+    for chunk in gfd.haar_chunks(d, nsamples, seed):
+        for psi in np.split(chunk, range(step, len(chunk), step)):
+            vals = model.sector_purities(psi[:, :, None]
+                                         * psi.conj()[:, None, :])
+            shift = vals[0].copy() if shift is None else shift
+            vals -= shift
+            sums += np.sum(vals, axis=0)
+            sqsums += np.sum(vals * vals, axis=0)
+    offset = sums / nsamples
+    mean = shift + offset
+    se = np.sqrt(np.maximum(0.0, sqsums / nsamples - offset ** 2)
+                 / (nsamples - 1))
+
+    hw = model.hw_state()
+    hw_spectrum = dict(zip(labels, model.sector_purities(
+        np.outer(hw, hw.conj())).tolist()))
+
+    def sector_rows(s):
+        dual = phase_purity_entries(hw_spectrum, s + 1, model)
+        for i, lam in enumerate(labels):
+            tau, trivial = model.tau(lam), lam == model.trivial_label
+            f = tau ** (-s) if tau > 0 else 0.0
+            rhs = float(d) ** (s - 1) if trivial else dual[lam] / (d * (d + 1))
+            yield lam, f * float(mean[i]), f * float(se[i]), rhs, trivial
+
+    zs = [(m - r) / e if e > 0 else 0.0 if abs(m - r) < 1e-12 else math.inf
+          for _, m, e, r, _ in sector_rows(0.0)]
+    return [gfd.DualityRow(s, lam, m, e, r, z, trivial)
+            for s in svals
+            for (lam, m, e, r, trivial), z in zip(sector_rows(s), zs)]
 
 
 # -- Clebsch-Gordan ------------------------------------------------------------
@@ -316,7 +394,7 @@ def purities_by_state(argv) -> None:
             for lam in model.labels():
                 rows.append([
                     model.kind, cli._state_label(sel), s,
-                    cli._sector_name(lam), float(model.irrep_dim(lam)),
+                    model.sector_name(lam), float(model.irrep_dim(lam)),
                     model.tau(lam), spectrum[lam], filtered[lam],
                 ])
     os.makedirs(args.out, exist_ok=True)

@@ -1,0 +1,94 @@
+"""Hashes of every CLI output of a fixed config set, for one source tree.
+
+Usage:
+
+    python tests/output_hashes.py SRC OUT.json
+
+SRC is the root of a checkout (its ``src/`` goes first on the import
+path).  For each config the script runs ``sweyl.cli.main`` in-process
+into a fresh directory and records the exit code, the sha256 of stdout
+and stderr, and the sha256 of every file written.  The configs are every
+job of ``perfbench/workloads.py`` (read from this tree) at benchmark seeds
+1-3, plus the sizes below.  Two trees give byte-identical outputs exactly
+when their JSON files are equal:
+
+    python tests/output_hashes.py <parent checkout> parent.json
+    python tests/output_hashes.py . change.json
+    diff parent.json change.json
+
+Not collected by pytest (the file name has no ``test_`` prefix).
+"""
+
+import contextlib
+import hashlib
+import importlib.util
+import io
+import json
+import os
+import sys
+import tempfile
+
+EXTRA = {
+    "purities.S100": ["purities", "--spin-S", "100", "--state", "hw",
+                      "--state", "haar"],
+    "purities.mp5": ["purities", "--qrt", "multipartite", "--n", "5",
+                     "--state", "ghz", "--state", "haar", "--s", "0.5",
+                     "--format", "json"],
+    "purities.fm4": ["purities", "--qrt", "fermionic", "--n", "4",
+                     "--state", "haar", "--state", "hw", "--s", "-0.37"],
+    "duality.S100": ["duality", "--spin-S", "100", "--samples", "200"],
+    "duality.fm3": ["duality", "--qrt", "fermionic", "--n", "3",
+                    "--samples", "500"],
+    "phasespace.S100": ["phasespace", "--spin-S", "100", "--state", "hw",
+                        "--state", "haar", "--s", "-1", "--s", "0",
+                        "--grid", "16x32"],
+    **{f"verify.S{S.replace('/', '_')}": ["verify", "--spin-S", S]
+       for S in ("1/2", "3", "10", "20", "26")},
+    "verify.fm6": ["verify", "--qrt", "fermionic", "--n", "6"],
+    "star.S7": ["star", "--spin-S", "7"],
+}
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def configs() -> dict:
+    """Name -> argv (without ``--out``) of every config."""
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
+                        "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    out = {f"{w}.{seed}.{job['name']}": job["argv"]
+           for w in workloads.WORKLOADS for seed in (1, 2, 3)
+           for job in workloads.jobs(w, seed)}
+    out.update(EXTRA)
+    return out
+
+
+def run(main, argv) -> dict:
+    """Exit code, stdout/stderr hashes and file hashes of one CLI run."""
+    with tempfile.TemporaryDirectory() as out:
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), \
+                contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", out])
+        files = {}
+        for name in sorted(os.listdir(out)):
+            with open(os.path.join(out, name), "rb") as fh:
+                files[name] = _sha(fh.read())
+    return {"code": code, "stdout": _sha(stdout.getvalue().encode()),
+            "stderr": _sha(stderr.getvalue().encode()), "files": files}
+
+
+if __name__ == "__main__":
+    src, target = sys.argv[1:3]
+    sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
+    from sweyl.cli import main
+
+    doc = {name: run(main, argv) for name, argv in configs().items()}
+    with open(target, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    print(f"{len(doc)} configs -> {target}")
