@@ -10,6 +10,7 @@ invocations produce byte-identical CSV/JSON/PPM outputs.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -99,14 +100,8 @@ def _model(args):
 
 
 def _config(args, **extra) -> dict:
-    cfg = {
-        "command": args.command,
-        "qrt": args.qrt,
-        "spin_S": str(args.spin_S),
-        "n": args.n,
-    }
-    cfg.update(extra)
-    return cfg
+    return {"command": args.command, "qrt": args.qrt,
+            "spin_S": str(args.spin_S), "n": args.n, **extra}
 
 
 def _state_label(sel: str) -> str:
@@ -124,7 +119,7 @@ def _report(args, results, **config) -> int:
     os.makedirs(args.out, exist_ok=True)
     render.write_json(os.path.join(args.out, f"{args.command}.json"),
                       {"config": _config(args, **config),
-                       "checks": [r.as_dict() for r in results],
+                       "checks": [dataclasses.asdict(r) for r in results],
                        "seed": args.seed})
     return 0 if all(r.passed for r in results) else 1
 
@@ -291,6 +286,13 @@ def cmd_duality(args) -> int:
 
 
 def cmd_star(args) -> int:
+    """Twisted product of random Hermitian A and B against the symbol of
+    A B at ``--points`` random points, exit 1 past 1e-6: ``symbol_field``
+    of [A, B] at every ``--s`` on the doubled-band grid, then one
+    ``star_product`` (two forward passes and one adjoint pass in all).
+    Refused (exit 2) before any field is built: a model other than the
+    spin, 2S > 60, an ``--s > 0`` with ``eps kappa**s > 1e-8``
+    (``check_kappa``) and ``--points`` past the ``STAR_WORK`` budget."""
     model = _model(args)
     if args.qrt != "spin":
         raise ValueError("star command supports the spin model")
@@ -309,27 +311,17 @@ def cmd_star(args) -> int:
     A, B = verify._random_hermitian(d, rng), verify._random_hermitian(d, rng)
     grid = ps.sphere_quadrature(2 * model.band)  # doubled band limit
     out_points = [model.random_point(rng) for _ in range(args.points)]
-    # Three passes serve every s: the fields of A and B, their sums
-    # against the dual kernels (the operators back), and the symbols of
-    # the products, through which the double quadrature of
-    # ``phase_space.star_product`` factors.
-    specs = [ps.KernelSpec.cahill_glauber(s) for s in svals]
-    factors = np.stack([ps.sector_factors(model, spec) for spec in specs],
-                       axis=1)
-    duals = np.stack([ps.sector_factors(model, spec.dual())
-                      for spec in specs], axis=1)
-    fields = ps.fields(model, np.stack([A, B]), grid.points, factors)
-    wn = (np.asarray(grid.weights)[:, None, None] * fields).reshape(
-        len(fields), -1)
-    back = ps.kernel_sums(model, grid.points, wn, np.tile(duals, 2))
-    products = back[:len(svals)] @ back[len(svals):]
-    stars = ps.fields(model, products, out_points, factors)
+    specs = tuple(ps.KernelSpec.cahill_glauber(s) for s in svals)
+    field = ps.symbol_field(model, np.stack([A, B]), grid, specs)
+    fa, fb = (ps.SymbolField(model, grid, specs, part)
+              for part in np.hsplit(field.values, 2))
+    stars = ps.star_product(fa, fb, svals, out_points)
     results = []
     for k, (s, spec) in enumerate(zip(svals, specs)):
-        vals = stars[:, k, k]
         ref = np.array([ps.symbol(model, A @ B, pch, spec)
                         for pch in out_points])
-        dev = float(np.max(np.abs(vals - ref)) / (1 + np.max(np.abs(ref))))
+        dev = float(np.max(np.abs(stars[:, k] - ref))
+                    / (1 + np.max(np.abs(ref))))
         results.append(verify.check(f"star_product[s={s:g}]", dev, 1e-6))
     return _report(args, results, s=svals, points=args.points)
 

@@ -858,9 +858,12 @@ class MultipartiteModel(QrtModel):
         return f"MultipartiteModel(n={self.n})"
 
     def labels(self):
-        labs = list(itertools.product((0, 1), repeat=self.n))
-        labs.sort(key=lambda t: (sum(t), t))
-        return labs
+        return list(self._labels)  # a fresh list: callers may modify it
+
+    @functools.cached_property
+    def _labels(self) -> tuple:
+        return tuple(sorted(itertools.product((0, 1), repeat=self.n),
+                            key=lambda t: (sum(t), t)))
 
     @property
     def trivial_label(self):

@@ -25,18 +25,17 @@ sum_lam f_lam Pi_lam(U |hw><hw| U^H)`` with one filter factor f_lam per
 sector (``sector_factors``), so the field of A is ``synthesis(f_lam c)``
 of its coefficients ``c = coefficients(A)``, and ``kernel_sums``, the
 weighted sum of kernels over nodes, is ``operators(f_lam
-synthesis_adjoint(w))``.  ``fields`` and ``kernel_sums`` take a stack
-of operators (or of node weights) and a column of factors per spec, so
-the CLI makes one forward and one adjoint pass per grid;
-``symbol_field``, ``reconstruct``, ``convert_field``, ``star_product``
-and ``phase_purity_quadrature`` are one-operator callers.  For a spin
-the synthesis is a spherical-harmonic transform, O((n_theta d + N) d)
-per column; for qubits and fermions a sum over the 4**n Pauli words.
-``harmonic_matrix`` splits the model's point table ``harmonics``.
-``kernel_stack`` (``U D0 U^H``, with the center kernel's diagonal
-``center_diagonal``) is the tests' independent reference route.  At s >
-0 any route keeps an error of about ``eps kappa**s`` of the field's
-maximum (``kappa``).
+synthesis_adjoint(w))``.  ``fields`` and ``kernel_sums`` take a stack of
+operators (or of node weights) and a column of factors per spec; the
+functionals (``symbol_field``, ``reconstruct``, ``star_product``, ...)
+act on one field or on a stack of columns with one such pass per call.
+For a spin the synthesis is a spherical-harmonic transform,
+O((n_theta d + N) d) per column; for qubits and fermions a sum over the
+4**n Pauli words.  ``harmonic_matrix`` splits the model's point table
+``harmonics``.  ``kernel_stack`` (``U D0 U^H``, with the center kernel's
+diagonal ``center_diagonal``) is the tests' independent reference route.
+At s > 0 any route keeps an error of about ``eps kappa**s`` of the
+field's maximum (``kappa``).
 """
 
 from __future__ import annotations
@@ -80,18 +79,6 @@ class KernelSpec:
 
     def coeff_map(self) -> dict:
         return dict(self.coeffs)
-
-    def center_factor(self, model: QrtModel, lam) -> float:
-        """Factor multiplying ``sum_j <D_j> D_j`` in the center kernel."""
-        return float(self._factors(model)[model.labels().index(lam)])
-
-    def _factors(self, model: QrtModel) -> np.ndarray:
-        """(L,) ``center_factor`` of each sector in ``labels()`` order."""
-        if not self.is_generalized:
-            return filter_factors(model, (self.s + 1) / 2)
-        k, f = self.coeff_map(), filter_factors(model, 0.5)
-        return np.where(f > 0, [k.get(lam, 0.0) for lam in model.labels()] * f,
-                        0.0)
 
     def dual(self) -> "KernelSpec":
         """The spec pairing with this one in the tracing identity."""
@@ -283,10 +270,14 @@ def symbol(model: QrtModel, A: np.ndarray, point, spec: KernelSpec) -> complex:
 
 def sector_factors(model: QrtModel, spec: KernelSpec) -> np.ndarray:
     """(L,) filter factor f_lam of each sector in ``labels()`` order: the
-    spec's ``center_factor``, the kernel's ``sum_lam f_lam
-    Pi_lam(U|hw><hw|U^H)``."""
+    kernel is ``sum_lam f_lam Pi_lam(U|hw><hw|U^H)``, and f_lam the factor
+    of ``sum_j <D_j> D_j`` in the center kernel."""
     spec.validate(model)
-    return spec._factors(model)
+    if not spec.is_generalized:
+        return filter_factors(model, (spec.s + 1) / 2)
+    k, f = spec.coeff_map(), filter_factors(model, 0.5)
+    return np.where(f > 0, [k.get(lam, 0.0) for lam in model.labels()] * f,
+                    0.0)
 
 
 def center_diagonal(model: QrtModel, spec: KernelSpec) -> np.ndarray:
@@ -337,20 +328,35 @@ def kernel_sums(model: QrtModel, points, weights: np.ndarray,
 
 @dataclass
 class SymbolField:
-    """A symbol sampled on a quadrature grid."""
+    """Symbols on a quadrature grid: one field, (N,) ``values`` of one
+    ``spec``, or a stack, (N, C) ``values`` and a tuple of C specs."""
 
     model: QrtModel
     grid: object
-    spec: KernelSpec
+    spec: KernelSpec | tuple
     values: np.ndarray
 
+    @property
+    def specs(self) -> tuple:
+        return tuple(self.spec) if np.ndim(self.values) == 2 else (self.spec,)
 
-def symbol_field(model: QrtModel, A: np.ndarray, grid,
-                 spec: KernelSpec) -> SymbolField:
-    """Evaluate the symbol of A on every grid node (no kernel stack)."""
-    f = sector_factors(model, spec)[:, None]
-    values = fields(model, A, grid.points, f)[:, 0]
-    return SymbolField(model, grid, spec, values)
+
+def _factor_columns(model: QrtModel, specs) -> np.ndarray:
+    """(L, C) per-sector factors, column c those of ``specs[c]``."""
+    return np.stack([sector_factors(model, spec) for spec in specs], axis=1)
+
+
+def symbol_field(model: QrtModel, A: np.ndarray, grid, spec) -> SymbolField:
+    """Symbols on every grid node of one (d, d) A under one spec, or of
+    the K W columns of a (K, d, d) stack and/or W specs, op-major (column
+    ``k W + w`` is operator k under spec w): one ``fields`` pass."""
+    A, one = np.asarray(A), np.ndim(spec) == 0
+    specs = (spec,) if one else tuple(spec)
+    values = fields(model, A, grid.points, _factor_columns(model, specs))
+    if A.ndim == 2 and one:
+        return SymbolField(model, grid, spec, values[:, 0])
+    return SymbolField(model, grid, specs * (A.size // model.dim ** 2),
+                       values.reshape(len(values), -1))
 
 
 # -- harmonics ----------------------------------------------------------------
@@ -369,38 +375,40 @@ def harmonic_matrix(model: QrtModel, points) -> dict:
 # -- quadrature functionals ---------------------------------------------------
 
 def phase_purity_quadrature(field: SymbolField) -> PuritySpectrum:
-    """Sector purities of a sampled field via quadrature inner products.
+    """Sector purities of a sampled field, (L,), or of a stack's columns,
+    (C, L), via quadrature inner products.
 
     The components ``sum_n w_n Y^lam_j(Omega_n) F_n`` on the harmonics are
-    the coordinates of ``kernel_sums`` of the weighted field at the factors
-    tau**(-1/2) in the orthonormal sector bases, so the purities are the
-    model's ``sector_purities`` of that operator.
+    the coordinates in the orthonormal sector bases of the field read at
+    s = 0 and reconstructed (dual factors tau**(-1/2)), so the purities
+    are the model's ``sector_purities`` of that operator.
     """
-    model, grid = field.model, field.grid
-    _check_band(model, grid)
-    w = np.asarray(grid.weights) * field.values
-    f = sector_factors(model, KernelSpec.cahill_glauber(0.0))[:, None]
-    K = kernel_sums(model, grid.points, w[:, None], f)[0]
-    return PuritySpectrum(model.labels(), model.sector_purities(K))
+    s0, model = KernelSpec.cahill_glauber(0.0), field.model
+    at0 = (s0,) * len(field.specs) if np.ndim(field.values) == 2 else s0
+    back = reconstruct(SymbolField(model, field.grid, at0, field.values))
+    return PuritySpectrum(model.labels(), model.sector_purities(back))
 
 
 def reconstruct(field: SymbolField) -> np.ndarray:
-    """Integrate the field against the dual kernel to recover the operator.
+    """Integrate the field against the dual kernel to recover the operator,
+    (d, d), or each column of a stack, (C, d, d).
 
     Exact for structured grids resolving the model band limit; sectors with
     no phase-space image (fermionic odd sectors) are irrecoverably absent.
-    The quadrature sum ``sum_n weight_n F_n Delta_n(-s)`` is one column of
-    ``kernel_sums``.
+    The quadrature sums ``sum_n weight_n F_n Delta_n(-s)`` of all columns
+    are one ``kernel_sums`` pass.
     """
     model, grid = field.model, field.grid
     _check_band(model, grid)
-    wn = np.asarray(grid.weights) * field.values
-    f = sector_factors(model, field.spec.dual())[:, None]
-    return kernel_sums(model, grid.points, wn[:, None], f)[0]
+    w = np.asarray(grid.weights)[:, None]
+    back = kernel_sums(model, grid.points, w * np.reshape(field.values, (
+        len(w), -1)), _factor_columns(model, [f.dual() for f in field.specs]))
+    return back if np.ndim(field.values) == 2 else back[0]
 
 
 def convert_field(field: SymbolField, s_target: float, out_grid) -> SymbolField:
-    """Resample a field at a new ordering parameter via the two-point kernel.
+    """Resample a field or a stack at a new ordering parameter via the
+    two-point kernel.
 
     The two-point kernel is ``Tr[Delta(m, s_target) Delta(n, -s_source)]``,
     so the quadrature sum over n factors through the reconstructed
@@ -412,24 +420,32 @@ def convert_field(field: SymbolField, s_target: float, out_grid) -> SymbolField:
 
 # -- twisted product ----------------------------------------------------------
 
-def star_product(field_a: SymbolField, field_b: SymbolField,
-                 s_out: float, out_points) -> np.ndarray:
-    """Twisted product of two fields, evaluated at the requested points.
+def star_product(field_a: SymbolField, field_b: SymbolField, s_out,
+                 out_points) -> np.ndarray:
+    """Twisted product of two fields at the requested points, (m,), or of
+    two stacks of C columns column by column, (m, C), at ``s_out`` (one
+    float, or one per column).
 
-    Double quadrature of the three-point kernel against both fields; the
-    fields' grids must resolve twice the model band limit (products of two
+    Double quadrature of the three-point kernel against both fields; their
+    one grid must resolve twice the model band limit (products of two
     band-limited operators reach twice the band).  The kernel is a trace of
     three kernels, so the double sum factors as
     ``Tr[Delta_m (sum_i wa_i Delta_i)(sum_j wb_j Delta_j)]``: O((N + m) d**3)
-    instead of O(m N**2 d**3).  Each inner sum is ``reconstruct``.
+    instead of O(m N**2 d**3).  The inner sums are one ``reconstruct`` of
+    both fields' 2C columns.
     """
-    model = field_a.model
-    if field_b.model is not model:
-        raise ValueError("fields belong to different models")
-    for f in (field_a, field_b):
-        _check_band(model, f.grid, factor=2)
-    if field_a.spec.is_generalized or field_b.spec.is_generalized:
+    model, grid, s_out = field_a.model, field_a.grid, np.atleast_1d(s_out)
+    ncol, specs = len(field_a.specs), field_a.specs + field_b.specs
+    if field_b.model is not model or field_b.grid is not grid or len(
+            specs) != 2 * ncol or len(s_out) not in (1, ncol):
+        raise ValueError("fields of one model and grid, as many columns "
+                         "each and one s_out or one per column are needed")
+    _check_band(model, grid, factor=2)
+    if any(spec.is_generalized for spec in specs):
         raise ValueError("twisted product needs standard-family fields")
-    product = reconstruct(field_a) @ reconstruct(field_b)
-    f = sector_factors(model, KernelSpec.cahill_glauber(s_out))[:, None]
-    return fields(model, product, out_points, f)[:, 0]
+    back = reconstruct(SymbolField(model, grid, specs, np.hstack([np.reshape(
+        f.values, (len(grid.weights), -1)) for f in (field_a, field_b)])))
+    out = _factor_columns(model, [KernelSpec.cahill_glauber(s) for s in s_out])
+    stars = fields(model, back[:ncol] @ back[ncol:], out_points, out)
+    stars = stars[:, np.arange(ncol), np.arange(ncol) % len(s_out)]
+    return stars if np.ndim(field_a.values) == 2 else stars[:, 0]

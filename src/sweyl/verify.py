@@ -27,15 +27,6 @@ class CheckResult:
     bound: float
     tolerance: float
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "value": float(self.value),
-            "bound": float(self.bound),
-            "tolerance": float(self.tolerance),
-        }
-
 
 def check(name: str, value: float, bound: float) -> CheckResult:
     """A check that passes when ``value <= bound``."""
@@ -218,28 +209,24 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     dev = float(np.max(np.abs(gram, out=gram)))
     results.append(check("harmonic_orthonormality", dev, quad_tol))
 
-    # One forward pass for [A, B, rho_-1, rho_0, rho_1] at every s, and one
-    # adjoint pass for the three reconstructions of A (the dual of s is -s:
-    # the reversed columns) and for the rho_s fields at the s = 0 factors
-    # tau**(-1/2), whose sector purities are the quadrature purities of
+    # One forward pass (``symbol_field``) for [A, B, rho_-1, rho_0, rho_1]
+    # at every s, and one adjoint pass (``reconstruct``) for A at each s and
+    # for the rho_s fields read at s = 0, whose reconstructions' sector
+    # purities are the quadrature purities of
     # ``phase_space.phase_purity_quadrature``.
     B = _random_hermitian(model.dim, rng)
     psis = [model.haar_state(rng) for _ in range(3)]
     rhos = [np.outer(psi, psi.conj()) for psi in psis]
     svals = (-1.0, 0.0, 1.0)
-    specs = [ps.KernelSpec.cahill_glauber(s) for s in svals]
-    factors = np.stack([ps.sector_factors(model, spec) for spec in specs],
-                       axis=1)
-    fields = ps.fields(model, np.stack([A, B, *rhos]), grid.points, factors)
+    specs = tuple(ps.KernelSpec.cahill_glauber(s) for s in svals)
+    field = ps.symbol_field(model, np.stack([A, B, *rhos]), grid, specs)
+    fields = field.values.reshape(len(w), 5, 3)
     fa, fb = fields[:, 0], fields[:, 1, ::-1]  # A at s, B at -s
     fr = np.stack([fields[:, 2 + k, k] for k in range(3)], axis=1)
-    back = ps.kernel_sums(model, grid.points, w[:, None] * np.hstack([fa, fr]),
-                          np.hstack([factors[:, ::-1], factors[:, [1] * 3]]))
+    back = ps.reconstruct(ps.SymbolField(model, grid, specs + specs[1:2] * 3,
+                                         np.hstack([fa, fr])))
     recon, quad = back[:3], model.sector_purities(back[3:])
-    dev = 0.0
-    dev_tr = 0.0
-    dev_rec = 0.0
-    dev_std = 0.0
+    dev = dev_tr = dev_rec = dev_std = 0.0
     for k, s in enumerate(svals):
         lhs = complex(np.sum(w * np.conj(fa[:, k]) * fb[:, k]))
         rhs = complex(np.trace(A.conj().T @ B))

@@ -211,8 +211,8 @@ def kernel_purity_per_label(model, lam, s) -> float:
 
 
 def center_factor_per_label(spec: KernelSpec, model, lam) -> float:
-    """``KernelSpec.center_factor`` of one sector, the coefficient map
-    rebuilt per call."""
+    """``phase_space.sector_factors`` entry of one sector, the coefficient
+    map rebuilt per call."""
     tau = model.tau(lam)
     if tau == 0:
         return 0.0

@@ -45,7 +45,10 @@ EXTRA = {
     **{f"verify.S{S.replace('/', '_')}": ["verify", "--spin-S", S]
        for S in ("1/2", "3", "10", "20", "26")},
     "verify.fm6": ["verify", "--qrt", "fermionic", "--n", "6"],
+    "verify.mp4": ["verify", "--qrt", "multipartite", "--n", "4"],
     "star.S7": ["star", "--spin-S", "7"],
+    "star.S5_2": ["star", "--spin-S", "5/2", "--s", "0.5", "--s", "-1",
+                  "--points", "7"],
 }
 
 

@@ -128,9 +128,9 @@ def test_kernel_spec_factors():
     model = SpinModel(1)
     spec = ps.KernelSpec.cahill_glauber(1.0)
     assert symbol_factor(spec, model, 2) == pytest.approx(math.sqrt(30.0))
-    assert spec.center_factor(model, 2) == pytest.approx(30.0)
-    assert ps.KernelSpec.cahill_glauber(-1.0).center_factor(model, 2) == \
-        pytest.approx(1.0)
+    assert ps.sector_factors(model, spec)[2] == pytest.approx(30.0)
+    assert ps.sector_factors(model, ps.KernelSpec.cahill_glauber(-1.0))[2] \
+        == pytest.approx(1.0)
     assert spec.dual().s == -1.0
 
 

@@ -86,7 +86,6 @@ def test_sector_factors_match_the_per_label_center_factors(model):
         want = [center_factor_per_label(spec, model, lam) for lam in labels]
         assert np.array_equal(_bits(ps.sector_factors(model, spec)),
                               _bits(want))
-        assert spec.center_factor(model, labels[-1]) == want[-1]
 
 
 @pytest.mark.parametrize("tS", [24, 33, 40, 45, 200])

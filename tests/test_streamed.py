@@ -12,7 +12,7 @@ from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 from sweyl.paulis import PauliSum
 from sweyl.verify import _LIN_TOL, duality_identity_deviation
 
-from oracles import read_csv
+from oracles import center_factor_per_label, read_csv
 
 SPECS = [ps.KernelSpec.cahill_glauber(s) for s in (-1.0, 0.0, 0.5, 1.0)]
 
@@ -122,7 +122,8 @@ def test_center_kernel_is_exactly_diagonal(model):
     hw = model.hw_state()
     hw_proj = np.outer(hw, hw.conj())
     for spec in SPECS + [generalized]:
-        D0 = sum(spec.center_factor(model, block.label) * block.project(hw_proj)
+        D0 = sum(center_factor_per_label(spec, model, block.label)
+                 * block.project(hw_proj)
                  for block in model.blocks())
         assert np.count_nonzero(D0 - np.diag(np.diagonal(D0))) == 0
         got = ps.center_diagonal(model, spec)
