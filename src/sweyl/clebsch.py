@@ -3,7 +3,7 @@
 Spin labels are carried as twice their value so that half-integers stay
 exact integers.  Coefficients follow the Condon-Shortley phase convention
 and are evaluated through Racah's closed-form sum with arbitrary-precision
-integer arithmetic; the only rounding happens in the final square root.
+integer arithmetic; only the final division and square root round.
 """
 
 from __future__ import annotations
@@ -112,19 +112,20 @@ def _checked_labels(j1, m1, j2, m2, J, M) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
-    """Signed square of a CG coefficient as an exact Fraction: Racah's sum
-    in integers over one common denominator, one Fraction at the end.
+    """Signed square of a CG coefficient in exact integers: Racah's sum
+    over one common denominator.
 
-    Returns ``(sign, square)`` with sign in {-1, 0, 1}.  Selection-rule
-    violations return (0, Fraction(0)).
+    Returns ``(sign, num, den)``, sign in {-1, 0, 1}, square ``num / den``
+    (unreduced; ``int / int`` rounds it as ``float(Fraction)`` does).
+    Selection-rule violations return (0, 0, 1).
     """
     if tm1 + tm2 != tM:
-        return 0, Fraction(0)
+        return 0, 0, 1
     if tJ < abs(tj1 - tj2) or tJ > tj1 + tj2:
-        return 0, Fraction(0)
+        return 0, 0, 1
     if (tj1 + tj2 + tJ) % 2 != 0:
         # j1 + j2 + J must be an integer for a non-zero coefficient.
-        return 0, Fraction(0)
+        return 0, 0, 1
 
     # All of the following are genuine integers by the parity checks above.
     a = (tj1 + tj2 - tJ) // 2
@@ -149,12 +150,12 @@ def _cg_signed_square(tj1: int, tm1: int, tj2: int, tm2: int, tJ: int, tM: int):
         den = f(k) * f(a - k) * f(jm1 - k) * f(jp2 - k) * f(x + k) * f(y + k)
         total += -(L // den) if k % 2 else L // den
     if total == 0:
-        return 0, Fraction(0)
+        return 0, 0, 1
     norm = ((tJ + 1) * f(a) * f(b) * f(c) * f(JM) * f(Jm)
             * f(jm1) * f(jp1) * f(jm2) * f(jp2))
     sign = 1 if total > 0 else -1
-    return sign, Fraction(total * total * norm,
-                          L * L * f((tj1 + tj2 + tJ) // 2 + 1))
+    return (sign, total * total * norm,
+            L * L * f((tj1 + tj2 + tJ) // 2 + 1))
 
 
 def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
@@ -164,8 +165,8 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     label pairs (|m| > j, or m not matching the parity of j) raise
     ValueError; mere selection-rule failures return 0.0.
     """
-    sign, square = _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
-    return sign * math.sqrt(float(square))
+    sign, num, den = _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
+    return sign * math.sqrt(num / den)
 
 
 def cg_hw_zero(S, lam) -> float:

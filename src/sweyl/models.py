@@ -68,8 +68,9 @@ Banded and dense paths
   independent reference: spin blocks, filled from the same table, serve
   2S <= 60; qubit and fermionic blocks (``paulis.words_dense``, one call
   per block) serve n <= 4.
-* The exact Racah route of ``clebsch`` stays the oracle: it gives tau and
-  the closed-form purities that the tests compare the table against.
+* A spin's tau is the integer closed form (2S)!**2 / ((2S - lam)! (2S +
+  lam + 1)!), checked against the table by ``verify``'s ``tau_two_route``;
+  the exact Racah sums of ``clebsch`` are the tests' oracle for both.
 
 Conventions
 -----------
@@ -92,7 +93,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
-from .clebsch import HalfInt, cg_hw_zero
+from .clebsch import HalfInt
 from .paulis import (majorana, pauli_operators, pauli_transform, word_masks,
                      words_dense)
 
@@ -412,20 +413,19 @@ def _cg_diagonals(tS: int) -> list[np.ndarray]:
     eig = lam * (lam + 1.0)
     centre = (d - 1 - q) // 2  # non-increasing along the lanes
 
-    def off(k, ql):  # b_{k+1} b_{k+q+1} = -(off-diagonal at k)
-        return np.sqrt((k + 1) * (d - k - 1)
-                       * (k + ql + 1.0) * (d - k - ql - 1))
-
     x = np.zeros((len(q), centre[0] + 1))
     x[:, 0] = 1.0
-    for k in range(centre[0]):
-        live = np.searchsorted(-centre, -(k + 1), side="right")
+    lives = np.searchsorted(-centre, -np.arange(1, centre[0] + 1), "right")
+    for k, live in enumerate(lives):
         ql = q[:live]
         diag = 2 * S * (S + 1) - 2 * (S - k) * (S - k - ql) - eig[:live]
         nxt = diag * x[:live, k]
-        if k:
-            nxt -= off(k - 1, ql) * x[:live, k - 1]
-        x[:live, k + 1] = nxt / off(k, ql)
+        if k:  # the previous step's b_k b_{k+q}
+            nxt -= off[:live] * x[:live, k - 1]
+        # b_{k+1} b_{k+q+1} = -(off-diagonal at k)
+        off = np.sqrt((k + 1) * (d - k - 1) * (k + ql + 1.0)
+                      * (d - k - ql - 1))
+        x[:live, k + 1] = nxt / off
     table = []
     first = 0
     for p in range(d):
@@ -503,9 +503,13 @@ class SpinModel(QrtModel):
 
     @functools.cached_property
     def taus(self) -> np.ndarray:
-        """Exact-CG weights <S S; S -S | lam 0>**2 / (2 lam + 1)."""
-        return np.array([cg_hw_zero(self.S, lam) ** 2 / (2 * lam + 1)
-                         for lam in self.labels()])
+        """Weights <S S; S -S | lam 0>**2 / (2 lam + 1) from the closed-form
+        square (2 lam + 1) (2S)!**2 / ((2S - lam)! (2S + lam + 1)!), exact
+        in integers and rounded as ``clebsch_gordan(...)**2 / (2 lam + 1)``."""
+        f, tS = math.factorial, self.S.twice
+        return np.array([math.sqrt((2 * lam + 1) * f(tS) ** 2
+                                   / (f(tS - lam) * f(tS + lam + 1))) ** 2
+                         / (2 * lam + 1) for lam in self.labels()])
 
     def spin_operators(self):
         """(Jx, Jy, Jz) dense, with the m-descending basis convention."""

@@ -272,24 +272,24 @@ _INVERSE = ((0, 2, 1), (1, 3, -1), (1, 3, 1), (0, 2, -1))
 
 
 def _digit_passes(T: np.ndarray, n: int, mix) -> np.ndarray:
-    """n passes of ``mix`` over the base-4 digits of each row of the
-    (m, 4**n) array T: each pass maps the leading digit and writes it back
-    as the trailing one, so every pass reads whole contiguous quarters and
-    the digits are back in order at the end."""
-    out, rest = np.empty_like(T), T.shape[1] // 4
+    """n passes of ``mix`` over the base-4 digits of the row index of the
+    (4**n, m) array T, the m operators inner: each pass maps the leading
+    digit and writes it back as the trailing one, so every pass reads whole
+    quarters and writes runs of m, and the digits end back in order."""
+    out, rest, m = np.empty_like(T), len(T) // 4, T.shape[1]
     for _ in range(n):
-        q = T.reshape(len(T), 4, rest).transpose(1, 0, 2)
-        dst = out.reshape(len(T), rest, 4)
+        q = T.reshape(4, rest, m)
+        dst = out.reshape(rest, 4, m)
         for k, (i, j, sign) in enumerate(mix):
-            (np.add if sign > 0 else np.subtract)(q[i], q[j], out=dst[:, :, k])
+            (np.add if sign > 0 else np.subtract)(q[i], q[j], out=dst[:, k])
         T, out = out, T
     return T
 
 
 def _interleaved_axes(n: int) -> list[int]:
     """Axes of a (m, 2, ..., 2) operator stack in the order (r_0, c_0, r_1,
-    c_1, ...): each qubit's row and column bit side by side."""
-    return [0] + [1 + a for q in range(n) for a in (q, n + q)]
+    c_1, ..., m): row and column bit of each qubit side by side, stack last."""
+    return [1 + a for q in range(n) for a in (q, n + q)] + [0]
 
 
 def pauli_transform(A: np.ndarray) -> np.ndarray:
@@ -310,10 +310,11 @@ def pauli_transform(A: np.ndarray) -> np.ndarray:
         raise ValueError(f"need a 2**n x 2**n operator, got {A.shape[-2:]}")
     lead = A.shape[:-2]
     m = math.prod(lead)
-    T = np.empty((m, 4 ** n), dtype=np.result_type(A, 1.0))
-    T.reshape((m,) + (2,) * (2 * n))[...] = \
-        A.reshape((m,) + (2,) * (2 * n)).transpose(_interleaved_axes(n))
-    return _digit_passes(T, n, _FORWARD).reshape(lead + (4 ** n,))
+    T = np.empty((4 ** n, m), dtype=np.result_type(A, 1.0))
+    T.reshape((2,) * (2 * n) + (m,))[...] = A.reshape(
+        (m,) + (2,) * (2 * n)).transpose(_interleaved_axes(n))
+    T = _digit_passes(T, n, _FORWARD).T
+    return np.ascontiguousarray(T).reshape(lead + (4 ** n,))
 
 
 def pauli_operators(b: np.ndarray) -> np.ndarray:
@@ -325,9 +326,10 @@ def pauli_operators(b: np.ndarray) -> np.ndarray:
     n = (b.shape[-1].bit_length() - 1) // 2
     lead = b.shape[:-1]
     m = math.prod(lead)
-    T = _digit_passes(b.reshape(m, 4 ** n).astype(complex), n, _INVERSE)
+    T = np.array(b.reshape(m, 4 ** n).T, dtype=complex, order="C")
+    T = _digit_passes(T, n, _INVERSE)
     axes = np.argsort(_interleaved_axes(n))
-    return T.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(
+    return T.reshape((2,) * (2 * n) + (m,)).transpose(axes).reshape(
         lead + (2 ** n, 2 ** n))
 
 

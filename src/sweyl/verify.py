@@ -120,9 +120,9 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                         tm2 = tM - tm1
                         if abs(tm2) > tj2:
                             continue
-                        sign, square = _cg_signed_square(tj1, tm1, tj2, tm2,
-                                                         tJ, tM)
-                        acc += (sign * math.sqrt(float(square))) ** 2
+                        sign, num, den = _cg_signed_square(
+                            tj1, tm1, tj2, tm2, tJ, tM)
+                        acc += (sign * math.sqrt(num / den)) ** 2
                     dev = max(dev, abs(acc - 1.0))
     results.append(check("cg_normalization", dev, _LIN_TOL))
 

@@ -4,7 +4,11 @@ the fast paths they check.
 None of these is called by the package.  They are the per-word sector of
 a Pauli word (``sector_of``, beside the models' bit-arithmetic
 ``word_sectors``), the word-by-word purities and Majorana algebra behind
-it, the exact signed CG square, the node-by-node product grid
+it, the row-layout Pauli transforms (``pauli_transform_rows``,
+``pauli_operators_rows``), the exact signed CG square as a Fraction, the
+spin taus from Racah sums (``spin_taus_racah``), the CG-diagonal table
+recursion with per-step factors (``cg_diagonals_stepwise``), the
+node-by-node product grid
 (``tuple_product_grid``), the three-kernel and factored twisted-product
 couplings, the adjoint-representation harmonics, the symbol factor of a
 kernel spec, dense-block sector purities, the per-diagonal spin
@@ -20,13 +24,14 @@ import itertools
 import json
 import math
 import os
+from fractions import Fraction
 
 import numpy as np
 
 from sweyl import cli, gfd, render
-from sweyl.clebsch import _cg_signed_square, _checked_labels
+from sweyl.clebsch import _cg_signed_square, _checked_labels, cg_hw_zero
 from sweyl.models import FermionicModel, MultipartiteModel
-from sweyl.paulis import PauliString, majorana
+from sweyl.paulis import _FORWARD, _INVERSE, PauliString, majorana
 from sweyl.phase_space import (KernelSpec, gauss_legendre, harmonic_matrix,
                                sw_kernel)
 
@@ -106,6 +111,51 @@ def product_sector_words(model, lam) -> list[tuple[int, int, int]]:
             w = majorana_product(combo, model.n)
             words.append(PauliString(w.n, w.x, w.z, w.phase + extra))
     return [(w.x, w.z, w.phase) for w in words]
+
+
+def _row_axes(n: int) -> list[int]:
+    """Axes of a (m, 2, ..., 2) operator stack in the order (m, r_0, c_0,
+    r_1, c_1, ...): the stack first, then each qubit's row and column bit."""
+    return [0] + [1 + a for q in range(n) for a in (q, n + q)]
+
+
+def _digit_passes_rows(T: np.ndarray, n: int, mix) -> np.ndarray:
+    """``paulis._digit_passes`` on the (m, 4**n) row layout: every pass
+    maps the leading digit of each row and writes it as the trailing one."""
+    out, rest = np.empty_like(T), T.shape[1] // 4
+    for _ in range(n):
+        q = T.reshape(len(T), 4, rest).transpose(1, 0, 2)
+        dst = out.reshape(len(T), rest, 4)
+        for k, (i, j, sign) in enumerate(mix):
+            (np.add if sign > 0 else np.subtract)(q[i], q[j], out=dst[:, :, k])
+        T, out = out, T
+    return T
+
+
+def pauli_transform_rows(A: np.ndarray) -> np.ndarray:
+    """``paulis.pauli_transform`` with each operator's 4**n entries as one
+    contiguous row."""
+    A = np.asarray(A)
+    n = A.shape[-1].bit_length() - 1
+    lead = A.shape[:-2]
+    m = math.prod(lead)
+    T = np.empty((m, 4 ** n), dtype=np.result_type(A, 1.0))
+    T.reshape((m,) + (2,) * (2 * n))[...] = \
+        A.reshape((m,) + (2,) * (2 * n)).transpose(_row_axes(n))
+    return _digit_passes_rows(T, n, _FORWARD).reshape(lead + (4 ** n,))
+
+
+def pauli_operators_rows(b: np.ndarray) -> np.ndarray:
+    """``paulis.pauli_operators`` with each operator's 4**n weights as one
+    contiguous row."""
+    b = np.asarray(b)
+    n = (b.shape[-1].bit_length() - 1) // 2
+    lead = b.shape[:-1]
+    m = math.prod(lead)
+    T = _digit_passes_rows(b.reshape(m, 4 ** n).astype(complex), n, _INVERSE)
+    axes = np.argsort(_row_axes(n))
+    return T.reshape((m,) + (2,) * (2 * n)).transpose(axes).reshape(
+        lead + (2 ** n, 2 ** n))
 
 
 def dense_block_purities(model, A) -> dict:
@@ -263,7 +313,55 @@ def duality_rows_per_label(model, svals, nsamples: int, seed: int) -> list:
 
 def clebsch_gordan_signed_square(j1, m1, j2, m2, J, M):
     """Exact signed square (sign, Fraction) of a CG coefficient."""
-    return _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
+    sign, num, den = _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
+    return sign, Fraction(num, den)
+
+
+def spin_taus_racah(model) -> np.ndarray:
+    """(L,) spin weights <S S; S -S | lam 0>**2 / (2 lam + 1) from the exact
+    Racah sum of each coefficient, rounded through ``clebsch_gordan``."""
+    return np.array([cg_hw_zero(model.S, lam) ** 2 / (2 * lam + 1)
+                     for lam in model.labels()])
+
+
+def cg_diagonals_stepwise(tS: int) -> list[np.ndarray]:
+    """The CG-diagonal table of ``models._cg_diagonals`` with one
+    ``searchsorted`` and both off-diagonal factors recomputed at every
+    step of the recursion."""
+    d = tS + 1
+    S = tS / 2
+    q = np.repeat(np.arange(d), np.arange(d, 0, -1))
+    lam = np.concatenate([np.arange(p, d) for p in range(d)])
+    eig = lam * (lam + 1.0)
+    centre = (d - 1 - q) // 2
+
+    def off(k, ql):
+        return np.sqrt((k + 1) * (d - k - 1)
+                       * (k + ql + 1.0) * (d - k - ql - 1))
+
+    x = np.zeros((len(q), centre[0] + 1))
+    x[:, 0] = 1.0
+    for k in range(centre[0]):
+        live = np.searchsorted(-centre, -(k + 1), side="right")
+        ql = q[:live]
+        diag = 2 * S * (S + 1) - 2 * (S - k) * (S - k - ql) - eig[:live]
+        nxt = diag * x[:live, k]
+        if k:
+            nxt -= off(k - 1, ql) * x[:live, k - 1]
+        x[:live, k + 1] = nxt / off(k, ql)
+    table = []
+    first = 0
+    for p in range(d):
+        n = d - p
+        half = x[first:first + n, :(n + 1) // 2].copy()
+        first += n
+        weight = np.full(half.shape[1], 2.0)
+        if n % 2:
+            weight[-1] = 1.0
+            half[1::2, -1] = 0.0
+        half *= (-1) ** p / np.sqrt(half ** 2 @ weight)[:, None]
+        table.append(half)
+    return table
 
 
 # -- kernels and harmonics -----------------------------------------------------

@@ -31,6 +31,8 @@ import tempfile
 EXTRA = {
     "purities.S100": ["purities", "--spin-S", "100", "--state", "hw",
                       "--state", "haar"],
+    "purities.S199_2": ["purities", "--spin-S", "199/2", "--state", "hw",
+                        "--state", "haar"],
     "purities.mp5": ["purities", "--qrt", "multipartite", "--n", "5",
                      "--state", "ghz", "--state", "haar", "--s", "0.5",
                      "--format", "json"],
