@@ -26,7 +26,9 @@ from .models import TABLE_BYTES, MultipartiteModel
 # Work budget of one ``star`` run, in units of d**3 + 2 10**4 per output
 # point and --s value (the point's draw, synthesis and reference symbol).  At
 # the cap, spin S = 2 and 30 with one --s and S = 10 with two took 17, 17
-# and 19 s on a 2-vCPU host, the order of ``gfd.DUALITY_WORK``.
+# and 19 s on a 2-vCPU host, the order of ``gfd.DUALITY_WORK``.  At the
+# widest spin, 2S = 200, the cap is 491 points with one --s: 3.0-3.8 s and
+# 128 MB peak RSS on that host with one BLAS thread.
 STAR_WORK = 4 * 10**9
 
 
@@ -293,13 +295,13 @@ def cmd_star(args) -> int:
     of [A, B] at every ``--s`` on the doubled-band grid, then one
     ``star_product`` (two forward passes and one adjoint pass in all).
     Refused (exit 2) before any field is built: a model other than the
-    spin, 2S > 60, an ``--s > 0`` with ``eps kappa**s > 1e-8``
-    (``check_kappa``) and ``--points`` past the ``STAR_WORK`` budget."""
+    spin, a spin past the CG table (2S > 200, ``check_sector_size``), an
+    ``--s > 0`` with ``eps kappa**s > 1e-8`` (``check_kappa``) and
+    ``--points`` past the ``STAR_WORK`` budget."""
     model = _model(args)
     if args.qrt != "spin":
         raise ValueError("star command supports the spin model")
-    if model.dim > 61:  # O(N d**3) work on N = O(d**2) doubled-band nodes
-        raise ValueError(f"star is capped at 2S <= 60, got S={model.S}")
+    model.check_sector_size()  # before any d-sized array
     svals = args.s if args.s else [0.0]
     ps.check_kappa(model, svals)
     d = model.dim

@@ -38,10 +38,16 @@ model declares and never test its class.
 * ``harmonics(points)``: the (sum d_lam, N) real harmonics ``Y^lam_j =
   tau_lam**(-1/2) <Omega| D_j |Omega>`` of the tau > 0 sectors in
   ``labels()`` order, read from the model's point table: one Legendre
-  recursion for a spin, the word expectations for qubits and fermions.
-* ``synthesis(c, points)`` and ``synthesis_adjoint(w, points)``: the
-  fields ``F_n = sum_k E[n, k] c_k`` at phase points of coefficient
-  vectors, and the transpose ``sum_n w_n E[n, k]``.  Summed over one
+  recursion for a spin, the word expectations for qubits and fermions
+  (qubits also read a product grid's ``factor``, as below).
+  ``harmonic_gram(grid)``: their Gram matrix under a grid's weights, the
+  one ``verify`` checks against I.
+* ``synthesis(c, points, factor)`` and ``synthesis_adjoint(w, points,
+  factor)``: the fields ``F_n = sum_k E[n, k] c_k`` at phase points of
+  coefficient vectors, and the transpose ``sum_n w_n E[n, k]``.
+  ``factor`` is the one-sphere rule of a product grid
+  (``phase_space.Quadrature.factor``), else None; a one-sphere model
+  does not read it.  Summed over one
   sector's coefficients of A, ``E[n, k] c_k`` is ``Tr(U_n
   Pi_lam(|hw><hw|) U_n^H A)``, so the field of a filter with one factor
   f_lam per sector is the synthesis of ``f_lam c``.  A spin synthesizes on
@@ -50,6 +56,16 @@ model declares and never test its class.
   Ann. Phys. 190, 107 (1989)); qubits and fermions sum the Pauli words,
   ``E[n, W] = conj(<Omega_n| W |Omega_n>) / d``.  Work arrays (a spin's
   Legendre sums over distinct thetas) are held about ``TABLE_BYTES``.
+* Qubits one qubit at a time.  On the product of a one-sphere rule of m
+  nodes every row of E is a Kronecker product of n rows of one (m, 4)
+  table, ``conj(1, n_x, n_z, -i n_y) / 2`` (``_factor_words``).  So the
+  synthesis is n ``tensordot``s of the (K, 4, ..., 4) coefficients with
+  it, the adjoint that chain in reverse, the harmonics Kronecker products
+  of one qubit's rows (``_factor_harmonics``) and their Gram matrix the
+  Kronecker power of one qubit's 4 x 4 Gram matrix (cf. Koczor, Zeier &
+  Glaser, Phys. Rev. A 101, 022318 (2020)).  Only other point sets, and
+  fermions, read E in row chunks of about ``TABLE_BYTES``; that row
+  route is also the tests' oracle for the contractions.
 
 Banded and dense paths
 ----------------------
@@ -114,6 +130,16 @@ def _log_rotation(R: np.ndarray) -> np.ndarray:
     """Real principal logarithm of a rotation R in SO(m): V log(w) V^-1."""
     w, V = np.linalg.eig(R)
     return np.real((V * np.log(w.astype(complex))) @ np.linalg.inv(V))
+
+
+def _kron_rows(table: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """(R, m**n) rows ``table[digits[r, 0]] (x) ... (x) table[digits[r,
+    n - 1]]``, Kronecker products of rows of one (4, m) table."""
+    rows = np.ones((len(digits), 1))
+    for q in reversed(range(digits.shape[1])):  # the long axis innermost
+        rows = (table[digits[:, q], :, None] * rows[:, None]).reshape(
+            len(rows), -1)
+    return rows
 
 
 @dataclass
@@ -275,26 +301,60 @@ class QrtModel:
         AH = np.conj(np.swapaxes(A, -1, -2))
         return np.conj(self.coefficients(AH)) / self.basis_norm
 
-    def harmonics(self, points) -> np.ndarray:
-        """(sum d_lam, N) harmonics ``Re(i**p <Omega|X^x Z^z|Omega>) /
-        sqrt(tau_lam d)`` of the basis words ``i**p X^x Z^z / sqrt(d)`` of
-        ``sector_words``, tau > 0 sectors only: columns of the expectation
-        table, where qubit q has the base-4 digit ``x_q + 2 z_q``.  The
-        chunks hold ``E = conj(<W>) / d``, and ``Re(i**p <W>) = Re((-i)**p
-        E) d``."""
+    @functools.cached_property
+    def _harmonic_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(digits, index, scale) of the rows of ``harmonics``, the basis
+        words ``i**p X^x Z^z / sqrt(d)`` of ``sector_words`` of the tau > 0
+        sectors in ``labels()`` order: an (R, n) array whose column q is
+        qubit q's base-4 digit ``x_q + 2 z_q`` (qubit 0 leads), the word's
+        index in the expectation table, and ``(-i)**p sqrt(d / tau_lam)``."""
         labels, taus = self.labels(), self.taus
         kept = [labels[i] for i in np.flatnonzero(taus)]
         x, z, p = map(np.concatenate, zip(*map(self.sector_words, kept)))
         q = np.arange(self.dim.bit_length() - 1)
         digits = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
-        index = digits @ 4 ** q[::-1]
         scale = np.array([1, -1j, -1, 1j])[p % 4] * np.repeat(
             np.sqrt(self.dim / taus[taus > 0]),
             [self.irrep_dim(lam) for lam in kept])
+        return digits, digits @ 4 ** q[::-1], scale
+
+    def harmonics(self, points, factor=None) -> np.ndarray:
+        """(sum d_lam, N) harmonics ``Re(i**p <Omega|X^x Z^z|Omega>) /
+        sqrt(tau_lam d)`` of the basis words (``_harmonic_words``), tau > 0
+        sectors only.  On a product grid (``factor``) row r is the
+        Kronecker product over qubits q of the one-sphere rows
+        ``_factor_harmonics`` at digit q of word r.  Else they are columns
+        of the expectation table: its chunks hold ``E = conj(<W>) / d``,
+        and ``Re(i**p <W>) = Re((-i)**p E) d``."""
+        digits, index, scale = self._harmonic_words
+        if factor is not None:
+            nodes = self._factor_nodes(points, factor)
+            return _kron_rows(self._factor_harmonics(nodes), digits)
         out = np.empty((len(index), len(points)))
         for rows, E in self._word_chunks(points):
             out[:, rows] = (E[:, index] * scale).real.T
         return out
+
+    def harmonic_gram(self, grid) -> np.ndarray:
+        """(R, R) Gram matrix ``sum_n w_n Y_n Y_n^T`` of the R =
+        ``sum d_lam`` rows of ``harmonics`` on a quadrature grid, I when
+        it integrates them exactly: the weighted (R, N) point table's
+        product with itself."""
+        ally = self.harmonics(grid.points)
+        ally *= np.sqrt(grid.weights)  # Gauss-Legendre weights are > 0
+        return ally @ ally.T
+
+    def _factor_nodes(self, points, factor) -> np.ndarray:
+        """(m, 2) nodes of the one-sphere rule ``factor`` (a
+        ``phase_space.Quadrature``) whose n-fold product, in
+        ``phase_space.product_quadrature`` order, the (m**n, n, 2)
+        ``points`` are; ValueError for points of another shape."""
+        pts = self._sphere_points(points)
+        nodes = np.asarray(factor.points, dtype=float).reshape(-1, 2)
+        if len(pts) != len(nodes) ** self.nspheres:
+            raise ValueError(f"{len(pts)} points are no product of "
+                             f"{self.nspheres} rules of {len(nodes)} nodes")
+        return nodes
 
     def _expectations(self, points) -> np.ndarray:
         """(N, 4**n) table ``<Omega_n| X^x Z^z |Omega_n>``: the Pauli
@@ -309,17 +369,34 @@ class QrtModel:
             E = self._expectations(points[lo:lo + step])
             yield slice(lo, lo + step), E.conj() / self.dim
 
-    def synthesis(self, c: np.ndarray, points) -> np.ndarray:
+    def synthesis(self, c: np.ndarray, points, factor=None) -> np.ndarray:
         """(N, K) fields ``sum_W conj(<Omega_n|W|Omega_n>) c[k, W] / d`` of
-        (K, 4**n) word coefficients."""
+        (K, 4**n) word coefficients.  On a product grid (``factor``) n
+        contractions of the (K, 4, ..., 4) coefficients with one sphere's
+        (m, 4) table ``_factor_words``, one qubit at a time; else row
+        chunks of the expectation table."""
+        if factor is not None:
+            T = self._factor_words(self._factor_nodes(points, factor))
+            X = np.reshape(c, (len(c),) + (4,) * self.nspheres)
+            for _ in range(self.nspheres):  # last word digit -> first node
+                X = np.tensordot(T, X, (1, -1))
+            return X.reshape(-1, len(c))
         out = np.empty((len(points), len(c)), dtype=complex)
         for rows, E in self._word_chunks(points):
             out[rows] = E @ np.transpose(c)
         return out
 
-    def synthesis_adjoint(self, w: np.ndarray, points) -> np.ndarray:
+    def synthesis_adjoint(self, w: np.ndarray, points,
+                          factor=None) -> np.ndarray:
         """(K, 4**n) word sums ``sum_n w[n, k] conj(<Omega_n|W|Omega_n>) /
-        d`` of (N, K) node weights: the transpose of ``synthesis``."""
+        d`` of (N, K) node weights: the transpose of ``synthesis``, on a
+        product grid its contractions in reverse order."""
+        if factor is not None:
+            T = self._factor_words(self._factor_nodes(points, factor))
+            X = np.reshape(w, (len(T),) * self.nspheres + (-1,))
+            for _ in range(self.nspheres):  # first node -> last word digit
+                X = np.tensordot(X, T, (0, 0))
+            return X.reshape(len(X), -1)
         out = np.zeros((w.shape[1], self.dim ** 2), dtype=complex)
         for rows, E in self._word_chunks(points):
             out += np.transpose(w[rows]) @ E
@@ -689,12 +766,13 @@ class SpinModel(QrtModel):
                      for lo, hi in zip(cut[:-1], cut[1:])]
             yield theta[cut[:-1]], rings, np.exp(-1j * np.outer(phi, qs))
 
-    def synthesis(self, c: np.ndarray, points) -> np.ndarray:
+    def synthesis(self, c: np.ndarray, points, factor=None) -> np.ndarray:
         """(N, K) fields ``sum_q exp(-i q phi) G_q(theta)`` of (K, (2d - 1)
         d) coefficients, ``G_q = sum_lam Ybar_lam q(theta) x0_lam sqrt(4 pi
         / (2 lam + 1)) c_lam q`` summed one recursion step at a time per
         chunk, then one product per ring with the Fourier factors of its
-        points."""
+        points.  On one sphere a product grid's ``factor`` is the grid
+        itself, so it is not read."""
         d = self.dim
         cw = (np.reshape(c, (-1, 2 * d - 1, d))
               * self._harmonic_weights()).transpose(1, 0, 2)  # (q, K, lam)
@@ -709,7 +787,8 @@ class SpinModel(QrtModel):
                 out[idx] = E[row] @ G[:, :, r]
         return out
 
-    def synthesis_adjoint(self, w: np.ndarray, points) -> np.ndarray:
+    def synthesis_adjoint(self, w: np.ndarray, points,
+                          factor=None) -> np.ndarray:
         """(K, (2d - 1) d) sums of (N, K) node weights against the
         synthesis: its steps in reverse, per ring the Fourier sums
         ``sum_n exp(-i q phi_n) w_n``, then the Legendre sums."""
@@ -923,14 +1002,54 @@ class MultipartiteModel(QrtModel):
             lambda E, e: (E[:, :, None] * e[:, None]).reshape(len(pts), -1),
             [self._qubit.coherent_states(pts[:, k]) for k in range(self.n)])
 
-    def _expectations(self, points) -> np.ndarray:
-        """(N, 4**n) products of each qubit's Bloch components ``(1, n_x,
-        n_z, -i n_y)``, the expectations of ``(I, X, Z, XZ)``; qubit 0 is the
-        leading digit of the word."""
-        pts = self._sphere_points(points)
+    @staticmethod
+    def _bloch(pts: np.ndarray) -> np.ndarray:
+        """(..., 4) Bloch components ``(1, n_x, n_z, -i n_y)`` of (..., 2)
+        (theta, phi) pairs: the expectations of ``(I, X, Z, XZ)``."""
         th, ph = pts[..., 0], pts[..., 1]
-        e = np.stack([np.ones_like(th), np.sin(th) * np.cos(ph), np.cos(th),
-                      -1j * np.sin(th) * np.sin(ph)], axis=-1)
+        return np.stack([np.ones_like(th), np.sin(th) * np.cos(ph),
+                         np.cos(th), -1j * np.sin(th) * np.sin(ph)], axis=-1)
+
+    def _factor_words(self, nodes: np.ndarray) -> np.ndarray:
+        """(m, 4) factor ``conj(_bloch) / 2`` of one qubit: on a product
+        grid each row of ``conj(_expectations) / d`` is the Kronecker
+        product of n rows of it."""
+        return self._bloch(nodes).conj() / 2
+
+    def _factor_harmonics(self, nodes: np.ndarray) -> np.ndarray:
+        """(4, m) rows ``(1, sqrt(3) n_x, sqrt(3) n_z, sqrt(3) n_y)`` of one
+        qubit by word digit: ``Re(i**p <W>) / sqrt(tau_lam d)`` is their
+        product over the qubits, as ``tau_lam d = 3**-|lam|`` and the i of
+        each Y turns ``-i n_y`` into ``n_y``."""
+        r3 = math.sqrt(3)
+        return (self._bloch(nodes) * [1, r3, r3, 1j * r3]).real.T
+
+    def harmonic_gram(self, grid) -> np.ndarray:
+        """The Gram matrix of ``harmonics`` (``QrtModel.harmonic_gram``).
+        On a product grid (``grid.factor``) it is the Kronecker power of
+        the 4 x 4 Gram matrix of one qubit's rows ``_factor_harmonics``,
+        built ``TABLE_BYTES`` of rows at a time without the (4**n, N)
+        point table."""
+        if grid.factor is None:
+            return super().harmonic_gram(grid)
+        h = self._factor_harmonics(self._factor_nodes(grid.points,
+                                                      grid.factor))
+        g = (h * grid.factor.weights) @ h.T
+        digits, index, _ = self._harmonic_words
+        out = np.empty((len(digits), len(digits)))
+        step = max(1, TABLE_BYTES // (8 * len(digits)))
+        for lo in range(0, len(digits), step):
+            # Columns come out in word-index order; ``index`` sorts them
+            # into the label order of the rows.
+            np.take(_kron_rows(g, digits[lo:lo + step]), index, axis=1,
+                    out=out[lo:lo + step], mode="clip")
+        return out
+
+    def _expectations(self, points) -> np.ndarray:
+        """(N, 4**n) products of each qubit's Bloch components (``_bloch``);
+        qubit 0 is the leading digit of the word."""
+        pts = self._sphere_points(points)
+        e = self._bloch(pts)
         E = e[:, 0]
         for k in range(1, self.n):
             E = (E[:, :, None] * e[:, k, None, :]).reshape(len(pts), -1)

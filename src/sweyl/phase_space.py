@@ -16,8 +16,9 @@ Nothing here tests a model's class: grids and band checks read the
 geometry each model declares (``band``, ``nspheres``; see ``models``).
 Every structured grid is one ``Quadrature``: an (N, nspheres, 2) array of
 (theta, phi) per sphere and N weights, so a spin grid is (N, 1, 2) and an
-n-qubit grid the product of n such rules (``product_quadrature``); a
-Monte-Carlo grid is a list of fermionic points.
+n-qubit grid the product of n such rules (``product_quadrature``), which
+keeps its one-sphere rule as ``factor``; a Monte-Carlo grid is a list of
+fermionic points.
 
 Every field, reconstruction and harmonic goes through one core, the
 model's coefficient route (``models``): a kernel is ``Delta(Omega) =
@@ -31,7 +32,12 @@ functionals (``symbol_field``, ``reconstruct``, ``star_product``, ...)
 act on one field or on a stack of columns with one such pass per call.
 For a spin the synthesis is a spherical-harmonic transform,
 O((n_theta d + N) d) per column; for qubits and fermions a sum over the
-4**n Pauli words.  ``harmonic_matrix`` splits the model's point table
+4**n Pauli words.  The functionals pass a grid's ``factor`` on: on a
+product grid the qubit synthesis, its adjoint and the harmonics run one
+qubit at a time, O(N) per qubit and column, and no (N, 4**n) word table
+is formed; any other point set (random points, ``phasespace``'s
+one-sphere marginal, a star product's output points) reads that table in
+row chunks.  ``harmonic_matrix`` splits the model's point table
 ``harmonics``.  ``kernel_stack`` (``U D0 U^H``, with the center kernel's
 diagonal ``center_diagonal``) is the tests' independent reference route.
 At s > 0 any route keeps an error of about ``eps kappa**s`` of the
@@ -109,15 +115,17 @@ class Quadrature:
     phi) per sphere, one row per node, and integrates exactly products of
     two functions band-limited at ``2 * band`` on each sphere (polynomial
     degree ``4 * band`` in cos(theta), azimuthal order ``4 * band``);
-    a one-sphere grid keeps its (ntheta, nphi) ``shape``.  A Monte-Carlo
-    grid holds a list of ``FermionicPoint``s with equal weights and no
-    band: its identities hold in expectation only.
+    a one-sphere grid keeps its (ntheta, nphi) ``shape``, and a product
+    grid its one-sphere rule ``factor``, whose n-fold product it is.  A
+    Monte-Carlo grid holds a list of ``FermionicPoint``s with equal
+    weights and no band: its identities hold in expectation only.
     """
 
     points: object
     weights: np.ndarray
     band: float | None = None
     shape: tuple[int, int] | None = None
+    factor: Quadrature | None = None
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -173,11 +181,14 @@ def sphere_quadrature(band, oversample: float = 1.0) -> Quadrature:
 def product_quadrature(nspheres: int, band=0.5) -> Quadrature:
     """Product grid over several spheres (multi-qubit phase space): node
     (i_1, ..., i_n) of the one-sphere rule, the last sphere fastest, with
-    weight ``w_i1 ... w_in`` multiplied left to right."""
+    weight ``w_i1 ... w_in`` multiplied left to right.  The one-sphere
+    rule stays on the grid as its ``factor``, so the qubit transforms run
+    one sphere at a time."""
     base = sphere_quadrature(band)
     index = np.indices((len(base.weights),) * nspheres).reshape(nspheres, -1)
     weights = functools.reduce(np.multiply.outer, [base.weights] * nspheres)
-    return Quadrature(base.points[index.T, 0], weights.ravel(), base.band)
+    return Quadrature(base.points[index.T, 0], weights.ravel(), base.band,
+                      factor=base)
 
 
 def mc_group_quadrature(model: FermionicModel, nnodes: int,
@@ -301,27 +312,30 @@ def check_kappa(model: QrtModel, svals) -> None:
                              "eps * kappa**s over 1e-8 of the field's maximum")
 
 
-def fields(model: QrtModel, A: np.ndarray, points,
-           factors: np.ndarray) -> np.ndarray:
+def fields(model: QrtModel, A: np.ndarray, points, factors: np.ndarray,
+           factor: Quadrature | None = None) -> np.ndarray:
     """Symbols ``Tr[Delta_n A]`` at the points of one (d, d) operator, (N,
     W), or of each operator of a (K, d, d) stack, (N, K, W): column w is
     the kernel of column w of the (L, W) per-sector factors (``factors``
     stacked over W specs).  The synthesis of the filtered coefficients
-    ``f_lam c``, one pass for all K W columns."""
+    ``f_lam c``, one pass for all K W columns; ``factor`` is the
+    one-sphere rule of a product grid's ``points``, else None."""
     A = np.asarray(A)
     c = model.coefficients(A.reshape((-1,) + A.shape[-2:]))
     f = np.asarray(factors)[model.coefficient_sectors()].T  # (W, ncoef)
-    table = model.synthesis((c[:, None] * f).reshape(-1, c.shape[-1]), points)
+    table = model.synthesis((c[:, None] * f).reshape(-1, c.shape[-1]), points,
+                            factor=factor)
     table = table.reshape(len(table), len(c), len(f))
     return table if A.ndim == 3 else table[:, 0]
 
 
 def kernel_sums(model: QrtModel, points, weights: np.ndarray,
-                factors: np.ndarray) -> np.ndarray:
+                factors: np.ndarray,
+                factor: Quadrature | None = None) -> np.ndarray:
     """(K, d, d) sums ``sum_n weights[n, k] Delta_n`` for (N, K) node
     weights, the kernel of column k built from column k of the (L, K)
     per-sector factors: the adjoint of ``fields``, one pass for all K."""
-    b = model.synthesis_adjoint(np.asarray(weights), points)
+    b = model.synthesis_adjoint(np.asarray(weights), points, factor=factor)
     f = np.asarray(factors)[model.coefficient_sectors()].T
     return model.operators(b * f)
 
@@ -352,7 +366,8 @@ def symbol_field(model: QrtModel, A: np.ndarray, grid, spec) -> SymbolField:
     ``k W + w`` is operator k under spec w): one ``fields`` pass."""
     A, one = np.asarray(A), np.ndim(spec) == 0
     specs = (spec,) if one else tuple(spec)
-    values = fields(model, A, grid.points, _factor_columns(model, specs))
+    values = fields(model, A, grid.points, _factor_columns(model, specs),
+                    grid.factor)
     if A.ndim == 2 and one:
         return SymbolField(model, grid, spec, values[:, 0])
     return SymbolField(model, grid, specs * (A.size // model.dim ** 2),
@@ -402,7 +417,8 @@ def reconstruct(field: SymbolField) -> np.ndarray:
     _check_band(model, grid)
     w = np.asarray(grid.weights)[:, None]
     back = kernel_sums(model, grid.points, w * np.reshape(field.values, (
-        len(w), -1)), _factor_columns(model, [f.dual() for f in field.specs]))
+        len(w), -1)), _factor_columns(model, [f.dual() for f in field.specs]),
+        grid.factor)
     return back if np.ndim(field.values) == 2 else back[0]
 
 

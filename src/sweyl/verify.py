@@ -15,7 +15,8 @@ import numpy as np
 
 from . import gfd, phase_space as ps
 from .clebsch import HalfInt, _cg_signed_square
-from .models import FermionicModel, MultipartiteModel, QrtModel, SpinModel
+from .models import (TABLE_BYTES, FermionicModel, MultipartiteModel,
+                     QrtModel, SpinModel)
 from .paulis import majorana, words_dense
 
 
@@ -78,17 +79,33 @@ def duality_identity_deviation(model: QrtModel, spectrum=None) -> float:
 
 
 def dense_bytes(model: QrtModel) -> int:
-    """The admission rule of the harmonic checks, from d and the node count
-    N of the default grid alone (nothing O(d) is built).  Their peak holds
-    the d**2 harmonics' Gram matrix, 8 d**4 B (its deviation is taken in
-    place), and the real (d**2, N) point table they come from, 8 d**2 B per
-    node (weighted in place and freed after the Gram product).  The rule
-    allows twice the one and five times the other, 16 d**4 + 40 d**2 N B:
-    at 2S = 52 that is 757 MB, where ``verify`` peaks at 235 MB
-    ``ru_maxrss``.  Under ``phase_space.STACK_BUDGET`` it admits a spin up
-    to 2S = 52, qubits up to n = 4 and gridless fermions up to n = 6.
+    """The admission rule of the harmonic and quadrature checks, from d,
+    the sphere count n and the node count N of the default grid alone
+    (nothing O(d) or O(N) is built).
+
+    On one sphere (a spin; one qubit) and for gridless fermions the peak
+    holds the d**2 harmonics' Gram matrix, 8 d**4 B (its deviation is taken
+    in place), and the real (d**2, N) point table it comes from, 8 d**2 B
+    per node (weighted in place and freed after the Gram product).  The
+    rule allows twice the one and five times the other, 16 d**4 + 40 d**2
+    N B: at 2S = 52 that is 757 MB, where ``verify`` peaks at 235 MB
+    ``ru_maxrss``; it admits a spin up to 2S = 52 and fermions up to n = 6.
+
+    On a product grid (n >= 2 qubits) the transforms run one qubit at a
+    time and form no point table (``models``): the Kronecker Gram matrix,
+    8 d**4 = 8 16**n B, and at most two of its row chunks (each under
+    ``models.TABLE_BYTES``); and per node the (N, n, 2) points and the
+    weight, 16 n + 8 B, and 40 complex columns, 640 B: the 15 fields, the
+    6 reconstructed columns and their contractions' intermediates.  The
+    one-sphere tables (under 1 kB) are left out.  ``tracemalloc`` peaks at
+    0.5 to 0.6 of this at n = 4, 5 and 6 (2.7, 20 and 165 MB); under
+    ``phase_space.STACK_BUDGET`` it admits qubits up to n = 6.
     """
     d, nodes = model.dim, ps.default_grid_size(model)
+    if model.nspheres > 1:
+        gram = 8 * d ** 4
+        return (gram + 2 * min(gram, TABLE_BYTES)
+                + nodes * (16 * model.nspheres + 8 + 40 * 16))
     return 16 * d ** 4 + 40 * d * d * nodes
 
 
@@ -199,14 +216,12 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     # Quadrature-mediated identities (structured grids only).
     grid = ps.default_grid(model)
     w = np.asarray(grid.weights)
-    # Every sector of a gridded model has tau > 0, so the point table is
-    # all of the harmonics in label order, read once and freed early.
-    ally = model.harmonics(grid.points)
-    ally *= np.sqrt(w)  # Gauss-Legendre weights are positive
-    gram = ally @ ally.T
-    del ally
+    # Every sector of a gridded model has tau > 0, so the Gram matrix is
+    # that of all of the harmonics in label order.
+    gram = model.harmonic_gram(grid)
     gram[np.diag_indices_from(gram)] -= 1.0
     dev = float(np.max(np.abs(gram, out=gram)))
+    del gram
     results.append(check("harmonic_orthonormality", dev, quad_tol))
 
     # One forward pass (``symbol_field``) for [A, B, rho_-1, rho_0, rho_1]

@@ -48,7 +48,10 @@ EXTRA = {
        for S in ("1/2", "3", "10", "20", "26")},
     "verify.fm6": ["verify", "--qrt", "fermionic", "--n", "6"],
     "verify.mp4": ["verify", "--qrt", "multipartite", "--n", "4"],
+    "verify.mp5": ["verify", "--qrt", "multipartite", "--n", "5"],
+    "verify.mp6": ["verify", "--qrt", "multipartite", "--n", "6"],
     "star.S7": ["star", "--spin-S", "7"],
+    "star.S40": ["star", "--spin-S", "40"],
     "star.S5_2": ["star", "--spin-S", "5/2", "--s", "0.5", "--s", "-1",
                   "--points", "7"],
 }

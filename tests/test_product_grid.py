@@ -1,0 +1,145 @@
+"""Multi-qubit phase space one qubit at a time.
+
+On a product grid (``phase_space.product_quadrature``, which keeps its
+one-sphere rule as ``factor``) the qubit synthesis, its adjoint and the
+harmonics are contractions with one sphere's tables, and ``verify``'s
+harmonic check reads the Kronecker power of one qubit's 4 x 4 Gram
+matrix.  The row route over the (N, 4**n) expectation table, which any
+other point set still takes, is the oracle; ``verify.dense_bytes`` admits
+qubits from the contraction route's sizes.
+"""
+
+import contextlib
+import io
+import json
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from sweyl import models
+from sweyl import phase_space as ps
+from sweyl.cli import main
+from sweyl.models import MultipartiteModel
+from sweyl.verify import dense_bytes
+
+
+def assert_column_close(got, want, tol=1e-13):
+    """``got`` within ``tol`` of each column's maximum of ``want``."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= tol * scale)
+
+
+def rand_complex(shape, rng):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@pytest.mark.parametrize("band", [0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_contraction_route_matches_row_route(n, band):
+    model, grid = MultipartiteModel(n), ps.product_quadrature(n, band)
+    rng = np.random.default_rng(500 + n)
+    c = rand_complex((5, 4 ** n), rng)
+    w = rng.normal(size=(len(grid.weights), 3))
+    assert_column_close(model.synthesis(c, grid.points, factor=grid.factor),
+                        model.synthesis(c, grid.points))
+    assert_column_close(
+        model.synthesis_adjoint(w, grid.points, factor=grid.factor).T,
+        model.synthesis_adjoint(w, grid.points).T)
+    # Rows are harmonics; compare each row against its own maximum.
+    assert_column_close(model.harmonics(grid.points, grid.factor).T,
+                        model.harmonics(grid.points).T)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kronecker_gram_matches_the_full_gram(n):
+    model, grid = MultipartiteModel(n), ps.product_quadrature(n)
+    ally = model.harmonics(grid.points)  # the row route
+    full = (ally * grid.weights) @ ally.T
+    gram = model.harmonic_gram(grid)
+    assert gram.shape == (4 ** n, 4 ** n)
+    assert np.max(np.abs(gram - full)) <= 1e-14
+    assert np.max(np.abs(gram - np.eye(4 ** n))) <= 1e-14
+
+
+def test_non_product_points_take_the_row_route():
+    # Random rows are no product grid: the fields are the row route's,
+    # which are the symbols of the per-node kernels.
+    model = MultipartiteModel(3)
+    rng = np.random.default_rng(510)
+    points = np.stack([np.arccos(rng.uniform(-1, 1, (20, 3))),
+                       rng.uniform(0, 2 * np.pi, (20, 3))], axis=-1)
+    A = rand_complex((model.dim, model.dim), rng)
+    spec = ps.KernelSpec.cahill_glauber(0.5)
+    f = ps.sector_factors(model, spec)[:, None]
+    got = ps.fields(model, A, points, f)[:, 0]
+    want = [ps.symbol(model, A, p, spec) for p in points]
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    c = model.coefficients(A)[None] * f[model.coefficient_sectors(), 0]
+    assert np.array_equal(got, model.synthesis(c, points)[:, 0])
+    # A one-sphere rule whose product they are not is refused.
+    with pytest.raises(ValueError, match="no product"):
+        model.synthesis(c, points, factor=ps.sphere_quadrature(0.5))
+
+
+def test_product_synthesis_at_n6_forms_no_word_table(monkeypatch):
+    # The (N, 4**6) table would be 16 GiB; the contraction route holds the
+    # (N, K) fields and its intermediates, and no row chunk is read.
+    def no_chunks(self, points):
+        raise AssertionError("the product route read the row route")
+
+    monkeypatch.setattr(models.QrtModel, "_word_chunks", no_chunks)
+    n, model = 6, MultipartiteModel(6)
+    grid = ps.product_quadrature(n)
+    c = rand_complex((2, 4 ** n), np.random.default_rng(520))
+    tracemalloc.start()
+    try:
+        out = model.synthesis(c, grid.points, factor=grid.factor)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (8 ** n, 2)
+    assert peak <= 3 * out.nbytes
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_verify_qubit_estimate_brackets_the_peak(tmp_path, n):
+    model = MultipartiteModel(n)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["verify", "--qrt", "multipartite", "--n", str(n),
+                         "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak <= dense_bytes(model) <= 4 * peak
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert all(check["passed"] for check in checks)
+
+
+def test_verify_qubits_past_the_budget_exit_2_before_allocating(tmp_path,
+                                                                  capsys):
+    # n = 7: the Kronecker Gram alone is 2 GiB.
+    tracemalloc.start()
+    try:
+        code = main(["verify", "--qrt", "multipartite", "--n", "7",
+                     "--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    need = dense_bytes(MultipartiteModel(7))
+    assert f"needs about {need / 2**20:.0f} MiB" in capsys.readouterr().err
+    assert peak < 2 ** 20 and not any(tmp_path.iterdir())
+
+
+def test_star_runs_past_the_old_cap_and_refuses_past_the_table(tmp_path,
+                                                               capsys):
+    assert main(["star", "--spin-S", "40", "--out", str(tmp_path / "a")]) == 0
+    out = tmp_path / "b"
+    assert main(["star", "--spin-S", "201/2", "--out", str(out)]) == 2
+    assert "capped at 2S <= 200" in capsys.readouterr().err
+    assert not out.exists()

@@ -227,6 +227,7 @@ def test_robinson_remap_matches_pixel_loop(tmp_path, h, w):
     ["purities", "--qrt", "fermionic", "--n", "11"],
     ["verify", "--qrt", "fermionic", "--n", "7"],  # dense_bytes: 4.3 GB
     ["purities", "--qrt", "multipartite", "--n", "11"],
+    ["verify", "--qrt", "multipartite", "--n", "7"],  # dense_bytes: 3.7 GB
 ])
 def test_cli_oversized_qubit_models_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
@@ -362,7 +363,7 @@ def test_cli_phasespace_half_integer_m(tmp_path, capsys):
     ["phasespace", "--qrt", "spin", "--spin-S", "2", "--grid", "4000x8000"],
     # eps * kappa**s = 1.6e-3 of the field's maximum
     ["phasespace", "--qrt", "spin", "--spin-S", "30", "--s", "1"],
-    ["star", "--qrt", "spin", "--spin-S", "31"],
+    ["star", "--qrt", "spin", "--spin-S", "201/2"],  # past the CG table
     # the kappa rule: a correct star would read 8e-5 against its 1e-6 bound
     ["star", "--qrt", "spin", "--spin-S", "20", "--s", "0", "--s", "1"],
 ])
