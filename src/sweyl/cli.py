@@ -20,16 +20,7 @@ import numpy as np
 
 from . import __version__, gfd, phase_space as ps, render, verify
 from .clebsch import HalfInt
-from .models import TABLE_BYTES, MultipartiteModel
-
-
-# Work budget of one ``star`` run, in units of d**3 + 2 10**4 per output
-# point and --s value (the point's draw, synthesis and reference symbol).  At
-# the cap, spin S = 2 and 30 with one --s and S = 10 with two took 17, 17
-# and 19 s on a 2-vCPU host, the order of ``gfd.DUALITY_WORK``.  At the
-# widest spin, 2S = 200, the cap is 491 points with one --s: 3.0-3.8 s and
-# 128 MB peak RSS on that host with one BLAS thread.
-STAR_WORK = 4 * 10**9
+from .models import TABLE_BYTES, MultipartiteModel, admit
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -197,8 +188,9 @@ def cmd_phasespace(args) -> int:
     """Field tables and heatmaps; one synthesis serves every state and
     every ``--s`` (``fields`` of the stacked states with the stacked
     per-sector factors).  Refused (exit 2) before anything
-    N-sized is built: a grid over ``phase_space.STACK_BUDGET`` bytes, and
-    an ``--s > 0`` with ``eps kappa**s > 1e-8`` (``check_kappa``)."""
+    N-sized is built: a grid whose ``_phasespace_bytes`` pass
+    ``models.BYTES_BUDGET``, and an ``--s > 0`` with ``eps kappa**s >
+    1e-8`` (``check_kappa``)."""
     model = _model(args)
     if not model.nspheres:
         raise ValueError(f"{model.kind} phase space has no spherical projection")
@@ -207,8 +199,7 @@ def cmd_phasespace(args) -> int:
         if ntheta < 1 or nphi < 1:
             raise ValueError
     except ValueError:
-        print(f"error: bad grid spec {args.grid!r}", file=sys.stderr)
-        return 2
+        raise ValueError(f"bad grid spec {args.grid!r}") from None
     states = args.state or ["hw"]
     svals = args.s if args.s else [0.0]
     # Multi-qubit fields render the marginal on the first sphere.
@@ -218,13 +209,9 @@ def cmd_phasespace(args) -> int:
         [ps.sector_factors(target, ps.KernelSpec.cahill_glauber(s))
          for s in svals], axis=1)
     ps.check_kappa(target, svals)
-    need = _phasespace_bytes(ntheta, nphi, target.dim, len(svals),
-                             model.dim, len(states))
-    if need > ps.STACK_BUDGET:
-        raise ValueError(
-            f"phasespace on a {ntheta}x{nphi} grid at d={target.dim} needs "
-            f"about {need / 2**20:.0f} MiB, over the "
-            f"{ps.STACK_BUDGET >> 20} MiB budget; use a smaller --grid")
+    admit(f"phasespace on a {ntheta}x{nphi} grid at d={target.dim}",
+          _phasespace_bytes(ntheta, nphi, target.dim, len(svals), model.dim,
+                            len(states)))
     theta, phi = render.equirect_grid(ntheta, nphi)
     nodes = np.stack((np.repeat(theta, nphi), np.tile(phi, ntheta)),
                      axis=1)[:, None]  # (N, 1, 2): one sphere
@@ -297,7 +284,9 @@ def cmd_star(args) -> int:
     Refused (exit 2) before any field is built: a model other than the
     spin, a spin past the CG table (2S > 200, ``check_sector_size``), an
     ``--s > 0`` with ``eps kappa**s > 1e-8`` (``check_kappa``) and
-    ``--points`` past the ``STAR_WORK`` budget."""
+    ``--points`` whose work, d**3 + 2 10**4 units per point and ``--s``
+    (draw, synthesis, reference symbol), passes ``models.WORK_BUDGET``:
+    491 points with one ``--s`` at 2S = 200 (3.0-3.8 s, 128 MB RSS)."""
     model = _model(args)
     if args.qrt != "spin":
         raise ValueError("star command supports the spin model")
@@ -305,12 +294,8 @@ def cmd_star(args) -> int:
     svals = args.s if args.s else [0.0]
     ps.check_kappa(model, svals)
     d = model.dim
-    cap = STAR_WORK // (len(svals) * (d ** 3 + 2 * 10**4))
-    if args.points > cap:
-        raise ValueError(
-            f"star at d={d} with {len(svals)} --s value(s) is capped at "
-            f"{cap} points by its work budget ({STAR_WORK:.0e} units of "
-            f"d**3 + 2e4 per point and --s), got --points {args.points}")
+    admit(f"star of {args.points} points at d={d} with {len(svals)} --s "
+          "value(s)", work=args.points * len(svals) * (d ** 3 + 2 * 10**4))
     rng = np.random.default_rng(args.seed)
     A, B = verify._random_hermitian(d, rng), verify._random_hermitian(d, rng)
     grid = ps.sphere_quadrature(2 * model.band)  # doubled band limit
@@ -368,10 +353,10 @@ def main(argv=None) -> int:
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
-        # Flags, models, sector blocks and state selectors refuse
-        # configurations they cannot serve (non-finite --s, qubit counts
-        # past the label or dense-block caps, unknown states) with
-        # ValueError: a usage error, not a crash.
+        # Flags, models, sector blocks, state selectors and the budgets
+        # (``models.admit``) refuse what they cannot serve (non-finite --s,
+        # qubit counts past the label or dense-block caps, unknown states,
+        # sizes past a budget) with ValueError: a usage error, not a crash.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clebsch import HalfInt, clebsch_gordan
-from .models import QrtModel
+from .models import QrtModel, admit
 from .paulis import PauliSum
 
 
@@ -159,11 +159,6 @@ def norm_bounds(model: QrtModel, s: float, rho: np.ndarray | None = None):
 
 _DUALITY_CHUNK = 256  # Haar samples per generator
 _RHO_BYTES = 2**23  # one (k, d, d) stack of sampled density matrices
-# Work budget of one duality run, in units of d**2 log2(d) per sample: the
-# additions of the Pauli transform (4**n n for n qubits).  One unit takes
-# 13-18 ns for every model on a 2-vCPU host (spin S = 20 and 100 on the
-# banded route, qubits and fermions n = 6..10), so the budget is 15-20 s.
-DUALITY_WORK = 10**9
 
 
 def state_purities(model: QrtModel, psi: np.ndarray):
@@ -218,21 +213,17 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     sample's sector purity (``state_purities``).
     The filter scales mean, standard error and rhs alike, so z is taken
     once per sector (at s = 0) and is the same in every s row.  Rows are
-    ordered by s, then sector.  A run over ``DUALITY_WORK`` raises
-    ValueError before any sample is drawn.
+    ordered by s, then sector.  ``models.admit`` weighs the run before
+    any sample is drawn.
     """
     if nsamples < 2:
         raise ValueError("need at least two samples")
     labels, d = model.labels(), model.dim
-    # A count over the budget is refused in integers (d**2 log2 d >= 4),
-    # before its estimate could pass the float range.
-    work = nsamples * d * d * math.log2(d) if nsamples <= DUALITY_WORK else 0
-    if not 0 < work <= DUALITY_WORK:
-        need = f"about {work:.2g}" if work else f"over {DUALITY_WORK:.0e}"
-        raise ValueError(
-            f"duality of {nsamples} samples at d={d} needs {need} units of "
-            f"work (samples x d**2 x log2 d), over the {DUALITY_WORK:.0e} "
-            "budget; use fewer --samples")
+    # 4 d**2 log2(d) units per sample (the Pauli transform's additions),
+    # rounded up in integers from log2(d)'s exact ratio: exact at any count.
+    num, den = math.log2(d).as_integer_ratio()
+    admit(f"duality of {nsamples} samples at d={d}",
+          work=-(-4 * nsamples * d * d * num // den))
     # Moments of the samples shifted by each sector's first sample, so a
     # (near-)constant sector, such as the trivial one, has a variance at
     # the rounding level of its spread, not of its mean squared.

@@ -118,6 +118,25 @@ _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
 _DENSE_SPIN_CAP = 60  # 2S for dense spin blocks: d**4 complex, 221 MB at 60
 _TABLE_SPIN_CAP = 200  # 2S for the CG-diagonal table: 11 MB at 200
 TABLE_BYTES = 4 * 2**20  # live bytes of one chunk of a synthesis
+BYTES_BUDGET = 768 * 2**20  # bytes one command may hold at once
+# Work one command may spend, in units of about 4-5 ns: 15-20 s on a
+# 2-vCPU host with one BLAS thread, where ``star`` at the cap took 17-19 s
+# (S = 2, 10 and 30), a ``duality`` sample 3.3-4.5 ns per unit (S = 20 and
+# 100, n = 6..10) and a fermionic point unitary 4.3 ns (n = 8 and 9).
+WORK_BUDGET = 4 * 10**9
+
+
+def admit(what: str, nbytes: int = 0, work: int = 0) -> None:
+    """The one admission rule: ValueError naming the estimate and the
+    budget when a run's int estimate, ``nbytes`` held at once or ``work``
+    units, passes ``BYTES_BUDGET`` or ``WORK_BUDGET`` (exact for any int).
+    Callers admit before they allocate anything sized."""
+    for need, budget, unit in ((nbytes, BYTES_BUDGET, "bytes"),
+                               (work, WORK_BUDGET, "work units")):
+        if need > budget:
+            from decimal import Decimal  # formats ints past the float range
+            raise ValueError(f"{what} needs about {Decimal(need):.2g} {unit}, "
+                             f"over the budget of {Decimal(budget):.2g}")
 
 
 def _exp_antihermitian(G: np.ndarray) -> np.ndarray:

@@ -53,7 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gfd import PuritySpectrum, filter_factors
-from .models import FermionicModel, QrtModel
+from .models import FermionicModel, QrtModel, admit
 
 
 # -- kernel specification -----------------------------------------------------
@@ -185,10 +185,12 @@ def product_quadrature(nspheres: int, band=0.5) -> Quadrature:
     rule stays on the grid as its ``factor``, so the qubit transforms run
     one sphere at a time."""
     base = sphere_quadrature(band)
-    index = np.indices((len(base.weights),) * nspheres).reshape(nspheres, -1)
+    nodes = base.points[:, 0]  # sphere q's node index runs along axis q
+    points = np.stack(np.broadcast_arrays(*(
+        nodes.reshape((-1,) + (1,) * (nspheres - 1 - q) + (2,))
+        for q in range(nspheres))), axis=-2).reshape(-1, nspheres, 2)
     weights = functools.reduce(np.multiply.outer, [base.weights] * nspheres)
-    return Quadrature(base.points[index.T, 0], weights.ravel(), base.band,
-                      factor=base)
+    return Quadrature(points, weights.ravel(), base.band, factor=base)
 
 
 def mc_group_quadrature(model: FermionicModel, nnodes: int,
@@ -244,9 +246,6 @@ def _check_band(model: QrtModel, grid, factor: int = 1) -> None:
 
 # -- kernels and symbols ------------------------------------------------------
 
-STACK_BUDGET = 768 * 2**20  # bytes: three live (N, d, d) complex stacks
-
-
 def sw_kernel(model: QrtModel, point, spec: KernelSpec) -> np.ndarray:
     """Kernel at a phase point: the conjugated center kernel U c U^H."""
     U = model.point_unitary(point)
@@ -258,14 +257,10 @@ def kernel_stack(model: QrtModel, points, spec: KernelSpec) -> np.ndarray:
 
     The tests' reference for the coefficient route, with which it shares
     only ``sector_factors``.  Three complex (N, d, d) stacks are live at
-    once; a request over ``STACK_BUDGET`` bytes raises ValueError first.
+    once, which ``models.admit`` weighs first.
     """
-    need = 3 * len(points) * model.dim ** 2 * 16
-    if need > STACK_BUDGET:
-        raise ValueError(
-            f"kernel stack of {len(points)} nodes at d={model.dim} needs "
-            f"{need / 2**20:.0f} MiB, over the {STACK_BUDGET >> 20} MiB "
-            "budget; use fewer nodes")
+    admit(f"kernel stack of {len(points)} nodes at d={model.dim}",
+          3 * len(points) * model.dim ** 2 * 16)
     c = center_diagonal(model, spec)
     U = model.point_unitaries(points)
     UD = U * c

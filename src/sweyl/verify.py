@@ -16,7 +16,7 @@ import numpy as np
 from . import gfd, phase_space as ps
 from .clebsch import HalfInt, _cg_signed_square
 from .models import (TABLE_BYTES, FermionicModel, MultipartiteModel,
-                     QrtModel, SpinModel)
+                     QrtModel, SpinModel, admit)
 from .paulis import majorana, words_dense
 
 
@@ -79,17 +79,19 @@ def duality_identity_deviation(model: QrtModel, spectrum=None) -> float:
 
 
 def dense_bytes(model: QrtModel) -> int:
-    """The admission rule of the harmonic and quadrature checks, from d,
-    the sphere count n and the node count N of the default grid alone
-    (nothing O(d) or O(N) is built).
+    """Bytes the checks of ``run_checks`` hold at their peak, from d, the
+    sphere count n and the node count N of the default grid alone
+    (nothing O(d) or O(N) is built), for ``models.admit``.  Each model
+    adds 512 KiB for a first call's costs (the CLI parser, argparse's
+    ``locale`` import, the CG cache: about 330 kB).
 
-    On one sphere (a spin; one qubit) and for gridless fermions the peak
-    holds the d**2 harmonics' Gram matrix, 8 d**4 B (its deviation is taken
-    in place), and the real (d**2, N) point table it comes from, 8 d**2 B
-    per node (weighted in place and freed after the Gram product).  The
-    rule allows twice the one and five times the other, 16 d**4 + 40 d**2
-    N B: at 2S = 52 that is 757 MB, where ``verify`` peaks at 235 MB
-    ``ru_maxrss``; it admits a spin up to 2S = 52 and fermions up to n = 6.
+    On one sphere (a spin; one qubit) the peak holds the d**2 harmonics'
+    Gram matrix, 8 d**4 B (its deviation is taken in place), and the real
+    (d**2, N) point table it comes from, 8 d**2 B per node (weighted in
+    place and freed after the Gram product).  The rule allows twice the
+    one and five times the other, 16 d**4 + 40 d**2 N B: at 2S = 52 that
+    is 757 MB, where ``verify`` peaks at 190 MB ``tracemalloc`` and 235 MB
+    ``ru_maxrss``; it admits a spin up to 2S = 52.
 
     On a product grid (n >= 2 qubits) the transforms run one qubit at a
     time and form no point table (``models``): the Kronecker Gram matrix,
@@ -98,30 +100,37 @@ def dense_bytes(model: QrtModel) -> int:
     weight, 16 n + 8 B, and 40 complex columns, 640 B: the 15 fields, the
     6 reconstructed columns and their contractions' intermediates.  The
     one-sphere tables (under 1 kB) are left out.  ``tracemalloc`` peaks at
-    0.5 to 0.6 of this at n = 4, 5 and 6 (2.7, 20 and 165 MB); under
-    ``phase_space.STACK_BUDGET`` it admits qubits up to n = 6.
+    0.5 to 0.6 of this at n = 4, 5 and 6 (2.7, 20 and 165 MB); it admits
+    qubits up to n = 6.
+
+    Fermions have no grid: the checks hold the 2n dense Majorana matrices
+    of ``point_unitary`` and 16 more d x d complex arrays (operators,
+    coefficients, work arrays), 16 d**2 (2n + 16) B; ``tracemalloc`` peaks
+    at 0.7 to 0.9 of it at n = 6, 7 and 8 (1.7, 6.9 and 29 MB).
     """
-    d, nodes = model.dim, ps.default_grid_size(model)
+    d, nodes, first = model.dim, ps.default_grid_size(model), 2 ** 19
+    if model.band is None:
+        return first + 16 * d * d * (2 * model.n + 16)
     if model.nspheres > 1:
         gram = 8 * d ** 4
-        return (gram + 2 * min(gram, TABLE_BYTES)
+        return (first + gram + 2 * min(gram, TABLE_BYTES)
                 + nodes * (16 * model.nspheres + 8 + 40 * 16))
-    return 16 * d ** 4 + 40 * d * d * nodes
+    return first + 16 * d ** 4 + 40 * d * d * nodes
 
 
 def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                quad_tol: float = 1e-8) -> list[CheckResult]:
     """Run the invariant suite for one model; returns per-check results.
 
-    A model whose checks need over ``phase_space.STACK_BUDGET`` bytes
-    (``dense_bytes``) raises ValueError before anything is built.
+    ``models.admit`` weighs the checks first (``dense_bytes`` and the
+    work of the point unitaries) and refuses before anything is built.
     """
     model = make_model(qrt, spin_S, n)
-    need = dense_bytes(model)
-    if need > ps.STACK_BUDGET:
-        raise ValueError(
-            f"verify of {model!r} needs about {need / 2**20:.0f} MiB, over "
-            f"the {ps.STACK_BUDGET >> 20} MiB budget")
+    # Nine point unitaries; a fermionic one sums n (2n - 1) products of
+    # dense d x d Majorana matrices, n**2 d**3 / 16 units (0.04, 0.29 and
+    # 2.9 s at n = 7, 8 and 9); a spin's or a qubit's is left out.
+    work = 9 * model.n ** 2 * model.dim ** 3 // 16 if model.band is None else 0
+    admit(f"verify of {model!r}", dense_bytes(model), work)
     rng = np.random.default_rng(seed)
     results = []
 

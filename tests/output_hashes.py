@@ -47,6 +47,8 @@ EXTRA = {
     **{f"verify.S{S.replace('/', '_')}": ["verify", "--spin-S", S]
        for S in ("1/2", "3", "10", "20", "26")},
     "verify.fm6": ["verify", "--qrt", "fermionic", "--n", "6"],
+    "verify.fm7": ["verify", "--qrt", "fermionic", "--n", "7"],
+    "verify.fm8": ["verify", "--qrt", "fermionic", "--n", "8"],
     "verify.mp4": ["verify", "--qrt", "multipartite", "--n", "4"],
     "verify.mp5": ["verify", "--qrt", "multipartite", "--n", "5"],
     "verify.mp6": ["verify", "--qrt", "multipartite", "--n", "6"],
@@ -54,6 +56,15 @@ EXTRA = {
     "star.S40": ["star", "--spin-S", "40"],
     "star.S5_2": ["star", "--spin-S", "5/2", "--s", "0.5", "--s", "-1",
                   "--points", "7"],
+    # Refusals, one per budget site of the CLI.
+    "refuse.phasespace": ["phasespace", "--grid", "4000x8000"],
+    "refuse.verify.S53_2": ["verify", "--spin-S", "53/2"],
+    "refuse.verify.mp7": ["verify", "--qrt", "multipartite", "--n", "7"],
+    "refuse.verify.fm9": ["verify", "--qrt", "fermionic", "--n", "9"],
+    "refuse.star": ["star", "--spin-S", "2", "--points", "198758"],
+    "refuse.duality.fm10": ["duality", "--qrt", "fermionic", "--n", "10",
+                            "--samples", "3000"],
+    "refuse.duality.samples": ["duality", "--samples", "1" + "0" * 400],
 }
 
 

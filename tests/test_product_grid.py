@@ -21,7 +21,7 @@ from sweyl import models
 from sweyl import phase_space as ps
 from sweyl.cli import main
 from sweyl.models import MultipartiteModel
-from sweyl.verify import dense_bytes
+from sweyl.verify import dense_bytes, make_model
 
 
 def assert_column_close(got, want, tol=1e-13):
@@ -103,37 +103,62 @@ def test_product_synthesis_at_n6_forms_no_word_table(monkeypatch):
     assert peak <= 3 * out.nbytes
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
-def test_verify_qubit_estimate_brackets_the_peak(tmp_path, n):
-    model = MultipartiteModel(n)
+@pytest.mark.parametrize("band", [0.5, 1.0])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_product_points_equal_the_index_route(n, band):
+    # The points broadcast from the one-sphere nodes are bit for bit those
+    # gathered through the (n, N) index of every node.
+    grid = ps.product_quadrature(n, band)
+    nodes = grid.factor.points
+    index = np.indices((len(nodes),) * n).reshape(n, -1)
+    want = nodes[index.T, 0]
+    assert grid.points.shape == want.shape and grid.points.dtype == want.dtype
+    assert grid.points.tobytes() == want.tobytes()
+
+
+def verify_peak(tmp_path, qrt, size):
+    """``tracemalloc`` peak of ``verify`` through the CLI, which must pass
+    every check, and ``dense_bytes`` of its model."""
+    flag, n = ("--spin-S", 2) if qrt == "spin" else ("--n", size)
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
-            code = main(["verify", "--qrt", "multipartite", "--n", str(n),
+            code = main(["verify", "--qrt", qrt, flag, str(size),
                          "--out", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= dense_bytes(model) <= 4 * peak
     checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
     assert all(check["passed"] for check in checks)
+    return peak, dense_bytes(make_model(qrt, str(size), n))
 
 
-def test_verify_qubits_past_the_budget_exit_2_before_allocating(tmp_path,
-                                                                  capsys):
-    # n = 7: the Kronecker Gram alone is 2 GiB.
-    tracemalloc.start()
-    try:
-        code = main(["verify", "--qrt", "multipartite", "--n", "7",
-                     "--out", str(tmp_path)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert code == 2
-    need = dense_bytes(MultipartiteModel(7))
-    assert f"needs about {need / 2**20:.0f} MiB" in capsys.readouterr().err
-    assert peak < 2 ** 20 and not any(tmp_path.iterdir())
+# Three sizes of each model kind; the qubit cases keep their ids.  A spin's
+# estimate, 16 d**4 + 40 d**2 N = 96 d**4 on the default grid, tends to 4
+# times its 24 d**4 peak from below (3.98 at S = 11): the budget's spin
+# boundary, 2S = 52 admitted and 53 refused, leaves it no room to shrink.
+@pytest.mark.parametrize("qrt,size", [
+    ("multipartite", 4), ("multipartite", 5), ("multipartite", 6),
+    ("spin", 3), ("spin", 5), ("spin", 11),
+    ("fermionic", 6), ("fermionic", 7), ("fermionic", 8),
+], ids=["4", "5", "6", "spin-3", "spin-5", "spin-11", "fermionic-6",
+        "fermionic-7", "fermionic-8"])
+def test_verify_qubit_estimate_brackets_the_peak(tmp_path, qrt, size):
+    peak, estimate = verify_peak(tmp_path, qrt, size)
+    assert peak <= estimate <= 4 * peak
+
+
+@pytest.mark.parametrize("qrt,size", [
+    ("spin", "1/2"), ("spin", 2), ("multipartite", 1), ("multipartite", 2),
+    ("multipartite", 3), ("fermionic", 1), ("fermionic", 2),
+    ("fermionic", 4),
+])
+def test_verify_estimate_covers_the_peak_at_small_sizes(tmp_path, qrt, size):
+    # The first-call costs (parser, locale import, CG cache), not the
+    # sized arrays, set the peak here.
+    peak, estimate = verify_peak(tmp_path, qrt, size)
+    assert peak <= estimate
 
 
 def test_star_runs_past_the_old_cap_and_refuses_past_the_table(tmp_path,

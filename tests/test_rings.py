@@ -211,7 +211,7 @@ def test_verify_spin_30_refused_before_building(tmp_path, capsys):
     assert time.perf_counter() - start < 5.0
     assert peak < 8 * 2 ** 20
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "MiB" in err
+    assert err.startswith("error: ") and "bytes, over the budget" in err
 
 
 def test_verify_huge_spin_refused_before_any_sector_list(tmp_path, capsys):
@@ -234,8 +234,8 @@ def test_verify_huge_spin_refused_before_any_sector_list(tmp_path, capsys):
 def test_verify_estimate_admits_sizes_that_fit(spin):
     # 2S = 52 is the largest spin under the budget.
     model = verify.make_model("spin", spin)
-    assert verify.dense_bytes(model) <= ps.STACK_BUDGET
-    assert verify.dense_bytes(SpinModel(HalfInt(53))) > ps.STACK_BUDGET
+    assert verify.dense_bytes(model) <= models.BYTES_BUDGET
+    assert verify.dense_bytes(SpinModel(HalfInt(53))) > models.BYTES_BUDGET
 
 
 def test_verify_spin_20_is_not_refused(tmp_path):
