@@ -77,6 +77,8 @@ Banded and dense paths
   fermions use the fast Pauli transform (``paulis.pauli_transform``): all
   4**n traces Tr(P A) in n passes of 4**n additions, summed into sectors
   through ``word_sectors`` (built once per model); it serves n <= 10.
+  A fermionic point unitary's generator is one ``operators`` call on its
+  degree-2 word coefficients, O(n d**2), and no Majorana matrix.
 * The center kernel of ``sw_kernel`` and ``kernel_stack`` reads one (L, d)
   table per model, ``hw_sector_diagonals`` (the diagonals of
   Pi_lam(|hw><hw|)), and no block.
@@ -110,8 +112,7 @@ import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
 from .clebsch import HalfInt
-from .paulis import (majorana, pauli_operators, pauli_transform, word_masks,
-                     words_dense)
+from .paulis import pauli_operators, pauli_transform, word_masks, words_dense
 
 _DENSE_QUBIT_CAP = 4  # dense irrep blocks and unitaries for qubit models
 _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
@@ -121,8 +122,8 @@ TABLE_BYTES = 4 * 2**20  # live bytes of one chunk of a synthesis
 BYTES_BUDGET = 768 * 2**20  # bytes one command may hold at once
 # Work one command may spend, in units of about 4-5 ns: 15-20 s on a
 # 2-vCPU host with one BLAS thread, where ``star`` at the cap took 17-19 s
-# (S = 2, 10 and 30), a ``duality`` sample 3.3-4.5 ns per unit (S = 20 and
-# 100, n = 6..10) and a fermionic point unitary 4.3 ns (n = 8 and 9).
+# (S = 2, 10 and 30) and a ``duality`` sample 3.3-4.5 ns per unit (S = 20
+# and 100, n = 6..10).
 WORK_BUDGET = 4 * 10**9
 
 
@@ -149,6 +150,20 @@ def _log_rotation(R: np.ndarray) -> np.ndarray:
     """Real principal logarithm of a rotation R in SO(m): V log(w) V^-1."""
     w, V = np.linalg.eig(R)
     return np.real((V * np.log(w.astype(complex))) @ np.linalg.inv(V))
+
+
+def _word_digits(x: np.ndarray, z: np.ndarray, n: int):
+    """(R, n) base-4 digits ``x_q + 2 z_q`` of words X^x Z^z, qubit 0
+    leading, and each word's index in ``paulis.word_masks`` order."""
+    q = np.arange(n)
+    digits = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
+    return digits, digits @ 4 ** q[::-1]
+
+
+def _row_kron(factors) -> np.ndarray:
+    """Row-wise Kronecker products of (N, m) arrays, from the left."""
+    return functools.reduce(
+        lambda E, e: (E[:, :, None] * e[:, None]).reshape(len(E), -1), factors)
 
 
 def _kron_rows(table: np.ndarray, digits: np.ndarray) -> np.ndarray:
@@ -324,18 +339,16 @@ class QrtModel:
     def _harmonic_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(digits, index, scale) of the rows of ``harmonics``, the basis
         words ``i**p X^x Z^z / sqrt(d)`` of ``sector_words`` of the tau > 0
-        sectors in ``labels()`` order: an (R, n) array whose column q is
-        qubit q's base-4 digit ``x_q + 2 z_q`` (qubit 0 leads), the word's
-        index in the expectation table, and ``(-i)**p sqrt(d / tau_lam)``."""
+        sectors in ``labels()`` order: ``_word_digits`` and ``(-i)**p
+        sqrt(d / tau_lam)``."""
         labels, taus = self.labels(), self.taus
         kept = [labels[i] for i in np.flatnonzero(taus)]
         x, z, p = map(np.concatenate, zip(*map(self.sector_words, kept)))
-        q = np.arange(self.dim.bit_length() - 1)
-        digits = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
+        digits, index = _word_digits(x, z, self.dim.bit_length() - 1)
         scale = np.array([1, -1j, -1, 1j])[p % 4] * np.repeat(
             np.sqrt(self.dim / taus[taus > 0]),
             [self.irrep_dim(lam) for lam in kept])
-        return digits, digits @ 4 ** q[::-1], scale
+        return digits, index, scale
 
     def harmonics(self, points, factor=None) -> np.ndarray:
         """(sum d_lam, N) harmonics ``Re(i**p <Omega|X^x Z^z|Omega>) /
@@ -1017,9 +1030,8 @@ class MultipartiteModel(QrtModel):
     def coherent_states(self, points) -> np.ndarray:
         """(N, 2**n) products of each qubit's batched coherent states."""
         pts = self._sphere_points(points)
-        return functools.reduce(
-            lambda E, e: (E[:, :, None] * e[:, None]).reshape(len(pts), -1),
-            [self._qubit.coherent_states(pts[:, k]) for k in range(self.n)])
+        return _row_kron([self._qubit.coherent_states(pts[:, k])
+                          for k in range(self.n)])
 
     @staticmethod
     def _bloch(pts: np.ndarray) -> np.ndarray:
@@ -1067,12 +1079,8 @@ class MultipartiteModel(QrtModel):
     def _expectations(self, points) -> np.ndarray:
         """(N, 4**n) products of each qubit's Bloch components (``_bloch``);
         qubit 0 is the leading digit of the word."""
-        pts = self._sphere_points(points)
-        e = self._bloch(pts)
-        E = e[:, 0]
-        for k in range(1, self.n):
-            E = (E[:, :, None] * e[:, k, None, :]).reshape(len(pts), -1)
-        return E
+        e = self._bloch(self._sphere_points(points))
+        return _row_kron(np.moveaxis(e, 1, 0))
 
     def group_unitary(self, g) -> np.ndarray:
         return functools.reduce(np.kron, map(self._qubit.group_unitary, g))
@@ -1138,10 +1146,8 @@ class FermionicModel(QrtModel):
             raise ValueError(f"need 1 <= n <= {_LABEL_CAP}")
         self.n = n
         self.dim = 2 ** n
-        self._majorana_dense = None
-        odd = np.array([bin(k).count("1") % 2 for k in range(self.dim)])
-        self._parity_sectors = (np.flatnonzero(odd == 0),
-                                np.flatnonzero(odd == 1))
+        odd = np.bitwise_count(np.arange(self.dim)) % 2
+        self._parity_sectors = [np.flatnonzero(odd == k) for k in (0, 1)]
 
     def __repr__(self):
         return f"FermionicModel(n={self.n})"
@@ -1208,24 +1214,23 @@ class FermionicModel(QrtModel):
             raise ValueError(f"sector {lam} outside 0..2n")
         return self._word_block(lam)
 
-    def majorana_dense(self):
-        if self._majorana_dense is None:
-            cs = [majorana(mu, self.n) for mu in range(1, 2 * self.n + 1)]
-            self._majorana_dense = list(words_dense(
-                self.n, [c.x for c in cs], [c.z for c in cs],
-                [c.phase for c in cs]))
-        return self._majorana_dense
+    @functools.cached_property
+    def _pair_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, -2i i**p) of the words ``i**p X^x Z^z = i c_mu c_nu`` of
+        ``sector_words(2)``, listed in ``np.triu_indices(2n, 1)`` order."""
+        x, z, p = self.sector_words(2)
+        return (_word_digits(x, z, self.n)[1],
+                -2j * np.array([1, 1j, -1, -1j])[p % 4])
 
     def point_unitary(self, point) -> np.ndarray:
+        """``exp(sum_(mu < nu) 2 h_mu nu c_mu c_nu)``, by parity blocks."""
         h = np.asarray(point, dtype=float)
         if h.shape != (2 * self.n, 2 * self.n):
             raise ValueError("generator has wrong shape")
-        cs = self.majorana_dense()
-        gen = np.zeros((self.dim, self.dim), dtype=complex)
-        for mu in range(2 * self.n):
-            for nu in range(mu + 1, 2 * self.n):
-                if h[mu, nu] != 0:
-                    gen += 2 * h[mu, nu] * (cs[mu] @ cs[nu])
+        index, factor = self._pair_words
+        b = np.zeros(self.dim ** 2, dtype=complex)
+        b[index] = factor * h[np.triu_indices(2 * self.n, 1)]
+        gen = self.operators(b)
         # gen commutes with the parity (-1)**popcount(k): exponentiating
         # each parity block alone keeps the cross-parity entries exactly 0.
         U = np.zeros_like(gen)

@@ -115,16 +115,14 @@ class Quadrature:
     phi) per sphere, one row per node, and integrates exactly products of
     two functions band-limited at ``2 * band`` on each sphere (polynomial
     degree ``4 * band`` in cos(theta), azimuthal order ``4 * band``);
-    a one-sphere grid keeps its (ntheta, nphi) ``shape``, and a product
-    grid its one-sphere rule ``factor``, whose n-fold product it is.  A
-    Monte-Carlo grid holds a list of ``FermionicPoint``s with equal
-    weights and no band: its identities hold in expectation only.
+    a product grid keeps its one-sphere rule ``factor``, whose n-fold
+    product it is.  A Monte-Carlo grid holds a list of ``FermionicPoint``s
+    with equal weights and no band: its identities hold in expectation only.
     """
 
     points: object
     weights: np.ndarray
     band: float | None = None
-    shape: tuple[int, int] | None = None
     factor: Quadrature | None = None
 
 
@@ -158,24 +156,23 @@ def gauss_legendre(n: int):
     return x, (w + w[::-1]) / 2
 
 
-def _sphere_shape(band: float, oversample: float = 1.0) -> tuple[int, int]:
+def _sphere_shape(band: float) -> tuple[int, int]:
     """(ntheta, nphi) of the Gauss-Legendre x uniform-phi rule at a band."""
-    return (max(1, math.ceil(oversample * (2 * band + 1))),
-            max(1, math.ceil(oversample * (4 * band + 2))))
+    return math.ceil(2 * band + 1), math.ceil(4 * band + 2)
 
 
-def sphere_quadrature(band, oversample: float = 1.0) -> Quadrature:
+def sphere_quadrature(band) -> Quadrature:
     """Tensor Gauss-Legendre x uniform-phi grid on one sphere, resolving
     harmonic content up to ``2 * band``: (N, 1, 2) points."""
     band = float(band)
     if band < 0:
         raise ValueError("band must be non-negative")
-    shape = ntheta, nphi = _sphere_shape(band, oversample)
+    ntheta, nphi = _sphere_shape(band)
     x, wx = gauss_legendre(ntheta)
     phi = 2 * math.pi * np.arange(nphi) / nphi
     points = np.stack(np.meshgrid(np.arccos(x), phi, indexing="ij"), axis=-1)
     w = np.repeat(wx / (2 * nphi), nphi)
-    return Quadrature(points.reshape(-1, 1, 2), w, band, shape)
+    return Quadrature(points.reshape(-1, 1, 2), w, band)
 
 
 def product_quadrature(nspheres: int, band=0.5) -> Quadrature:

@@ -103,14 +103,15 @@ def dense_bytes(model: QrtModel) -> int:
     0.5 to 0.6 of this at n = 4, 5 and 6 (2.7, 20 and 165 MB); it admits
     qubits up to n = 6.
 
-    Fermions have no grid: the checks hold the 2n dense Majorana matrices
-    of ``point_unitary`` and 16 more d x d complex arrays (operators,
-    coefficients, work arrays), 16 d**2 (2n + 16) B; ``tracemalloc`` peaks
-    at 0.7 to 0.9 of it at n = 6, 7 and 8 (1.7, 6.9 and 29 MB).
+    Fermions have no grid: the checks hold 16 d x d complex arrays
+    (operators, coefficients, the word coefficients and generator of
+    ``point_unitary`` and its exponential, work arrays), 16 d**2 16 B;
+    ``tracemalloc`` peaks at 0.57 to 0.76 of it at n = 6 ... 10 (0.9,
+    3.3, 13, 52 and 206 MB), and the label cap n <= 10 refuses first.
     """
     d, nodes, first = model.dim, ps.default_grid_size(model), 2 ** 19
     if model.band is None:
-        return first + 16 * d * d * (2 * model.n + 16)
+        return first + 16 * d * d * 16
     if model.nspheres > 1:
         gram = 8 * d ** 4
         return (first + gram + 2 * min(gram, TABLE_BYTES)
@@ -122,15 +123,11 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                quad_tol: float = 1e-8) -> list[CheckResult]:
     """Run the invariant suite for one model; returns per-check results.
 
-    ``models.admit`` weighs the checks first (``dense_bytes`` and the
-    work of the point unitaries) and refuses before anything is built.
+    ``models.admit`` weighs the checks first (``dense_bytes``) and
+    refuses before anything is built.
     """
     model = make_model(qrt, spin_S, n)
-    # Nine point unitaries; a fermionic one sums n (2n - 1) products of
-    # dense d x d Majorana matrices, n**2 d**3 / 16 units (0.04, 0.29 and
-    # 2.9 s at n = 7, 8 and 9); a spin's or a qubit's is left out.
-    work = 9 * model.n ** 2 * model.dim ** 3 // 16 if model.band is None else 0
-    admit(f"verify of {model!r}", dense_bytes(model), work)
+    admit(f"verify of {model!r}", dense_bytes(model))
     rng = np.random.default_rng(seed)
     results = []
 

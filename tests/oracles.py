@@ -4,7 +4,9 @@ the fast paths they check.
 None of these is called by the package.  They are the per-word sector of
 a Pauli word (``sector_of``, beside the models' bit-arithmetic
 ``word_sectors``), the word-by-word purities and Majorana algebra behind
-it, the row-layout Pauli transforms (``pauli_transform_rows``,
+it, the dense Majorana matrices and the fermionic point unitaries built
+from their pairwise products (``fermionic_generators``), the
+row-layout Pauli transforms (``pauli_transform_rows``,
 ``pauli_operators_rows``), the exact signed CG square as a Fraction, the
 spin taus from Racah sums (``spin_taus_racah``), the CG-diagonal table
 recursion with per-step factors (``cg_diagonals_stepwise``), the
@@ -30,8 +32,9 @@ import numpy as np
 
 from sweyl import cli, gfd, render
 from sweyl.clebsch import _cg_signed_square, _checked_labels, cg_hw_zero
-from sweyl.models import FermionicModel, MultipartiteModel
-from sweyl.paulis import _FORWARD, _INVERSE, PauliString, majorana
+from sweyl.models import FermionicModel, MultipartiteModel, _exp_antihermitian
+from sweyl.paulis import (_FORWARD, _INVERSE, PauliString, majorana,
+                          words_dense)
 from sweyl.phase_space import (KernelSpec, gauss_legendre, harmonic_matrix,
                                sw_kernel)
 
@@ -111,6 +114,40 @@ def product_sector_words(model, lam) -> list[tuple[int, int, int]]:
             w = majorana_product(combo, model.n)
             words.append(PauliString(w.n, w.x, w.z, w.phase + extra))
     return [(w.x, w.z, w.phase) for w in words]
+
+
+def majorana_dense(n: int) -> list[np.ndarray]:
+    """The 2n dense Majorana matrices c_1 ... c_2n on n modes."""
+    cs = [majorana(mu, n) for mu in range(1, 2 * n + 1)]
+    return list(words_dense(n, [c.x for c in cs], [c.z for c in cs],
+                            [c.phase for c in cs]))
+
+
+def fermionic_generators(model, hs) -> np.ndarray:
+    """(K, d, d) generators ``sum_(mu < nu) 2 h_mu nu c_mu c_nu`` of K
+    real antisymmetric h, each summed pair by pair over dense Majorana
+    products (a pair with h_mu nu = 0 skipped); each product is formed
+    once for all K."""
+    cs = majorana_dense(model.n)
+    hs = np.asarray(hs, dtype=float).reshape((-1,) + (2 * model.n,) * 2)
+    gens = np.zeros((len(hs), model.dim, model.dim), dtype=complex)
+    for mu in range(2 * model.n):
+        for nu in range(mu + 1, 2 * model.n):
+            P = cs[mu] @ cs[nu]
+            for k in np.flatnonzero(hs[:, mu, nu]):
+                gens[k] += 2 * hs[k, mu, nu] * P
+    return gens
+
+
+def fermionic_point_unitary(model, gen) -> np.ndarray:
+    """``FermionicModel.point_unitary`` of one of ``fermionic_generators``:
+    the exponential taken on each fermion-parity block alone."""
+    odd = np.array([bin(k).count("1") % 2 for k in range(model.dim)])
+    U = np.zeros_like(gen)
+    for idx in (np.flatnonzero(odd == 0), np.flatnonzero(odd == 1)):
+        block = np.ix_(idx, idx)
+        U[block] = _exp_antihermitian(gen[block])
+    return U
 
 
 def _row_axes(n: int) -> list[int]:

@@ -49,6 +49,8 @@ EXTRA = {
     "verify.fm6": ["verify", "--qrt", "fermionic", "--n", "6"],
     "verify.fm7": ["verify", "--qrt", "fermionic", "--n", "7"],
     "verify.fm8": ["verify", "--qrt", "fermionic", "--n", "8"],
+    "verify.fm9": ["verify", "--qrt", "fermionic", "--n", "9"],
+    "verify.fm10": ["verify", "--qrt", "fermionic", "--n", "10"],
     "verify.mp4": ["verify", "--qrt", "multipartite", "--n", "4"],
     "verify.mp5": ["verify", "--qrt", "multipartite", "--n", "5"],
     "verify.mp6": ["verify", "--qrt", "multipartite", "--n", "6"],
@@ -60,7 +62,6 @@ EXTRA = {
     "refuse.phasespace": ["phasespace", "--grid", "4000x8000"],
     "refuse.verify.S53_2": ["verify", "--spin-S", "53/2"],
     "refuse.verify.mp7": ["verify", "--qrt", "multipartite", "--n", "7"],
-    "refuse.verify.fm9": ["verify", "--qrt", "fermionic", "--n", "9"],
     "refuse.star": ["star", "--spin-S", "2", "--points", "198758"],
     "refuse.duality.fm10": ["duality", "--qrt", "fermionic", "--n", "10",
                             "--samples", "3000"],

@@ -41,9 +41,6 @@ CASES = {
                          dense_bytes(SpinModel(HalfInt(53)))),
     "verify-multipartite-7": (["verify", "--qrt", "multipartite", "--n", "7"],
                               "bytes", dense_bytes(MultipartiteModel(7))),
-    # Nine fermionic point unitaries of n**2 d**3 / 16 units each.
-    "verify-fermionic-9": (["verify", "--qrt", "fermionic", "--n", "9"],
-                           "work units", 9 * 9 ** 2 * 2 ** 27 // 16),
     "star-points": (["star", "--spin-S", "2", "--points", "198758"],
                     "work units", 198758 * (5 ** 3 + 2 * 10 ** 4)),
     "duality-fermionic-10": (["duality", "--qrt", "fermionic", "--n", "10",

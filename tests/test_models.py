@@ -13,8 +13,8 @@ from sweyl.models import (FermionicModel, FermionicPoint, MultipartiteModel,
                           SpinModel)
 from sweyl.paulis import PauliString, PauliSum
 
-from oracles import (adjoint_matrix, product_sector_words, sector_of,
-                     sector_strings)
+from oracles import (adjoint_matrix, majorana_dense, product_sector_words,
+                     sector_of, sector_strings)
 
 H = HalfInt.of
 
@@ -231,7 +231,7 @@ def test_fermionic_unitary_rotates_majoranas():
     U = model.point_unitary(point)
     from scipy.linalg import expm
     R = expm(-4 * point.h)
-    cs = model.majorana_dense()
+    cs = majorana_dense(model.n)
     for mu in range(4):
         lhs = U @ cs[mu] @ U.conj().T
         rhs = sum(R[mu, nu] * cs[nu] for nu in range(4))

@@ -18,6 +18,8 @@ from sweyl import cli
 from sweyl import phase_space as ps
 from sweyl.models import FermionicModel, FermionicPoint
 
+from oracles import fermionic_generators, fermionic_point_unitary
+
 scipy_linalg = pytest.importorskip("scipy.linalg")
 scipy_special = pytest.importorskip("scipy.special")
 
@@ -63,15 +65,6 @@ def test_gauss_legendre_weights_match_mpmath():
     assert x[n // 2] == 0.0
 
 
-def _generator(model, h):
-    cs = model.majorana_dense()
-    gen = np.zeros((model.dim, model.dim), dtype=complex)
-    for mu in range(2 * model.n):
-        for nu in range(mu + 1, 2 * model.n):
-            gen += 2 * h[mu, nu] * (cs[mu] @ cs[nu])
-    return gen
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_fermionic_point_unitary_matches_expm(n):
     model = FermionicModel(n)
@@ -81,10 +74,30 @@ def test_fermionic_point_unitary_matches_expm(n):
     for _ in range(5):
         pt = model.random_point(rng)
         U = model.point_unitary(pt)
-        ref = scipy_linalg.expm(_generator(model, pt.h))
+        ref = scipy_linalg.expm(fermionic_generators(model, pt.h)[0])
         assert np.max(np.abs(U - ref)) <= 1e-12
         assert np.max(np.abs(U.conj().T @ U - np.eye(model.dim))) <= 1e-12
         assert np.all(U[cross] == 0.0)
+
+
+@pytest.mark.parametrize("n, count", [(1, 200), (2, 200), (3, 200),
+                                      (4, 200), (5, 200), (6, 200),
+                                      (7, 20), (8, 20)])
+def test_fermionic_point_unitary_is_bit_equal_to_dense_products(n, count):
+    # The generator from one ``operators`` call on the degree-2 word
+    # coefficients has the bits of the sum of 2 h_mu nu c_mu c_nu over
+    # dense Majorana products, so the unitary has them too; entries span
+    # 1e-3 to 1e3, and some generators have zero entries.
+    model = FermionicModel(n)
+    rng = np.random.default_rng(300 + n)
+    g = rng.normal(size=(count, 2 * n, 2 * n))
+    g *= 10.0 ** rng.uniform(-3, 3, size=g.shape)
+    g[: count // 4] *= rng.integers(0, 2, size=g[: count // 4].shape)
+    g[0] = 0.0
+    hs = (g - np.swapaxes(g, 1, 2)) / 2
+    for h, gen in zip(hs, fermionic_generators(model, hs)):
+        want = fermionic_point_unitary(model, gen)
+        assert model.point_unitary(h).tobytes() == want.tobytes()
 
 
 def _rotation(h):

@@ -11,8 +11,8 @@ from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 from sweyl.paulis import PauliString
 
-from oracles import (harmonic_via_adjoint, star_kernel, star_kernel_factored,
-                     symbol_factor, tuple_product_grid)
+from oracles import (harmonic_via_adjoint, majorana_dense, star_kernel,
+                     star_kernel_factored, symbol_factor, tuple_product_grid)
 
 H = HalfInt.of
 
@@ -28,7 +28,7 @@ def test_sphere_quadrature_normalized():
     grid = ps.sphere_quadrature(2)
     assert np.sum(grid.weights) == pytest.approx(1.0)
     assert grid.band == 2
-    assert len(grid.points) == grid.shape[0] * grid.shape[1]
+    assert grid.points.shape == (5 * 10, 1, 2)  # ntheta x nphi nodes
 
 
 def test_sphere_quadrature_integrates_overlap():
@@ -429,7 +429,7 @@ def test_standardization():
 def test_wigner_takes_negative_values():
     model = SpinModel(2)
     rho = np.outer(model.ghz_state(), model.ghz_state().conj())
-    grid = ps.sphere_quadrature(2, oversample=2.0)
+    grid = ps.sphere_quadrature(4)  # finer than the default band 2 grid
     field = ps.symbol_field(model, rho, grid, ps.KernelSpec.cahill_glauber(0.0))
     assert field.values.real.min() < 0
     husimi = ps.symbol_field(model, rho, grid, ps.KernelSpec.cahill_glauber(-1.0))
@@ -462,7 +462,7 @@ def test_reconstruction_rejects_coarse_grid():
 def test_fermionic_odd_component_is_invisible():
     # Odd-sector operators have identically zero symbols: unrecoverable.
     model = FermionicModel(2)
-    c1 = model.majorana_dense()[0]
+    c1 = majorana_dense(model.n)[0]
     assert gfd.purity_spectrum(c1, model)[1] > 0  # operator is in sector 1
     rng = np.random.default_rng(13)
     spec = ps.KernelSpec.cahill_glauber(0.0)

@@ -141,9 +141,9 @@ def verify_peak(tmp_path, qrt, size):
 @pytest.mark.parametrize("qrt,size", [
     ("multipartite", 4), ("multipartite", 5), ("multipartite", 6),
     ("spin", 3), ("spin", 5), ("spin", 11),
-    ("fermionic", 6), ("fermionic", 7), ("fermionic", 8),
+    ("fermionic", 6), ("fermionic", 7), ("fermionic", 8), ("fermionic", 9),
 ], ids=["4", "5", "6", "spin-3", "spin-5", "spin-11", "fermionic-6",
-        "fermionic-7", "fermionic-8"])
+        "fermionic-7", "fermionic-8", "fermionic-9"])
 def test_verify_qubit_estimate_brackets_the_peak(tmp_path, qrt, size):
     peak, estimate = verify_peak(tmp_path, qrt, size)
     assert peak <= estimate <= 4 * peak

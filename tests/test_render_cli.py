@@ -225,7 +225,7 @@ def test_robinson_remap_matches_pixel_loop(tmp_path, h, w):
 
 @pytest.mark.parametrize("argv", [
     ["purities", "--qrt", "fermionic", "--n", "11"],
-    ["verify", "--qrt", "fermionic", "--n", "9"],  # work: 6.1e9 units
+    ["verify", "--qrt", "fermionic", "--n", "11"],  # label cap: n <= 10
     ["purities", "--qrt", "multipartite", "--n", "11"],
     ["verify", "--qrt", "multipartite", "--n", "7"],  # dense_bytes: 3.7 GB
 ])
@@ -233,6 +233,18 @@ def test_cli_oversized_qubit_models_exit_2(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_verify_fermionic_9_passes_every_check(tmp_path):
+    # The point unitaries' generators are Pauli-word sums, O(n d**2), so
+    # no work estimate refuses n = 9 (about 1 s); only the label cap,
+    # n <= 10, bounds fermions.
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--qrt", "fermionic", "--n", "9",
+                     "--out", str(tmp_path)])
+    assert code == 0
+    checks = json.loads((tmp_path / "verify.json").read_text())["checks"]
+    assert checks and all(check["passed"] for check in checks)
 
 
 def test_cli_verify_fermionic_past_the_block_cap_exits_0(tmp_path):

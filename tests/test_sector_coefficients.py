@@ -105,7 +105,7 @@ def test_cli_runs_build_no_dense_block(monkeypatch, tmp_path):
         codes = [main(argv + ["--out", str(tmp_path / str(i))])
                  for i, argv in enumerate(runs)]
         # Exit 1 as at the parent: five kappa checks fail from 2S = 23 on
-        # (ROADMAP item 2), which no block would change.
+        # (ROADMAP item 1), which no block would change.
         big = main(["verify", "--spin-S", "26", "--out", str(tmp_path)])
     assert codes == [0] * len(runs)
     assert big == 1
