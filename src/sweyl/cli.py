@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, gfd, phase_space as ps, render, verify
 from .clebsch import HalfInt
-from .models import TABLE_BYTES, MultipartiteModel, admit
+from .models import MultipartiteModel, SpinModel, admit
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -165,23 +165,17 @@ def _marginal_qubit_operator(model: MultipartiteModel, A: np.ndarray):
     return np.einsum("abcb->ac", A4), rest
 
 
-def _phasespace_bytes(ntheta: int, nphi: int, dim: int, nsvals: int,
+def _phasespace_bytes(ntheta: int, nphi: int, target, nsvals: int,
                       model_dim: int, nstates: int) -> int:
-    """Bytes the ``phasespace`` route holds at its peak, K = states x svals:
-    the spin's CG table (d**3 / 6 doubles) and its build (d**3 / 4 more);
-    three (K, 2d - 1, d) complex coefficient arrays; four times one
-    synthesis chunk of (2d - 1, K, k) Legendre sums (at most
-    ``models.TABLE_BYTES`` or one theta; a recursion step's product and
-    rows are under thrice the sums); twice the (nphi, 2d - 1) complex
-    Fourier factors of one ring.  Per node the complex (N, K) fields and
-    270 B: about 100 B of "theta,phi" text, 30 B of node arrays and values
-    and the CSV writer's index and texts of distinct values (235 B when
-    all differ, tracemalloc at 120 000 nodes).  And the d x d states."""
-    sums = 16 * (2 * dim - 1) * nstates * nsvals  # per theta
-    return (4 * dim ** 3 + 3 * sums * dim + 32 * nphi * (2 * dim - 1)
-            + 4 * sums * min(ntheta, max(1, TABLE_BYTES // sums))
-            + ntheta * nphi * (16 * nstates * nsvals + 270)
-            + nstates * model_dim * model_dim * 16)
+    """Bytes ``phasespace`` holds, K = states x svals: the ``target`` model's
+    coefficients of 3 K operators and synthesis of K columns (an int is a
+    spin's d); per node the fields and 270 B of text; the d x d states."""
+    if isinstance(target, int):
+        target = SpinModel(HalfInt(target - 1))
+    k = nstates * nsvals
+    return (target.coefficient_bytes(3 * k)
+            + target.synthesis_bytes(k, ntheta, nphi)
+            + ntheta * nphi * (16 * k + 270) + nstates * model_dim ** 2 * 16)
 
 
 def cmd_phasespace(args) -> int:
@@ -210,7 +204,7 @@ def cmd_phasespace(args) -> int:
          for s in svals], axis=1)
     ps.check_kappa(target, svals)
     admit(f"phasespace on a {ntheta}x{nphi} grid at d={target.dim}",
-          _phasespace_bytes(ntheta, nphi, target.dim, len(svals), model.dim,
+          _phasespace_bytes(ntheta, nphi, target, len(svals), model.dim,
                             len(states)))
     theta, phi = render.equirect_grid(ntheta, nphi)
     nodes = np.stack((np.repeat(theta, nphi), np.tile(phi, ntheta)),
@@ -284,8 +278,8 @@ def cmd_star(args) -> int:
     Refused (exit 2) before any field is built: a model other than the
     spin, a spin past the CG table (2S > 200, ``check_sector_size``), an
     ``--s > 0`` with ``eps kappa**s > 1e-8`` (``check_kappa``) and
-    ``--points`` whose work, d**3 + 2 10**4 units per point and ``--s``
-    (draw, synthesis, reference symbol), passes ``models.WORK_BUDGET``:
+    ``--points`` whose work, ``point_work`` + 2 10**4 units per point and
+    ``--s`` (reference symbol; draw, synthesis), passes ``WORK_BUDGET``:
     491 points with one ``--s`` at 2S = 200 (3.0-3.8 s, 128 MB RSS)."""
     model = _model(args)
     if args.qrt != "spin":
@@ -295,7 +289,8 @@ def cmd_star(args) -> int:
     ps.check_kappa(model, svals)
     d = model.dim
     admit(f"star of {args.points} points at d={d} with {len(svals)} --s "
-          "value(s)", work=args.points * len(svals) * (d ** 3 + 2 * 10**4))
+          "value(s)",
+          work=args.points * len(svals) * (model.point_work() + 2 * 10**4))
     rng = np.random.default_rng(args.seed)
     A, B = verify._random_hermitian(d, rng), verify._random_hermitian(d, rng)
     grid = ps.sphere_quadrature(2 * model.band)  # doubled band limit

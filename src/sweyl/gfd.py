@@ -219,11 +219,8 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     if nsamples < 2:
         raise ValueError("need at least two samples")
     labels, d = model.labels(), model.dim
-    # 4 d**2 log2(d) units per sample (the Pauli transform's additions),
-    # rounded up in integers from log2(d)'s exact ratio: exact at any count.
-    num, den = math.log2(d).as_integer_ratio()
     admit(f"duality of {nsamples} samples at d={d}",
-          work=-(-4 * nsamples * d * d * num // den))
+          work=model.purity_work(nsamples))
     # Moments of the samples shifted by each sector's first sample, so a
     # (near-)constant sector, such as the trivial one, has a variance at
     # the rounding level of its spread, not of its mean squared.

@@ -120,10 +120,7 @@ _DENSE_SPIN_CAP = 60  # 2S for dense spin blocks: d**4 complex, 221 MB at 60
 _TABLE_SPIN_CAP = 200  # 2S for the CG-diagonal table: 11 MB at 200
 TABLE_BYTES = 4 * 2**20  # live bytes of one chunk of a synthesis
 BYTES_BUDGET = 768 * 2**20  # bytes one command may hold at once
-# Work one command may spend, in units of about 4-5 ns: 15-20 s on a
-# 2-vCPU host with one BLAS thread, where ``star`` at the cap took 17-19 s
-# (S = 2, 10 and 30) and a ``duality`` sample 3.3-4.5 ns per unit (S = 20
-# and 100, n = 6..10).
+# Work one command may spend, units of about 4-5 ns (15-20 s, one thread).
 WORK_BUDGET = 4 * 10**9
 
 
@@ -394,9 +391,12 @@ class QrtModel:
         psi = self.coherent_states(points)
         return pauli_transform(psi[:, :, None] * psi.conj()[:, None, :])
 
+    def _word_step(self) -> int:  # points of a chunk: two 4**n rows each
+        return max(1, TABLE_BYTES // (32 * self.dim ** 2))
+
     def _word_chunks(self, points):
         """(rows, E) per chunk of points: ``E = conj(_expectations) / d``."""
-        step = max(1, TABLE_BYTES // (32 * self.dim ** 2))
+        step = self._word_step()
         for lo in range(0, len(points), step):
             E = self._expectations(points[lo:lo + step])
             yield slice(lo, lo + step), E.conj() / self.dim
@@ -433,6 +433,22 @@ class QrtModel:
         for rows, E in self._word_chunks(points):
             out += np.transpose(w[rows]) @ E
         return out
+
+    def coefficient_bytes(self, nops: int) -> int:
+        return 16 * self.dim ** 2 * nops  # complex 4**n words per operator
+
+    def synthesis_bytes(self, ncols: int, ntheta: int, nphi: int) -> int:
+        step = min(ntheta * nphi, self._word_step())  # points of a chunk
+        return step * 16 * (4 * self.dim ** 2 + ncols)
+
+    def purity_work(self, nops: int) -> int:
+        return 4 * nops * self.dim ** 2 * (self.dim.bit_length() - 1)
+
+    def harmonic_check_bytes(self, nodes: int) -> int:
+        return (16 * self.dim ** 2 + 40 * nodes) * self.dim ** 2
+
+    def point_work(self) -> int:
+        return self.dim ** 3
 
     def word_sectors(self, x: np.ndarray, z: np.ndarray) -> np.ndarray:
         """Row in ``labels()`` of the sector of each word X^x Z^z, for
@@ -780,6 +796,9 @@ class SpinModel(QrtModel):
         x0 = self.cg_diagonals()[0][:, 0]
         return sign * x0 * np.sqrt(4 * np.pi / (2 * lam + 1))
 
+    def _ring_step(self, width: int) -> int:  # thetas of a ``_rings`` chunk
+        return max(1, TABLE_BYTES // (16 * (2 * self.dim - 1) * width))
+
     def _rings(self, points, width: int):
         """Chunks of distinct thetas, ``TABLE_BYTES`` of Legendre sums of
         ``width`` columns each (or one theta): (thetas, per ring its point
@@ -789,7 +808,7 @@ class SpinModel(QrtModel):
         order = np.argsort(pts[:, 0], kind="stable")
         theta = pts[order, 0]
         bounds = np.flatnonzero(np.diff(theta, prepend=-np.inf, append=np.inf))
-        step = max(1, TABLE_BYTES // (16 * len(qs) * width))
+        step = self._ring_step(width)
         for r in range(0, len(bounds) - 1, step):
             cut = bounds[r:r + step + 1]
             phi, row = np.unique(pts[order[cut[0]:cut[-1]], 1],
@@ -834,6 +853,16 @@ class SpinModel(QrtModel):
                     [Y[:0:-1], Y])[:, :, None])[..., 0]
         b *= self._harmonic_weights()[:, :, None]
         return b.transpose(2, 0, 1).reshape(w.shape[1], -1)
+
+    def coefficient_bytes(self, nops: int) -> int:
+        return 4 * self.dim ** 3 + 16 * (2 * self.dim - 1) * self.dim * nops
+
+    def synthesis_bytes(self, ncols: int, ntheta: int, nphi: int) -> int:
+        return 16 * (2 * self.dim - 1) * (
+            4 * ncols * min(ntheta, self._ring_step(ncols)) + 2 * nphi)
+
+    def purity_work(self, nops: int) -> int:
+        return -(-nops * (self.dim ** 3 + 576 * self.dim ** 2) // 64)
 
     def harmonics(self, points) -> np.ndarray:
         """(d**2, N) real spherical harmonics of ``_build_block``'s bases
@@ -1068,13 +1097,22 @@ class MultipartiteModel(QrtModel):
         g = (h * grid.factor.weights) @ h.T
         digits, index, _ = self._harmonic_words
         out = np.empty((len(digits), len(digits)))
-        step = max(1, TABLE_BYTES // (8 * len(digits)))
+        step = self._gram_step()
         for lo in range(0, len(digits), step):
             # Columns come out in word-index order; ``index`` sorts them
             # into the label order of the rows.
             np.take(_kron_rows(g, digits[lo:lo + step]), index, axis=1,
                     out=out[lo:lo + step], mode="clip")
         return out
+
+    def _gram_step(self) -> int:  # Gram rows of a chunk: 4**n floats each
+        return max(1, TABLE_BYTES // (8 * self.dim ** 2))
+
+    def harmonic_check_bytes(self, nodes: int) -> int:
+        if self.n == 1:  # one sphere: the point-table route
+            return super().harmonic_check_bytes(nodes)
+        rows = 8 * self.dim ** 2 * min(self.dim ** 2, self._gram_step())
+        return 8 * self.dim ** 4 + 2 * rows + nodes * (16 * self.n + 648)
 
     def _expectations(self, points) -> np.ndarray:
         """(N, 4**n) products of each qubit's Bloch components (``_bloch``);
@@ -1213,6 +1251,9 @@ class FermionicModel(QrtModel):
         if not 0 <= lam <= 2 * self.n:
             raise ValueError(f"sector {lam} outside 0..2n")
         return self._word_block(lam)
+
+    def harmonic_check_bytes(self, nodes: int) -> int:  # no grid, no check
+        return 0
 
     @functools.cached_property
     def _pair_words(self) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,8 @@ import numpy as np
 
 from . import gfd, phase_space as ps
 from .clebsch import HalfInt, _cg_signed_square
-from .models import (TABLE_BYTES, FermionicModel, MultipartiteModel,
-                     QrtModel, SpinModel, admit)
+from .models import (FermionicModel, MultipartiteModel, QrtModel, SpinModel,
+                     admit)
 from .paulis import majorana, words_dense
 
 
@@ -79,44 +79,11 @@ def duality_identity_deviation(model: QrtModel, spectrum=None) -> float:
 
 
 def dense_bytes(model: QrtModel) -> int:
-    """Bytes the checks of ``run_checks`` hold at their peak, from d, the
-    sphere count n and the node count N of the default grid alone
-    (nothing O(d) or O(N) is built), for ``models.admit``.  Each model
-    adds 512 KiB for a first call's costs (the CLI parser, argparse's
-    ``locale`` import, the CG cache: about 330 kB).
-
-    On one sphere (a spin; one qubit) the peak holds the d**2 harmonics'
-    Gram matrix, 8 d**4 B (its deviation is taken in place), and the real
-    (d**2, N) point table it comes from, 8 d**2 B per node (weighted in
-    place and freed after the Gram product).  The rule allows twice the
-    one and five times the other, 16 d**4 + 40 d**2 N B: at 2S = 52 that
-    is 757 MB, where ``verify`` peaks at 190 MB ``tracemalloc`` and 235 MB
-    ``ru_maxrss``; it admits a spin up to 2S = 52.
-
-    On a product grid (n >= 2 qubits) the transforms run one qubit at a
-    time and form no point table (``models``): the Kronecker Gram matrix,
-    8 d**4 = 8 16**n B, and at most two of its row chunks (each under
-    ``models.TABLE_BYTES``); and per node the (N, n, 2) points and the
-    weight, 16 n + 8 B, and 40 complex columns, 640 B: the 15 fields, the
-    6 reconstructed columns and their contractions' intermediates.  The
-    one-sphere tables (under 1 kB) are left out.  ``tracemalloc`` peaks at
-    0.5 to 0.6 of this at n = 4, 5 and 6 (2.7, 20 and 165 MB); it admits
-    qubits up to n = 6.
-
-    Fermions have no grid: the checks hold 16 d x d complex arrays
-    (operators, coefficients, the word coefficients and generator of
-    ``point_unitary`` and its exponential, work arrays), 16 d**2 16 B;
-    ``tracemalloc`` peaks at 0.57 to 0.76 of it at n = 6 ... 10 (0.9,
-    3.3, 13, 52 and 206 MB), and the label cap n <= 10 refuses first.
-    """
-    d, nodes, first = model.dim, ps.default_grid_size(model), 2 ** 19
-    if model.band is None:
-        return first + 16 * d * d * 16
-    if model.nspheres > 1:
-        gram = 8 * d ** 4
-        return (first + gram + 2 * min(gram, TABLE_BYTES)
-                + nodes * (16 * model.nspheres + 8 + 40 * 16))
-    return first + 16 * d ** 4 + 40 * d * d * nodes
+    """Bytes ``run_checks`` holds at its peak: 512 KiB for a first call
+    (parser, ``locale``, CG cache) and the larger of the model's
+    ``harmonic_check_bytes`` on its default grid and 16 d x d arrays."""
+    grid = model.harmonic_check_bytes(ps.default_grid_size(model))
+    return 2 ** 19 + max(grid, 16 * model.dim ** 2 * 16)
 
 
 def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,

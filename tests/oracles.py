@@ -18,8 +18,9 @@ coefficients and operators, the label-by-label sector filters of
 ``{label: purity}`` dicts (phase purities, the ``purities`` factors, the
 duality rows, the kernel purities and the center factors), the point-by-point coherent
 fidelity, the per-state ``purities`` command, the ``%``-template writers that format
-every cell, and the CSV reader that reads ``render.write_csv`` output
-back.
+every cell, the CSV reader that reads ``render.write_csv`` output
+back, and the admission estimates the commands computed before the models
+declared their own costs (the admission ladder's oracle).
 """
 
 import itertools
@@ -692,3 +693,45 @@ def coherent_fidelity_pointwise(model, psi) -> float:
         if moved < angle_tol:
             break
     return overlap(coords)
+
+
+# -- admission estimates: the formulas each command held before the models
+# declared their costs -------------------------------------------------------
+
+_TABLE_BYTES = 4 * 2**20  # models.TABLE_BYTES when these were written
+
+
+def phasespace_bytes_by_spin_formula(ntheta, nphi, dim, nsvals, model_dim,
+                                     nstates) -> int:
+    """``phasespace`` bytes, the spin's CG table and ring chunks priced at
+    the dimension of whatever target draws the fields."""
+    sums = 16 * (2 * dim - 1) * nstates * nsvals  # per theta
+    return (4 * dim ** 3 + 3 * sums * dim + 32 * nphi * (2 * dim - 1)
+            + 4 * sums * min(ntheta, max(1, _TABLE_BYTES // sums))
+            + ntheta * nphi * (16 * nstates * nsvals + 270)
+            + nstates * model_dim * model_dim * 16)
+
+
+def verify_bytes_by_geometry(model) -> int:
+    """``verify.dense_bytes``, branching on the declared geometry."""
+    from sweyl.phase_space import default_grid_size
+    d, nodes, first = model.dim, default_grid_size(model), 2 ** 19
+    if model.band is None:
+        return first + 16 * d * d * 16
+    if model.nspheres > 1:
+        gram = 8 * d ** 4
+        return (first + gram + 2 * min(gram, _TABLE_BYTES)
+                + nodes * (16 * model.nspheres + 8 + 40 * 16))
+    return first + 16 * d ** 4 + 40 * d * d * nodes
+
+
+def star_work_by_d_cubed(model, points: int, nsvals: int) -> int:
+    """``star`` work: d**3 + 2 10**4 units per point and ``--s``."""
+    return points * nsvals * (model.dim ** 3 + 2 * 10 ** 4)
+
+
+def duality_work_by_pauli_formula(model, nsamples: int) -> int:
+    """``duality`` work: 4 d**2 log2(d) units per sample for every model,
+    rounded up once from log2(d)'s exact ratio."""
+    num, den = math.log2(model.dim).as_integer_ratio()
+    return -(-4 * nsamples * model.dim ** 2 * num // den)
