@@ -311,9 +311,17 @@ def cmd_star(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    """The check suite; where kappa caps the field checks at s* < 1
+    (``verify.field_s_limit``), stdout and the report name kappa and s*."""
     results = verify.run_checks(args.qrt, args.spin_S, args.n,
                                 seed=args.seed, quad_tol=args.quad_tol)
-    code = _report(args, results, quad_tol=args.quad_tol)
+    model, config = _model(args), {"quad_tol": args.quad_tol}
+    s_star = verify.field_s_limit(model, args.quad_tol)
+    if s_star < 1:
+        config.update(kappa=ps.kappa(model), s_star=s_star)
+        print(f"note kappa={config['kappa']:.3e} s*={s_star:.3f}: field "
+              "checks at s = 0, +-s*, where eps kappa**s* = quad_tol / 100")
+    code = _report(args, results, **config)
     for r in results:
         status = "ok" if r.passed else "FAIL"
         print(f"{status:4s} {r.name}: value={r.value:.3e} bound={r.bound:.1e}")

@@ -243,10 +243,16 @@ def _check_band(model: QrtModel, grid, factor: int = 1) -> None:
 
 # -- kernels and symbols ------------------------------------------------------
 
-def sw_kernel(model: QrtModel, point, spec: KernelSpec) -> np.ndarray:
-    """Kernel at a phase point: the conjugated center kernel U c U^H."""
-    U = model.point_unitary(point)
-    return (U * center_diagonal(model, spec)) @ U.conj().T
+def sw_kernel(model: QrtModel, point, spec) -> np.ndarray:
+    """Kernel at a phase point, the conjugated center kernel U c U^H: (d,
+    d) for one spec, or a (W, d, d) stack for a tuple of W specs, all from
+    one ``point_unitary`` and one ``hw_sector_diagonals`` read."""
+    one = np.ndim(spec) == 0
+    U, table = model.point_unitary(point), model.hw_sector_diagonals()
+    c = np.stack([sector_factors(model, sp) @ table
+                  for sp in ((spec,) if one else spec)])
+    D = (U * c[:, None]) @ U.conj().T
+    return D[0] if one else D
 
 
 def kernel_stack(model: QrtModel, points, spec: KernelSpec) -> np.ndarray:
@@ -295,13 +301,20 @@ def kappa(model: QrtModel) -> float:
     return min(t for t in model.taus.tolist() if t > 0) ** -0.5
 
 
+def s_limit(model: QrtModel, bound: float) -> float:
+    """The s at which ``eps kappa**s`` reaches ``bound``: fields at s up to
+    it keep their rounding error under ``bound`` of their maximum."""
+    return math.log(bound / np.finfo(float).eps) / math.log(kappa(model))
+
+
 def check_kappa(model: QrtModel, svals) -> None:
     """ValueError naming kappa for an s > 0 with ``eps kappa**s > 1e-8``."""
-    k = kappa(model)
+    limit = s_limit(model, 1e-8)
     for s in svals:
-        if s > 0 and s * math.log(k) > math.log(1e-8 / np.finfo(float).eps):
-            raise ValueError(f"--s {s:g} at kappa = {k:.3g} leaves an error "
-                             "eps * kappa**s over 1e-8 of the field's maximum")
+        if s > limit:
+            raise ValueError(f"--s {s:g} at kappa = {kappa(model):.3g} leaves "
+                             "an error eps * kappa**s over 1e-8 of the "
+                             "field's maximum")
 
 
 def fields(model: QrtModel, A: np.ndarray, points, factors: np.ndarray,

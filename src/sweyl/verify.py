@@ -86,15 +86,27 @@ def dense_bytes(model: QrtModel) -> int:
     return 2 ** 19 + max(grid, 16 * model.dim ** 2 * 16)
 
 
+def field_s_limit(model: QrtModel, quad_tol: float) -> float:
+    """s* = ``phase_space.s_limit(model, quad_tol / 100)`` clipped to [0,
+    1]: the largest |s| up to 1 at which a field's rounding error, about
+    ``eps kappa**|s|`` of its maximum (``phase_space.kappa``), stays 100
+    times under ``quad_tol``.  At the default ``quad_tol`` it is 1 for
+    spins up to 2S = 17 and for every qubit and fermion model."""
+    return max(0.0, min(1.0, ps.s_limit(model, quad_tol / 100)))
+
+
 def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                quad_tol: float = 1e-8) -> list[CheckResult]:
     """Run the invariant suite for one model; returns per-check results.
 
     ``models.admit`` weighs the checks first (``dense_bytes``) and
-    refuses before anything is built.
+    refuses before anything is built.  The field checks (``tracing``,
+    ``reconstruction``, ``standardization``, ``filter_identity``) and
+    ``kernel_purity_flat`` run at s = 0 and +-s* (``field_s_limit``).
     """
     model = make_model(qrt, spin_S, n)
     admit(f"verify of {model!r}", dense_bytes(model))
+    field_s = field_s_limit(model, quad_tol)
     rng = np.random.default_rng(seed)
     results = []
 
@@ -152,27 +164,29 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     dev = float(np.max(np.abs(model.operators(model.weights(A)) - A)))
     results.append(check("sector_completeness", dev, _LIN_TOL))
 
-    # Highest-weight kernel: the s = -1 kernel is the coherent projector.
+    # The kernels at one random point, from one unitary: the s = -1 kernel
+    # is the coherent projector.
     pt = model.random_point(rng)
-    D = ps.sw_kernel(model, pt, ps.KernelSpec.cahill_glauber(-1.0))
+    svals = (-field_s, 0.0, field_s)
+    kernel_s = tuple(dict.fromkeys((-1.0,) + svals))  # distinct s
+    kernels = dict(zip(kernel_s, ps.sw_kernel(model, pt, tuple(
+        ps.KernelSpec.cahill_glauber(s) for s in kernel_s))))
     psi = model.coherent_state(pt)
-    dev = float(np.max(np.abs(D - np.outer(psi, psi.conj()))))
+    dev = float(np.max(np.abs(kernels[-1.0] - np.outer(psi, psi.conj()))))
     results.append(check("husimi_projector", dev, _LIN_TOL))
 
     # Kernel sector purities are point-independent (scale-aware deviation).
     dev = 0.0
-    for s in (-1.0, 0.0, 1.0):
-        Dk = ps.sw_kernel(model, pt, ps.KernelSpec.cahill_glauber(s))
-        got = gfd.purity_spectrum(Dk, model).values
+    for s in svals:
+        got = gfd.purity_spectrum(kernels[s], model).values
         ref = gfd.kernel_spectrum(model, s).values
         dev = max(dev, np.max(np.abs(got - ref) / (1 + np.abs(ref))))
     results.append(check("kernel_purity_flat", dev, 100 * _LIN_TOL))
 
-    # Conjugation covariance of symbols.
+    # Conjugation covariance of symbols, Tr[Delta(pt) A] = ``ps.symbol``.
     g = model.random_group(rng)
     Ug = model.group_unitary(g)
-    lhs = ps.symbol(model, Ug.conj().T @ A @ Ug, pt,
-                    ps.KernelSpec.cahill_glauber(0.0))
+    lhs = complex(np.einsum("ab,ba->", kernels[0.0], Ug.conj().T @ A @ Ug))
     rhs = ps.symbol(model, A, model.act(g, pt),
                     ps.KernelSpec.cahill_glauber(0.0))
     results.append(check("symbol_covariance", abs(lhs - rhs), 100 * _LIN_TOL))
@@ -180,8 +194,7 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     if model.band is None:
         # No structured quadrature (fermions): check that the odd sectors
         # have no phase-space image and stop.
-        spec = gfd.purity_spectrum(
-            ps.sw_kernel(model, pt, ps.KernelSpec.cahill_glauber(0.0)), model)
+        spec = gfd.purity_spectrum(kernels[0.0], model)
         dev = max(model.taus[1::2].max(), spec.values[1::2].max())
         results.append(check("odd_sector_zero", dev, 1e-20))
         return results
@@ -205,7 +218,6 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     B = _random_hermitian(model.dim, rng)
     psis = [model.haar_state(rng) for _ in range(3)]
     rhos = [np.outer(psi, psi.conj()) for psi in psis]
-    svals = (-1.0, 0.0, 1.0)
     specs = tuple(ps.KernelSpec.cahill_glauber(s) for s in svals)
     field = ps.symbol_field(model, np.stack([A, B, *rhos]), grid, specs)
     fields = field.values.reshape(len(w), 5, 3)

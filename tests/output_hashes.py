@@ -16,6 +16,10 @@ when their JSON files are equal:
     python tests/output_hashes.py . change.json
     diff parent.json change.json
 
+The BLAS thread count is pinned to one before numpy loads, as in
+``perfbench/run.py``: at two threads some check values differ in their
+rounding residues (``star.S40``, ``verify.fm8`` to ``verify.fm10``).
+
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
 
@@ -27,6 +31,9 @@ import json
 import os
 import sys
 import tempfile
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
 EXTRA = {
     "purities.S100": ["purities", "--spin-S", "100", "--state", "hw",

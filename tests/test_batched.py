@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sweyl import gfd
+from sweyl import gfd, verify
 from sweyl import phase_space as ps
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
@@ -49,6 +49,42 @@ def test_kernel_stack_matches_sw_kernel(model, s):
     for k, p in enumerate(pts):
         ref = ps.sw_kernel(model, p, spec)
         assert np.max(np.abs(stack[k] - ref)) <= 1e-12 * (1 + np.max(np.abs(ref)))
+
+
+def _count_point_unitaries(monkeypatch, cls) -> list:
+    calls, original = [], cls.point_unitary
+
+    def counting(self, point):
+        calls.append(point)
+        return original(self, point)
+
+    monkeypatch.setattr(cls, "point_unitary", counting)
+    return calls
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_sw_kernel_stack_is_the_single_kernels(monkeypatch, model):
+    # A tuple of specs gives the (W, d, d) stack of the one-spec kernels,
+    # bit for bit, from one point unitary.
+    point = model.random_point(np.random.default_rng(35))
+    specs = tuple(ps.KernelSpec.cahill_glauber(s)
+                  for s in (-1.0, -0.4, 0.0, 0.4, 1.0))
+    single = [ps.sw_kernel(model, point, spec) for spec in specs]
+    calls = _count_point_unitaries(monkeypatch, type(model))
+    stack = ps.sw_kernel(model, point, specs)
+    assert len(calls) == 1
+    assert stack.shape == (len(specs), model.dim, model.dim)
+    for D, ref in zip(stack, single, strict=True):
+        assert D.tobytes() == ref.tobytes()
+
+
+def test_verify_builds_its_random_point_unitary_once(monkeypatch):
+    # The kernels at the random point come from one unitary; the coherent
+    # state there and the symbol at the point's image under a group element
+    # take one each (a fermion's group_unitary is its own alias).
+    calls = _count_point_unitaries(monkeypatch, FermionicModel)
+    verify.run_checks("fermionic", n=3)
+    assert len(calls) == 3
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)

@@ -9,7 +9,9 @@ decision matches at every rung, and the value matches wherever the old
 formula priced the model's own route.
 """
 
-import math
+import contextlib
+import io
+import tracemalloc
 
 import pytest
 
@@ -17,6 +19,7 @@ from oracles import (duality_work_by_pauli_formula,
                      phasespace_bytes_by_spin_formula, star_work_by_d_cubed,
                      verify_bytes_by_geometry)
 from sweyl import cli, models, verify
+from sweyl.cli import main
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
 
@@ -88,3 +91,51 @@ def test_spin_purity_work_rounds_up_once():
     assert model.purity_work(1) == 227
     assert model.purity_work(64) == 14525
     assert model.purity_work(10 ** 400) == 14525 * 10 ** 400 // 64
+
+
+def command_peak(tmp_path, argv):
+    """Exit code and ``tracemalloc`` peak of one CLI run."""
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + ["--out", str(tmp_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return code, peak
+
+
+# One small size per model and command, with the window of peak / estimate
+# measured with tracemalloc: a spin's verify estimate tends to 4 times its
+# peak from below, qubits on their product grid peak at 0.5-0.6 of theirs
+# (n = 4 ... 6) and fermions at 0.57-0.76 (n = 6 ... 10).
+PEAK_CASES = {
+    "verify-spin-20": (["verify", "--spin-S", "10"],
+                       lambda: verify.dense_bytes(SpinModel(HalfInt(20))),
+                       0.25, 1.0),
+    "verify-multipartite-5": (["verify", "--qrt", "multipartite", "--n", "5"],
+                              lambda: verify.dense_bytes(MultipartiteModel(5)),
+                              0.5, 0.6),
+    "verify-fermionic-8": (["verify", "--qrt", "fermionic", "--n", "8"],
+                           lambda: verify.dense_bytes(FermionicModel(8)),
+                           0.57, 0.8),
+    "phasespace-spin-6": (["phasespace", "--spin-S", "6", "--grid", "64x128",
+                           "--state", "hw", "--state", "haar", "--s", "-1",
+                           "--s", "0"],
+                          lambda: cli._phasespace_bytes(64, 128, 13, 2, 13, 2),
+                          0.25, 1.0),
+    "phasespace-marginal-4": (["phasespace", "--qrt", "multipartite", "--n",
+                               "4", "--grid", "64x128", "--state", "ghz",
+                               "--state", "haar", "--s", "-1", "--s", "0"],
+                              lambda: cli._phasespace_bytes(
+                                  64, 128, MultipartiteModel(1), 2, 16, 2),
+                              0.25, 1.0),
+}
+
+
+@pytest.mark.parametrize("case", list(PEAK_CASES))
+def test_estimate_covers_the_measured_peak(tmp_path, case):
+    argv, estimate, low, high = PEAK_CASES[case]
+    code, peak = command_peak(tmp_path, argv)
+    assert code == 0
+    assert low * estimate() <= peak <= high * estimate()

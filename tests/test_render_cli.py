@@ -194,6 +194,27 @@ def test_cli_duality_and_star(tmp_path):
     assert doc["checks"][0]["passed"]
 
 
+# Rows (s, label, mean, se, rhs, z, trivial) of spin S = 2 at s = 0: two
+# that pass and one the gate must fail, named by its row.
+_GOOD_ROWS = [gfd.DualityRow(0.0, 0, 0.2, 0.0, 0.2, 0.0, True),
+              gfd.DualityRow(0.0, 1, 0.1, 0.01, 0.1, 3.9, False)]
+
+
+@pytest.mark.parametrize("bad", [
+    gfd.DualityRow(0.0, 2, 0.15, 0.01, 0.1, 5.0, False),
+    gfd.DualityRow(0.0, 2, 0.05, 0.01, 0.1, -5.0, False),
+    gfd.DualityRow(0.0, 0, 0.2 + 1e-9, 0.0, 0.2, 0.0, True),
+], ids=["z+5", "z-5", "trivial-1e-9"])
+def test_cli_duality_gate_fails_on_a_bad_row(tmp_path, monkeypatch, bad):
+    monkeypatch.setattr(gfd, "duality_check",
+                        lambda *args: _GOOD_ROWS + [bad])
+    assert main(["duality", "--s", "0", "--out", str(tmp_path)]) == 1
+    checks = json.loads((tmp_path / "duality.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [
+        f"duality[s=0,sector={bad.label}]"]
+    assert len(checks) == 3
+
+
 def _robinson_pixel_loop(rgb, background=render.BACKGROUND):
     """Per-pixel reference for robinson_remap."""
     h, w, _ = rgb.shape

@@ -2,6 +2,7 @@
 oracle, on scattered points and on rings of equal theta, their chunking,
 and the size refusal of the dense ``verify`` route."""
 
+import json
 import time
 import tracemalloc
 
@@ -240,7 +241,30 @@ def test_verify_estimate_admits_sizes_that_fit(spin):
 
 
 def test_verify_spin_20_is_not_refused(tmp_path):
-    assert main(["verify", "--spin-S", "20", "--out", str(tmp_path)]) != 2
+    assert main(["verify", "--spin-S", "20", "--out", str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize("spin,capped", [("17/2", False), ("9", True)])
+def test_verify_field_s_boundary(tmp_path, capsys, spin, capped):
+    # s* = min(1, log(quad_tol / (100 eps)) / log kappa) falls below 1 from
+    # 2S = 18 on: there the field checks run at s = 0, +-s*, and stdout
+    # and the report name kappa and s*; up to 2S = 17 the report is as it
+    # was, with no note.
+    model = SpinModel(HalfInt.of(spin))
+    s_star = verify.field_s_limit(model, 1e-8)
+    assert (s_star < 1) == capped
+    assert main(["verify", "--spin-S", spin, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    config = json.loads((tmp_path / "verify.json").read_text())["config"]
+    if capped:
+        assert 0.98 < s_star < 0.99
+        assert out.startswith(f"note kappa={ps.kappa(model):.3e} "
+                              f"s*={s_star:.3f}: ")
+        assert (config["kappa"], config["s_star"]) == (ps.kappa(model),
+                                                       s_star)
+    else:
+        assert s_star == 1.0
+        assert "note" not in out and "kappa" not in config
 
 
 def test_preformatted_coordinates_write_the_same_bytes(tmp_path):

@@ -104,11 +104,10 @@ def test_cli_runs_build_no_dense_block(monkeypatch, tmp_path):
     with contextlib.redirect_stdout(io.StringIO()):
         codes = [main(argv + ["--out", str(tmp_path / str(i))])
                  for i, argv in enumerate(runs)]
-        # Exit 1 as at the parent: five kappa checks fail from 2S = 23 on
-        # (ROADMAP item 1), which no block would change.
+        # Past 2S = 17 the field checks run at s = 0, +-s*, and pass.
         big = main(["verify", "--spin-S", "26", "--out", str(tmp_path)])
     assert codes == [0] * len(runs)
-    assert big == 1
+    assert big == 0
 
 
 @pytest.mark.parametrize("qrt, spin_S", [("spin", "5/2"),
