@@ -67,6 +67,41 @@ model declares and never test its class.
   fermions, read E in row chunks of about ``TABLE_BYTES``; that row
   route is also the tests' oracle for the contractions.
 
+Declared costs
+--------------
+Each model prices its own routes, in bytes held at once and in work
+units of about 4-5 ns, and the commands' ``admit`` estimates add these
+terms to their own.  A term reads the chunk step of the route it prices
+(``_word_step``, ``_ring_step``, ``_gram_step``), so the two cannot
+drift apart; ``tests/test_declared_costs.py`` holds every estimate
+against the ``tracemalloc`` peak of its run.
+
+* ``coefficient_bytes(nops)``: ``nops`` complex coefficient arrays,
+  4**n words each; a spin's are (2d - 1, d), plus the CG table and its
+  build, 4 d**3 B.
+* ``synthesis_bytes(ncols, ntheta, nphi)``: one ``synthesis`` of
+  ``ncols`` columns at ntheta x nphi points, but its output: a
+  ``_word_step`` chunk of 4 d**2 + ncols complex values per point; for a
+  spin four ``_ring_step`` chunks of (2d - 1, ncols) complex Legendre
+  sums (a recursion step's product and rows are under thrice the sums)
+  and twice one ring's (nphi, 2d - 1) complex Fourier factors.
+* ``purity_work(nops)``: ``sector_purities`` of ``nops`` operators, the
+  Pauli transform's 4**n n additions at 4 units each; for a spin d**3 /
+  64 + 9 d**2 units each, the gathers, folds and matmuls of
+  ``_cg_products`` (``duality`` per sample, 2S = 20 to 200: within 17%
+  at 4.5 ns a unit).  Rounded up once, so exact at any count.
+* ``harmonic_check_bytes(nodes)``: ``harmonic_gram`` and the field
+  passes on a grid of ``nodes``.  On one sphere (a spin; one qubit) 16
+  d**4 + 40 d**2 N: twice the Gram matrix of the d**2 harmonics (its
+  deviation is taken in place) and five times their real (d**2, N)
+  point table.  On a qubit product grid the Kronecker Gram matrix, two
+  of its ``_gram_step`` row chunks, and per node 16 n + 8 B of points
+  and weight and 40 complex field columns (15 fields, 6 reconstructed
+  columns and the intermediates of their contractions).  Fermions have
+  no grid: 0.
+* ``point_work()``: one ``point_unitary`` and a kernel at it, a d x d
+  product: d**3 units.
+
 Banded and dense paths
 ----------------------
 * Every runtime sector computation (purities, ``gfd.gfd_project``, the
