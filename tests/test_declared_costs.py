@@ -108,7 +108,9 @@ def command_peak(tmp_path, argv):
 # One small size per model and command, with the window of peak / estimate
 # measured with tracemalloc: a spin's verify estimate tends to 4 times its
 # peak from below, qubits on their product grid peak at 0.5-0.6 of theirs
-# (n = 4 ... 6) and fermions at 0.57-0.76 (n = 6 ... 10).
+# (n = 4 ... 6) and fermions at 0.57-0.76 (n = 6 ... 10).  On 120 000 nodes
+# of all-distinct values phasespace peaks at 0.86 of its estimate, most of
+# it the 270 B per node of text, node arrays and CSV cells.
 PEAK_CASES = {
     "verify-spin-20": (["verify", "--spin-S", "10"],
                        lambda: verify.dense_bytes(SpinModel(HalfInt(20))),
@@ -130,6 +132,11 @@ PEAK_CASES = {
                               lambda: cli._phasespace_bytes(
                                   64, 128, MultipartiteModel(1), 2, 16, 2),
                               0.25, 1.0),
+    "phasespace-120000-nodes": (["phasespace", "--grid", "300x400", "--state",
+                                 "haar"],
+                                lambda: cli._phasespace_bytes(300, 400, 5, 1,
+                                                              5, 1),
+                                0.75, 1.0),
 }
 
 
