@@ -248,8 +248,8 @@ def test_verify_spin_20_is_not_refused(tmp_path):
 def test_verify_field_s_boundary(tmp_path, capsys, spin, capped):
     # s* = min(1, log(quad_tol / (100 eps)) / log kappa) falls below 1 from
     # 2S = 18 on: there the field checks run at s = 0, +-s*, and stdout
-    # and the report name kappa and s*; up to 2S = 17 the report is as it
-    # was, with no note.
+    # and the report name kappa and s*; up to 2S = 17 they run at s = 0,
+    # +-1 and neither has a note.
     model = SpinModel(HalfInt.of(spin))
     s_star = verify.field_s_limit(model, 1e-8)
     assert (s_star < 1) == capped
