@@ -169,13 +169,16 @@ def _phasespace_bytes(ntheta: int, nphi: int, target, nsvals: int,
                       model_dim: int, nstates: int) -> int:
     """Bytes ``phasespace`` holds, K = states x svals: the ``target`` model's
     coefficients of 3 K operators and synthesis of K columns (an int is a
-    spin's d); per node the fields and 270 B of text; the d x d states."""
+    spin's d); per node the fields and 184 B of node arrays, text and
+    writer cells; the d x d states.  The ``tracemalloc`` peak is about
+    156 + 16 K B per node from 20 000 to 240 000 nodes: 0.86 of this
+    estimate at K = 1."""
     if isinstance(target, int):
         target = SpinModel(HalfInt(target - 1))
     k = nstates * nsvals
     return (target.coefficient_bytes(3 * k)
             + target.synthesis_bytes(k, ntheta, nphi)
-            + ntheta * nphi * (16 * k + 270) + nstates * model_dim ** 2 * 16)
+            + ntheta * nphi * (16 * k + 184) + nstates * model_dim ** 2 * 16)
 
 
 def cmd_phasespace(args) -> int:
@@ -209,9 +212,7 @@ def cmd_phasespace(args) -> int:
     theta, phi = render.equirect_grid(ntheta, nphi)
     nodes = np.stack((np.repeat(theta, nphi), np.tile(phi, ntheta)),
                      axis=1)[:, None]  # (N, 1, 2): one sphere
-    # The "theta,phi" text of every row, formatted once for all tables.
-    phi_text = [render.fmt(p) for p in phi]
-    coords = [f"{t},{p}" for t in map(render.fmt, theta) for p in phi_text]
+    coords = render.grid_cells(theta, phi)  # shared by every table
     ops, rest = [], 1
     for sel in states:
         psi = model.named_state(sel, seed=args.seed)
@@ -254,7 +255,7 @@ def cmd_duality(args) -> int:
     probability about (sectors - 1) x P(|z| > 4) = (sectors - 1) x 6.3e-5:
     5.0e-4 for spin S = 4, whatever the number of ``--s`` values, but only
     at large ``--samples``: measured correct-build rates at S = 4 are 1.3%
-    at ``--samples 20`` and 14% at ``--samples 5`` (ROADMAP item 2).
+    at ``--samples 20`` and 14% at ``--samples 5`` (ROADMAP item 3).
     """
     model = _model(args)
     model.check_sector_size()  # before any sample is drawn

@@ -569,6 +569,11 @@ def template_write_csv(path, header, rows=(), comments=(), *, columns=None):
         fh.write(body)
 
 
+def template_grid_cells(theta, phi):
+    """``render.grid_cells`` as str cells, each ``"%.17g,%.17g"``."""
+    return ["%.17g,%.17g" % (t, p) for t in theta for p in phi]
+
+
 def template_write_ppm(path, rgb, comments=()):
     """``render.write_ppm`` through one ``%d`` template over all pixels."""
     rgb = np.asarray(rgb)
@@ -708,7 +713,7 @@ def phasespace_bytes_by_spin_formula(ntheta, nphi, dim, nsvals, model_dim,
     sums = 16 * (2 * dim - 1) * nstates * nsvals  # per theta
     return (4 * dim ** 3 + 3 * sums * dim + 32 * nphi * (2 * dim - 1)
             + 4 * sums * min(ntheta, max(1, _TABLE_BYTES // sums))
-            + ntheta * nphi * (16 * nstates * nsvals + 270)
+            + ntheta * nphi * (16 * nstates * nsvals + 184)
             + nstates * model_dim * model_dim * 16)
 
 

@@ -51,6 +51,9 @@ EXTRA = {
     "phasespace.S100": ["phasespace", "--spin-S", "100", "--state", "hw",
                         "--state", "haar", "--s", "-1", "--s", "0",
                         "--grid", "16x32"],
+    # Positive-s magnitudes on a table of many row blocks.
+    "phasespace.S6.s1": ["phasespace", "--spin-S", "6", "--state", "hw",
+                         "--state", "haar", "--s", "1", "--grid", "96x192"],
     **{f"verify.S{S.replace('/', '_')}": ["verify", "--spin-S", S]
        for S in ("1/2", "3", "10", "20", "26")},
     "verify.fm6": ["verify", "--qrt", "fermionic", "--n", "6"],

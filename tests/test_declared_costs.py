@@ -110,7 +110,7 @@ def command_peak(tmp_path, argv):
 # peak from below, qubits on their product grid peak at 0.5-0.6 of theirs
 # (n = 4 ... 6) and fermions at 0.57-0.76 (n = 6 ... 10).  On 120 000 nodes
 # of all-distinct values phasespace peaks at 0.86 of its estimate, most of
-# it the 270 B per node of text, node arrays and CSV cells.
+# it the 184 B per node of text, node arrays and CSV cells.
 PEAK_CASES = {
     "verify-spin-20": (["verify", "--spin-S", "10"],
                        lambda: verify.dense_bytes(SpinModel(HalfInt(20))),

@@ -17,8 +17,8 @@ from sweyl.paulis import PauliString, PauliSum
 from sweyl.verify import CheckResult, make_model
 
 from oracles import (pauli_sum_purities, purities_by_state, read_csv,
-                     template_write_csv, template_write_json,
-                     template_write_ppm)
+                     template_grid_cells, template_write_csv,
+                     template_write_json, template_write_ppm)
 
 
 def test_fmt_round_trips_doubles():
@@ -559,20 +559,23 @@ def test_cli_phasespace_states_and_s_stay_under_estimate(tmp_path):
                          ids=["spin", "multipartite"])
 def test_cli_phasespace_and_verify_do_not_import_numpy_ma(tmp_path, qrt):
     # A plain np.unique runs np.ma.is_masked, which imports numpy.ma
-    # (11-19 ms) in every process that reaches it.
+    # (11-19 ms) in every process that reaches it.  Every command runs in
+    # one fresh interpreter; star serves the spin alone.
     import os
     import subprocess
     import sys
 
     import sweyl
 
-    code = ("import sys\n"
-            "from sweyl.cli import main\n"
-            f"assert main({['phasespace', '--grid', '8x16'] + qrt}"
-            f" + ['--out', {str(tmp_path)!r}]) == 0\n"
-            f"assert main({['verify'] + qrt}"
-            f" + ['--out', {str(tmp_path)!r}]) == 0\n"
-            "print('numpy.ma' in sys.modules)\n")
+    runs = [["purities", "--state", "hw", "--state", "haar"],
+            ["phasespace", "--grid", "8x16"],
+            ["verify"],
+            ["duality", "--samples", "300"]]
+    if qrt[1] == "spin":
+        runs.append(["star", "--points", "3"])
+    code = "import sys\nfrom sweyl.cli import main\n" + "".join(
+        f"assert main({argv + qrt + ['--out', str(tmp_path)]}) == 0\n"
+        for argv in runs) + "print('numpy.ma' in sys.modules)\n"
     src = os.path.dirname(os.path.dirname(sweyl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
@@ -598,6 +601,7 @@ def test_cli_outputs_match_the_template_writers(tmp_path, monkeypatch, argv):
     # share this process's numerics, so any difference is the writers'.
     argv = argv + ["--seed", "3"]
     assert main(argv + ["--out", str(tmp_path / "fast")]) == 0
+    monkeypatch.setattr(render, "grid_cells", template_grid_cells)
     monkeypatch.setattr(render, "write_csv", template_write_csv)
     monkeypatch.setattr(render, "write_ppm", template_write_ppm)
     monkeypatch.setattr(render, "write_json", template_write_json)

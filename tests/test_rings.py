@@ -268,8 +268,9 @@ def test_verify_field_s_boundary(tmp_path, capsys, spin, capped):
 
 
 def test_preformatted_coordinates_write_the_same_bytes(tmp_path):
-    # phasespace passes its "theta,phi" text as one column; the table must
-    # equal the one written from three float columns.
+    # phasespace passes its "theta,phi" text as one byte-matrix column
+    # (grid_cells); the table must equal the ones written from str cells
+    # and from three float columns.
     theta, phi = render.equirect_grid(7, 13)
     values = np.random.default_rng(170).normal(size=7 * 13) * 1e-5
     coords = [f"{t},{p}" for t in map(render.fmt, theta)
@@ -279,8 +280,11 @@ def test_preformatted_coordinates_write_the_same_bytes(tmp_path):
                      columns=(coords, values))
     render.write_csv(tmp_path / "floats.csv", header, comments=["seed=0"],
                      columns=(np.repeat(theta, 13), np.tile(phi, 7), values))
-    assert (tmp_path / "text.csv").read_bytes() == \
-        (tmp_path / "floats.csv").read_bytes()
+    render.write_csv(tmp_path / "grid.csv", header, comments=["seed=0"],
+                     columns=(render.grid_cells(theta, phi), values))
+    want = (tmp_path / "floats.csv").read_bytes()
+    assert (tmp_path / "text.csv").read_bytes() == want
+    assert (tmp_path / "grid.csv").read_bytes() == want
 
 
 BATCH_MODELS = ([SpinModel(HalfInt(k)) for k in (1, 2, 7, 20)]

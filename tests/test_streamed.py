@@ -315,6 +315,49 @@ def test_write_csv_row_blocks_are_byte_identical(tmp_path, nrows):
         (tmp_path / "loop.csv").read_bytes()
 
 
+@pytest.mark.parametrize("nrows", [k * render._CSV_BLOCK + r for k in
+                                   (1, 2) for r in (-1, 0, 1)])
+def test_write_csv_byte_matrix_rows_at_block_boundaries(tmp_path, nrows):
+    # A "theta,phi" byte-matrix column, as phasespace passes it, beside
+    # floats that take both routes of render.float_cells: fixed notation,
+    # and % for zeros, tiny, huge and non-finite values.
+    rng = np.random.default_rng(nrows)
+    theta = rng.uniform(0, np.pi, size=nrows)
+    phi = rng.uniform(0, 2 * np.pi, size=nrows)
+    special = np.array([0.0, -0.0, 1e-300, -3e-5, 1e17, 2.5e300, np.nan,
+                        -np.inf, 1000000000000000.25, 100.0, -0.5])
+    values = np.where(rng.random(nrows) < 0.3,
+                      rng.choice(special, size=nrows),
+                      rng.normal(size=nrows) * 10.0 ** rng.integers(
+                          -6, 18, size=nrows))
+    comma = np.full((nrows, 1), ord(","), dtype=np.uint8)
+    coords = np.concatenate(
+        [render.float_cells(theta), comma, render.float_cells(phi)], axis=1)
+    render.write_csv(tmp_path / "fast.csv", ["theta", "phi", "value"],
+                     comments=["seed=0"], columns=(coords, values))
+    rows = [[t, p, v] for t, p, v in zip(theta, phi, values)]
+    _csv_cell_loop(tmp_path / "loop.csv", ["theta", "phi", "value"], rows,
+                   comments=["seed=0"])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "loop.csv").read_bytes()
+
+
+def test_write_csv_text_cells_are_utf8_and_refuse_nul(tmp_path):
+    # NUL pads the byte matrices, so a text cell that holds one would lose
+    # it silently: it is refused before the file is opened.
+    rows = [["état", 1.5], ["ψ", -2.0], ["", 0.0]]
+    render.write_csv(tmp_path / "fast.csv", ["name", "v"], rows,
+                     comments=["ψ=1"])
+    _csv_cell_loop(tmp_path / "loop.csv", ["name", "v"], rows,
+                   comments=["ψ=1"])
+    assert (tmp_path / "fast.csv").read_bytes() == \
+        (tmp_path / "loop.csv").read_bytes()
+    with pytest.raises(ValueError, match="NUL"):
+        render.write_csv(tmp_path / "nul.csv", ["name", "v"],
+                         [["a\0b", 1.0], ["c", 2.0]])
+    assert not (tmp_path / "nul.csv").exists()
+
+
 def test_write_ppm_every_level_in_every_channel_is_byte_identical(tmp_path):
     levels = np.arange(256, dtype=np.uint8)
     shuffled = levels * np.uint8(7) + np.uint8(3)  # a permutation mod 256
