@@ -321,7 +321,8 @@ def cmd_verify(args) -> int:
     if s_star < 1:
         config.update(kappa=ps.kappa(model), s_star=s_star)
         print(f"note kappa={config['kappa']:.3e} s*={s_star:.3f}: field "
-              "checks at s = 0, +-s*, where eps kappa**s* = quad_tol / 100")
+              "checks at s = 0, +-s*, where eps kappa**s* = quad_tol / "
+              f"{verify.field_margin(model):.3g}")
     code = _report(args, results, **config)
     for r in results:
         status = "ok" if r.passed else "FAIL"

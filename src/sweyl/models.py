@@ -40,8 +40,8 @@ model declares and never test its class.
   ``labels()`` order, read from the model's point table: one Legendre
   recursion for a spin, the word expectations for qubits and fermions
   (qubits also read a product grid's ``factor``, as below).
-  ``harmonic_gram(grid)``: their Gram matrix under a grid's weights, the
-  one ``verify`` checks against I.
+  ``harmonic_deviation(grid)``: max |G - I| of their Gram matrix G under
+  a grid's weights, the one float ``verify`` checks, without the table.
 * ``synthesis(c, points, factor)`` and ``synthesis_adjoint(w, points,
   factor)``: the fields ``F_n = sum_k E[n, k] c_k`` at phase points of
   coefficient vectors, and the transpose ``sum_n w_n E[n, k]``.
@@ -90,15 +90,13 @@ against the ``tracemalloc`` peak of its run.
   64 + 9 d**2 units each, the gathers, folds and matmuls of
   ``_cg_products`` (``duality`` per sample, 2S = 20 to 200: within 17%
   at 4.5 ns a unit).  Rounded up once, so exact at any count.
-* ``harmonic_check_bytes(nodes)``: ``harmonic_gram`` and the field
-  passes on a grid of ``nodes``.  On one sphere (a spin; one qubit) 16
-  d**4 + 40 d**2 N: twice the Gram matrix of the d**2 harmonics (its
-  deviation is taken in place) and five times their real (d**2, N)
-  point table.  On a qubit product grid the Kronecker Gram matrix, two
-  of its ``_gram_step`` row chunks, and per node 16 n + 8 B of points
-  and weight and 40 complex field columns (15 fields, 6 reconstructed
-  columns and the intermediates of their contractions).  Fermions have
-  no grid: 0.
+* ``harmonic_check_bytes(nodes)``: ``harmonic_deviation`` and the field
+  passes on a grid of ``nodes``, per node 16 n + 8 B of points and weight
+  and 40 complex field columns (15 fields, 6 reconstructed columns and
+  the intermediates of their contractions); a spin adds its (d, d,
+  ntheta) Legendre table, ``coefficient_bytes(35)`` and a 15-column
+  ``synthesis_bytes``, a qubit product grid the Kronecker Gram matrix
+  and two of its ``_gram_step`` row chunks.  Fermions have no grid: 0.
 * ``point_work()``: one ``point_unitary`` and a kernel at it, a d x d
   product: d**3 units.
 
@@ -399,15 +397,6 @@ class QrtModel:
             out[:, rows] = (E[:, index] * scale).real.T
         return out
 
-    def harmonic_gram(self, grid) -> np.ndarray:
-        """(R, R) Gram matrix ``sum_n w_n Y_n Y_n^T`` of the R =
-        ``sum d_lam`` rows of ``harmonics`` on a quadrature grid, I when
-        it integrates them exactly: the weighted (R, N) point table's
-        product with itself."""
-        ally = self.harmonics(grid.points)
-        ally *= np.sqrt(grid.weights)  # Gauss-Legendre weights are > 0
-        return ally @ ally.T
-
     def _factor_nodes(self, points, factor) -> np.ndarray:
         """(m, 2) nodes of the one-sphere rule ``factor`` (a
         ``phase_space.Quadrature``) whose n-fold product, in
@@ -478,9 +467,6 @@ class QrtModel:
 
     def purity_work(self, nops: int) -> int:
         return 4 * nops * self.dim ** 2 * (self.dim.bit_length() - 1)
-
-    def harmonic_check_bytes(self, nodes: int) -> int:
-        return (16 * self.dim ** 2 + 40 * nodes) * self.dim ** 2
 
     def point_work(self) -> int:
         return self.dim ** 3
@@ -899,6 +885,11 @@ class SpinModel(QrtModel):
     def purity_work(self, nops: int) -> int:
         return -(-nops * (self.dim ** 3 + 576 * self.dim ** 2) // 64)
 
+    def harmonic_check_bytes(self, nodes: int) -> int:
+        ntheta = math.isqrt(nodes // 2)  # a spin's grids: ntheta x 2 ntheta
+        return (self.coefficient_bytes(35) + 8 * self.dim ** 2 * ntheta
+                + self.synthesis_bytes(15, ntheta, 2 * ntheta) + 664 * nodes)
+
     def harmonics(self, points) -> np.ndarray:
         """(d**2, N) real spherical harmonics of ``_build_block``'s bases
         T^lam_0, (T + T^H) / sqrt(2) and i (T^H - T) / sqrt(2), T = T^lam_j,
@@ -920,6 +911,46 @@ class SpinModel(QrtModel):
             out[lam ** 2 + 1:(lam + 1) ** 2:2] = cos[:lam] * Yj
             out[lam ** 2 + 2:(lam + 1) ** 2:2] = sin[:lam] * Yj
         return out
+
+    def harmonic_deviation(self, grid) -> float:
+        """max |G - I| of the Gram matrix G of ``harmonics`` on theta rings
+        of one set of phis at equal weights (theta-major), per q without the
+        (d**2, N) table: rows (lam, q, c) and (lam', q', c') of G meet in
+        ``L_qq'[lam, lam'] T[qc, q'c']``, L the weighted theta sums of ``4 pi
+        Ybar_lam q Ybar_lam' q'`` and T the Gram matrix of one ring's trig
+        rows c (1, sqrt(2) cos(q phi), sqrt(2) sin(q phi)).  The blocks q =
+        q', c = c' are taken whole, ``TABLE_BYTES`` of q at a time; an entry
+        of T off its diagonal only where it can pass them, as ``|L_qq'|**2
+        <= max diag L_q max diag L_q'`` (Cauchy-Schwarz, weights > 0)."""
+        d, pts = self.dim, self._sphere_points(grid.points)[:, 0]
+        nphi = int(np.sum(pts[:, 0] == pts[0, 0]))
+        pts, w = pts.reshape(-1, nphi, 2), np.reshape(grid.weights, (-1, nphi))
+        if (np.any(pts[..., 0] != pts[:, :1, 0]) or np.any(w != w[:, :1])
+                or np.any(pts[..., 1] != pts[0, :, 1])):
+            raise ValueError("harmonic_deviation reads theta rings of one "
+                             "set of phis at equal weights")
+        jphi = np.arange(d)[:, None] * pts[0, :, 1]
+        t = np.vstack([np.cos(jphi), np.sin(jphi[1:])]) * math.sqrt(2)
+        t[0] = 1.0
+        T = t @ t.T / nphi  # rows cos(q phi), q < d, then sin(q phi), q > 0
+        tc = np.diag(T)[np.r_[0:d, 0, d:2 * d - 1].reshape(2, d)]  # cos, sin
+        Y = np.zeros((d, d, len(w)))  # [q, lam], weighted
+        for lam, row in enumerate(_legendre_rows(pts[:, 0, 0], d)):
+            Y[:lam + 1, lam] = row * np.sqrt(4 * math.pi * nphi * w[:, 0])
+        dev, top = 0.0, np.empty(d)  # top[q]: max diag L_q = max |L_q|
+        step = max(1, TABLE_BYTES // (24 * d * d))
+        for q0 in range(0, d, step):
+            L = Y[q0:q0 + step, q0:] @ Y[q0:q0 + step, q0:].swapaxes(1, 2)
+            q, i = np.arange(q0, q0 + len(L)), np.arange(d - q0)
+            top[q] = L[:, i, i].max(axis=1)
+            E = L * tc[:, q, None, None]
+            E[..., i, i] -= q0 + i >= q[:, None]  # I on lam, lam' >= q
+            dev = max(dev, np.max(np.abs(E)))
+        q = np.r_[0:d, 1:d]  # the q of each row of T
+        bound = np.abs(np.triu(T, 1)) * np.sqrt(np.outer(top[q], top[q]))
+        for a, b in zip(*np.nonzero(bound > dev)):
+            dev = max(dev, abs(T[a, b]) * np.max(np.abs(Y[q[a]] @ Y[q[b]].T)))
+        return float(dev)
 
     def _build_block(self, lam: int) -> IrrepBlock:
         if self.S.twice > _DENSE_SPIN_CAP:
@@ -1119,17 +1150,15 @@ class MultipartiteModel(QrtModel):
         r3 = math.sqrt(3)
         return (self._bloch(nodes) * [1, r3, r3, 1j * r3]).real.T
 
-    def harmonic_gram(self, grid) -> np.ndarray:
-        """The Gram matrix of ``harmonics`` (``QrtModel.harmonic_gram``).
-        On a product grid (``grid.factor``) it is the Kronecker power of
-        the 4 x 4 Gram matrix of one qubit's rows ``_factor_harmonics``,
+    def harmonic_deviation(self, grid) -> float:
+        """max |G - I| of the Gram matrix G of ``harmonics`` on a product
+        grid (a one-sphere grid is its own ``factor``): the Kronecker power
+        of the 4 x 4 Gram matrix of one qubit's rows ``_factor_harmonics``,
         built ``TABLE_BYTES`` of rows at a time without the (4**n, N)
         point table."""
-        if grid.factor is None:
-            return super().harmonic_gram(grid)
-        h = self._factor_harmonics(self._factor_nodes(grid.points,
-                                                      grid.factor))
-        g = (h * grid.factor.weights) @ h.T
+        factor = grid if grid.factor is None else grid.factor
+        h = self._factor_harmonics(self._factor_nodes(grid.points, factor))
+        g = (h * factor.weights) @ h.T
         digits, index, _ = self._harmonic_words
         out = np.empty((len(digits), len(digits)))
         step = self._gram_step()
@@ -1138,14 +1167,13 @@ class MultipartiteModel(QrtModel):
             # into the label order of the rows.
             np.take(_kron_rows(g, digits[lo:lo + step]), index, axis=1,
                     out=out[lo:lo + step], mode="clip")
-        return out
+        out[np.diag_indices_from(out)] -= 1.0
+        return float(np.max(np.abs(out, out=out)))
 
     def _gram_step(self) -> int:  # Gram rows of a chunk: 4**n floats each
         return max(1, TABLE_BYTES // (8 * self.dim ** 2))
 
     def harmonic_check_bytes(self, nodes: int) -> int:
-        if self.n == 1:  # one sphere: the point-table route
-            return super().harmonic_check_bytes(nodes)
         rows = 8 * self.dim ** 2 * min(self.dim ** 2, self._gram_step())
         return 8 * self.dim ** 4 + 2 * rows + nodes * (16 * self.n + 648)
 

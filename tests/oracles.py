@@ -19,8 +19,10 @@ coefficients and operators, the label-by-label sector filters of
 duality rows, the kernel purities and the center factors), the point-by-point coherent
 fidelity, the per-state ``purities`` command, the ``%``-template writers that format
 every cell, the CSV reader that reads ``render.write_csv`` output
-back, and the admission estimates the commands computed before the models
-declared their own costs (the admission ladder's oracle).
+back, the harmonic Gram deviation from the whole weighted point table
+(``harmonic_deviation_by_point_table``), and the admission estimates the
+commands computed before the models declared their own costs (the
+admission ladder's oracle).
 """
 
 import itertools
@@ -433,6 +435,18 @@ def legendre_table(theta: np.ndarray, d: int) -> np.ndarray:
         T[:lam - 1, lam] = a * (x * T[:lam - 1, lam - 1]
                                 - b[:, None] * T[:lam - 1, lam - 2])
     return T
+
+
+def harmonic_deviation_by_point_table(model, grid) -> float:
+    """max |G - I| of the Gram matrix ``sum_n w_n Y_n Y_n^T`` of the whole
+    (sum d_lam, N) table ``model.harmonics(grid.points)`` (the row route
+    for qubits): the dense route ``verify`` took before the models
+    declared ``harmonic_deviation``."""
+    ally = model.harmonics(grid.points)
+    ally *= np.sqrt(grid.weights)  # quadrature weights are > 0
+    gram = ally @ ally.T
+    gram[np.diag_indices_from(gram)] -= 1.0
+    return float(np.max(np.abs(gram)))
 
 
 def tuple_product_grid(nspheres: int, band: float):

@@ -55,7 +55,7 @@ EXTRA = {
     "phasespace.S6.s1": ["phasespace", "--spin-S", "6", "--state", "hw",
                          "--state", "haar", "--s", "1", "--grid", "96x192"],
     **{f"verify.S{S.replace('/', '_')}": ["verify", "--spin-S", S]
-       for S in ("1/2", "3", "10", "20", "26")},
+       for S in ("1/2", "3", "10", "20", "26", "53/2", "50")},
     "verify.fm6": ["verify", "--qrt", "fermionic", "--n", "6"],
     "verify.fm7": ["verify", "--qrt", "fermionic", "--n", "7"],
     "verify.fm8": ["verify", "--qrt", "fermionic", "--n", "8"],
@@ -70,7 +70,7 @@ EXTRA = {
                   "--points", "7"],
     # Refusals, one per budget site of the CLI.
     "refuse.phasespace": ["phasespace", "--grid", "4000x8000"],
-    "refuse.verify.S53_2": ["verify", "--spin-S", "53/2"],
+    "refuse.verify.S200": ["verify", "--spin-S", "200"],
     "refuse.verify.mp7": ["verify", "--qrt", "multipartite", "--n", "7"],
     "refuse.star": ["star", "--spin-S", "2", "--points", "198758"],
     "refuse.duality.fm10": ["duality", "--qrt", "fermionic", "--n", "10",

@@ -3,7 +3,7 @@
 Each case is refused before anything sized is allocated: exit 2, one
 ``error:`` line that names the estimate and the budget in the one message
 form, a ``tracemalloc`` peak under 1 MiB, no file written and no time
-spent.  The boundary tests stay with their commands (2S = 52 / 53 and
+spent.  The boundary tests stay with their commands (2S = 342 / 343 and
 qubits n = 6 / 7 in ``test_rings`` and ``test_product_grid``, ``star`` at
 3 / 4 points in ``test_render_cli``).
 """
@@ -37,8 +37,8 @@ def kernel_stack_past_the_budget():
 CASES = {
     "phasespace-grid": (["phasespace", "--grid", "4000x8000"], "bytes",
                         _phasespace_bytes(4000, 8000, 5, 1, 5, 1)),
-    "verify-spin-53_2": (["verify", "--spin-S", "53/2"], "bytes",
-                         dense_bytes(SpinModel(HalfInt(53)))),
+    "verify-spin-200": (["verify", "--spin-S", "200"], "bytes",
+                        dense_bytes(SpinModel(HalfInt(400)))),
     "verify-multipartite-7": (["verify", "--qrt", "multipartite", "--n", "7"],
                               "bytes", dense_bytes(MultipartiteModel(7))),
     "star-points": (["star", "--spin-S", "2", "--points", "198758"],

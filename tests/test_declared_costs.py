@@ -35,13 +35,21 @@ def admitted(need, budget=None):
 
 
 def test_verify_ladder():
-    for model in SPINS + QUBITS + FERMIONS:
+    # A spin's harmonic check no longer forms the (d**2, d**2) Gram matrix
+    # the old one-sphere formula priced, which refused 2S >= 53: every
+    # spin the CG table serves is admitted.  One qubit now takes the
+    # Kronecker route, which is priced as on a product grid.
+    for model in SPINS:
+        assert admitted(verify.dense_bytes(model)), model
+        assert admitted(verify_bytes_by_geometry(model)) == (model.dim <= 53)
+    for model in QUBITS + FERMIONS:
         new, old = verify.dense_bytes(model), verify_bytes_by_geometry(model)
         assert admitted(new) == admitted(old), model
-        if model is not QUBITS[-1]:
+        if model not in (QUBITS[0], QUBITS[-1]):
             assert new == old, model
     # n = 10: a Kronecker Gram row of 4**10 floats is 8 MiB, past the 4 MiB
-    # chunk the old formula assumed, and ``harmonic_gram`` reads one row.
+    # chunk the old formula assumed, and ``harmonic_deviation`` reads one
+    # row.
     assert (verify.dense_bytes(QUBITS[-1]) - verify_bytes_by_geometry(
         QUBITS[-1])) == 2 * (2 ** 23 - 2 ** 22)
 
@@ -106,11 +114,12 @@ def command_peak(tmp_path, argv):
 
 
 # One small size per model and command, with the window of peak / estimate
-# measured with tracemalloc: a spin's verify estimate tends to 4 times its
-# peak from below, qubits on their product grid peak at 0.5-0.6 of theirs
-# (n = 4 ... 6) and fermions at 0.57-0.76 (n = 6 ... 10).  On 120 000 nodes
-# of all-distinct values phasespace peaks at 0.86 of its estimate, most of
-# it the 184 B per node of text, node arrays and CSV cells.
+# measured with tracemalloc: a spin's verify peak is 0.5-0.7 of its
+# estimate from 2S = 10 to 200, qubits on their product grid peak at
+# 0.5-0.6 of theirs (n = 4 ... 6) and fermions at 0.57-0.76 (n = 6 ...
+# 10).  On 120 000 nodes of all-distinct values phasespace peaks at 0.86
+# of its estimate, most of it the 184 B per node of text, node arrays and
+# CSV cells.
 PEAK_CASES = {
     "verify-spin-20": (["verify", "--spin-S", "10"],
                        lambda: verify.dense_bytes(SpinModel(HalfInt(20))),

@@ -4,12 +4,14 @@ On a product grid (``phase_space.product_quadrature``, which keeps its
 one-sphere rule as ``factor``) the qubit synthesis, its adjoint and the
 harmonics are contractions with one sphere's tables, and ``verify``'s
 harmonic check reads the Kronecker power of one qubit's 4 x 4 Gram
-matrix.  The row route over the (N, 4**n) expectation table, which any
-other point set still takes, is the oracle; ``verify.dense_bytes`` admits
-qubits from the contraction route's sizes.
+matrix (``harmonic_deviation``).  The row route over the (N, 4**n)
+expectation table, which any other point set still takes, is the
+oracle; ``verify.dense_bytes`` admits qubits from the contraction
+route's sizes.
 """
 
 import contextlib
+import functools
 import io
 import json
 import tracemalloc
@@ -22,6 +24,8 @@ from sweyl import phase_space as ps
 from sweyl.cli import main
 from sweyl.models import MultipartiteModel
 from sweyl.verify import dense_bytes, make_model
+
+from oracles import harmonic_deviation_by_point_table
 
 
 def assert_column_close(got, want, tol=1e-13):
@@ -54,13 +58,22 @@ def test_contraction_route_matches_row_route(n, band):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_kronecker_gram_matches_the_full_gram(n):
+    # The deviation from I of the Kronecker Gram matrix against that of
+    # the row route's whole table, on the product grid (at n = 1 the
+    # one-sphere rule, its own factor) and on one whose one-sphere rule
+    # has a node's weight off by 1e-6, in its product too.
     model, grid = MultipartiteModel(n), ps.product_quadrature(n)
-    ally = model.harmonics(grid.points)  # the row route
-    full = (ally * grid.weights) @ ally.T
-    gram = model.harmonic_gram(grid)
-    assert gram.shape == (4 ** n, 4 ** n)
-    assert np.max(np.abs(gram - full)) <= 1e-14
-    assert np.max(np.abs(gram - np.eye(4 ** n))) <= 1e-14
+    w = np.array(grid.factor.weights)
+    w[0] *= 1 + 1e-6
+    off = ps.Quadrature(grid.factor.points, w, grid.band)
+    off_grid = ps.Quadrature(grid.points, functools.reduce(
+        np.multiply.outer, [w] * n).ravel(), grid.band, factor=off)
+    for g, failing in ((grid, False), (off_grid, True)):
+        if n == 1:
+            g = g.factor
+        got = model.harmonic_deviation(g)
+        assert abs(got - harmonic_deviation_by_point_table(model, g)) <= 1e-14
+        assert (got > 1e-8) == failing
 
 
 def test_non_product_points_take_the_row_route():
@@ -135,9 +148,8 @@ def verify_peak(tmp_path, qrt, size):
 
 
 # Three sizes of each model kind; the qubit cases keep their ids.  A spin's
-# estimate, 16 d**4 + 40 d**2 N = 96 d**4 on the default grid, tends to 4
-# times its 24 d**4 peak from below (3.98 at S = 11): the budget's spin
-# boundary, 2S = 52 admitted and 53 refused, leaves it no room to shrink.
+# estimate, its dense-free harmonic check and field passes, is 1.5-3.3
+# times its peak here (2S = 6 to 22) and 1.4-2.1 from 2S = 10 to 200.
 @pytest.mark.parametrize("qrt,size", [
     ("multipartite", 4), ("multipartite", 5), ("multipartite", 6),
     ("spin", 3), ("spin", 5), ("spin", 11),

@@ -1,6 +1,6 @@
 """The coefficient-route fields and kernel sums against the kernel-stack
 oracle, on scattered points and on rings of equal theta, their chunking,
-and the size refusal of the dense ``verify`` route."""
+and ``verify``'s spin ladder, its estimate and its s* rule."""
 
 import json
 import time
@@ -201,19 +201,25 @@ def test_ring_chunks_split_without_changing_the_result(monkeypatch):
                          - sums)) <= 1e-13 * np.max(np.abs(sums))
 
 
-def test_verify_spin_30_refused_before_building(tmp_path, capsys):
+def verify_run(tmp_path, spin):
+    """Exit code, seconds and ``tracemalloc`` peak of ``verify --spin-S``."""
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        code = main(["verify", "--spin-S", "30", "--out", str(tmp_path)])
+        code = main(["verify", "--spin-S", spin, "--out", str(tmp_path)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2
-    assert time.perf_counter() - start < 5.0
-    assert peak < 8 * 2 ** 20
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "bytes, over the budget" in err
+    return code, time.perf_counter() - start, peak
+
+
+def test_verify_spin_30_runs(tmp_path):
+    # The dense-free harmonic check: 12 MB at 2S = 60, where the (d**2,
+    # d**2) Gram matrix priced 1.3e9 bytes and was refused.
+    code, seconds, peak = verify_run(tmp_path, "30")
+    assert code == 0
+    assert seconds < 5.0
+    assert peak < 16 * 2 ** 20
 
 
 def test_verify_huge_spin_refused_before_any_sector_list(tmp_path, capsys):
@@ -232,12 +238,24 @@ def test_verify_huge_spin_refused_before_any_sector_list(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
-@pytest.mark.parametrize("spin", ["20", "26"])
+@pytest.mark.parametrize("spin", ["20", "26", "100", "171"])
 def test_verify_estimate_admits_sizes_that_fit(spin):
-    # 2S = 52 is the largest spin under the budget.
+    # 2S = 342 is the largest spin under the budget; the CG table serves
+    # verify up to 2S = 200.
     model = verify.make_model("spin", spin)
     assert verify.dense_bytes(model) <= models.BYTES_BUDGET
-    assert verify.dense_bytes(SpinModel(HalfInt(53))) > models.BYTES_BUDGET
+    assert verify.dense_bytes(SpinModel(HalfInt(343))) > models.BYTES_BUDGET
+
+
+@pytest.mark.parametrize("twice_s", [20, 52, 60, 100])
+def test_verify_spin_ladder(tmp_path, twice_s):
+    # Every check passes (s* folds in the field error's growth with d)
+    # within 5 s, and the estimate is 1 to 4 times the peak.
+    code, seconds, peak = verify_run(tmp_path, f"{twice_s}/2")
+    assert code == 0
+    assert seconds < 5.0
+    estimate = verify.dense_bytes(SpinModel(HalfInt(twice_s)))
+    assert peak <= estimate <= 4 * peak
 
 
 def test_verify_spin_20_is_not_refused(tmp_path):
@@ -246,10 +264,11 @@ def test_verify_spin_20_is_not_refused(tmp_path):
 
 @pytest.mark.parametrize("spin,capped", [("17/2", False), ("9", True)])
 def test_verify_field_s_boundary(tmp_path, capsys, spin, capped):
-    # s* = min(1, log(quad_tol / (100 eps)) / log kappa) falls below 1 from
-    # 2S = 18 on: there the field checks run at s = 0, +-s*, and stdout
-    # and the report name kappa and s*; up to 2S = 17 they run at s = 0,
-    # +-1 and neither has a note.
+    # s* = min(1, log(quad_tol / (100 eps)) / log kappa) up to d = 53
+    # (``verify.field_margin``) falls below 1 from 2S = 18 on: there the
+    # field checks run at s = 0, +-s*, and stdout and the report name
+    # kappa and s*; up to 2S = 17 they run at s = 0, +-1 and neither has
+    # a note.
     model = SpinModel(HalfInt.of(spin))
     s_star = verify.field_s_limit(model, 1e-8)
     assert (s_star < 1) == capped
