@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__, gfd, phase_space as ps, render, verify
 from .clebsch import HalfInt
-from .models import MultipartiteModel, SpinModel, admit
+from .models import MultipartiteModel, admit
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -168,13 +168,10 @@ def _marginal_qubit_operator(model: MultipartiteModel, A: np.ndarray):
 def _phasespace_bytes(ntheta: int, nphi: int, target, nsvals: int,
                       model_dim: int, nstates: int) -> int:
     """Bytes ``phasespace`` holds, K = states x svals: the ``target`` model's
-    coefficients of 3 K operators and synthesis of K columns (an int is a
-    spin's d); per node the fields and 184 B of node arrays, text and
-    writer cells; the d x d states.  The ``tracemalloc`` peak is about
-    156 + 16 K B per node from 20 000 to 240 000 nodes: 0.86 of this
-    estimate at K = 1."""
-    if isinstance(target, int):
-        target = SpinModel(HalfInt(target - 1))
+    coefficients of 3 K operators and synthesis of K columns; per node the
+    fields and 184 B of node arrays, text and writer cells; the d x d
+    states.  The ``tracemalloc`` peak is about 156 + 16 K B per node from
+    20 000 to 240 000 nodes: 0.86 of this estimate at K = 1."""
     k = nstates * nsvals
     return (target.coefficient_bytes(3 * k)
             + target.synthesis_bytes(k, ntheta, nphi)

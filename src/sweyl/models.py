@@ -38,8 +38,7 @@ model declares and never test its class.
 * ``harmonics(points)``: the (sum d_lam, N) real harmonics ``Y^lam_j =
   tau_lam**(-1/2) <Omega| D_j |Omega>`` of the tau > 0 sectors in
   ``labels()`` order, read from the model's point table: one Legendre
-  recursion for a spin, the word expectations for qubits and fermions
-  (qubits also read a product grid's ``factor``, as below).
+  recursion for a spin, the word expectations for qubits and fermions.
   ``harmonic_deviation(grid)``: max |G - I| of their Gram matrix G under
   a grid's weights, the one float ``verify`` checks, without the table.
 * ``synthesis(c, points, factor)`` and ``synthesis_adjoint(w, points,
@@ -60,21 +59,23 @@ model declares and never test its class.
   nodes every row of E is a Kronecker product of n rows of one (m, 4)
   table, ``conj(1, n_x, n_z, -i n_y) / 2`` (``_factor_words``).  So the
   synthesis is n ``tensordot``s of the (K, 4, ..., 4) coefficients with
-  it, the adjoint that chain in reverse, the harmonics Kronecker products
-  of one qubit's rows (``_factor_harmonics``) and their Gram matrix the
-  Kronecker power of one qubit's 4 x 4 Gram matrix (cf. Koczor, Zeier &
-  Glaser, Phys. Rev. A 101, 022318 (2020)).  Only other point sets, and
-  fermions, read E in row chunks of about ``TABLE_BYTES``; that row
-  route is also the tests' oracle for the contractions.
+  it and the adjoint that chain in reverse.  The harmonics' Gram matrix
+  is the Kronecker power of one qubit's 4 x 4 Gram matrix g of its rows
+  ``_factor_harmonics`` (cf. Koczor, Zeier & Glaser, Phys. Rev. A 101,
+  022318 (2020)), and ``harmonic_deviation`` reads g alone: the largest
+  entry of G - I is one chain of g's largest and smallest entries per
+  pattern of differing qubits.  Only other point sets, and fermions, read
+  E in row chunks of about ``TABLE_BYTES``; that row route is also the
+  tests' oracle for the contractions.
 
 Declared costs
 --------------
 Each model prices its own routes, in bytes held at once and in work
 units of about 4-5 ns, and the commands' ``admit`` estimates add these
 terms to their own.  A term reads the chunk step of the route it prices
-(``_word_step``, ``_ring_step``, ``_gram_step``), so the two cannot
-drift apart; ``tests/test_declared_costs.py`` holds every estimate
-against the ``tracemalloc`` peak of its run.
+(``_word_step``, ``_ring_step``), so the two cannot drift apart;
+``tests/test_declared_costs.py`` holds every estimate against the
+``tracemalloc`` peak of its run.
 
 * ``coefficient_bytes(nops)``: ``nops`` complex coefficient arrays,
   4**n words each; a spin's are (2d - 1, d), plus the CG table and its
@@ -91,12 +92,12 @@ against the ``tracemalloc`` peak of its run.
   ``_cg_products`` (``duality`` per sample, 2S = 20 to 200: within 17%
   at 4.5 ns a unit).  Rounded up once, so exact at any count.
 * ``harmonic_check_bytes(nodes)``: ``harmonic_deviation`` and the field
-  passes on a grid of ``nodes``, per node 16 n + 8 B of points and weight
-  and 40 complex field columns (15 fields, 6 reconstructed columns and
-  the intermediates of their contractions); a spin adds its (d, d,
-  ntheta) Legendre table, ``coefficient_bytes(35)`` and a 15-column
-  ``synthesis_bytes``, a qubit product grid the Kronecker Gram matrix
-  and two of its ``_gram_step`` row chunks.  Fermions have no grid: 0.
+  passes on a grid of ``nodes``, per node 16 nspheres + 8 B of points and
+  weight and 40 complex field columns (15 fields, 6 reconstructed columns
+  and the intermediates of their contractions): ``nodes (16 nspheres +
+  648)``, which is 0 for fermions, who have no grid.  A spin adds its
+  (d, d, ntheta) Legendre table, ``coefficient_bytes(35)`` and a
+  15-column ``synthesis_bytes``.
 * ``point_work()``: one ``point_unitary`` and a kernel at it, a d x d
   product: d**3 units.
 
@@ -182,28 +183,17 @@ def _log_rotation(R: np.ndarray) -> np.ndarray:
     return np.real((V * np.log(w.astype(complex))) @ np.linalg.inv(V))
 
 
-def _word_digits(x: np.ndarray, z: np.ndarray, n: int):
-    """(R, n) base-4 digits ``x_q + 2 z_q`` of words X^x Z^z, qubit 0
-    leading, and each word's index in ``paulis.word_masks`` order."""
+def _word_index(x: np.ndarray, z: np.ndarray, n: int) -> np.ndarray:
+    """Index in ``paulis.word_masks`` order of each word X^x Z^z: its
+    base-4 digits ``x_q + 2 z_q``, qubit 0 leading."""
     q = np.arange(n)
-    digits = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
-    return digits, digits @ 4 ** q[::-1]
+    return ((x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)) @ 4 ** q[::-1]
 
 
 def _row_kron(factors) -> np.ndarray:
     """Row-wise Kronecker products of (N, m) arrays, from the left."""
     return functools.reduce(
         lambda E, e: (E[:, :, None] * e[:, None]).reshape(len(E), -1), factors)
-
-
-def _kron_rows(table: np.ndarray, digits: np.ndarray) -> np.ndarray:
-    """(R, m**n) rows ``table[digits[r, 0]] (x) ... (x) table[digits[r,
-    n - 1]]``, Kronecker products of rows of one (4, m) table."""
-    rows = np.ones((len(digits), 1))
-    for q in reversed(range(digits.shape[1])):  # the long axis innermost
-        rows = (table[digits[:, q], :, None] * rows[:, None]).reshape(
-            len(rows), -1)
-    return rows
 
 
 @dataclass
@@ -366,32 +356,26 @@ class QrtModel:
         return np.conj(self.coefficients(AH)) / self.basis_norm
 
     @functools.cached_property
-    def _harmonic_words(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(digits, index, scale) of the rows of ``harmonics``, the basis
-        words ``i**p X^x Z^z / sqrt(d)`` of ``sector_words`` of the tau > 0
-        sectors in ``labels()`` order: ``_word_digits`` and ``(-i)**p
+    def _harmonic_words(self) -> tuple[np.ndarray, np.ndarray]:
+        """(index, scale) of the rows of ``harmonics``, the basis words
+        ``i**p X^x Z^z / sqrt(d)`` of ``sector_words`` of the tau > 0
+        sectors in ``labels()`` order: ``_word_index`` and ``(-i)**p
         sqrt(d / tau_lam)``."""
         labels, taus = self.labels(), self.taus
         kept = [labels[i] for i in np.flatnonzero(taus)]
         x, z, p = map(np.concatenate, zip(*map(self.sector_words, kept)))
-        digits, index = _word_digits(x, z, self.dim.bit_length() - 1)
+        index = _word_index(x, z, self.dim.bit_length() - 1)
         scale = np.array([1, -1j, -1, 1j])[p % 4] * np.repeat(
             np.sqrt(self.dim / taus[taus > 0]),
             [self.irrep_dim(lam) for lam in kept])
-        return digits, index, scale
+        return index, scale
 
-    def harmonics(self, points, factor=None) -> np.ndarray:
+    def harmonics(self, points) -> np.ndarray:
         """(sum d_lam, N) harmonics ``Re(i**p <Omega|X^x Z^z|Omega>) /
         sqrt(tau_lam d)`` of the basis words (``_harmonic_words``), tau > 0
-        sectors only.  On a product grid (``factor``) row r is the
-        Kronecker product over qubits q of the one-sphere rows
-        ``_factor_harmonics`` at digit q of word r.  Else they are columns
-        of the expectation table: its chunks hold ``E = conj(<W>) / d``,
-        and ``Re(i**p <W>) = Re((-i)**p E) d``."""
-        digits, index, scale = self._harmonic_words
-        if factor is not None:
-            nodes = self._factor_nodes(points, factor)
-            return _kron_rows(self._factor_harmonics(nodes), digits)
+        sectors only: columns of the expectation table, whose chunks hold
+        ``E = conj(<W>) / d``, and ``Re(i**p <W>) = Re((-i)**p E) d``."""
+        index, scale = self._harmonic_words
         out = np.empty((len(index), len(points)))
         for rows, E in self._word_chunks(points):
             out[:, rows] = (E[:, index] * scale).real.T
@@ -467,6 +451,9 @@ class QrtModel:
 
     def purity_work(self, nops: int) -> int:
         return 4 * nops * self.dim ** 2 * (self.dim.bit_length() - 1)
+
+    def harmonic_check_bytes(self, nodes: int) -> int:
+        return nodes * (16 * self.nspheres + 648)
 
     def point_work(self) -> int:
         return self.dim ** 3
@@ -1152,30 +1139,33 @@ class MultipartiteModel(QrtModel):
 
     def harmonic_deviation(self, grid) -> float:
         """max |G - I| of the Gram matrix G of ``harmonics`` on a product
-        grid (a one-sphere grid is its own ``factor``): the Kronecker power
-        of the 4 x 4 Gram matrix of one qubit's rows ``_factor_harmonics``,
-        built ``TABLE_BYTES`` of rows at a time without the (4**n, N)
-        point table."""
+        grid (a one-sphere grid is its own ``factor``), read from the 4 x 4
+        Gram matrix g of one qubit's rows ``_factor_harmonics``.  G is the
+        Kronecker power of g: an entry is a product of one entry of g per
+        qubit, off g's diagonal where its two words differ.  With weights
+        >= 0 the factors' sizes are at most ``max |g_ij|`` (i != j) and
+        ``max g_ii``, and float products of non-negative factors in one
+        order are monotone; so the largest entry of each pattern of
+        differing qubits, and the extremes of G's diagonal from ``max
+        g_ii`` and ``min g_ii``, are chains of these in the Kronecker order
+        (qubit n - 1 first, times each earlier qubit)."""
         factor = grid if grid.factor is None else grid.factor
+        if np.any(factor.weights < 0):
+            raise ValueError("harmonic_deviation reads rules of non-negative "
+                             "weights")
         h = self._factor_harmonics(self._factor_nodes(grid.points, factor))
         g = (h * factor.weights) @ h.T
-        digits, index, _ = self._harmonic_words
-        out = np.empty((len(digits), len(digits)))
-        step = self._gram_step()
-        for lo in range(0, len(digits), step):
-            # Columns come out in word-index order; ``index`` sorts them
-            # into the label order of the rows.
-            np.take(_kron_rows(g, digits[lo:lo + step]), index, axis=1,
-                    out=out[lo:lo + step], mode="clip")
-        out[np.diag_indices_from(out)] -= 1.0
-        return float(np.max(np.abs(out, out=out)))
-
-    def _gram_step(self) -> int:  # Gram rows of a chunk: 4**n floats each
-        return max(1, TABLE_BYTES // (8 * self.dim ** 2))
-
-    def harmonic_check_bytes(self, nodes: int) -> int:
-        rows = 8 * self.dim ** 2 * min(self.dim ** 2, self._gram_step())
-        return 8 * self.dim ** 4 + 2 * rows + nodes * (16 * self.n + 648)
+        top, low = np.diag(g).max(), np.diag(g).min()
+        off = np.abs(g[~np.eye(4, dtype=bool)]).max()
+        # Rows: each non-empty set of differing qubits (bit q for qubit
+        # q), then G's largest and smallest diagonal entry.
+        differ = np.arange(1, self.dim)[:, None] >> np.arange(self.n) & 1
+        factors = np.vstack([np.where(differ, off, top),
+                             [[top] * self.n, [low] * self.n]])
+        chain = factors[:, -1]
+        for q in reversed(range(self.n - 1)):
+            chain = factors[:, q] * chain
+        return float(max(chain[:-2].max(), *np.abs(chain[-2:] - 1.0)))
 
     def _expectations(self, points) -> np.ndarray:
         """(N, 4**n) products of each qubit's Bloch components (``_bloch``);
@@ -1315,15 +1305,12 @@ class FermionicModel(QrtModel):
             raise ValueError(f"sector {lam} outside 0..2n")
         return self._word_block(lam)
 
-    def harmonic_check_bytes(self, nodes: int) -> int:  # no grid, no check
-        return 0
-
     @functools.cached_property
     def _pair_words(self) -> tuple[np.ndarray, np.ndarray]:
         """(index, -2i i**p) of the words ``i**p X^x Z^z = i c_mu c_nu`` of
         ``sector_words(2)``, listed in ``np.triu_indices(2n, 1)`` order."""
         x, z, p = self.sector_words(2)
-        return (_word_digits(x, z, self.n)[1],
+        return (_word_index(x, z, self.n),
                 -2j * np.array([1, 1j, -1, -1j])[p % 4])
 
     def point_unitary(self, point) -> np.ndarray:

@@ -69,11 +69,6 @@ _CELL = 1 + 5 + 17 + 16  # wider than any '%.17g' text (24 bytes)
 _FIXED_CHUNK = 1 << 12  # values per pass: under 1 MB of temporaries
 
 
-def fmt(x: float) -> str:
-    """Render a float with 17 significant digits (round-trip safe)."""
-    return format(float(x), ".17g")
-
-
 def colorize(values: np.ndarray) -> np.ndarray:
     """Map a 2-D field to RGB bytes.
 
@@ -268,20 +263,17 @@ def _text_cells(column):
     return cells.view(np.uint8).reshape(len(column), -1)
 
 
-def write_csv(path, header: list[str], rows=(), comments=(), *,
-              columns=None) -> None:
-    """Write a table of str/float columns; floats at 17 significant digits.
+def write_csv(path, header: list[str], comments=(), *, columns) -> None:
+    """Write a table of str/float ``columns`` (one sequence or array per
+    column); floats at 17 significant digits.
 
-    The table is given as ``rows`` (sequences of cells) or as ``columns``
-    (one sequence or array per column).  A column whose first cell is a
-    str is written as text, as is a 2-D uint8 matrix whose rows are the
-    NUL-padded cells; any other column is written as floats.  A text
-    column may hold several fields of a row: ``phasespace`` passes its
-    ``"theta,phi"`` prefixes (``grid_cells``) to every field table.  Rows
-    are assembled as byte matrices, ``_CSV_BLOCK`` at a time.
+    A column whose first cell is a str is written as text, as is a 2-D
+    uint8 matrix whose rows are the NUL-padded cells; any other column is
+    written as floats.  A text column may hold several fields of a row:
+    ``phasespace`` passes its ``"theta,phi"`` prefixes (``grid_cells``) to
+    every field table.  Rows are assembled as byte matrices,
+    ``_CSV_BLOCK`` at a time.
     """
-    if columns is None:
-        columns = list(zip(*rows)) or [()] * len(header)
     nrows = len(columns[0])
     texts = [_text_cells(c) for c in columns]
     # Each distinct bit pattern of the table's floats is formatted once,

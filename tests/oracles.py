@@ -20,7 +20,8 @@ duality rows, the kernel purities and the center factors), the point-by-point co
 fidelity, the per-state ``purities`` command, the ``%``-template writers that format
 every cell, the CSV reader that reads ``render.write_csv`` output
 back, the harmonic Gram deviation from the whole weighted point table
-(``harmonic_deviation_by_point_table``), and the admission estimates the
+(``harmonic_deviation_by_point_table``) and, for qubits, from the whole
+Kronecker Gram matrix (``harmonic_deviation_by_kronecker_gram``), and the admission estimates the
 commands computed before the models declared their own costs (the
 admission ladder's oracle).
 """
@@ -35,7 +36,8 @@ import numpy as np
 
 from sweyl import cli, gfd, render
 from sweyl.clebsch import _cg_signed_square, _checked_labels, cg_hw_zero
-from sweyl.models import FermionicModel, MultipartiteModel, _exp_antihermitian
+from sweyl.models import (TABLE_BYTES, FermionicModel, MultipartiteModel,
+                          _exp_antihermitian)
 from sweyl.paulis import (_FORWARD, _INVERSE, PauliString, majorana,
                           words_dense)
 from sweyl.phase_space import (KernelSpec, gauss_legendre, harmonic_matrix,
@@ -449,6 +451,41 @@ def harmonic_deviation_by_point_table(model, grid) -> float:
     return float(np.max(np.abs(gram)))
 
 
+def _kron_rows(table: np.ndarray, digits: np.ndarray) -> np.ndarray:
+    """(R, m**n) rows ``table[digits[r, 0]] (x) ... (x) table[digits[r,
+    n - 1]]``, Kronecker products of rows of one (4, m) table."""
+    rows = np.ones((len(digits), 1))
+    for q in reversed(range(digits.shape[1])):  # the long axis innermost
+        rows = (table[digits[:, q], :, None] * rows[:, None]).reshape(
+            len(rows), -1)
+    return rows
+
+
+def harmonic_deviation_by_kronecker_gram(model, grid) -> float:
+    """max |G - I| of a qubit model's whole Gram matrix G on a product grid
+    (a one-sphere grid is its own ``factor``): the Kronecker power of the
+    4 x 4 Gram matrix of one qubit's rows ``_factor_harmonics``, built
+    ``TABLE_BYTES`` of rows at a time, rows and columns in the order of
+    ``harmonics``."""
+    factor = grid if grid.factor is None else grid.factor
+    h = model._factor_harmonics(model._factor_nodes(grid.points, factor))
+    g = (h * factor.weights) @ h.T
+    x, z, _ = map(np.concatenate,
+                  zip(*map(model.sector_words, model.labels())))
+    q = np.arange(model.n)
+    digits = (x[:, None] >> q & 1) + 2 * (z[:, None] >> q & 1)
+    index = digits @ 4 ** q[::-1]
+    out = np.empty((len(digits), len(digits)))
+    step = max(1, TABLE_BYTES // (8 * model.dim ** 2))
+    for lo in range(0, len(digits), step):
+        # Columns come out in word-index order; ``index`` sorts them
+        # into the label order of the rows.
+        np.take(_kron_rows(g, digits[lo:lo + step]), index, axis=1,
+                out=out[lo:lo + step], mode="clip")
+    out[np.diag_indices_from(out)] -= 1.0
+    return float(np.max(np.abs(out, out=out)))
+
+
 def tuple_product_grid(nspheres: int, band: float):
     """The product grid built node by node: the Gauss-Legendre x
     uniform-phi rule's (theta, phi) pairs zipped from a ravelled meshgrid,
@@ -562,14 +599,13 @@ def purities_by_state(argv) -> None:
             fh.write("\n")
     else:
         render.write_csv(os.path.join(args.out, "purities.csv"),
-                         header, rows, comments=[f"seed={args.seed}"])
+                         header, comments=[f"seed={args.seed}"],
+                         columns=list(zip(*rows)))
 
 
-def template_write_csv(path, header, rows=(), comments=(), *, columns=None):
+def template_write_csv(path, header, comments=(), *, columns):
     """``render.write_csv`` with every float cell formatted by one ``%``
     template over the whole table."""
-    if columns is None:
-        columns = list(zip(*rows)) or [()] * len(header)
     text = [len(c) > 0 and isinstance(c[0], str) for c in columns]
     cols = [c if t else np.asarray(c, dtype=float).tolist()
             for c, t in zip(columns, text)]

@@ -61,6 +61,8 @@ EXTRA = {
     "verify.fm8": ["verify", "--qrt", "fermionic", "--n", "8"],
     "verify.fm9": ["verify", "--qrt", "fermionic", "--n", "9"],
     "verify.fm10": ["verify", "--qrt", "fermionic", "--n", "10"],
+    "verify.mp1": ["verify", "--qrt", "multipartite", "--n", "1"],
+    "verify.mp2": ["verify", "--qrt", "multipartite", "--n", "2"],
     "verify.mp4": ["verify", "--qrt", "multipartite", "--n", "4"],
     "verify.mp5": ["verify", "--qrt", "multipartite", "--n", "5"],
     "verify.mp6": ["verify", "--qrt", "multipartite", "--n", "6"],

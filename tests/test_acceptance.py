@@ -114,7 +114,7 @@ def test_criterion_03_filter_identity(tmp_path):
                     csv_rows.append([name, s, str(lam), quad[lam], want[lam]])
     render.write_csv(tmp_path / "filtered_purities.csv",
                      ["state", "s", "sector", "quadrature", "reference"],
-                     csv_rows, comments=["seed=7"])
+                     comments=["seed=7"], columns=list(zip(*csv_rows)))
     elapsed = time.perf_counter() - t0
     _report(3, "filtered purity matches tau^(-s) scaling",
             worst <= 1e-8 and elapsed < 60,

@@ -36,7 +36,8 @@ def kernel_stack_past_the_budget():
 # (argv or library call, "bytes" or "work units", the estimate)
 CASES = {
     "phasespace-grid": (["phasespace", "--grid", "4000x8000"], "bytes",
-                        _phasespace_bytes(4000, 8000, 5, 1, 5, 1)),
+                        _phasespace_bytes(4000, 8000, SpinModel(2), 1, 5,
+                                          1)),
     "verify-spin-200": (["verify", "--spin-S", "200"], "bytes",
                         dense_bytes(SpinModel(HalfInt(400)))),
     "verify-multipartite-7": (["verify", "--qrt", "multipartite", "--n", "7"],

@@ -169,7 +169,7 @@ def test_phasespace_spin_100_stays_under_estimate(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak <= _phasespace_bytes(64, 128, 201, 2, 201, 2)
+    assert peak <= _phasespace_bytes(64, 128, SpinModel(100), 2, 201, 2)
 
 
 @pytest.mark.parametrize("model, which", [

@@ -1,13 +1,14 @@
 """Multi-qubit phase space one qubit at a time.
 
 On a product grid (``phase_space.product_quadrature``, which keeps its
-one-sphere rule as ``factor``) the qubit synthesis, its adjoint and the
-harmonics are contractions with one sphere's tables, and ``verify``'s
-harmonic check reads the Kronecker power of one qubit's 4 x 4 Gram
-matrix (``harmonic_deviation``).  The row route over the (N, 4**n)
+one-sphere rule as ``factor``) the qubit synthesis and its adjoint are
+contractions with one sphere's tables, and ``verify``'s harmonic check
+(``harmonic_deviation``) reads one qubit's 4 x 4 Gram matrix g alone: the
+largest entry of G - I, for G the Kronecker power of g, is a closed form
+in g's largest and smallest entries.  The row route over the (N, 4**n)
 expectation table, which any other point set still takes, is the
-oracle; ``verify.dense_bytes`` admits qubits from the contraction
-route's sizes.
+oracle, and the whole Kronecker Gram matrix is the closed form's;
+``verify.dense_bytes`` admits qubits from the contraction route's sizes.
 """
 
 import contextlib
@@ -25,7 +26,8 @@ from sweyl.cli import main
 from sweyl.models import MultipartiteModel
 from sweyl.verify import dense_bytes, make_model
 
-from oracles import harmonic_deviation_by_point_table
+from oracles import (harmonic_deviation_by_kronecker_gram,
+                     harmonic_deviation_by_point_table)
 
 
 def assert_column_close(got, want, tol=1e-13):
@@ -51,9 +53,6 @@ def test_contraction_route_matches_row_route(n, band):
     assert_column_close(
         model.synthesis_adjoint(w, grid.points, factor=grid.factor).T,
         model.synthesis_adjoint(w, grid.points).T)
-    # Rows are harmonics; compare each row against its own maximum.
-    assert_column_close(model.harmonics(grid.points, grid.factor).T,
-                        model.harmonics(grid.points).T)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -74,6 +73,51 @@ def test_kronecker_gram_matches_the_full_gram(n):
         got = model.harmonic_deviation(g)
         assert abs(got - harmonic_deviation_by_point_table(model, g)) <= 1e-14
         assert (got > 1e-8) == failing
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_closed_form_equals_the_kronecker_gram(n):
+    # Bit for bit, on the product grids of bands 0, 1/4 and 1/2, and on
+    # ones whose one-sphere rule has a node's weight off by 1e-3 to 1e-14
+    # (at n = 1 the one-sphere rule itself, whose factor is None).
+    model, rng = MultipartiteModel(n), np.random.default_rng(530 + n)
+    grids = [ps.product_quadrature(n, band) for band in (0.0, 0.25, 0.5)]
+    base = grids[-1]
+    for eps in (1e-3, 1e-6, 1e-10, 1e-14):
+        w = np.array(base.factor.weights)
+        w[rng.integers(len(w))] *= 1 + rng.choice([-1, 1]) * eps
+        off = ps.Quadrature(base.factor.points, w, base.band)
+        grids.append(ps.Quadrature(base.points, functools.reduce(
+            np.multiply.outer, [w] * n).ravel(), base.band, factor=off))
+    for grid in grids:
+        if n == 1:
+            grid = grid.factor
+            assert grid.factor is None
+        assert (model.harmonic_deviation(grid)
+                == harmonic_deviation_by_kronecker_gram(model, grid))
+
+
+def test_closed_form_refuses_a_negative_weight():
+    grid = ps.product_quadrature(2)
+    w = np.array(grid.factor.weights)
+    w[3] = -w[3]
+    off = ps.Quadrature(grid.factor.points, w, grid.band)
+    with pytest.raises(ValueError, match="non-negative"):
+        MultipartiteModel(2).harmonic_deviation(
+            ps.Quadrature(grid.points, grid.weights, grid.band, factor=off))
+
+
+def test_closed_form_at_n6_forms_no_gram_matrix():
+    # The (4**6, 4**6) Kronecker Gram matrix would be 134 MB.
+    model = MultipartiteModel(6)
+    grid = ps.default_grid(model)
+    tracemalloc.start()
+    try:
+        model.harmonic_deviation(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def test_non_product_points_take_the_row_route():

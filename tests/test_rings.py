@@ -292,8 +292,7 @@ def test_preformatted_coordinates_write_the_same_bytes(tmp_path):
     # and from three float columns.
     theta, phi = render.equirect_grid(7, 13)
     values = np.random.default_rng(170).normal(size=7 * 13) * 1e-5
-    coords = [f"{t},{p}" for t in map(render.fmt, theta)
-              for p in map(render.fmt, phi)]
+    coords = [f"{t:.17g},{p:.17g}" for t in theta for p in phi]
     header = ["theta", "phi", "value"]
     render.write_csv(tmp_path / "text.csv", header, comments=["seed=0"],
                      columns=(coords, values))

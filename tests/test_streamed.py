@@ -241,7 +241,8 @@ def test_write_csv_mixed_purities_table_is_byte_identical(tmp_path):
     rows.append(["spin", "edge", -0.0, "x", float("inf"), 1e-300, 0.1, -2.5])
     header = ["model", "state", "s", "sector", "dim", "tau", "purity",
               "phase_purity"]
-    render.write_csv(tmp_path / "fast.csv", header, rows, comments=["seed=1"])
+    render.write_csv(tmp_path / "fast.csv", header, comments=["seed=1"],
+                     columns=list(zip(*rows)))
     _csv_cell_loop(tmp_path / "loop.csv", header, rows, comments=["seed=1"])
     assert (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "loop.csv").read_bytes()
@@ -293,13 +294,11 @@ def test_write_csv_repeated_and_special_cells_are_byte_identical(tmp_path,
     # Each distinct double is formatted once and mapped back to its rows.
     rows = [[f"r{i}", v, values[-1 - i]] for i, v in enumerate(values)]
     header = ["label", "value", "mirror"]
-    render.write_csv(tmp_path / "rows.csv", header, rows, comments=["c"])
     render.write_csv(tmp_path / "cols.csv", header, comments=["c"],
                      columns=list(zip(*rows)))
     _csv_cell_loop(tmp_path / "loop.csv", header, rows, comments=["c"])
-    want = (tmp_path / "loop.csv").read_bytes()
-    assert (tmp_path / "rows.csv").read_bytes() == want
-    assert (tmp_path / "cols.csv").read_bytes() == want
+    assert (tmp_path / "cols.csv").read_bytes() == \
+        (tmp_path / "loop.csv").read_bytes()
 
 
 @pytest.mark.parametrize("nrows", [0, 1] + [k * render._CSV_BLOCK + r for k in
@@ -307,9 +306,11 @@ def test_write_csv_repeated_and_special_cells_are_byte_identical(tmp_path,
 def test_write_csv_row_blocks_are_byte_identical(tmp_path, nrows):
     # An empty table is its header; longer ones are joined in row blocks.
     rng = np.random.default_rng(nrows)
-    rows = [[str(i), float(v)] for i, v in
-            enumerate(rng.integers(-3, 4, size=nrows) / 7)]
-    render.write_csv(tmp_path / "fast.csv", ["i", "v"], rows, comments=["x"])
+    columns = ([str(i) for i in range(nrows)],
+               rng.integers(-3, 4, size=nrows) / 7)
+    rows = [[i, float(v)] for i, v in zip(*columns)]
+    render.write_csv(tmp_path / "fast.csv", ["i", "v"], comments=["x"],
+                     columns=columns)
     _csv_cell_loop(tmp_path / "loop.csv", ["i", "v"], rows, comments=["x"])
     assert (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "loop.csv").read_bytes()
@@ -346,15 +347,15 @@ def test_write_csv_text_cells_are_utf8_and_refuse_nul(tmp_path):
     # NUL pads the byte matrices, so a text cell that holds one would lose
     # it silently: it is refused before the file is opened.
     rows = [["état", 1.5], ["ψ", -2.0], ["", 0.0]]
-    render.write_csv(tmp_path / "fast.csv", ["name", "v"], rows,
-                     comments=["ψ=1"])
+    render.write_csv(tmp_path / "fast.csv", ["name", "v"], comments=["ψ=1"],
+                     columns=list(zip(*rows)))
     _csv_cell_loop(tmp_path / "loop.csv", ["name", "v"], rows,
                    comments=["ψ=1"])
     assert (tmp_path / "fast.csv").read_bytes() == \
         (tmp_path / "loop.csv").read_bytes()
     with pytest.raises(ValueError, match="NUL"):
         render.write_csv(tmp_path / "nul.csv", ["name", "v"],
-                         [["a\0b", 1.0], ["c", 2.0]])
+                         columns=(["a\0b", "c"], [1.0, 2.0]))
     assert not (tmp_path / "nul.csv").exists()
 
 
