@@ -272,7 +272,8 @@ def cmd_star(args) -> int:
     """Twisted product of random Hermitian A and B against the symbol of
     A B at ``--points`` random points, exit 1 past 1e-6: ``symbol_field``
     of [A, B] at every ``--s`` on the doubled-band grid, then one
-    ``star_product`` (two forward passes and one adjoint pass in all).
+    ``star_product`` (two forward passes and one adjoint pass in all); the
+    reference traces A B against one ``sw_kernel`` stack per point.
     Refused (exit 2) before any field is built: a model other than the
     spin, a spin past the CG table (2S > 200, ``check_sector_size``), an
     ``--s > 0`` with ``eps kappa**s > 1e-8`` (``check_kappa``) and
@@ -298,12 +299,14 @@ def cmd_star(args) -> int:
     fa, fb = (ps.SymbolField(model, grid, specs, part)
               for part in np.hsplit(field.values, 2))
     stars = ps.star_product(fa, fb, svals, out_points)
+    AB = A @ B
+    ref = np.array([[complex(np.einsum("ab,ba->", D, AB))
+                     for D in ps.sw_kernel(model, pch, specs)]
+                    for pch in out_points])
     results = []
-    for k, (s, spec) in enumerate(zip(svals, specs)):
-        ref = np.array([ps.symbol(model, A @ B, pch, spec)
-                        for pch in out_points])
-        dev = float(np.max(np.abs(stars[:, k] - ref))
-                    / (1 + np.max(np.abs(ref))))
+    for k, s in enumerate(svals):
+        dev = float(np.max(np.abs(stars[:, k] - ref[:, k]))
+                    / (1 + np.max(np.abs(ref[:, k]))))
         results.append(verify.check(f"star_product[s={s:g}]", dev, 1e-6))
     return _report(args, results, s=svals, points=args.points)
 

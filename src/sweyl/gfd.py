@@ -8,6 +8,8 @@ Hilbert-Schmidt norm of A.  Phase-space filters scale each sector by
 follow from that structure.  The Haar duality Monte Carlo
 (``duality_check``) stays in that coefficient space: one pass of samples,
 whose sector purities serve every s, and no phase-space grid.
+``coherent_fidelity``, the peak of the s = -1 field, reads every value
+from batches of ``coherent_states``: a grid scan, then a compass search.
 """
 
 from __future__ import annotations
@@ -256,91 +258,63 @@ def duality_check(model: QrtModel, svals, nsamples: int,
 
 # -- coherent-state fidelity --------------------------------------------------
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
-    """Golden-section maximization of a unimodal function on [lo, hi]."""
-    invphi = (math.sqrt(5) - 1) / 2
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    x = (a + b) / 2
-    return x, f(x)
-
-
 def coherent_fidelity(model: QrtModel, psi: np.ndarray) -> float:
     """Largest squared overlap of psi with the coherent-state family.
 
-    Scans a coarse (theta, phi) grid (per sphere, one batch of
-    ``coherent_states`` per sweep), then refines by coordinate-wise
-    golden-section search down to 1e-6 radians.
+    Every value is the best row of one batch of ``coherent_states``.  A
+    coarse scan of a 64 x 128 (theta, phi) grid per sphere (on several
+    spheres, six coordinate sweeps from each of five fixed starts) finds
+    the start of a compass search (Kolda, Lewis & Torczon, SIAM Rev. 45,
+    385 (2003)): per coordinate, 9 points across +-span, the best kept, and
+    the span halved only when the sweep did not improve the value, until
+    every span is under 1e-7 radians, or for at most 100 rounds.
     """
     psi = np.asarray(psi, dtype=complex)
     nspheres = model.nspheres
     if not nspheres:
         raise ValueError("coherent fidelity needs a spherical phase space")
-    angle_tol = 1e-6  # radians
-
-    def overlap(coords) -> float:
-        point = tuple((coords[2 * k], coords[2 * k + 1]) for k in range(nspheres))
-        amp = np.vdot(model.coherent_state(point), psi)
-        return float(np.abs(amp) ** 2)
-
     ntheta, nphi = 64, 128  # coarse scan per sphere
     thetas = (np.arange(ntheta) + 0.5) * math.pi / ntheta
     phis = np.arange(nphi) * 2 * math.pi / nphi
 
-    def best_of(trial):  # the first best row of coordinates, one batch
+    def best_of(trial):  # (value, coordinates) of a batch's first best row
         amps = model.coherent_states(trial.reshape(len(trial), nspheres, 2))
-        return trial[int(np.argmax(np.abs(amps.conj() @ psi) ** 2))]
+        vals = np.abs(amps.conj() @ psi) ** 2
+        i = int(np.argmax(vals))
+        return float(vals[i]), trial[i]
+
+    def sweep(coords, k, values):  # coordinate k over values, one batch
+        trial = np.tile(coords, (len(values), 1))
+        trial[:, k] = values
+        return best_of(trial)
 
     if nspheres == 1:
-        best_coords = list(best_of(np.stack(
-            [np.repeat(thetas, nphi), np.tile(phis, ntheta)], axis=1)))
+        best, coords = best_of(np.stack(
+            [np.repeat(thetas, nphi), np.tile(phis, ntheta)], axis=1))
     else:
-        # Coordinate-wise coarse sweeps from a few deterministic starts.
         rng = np.random.default_rng(7)
         starts = [[math.pi / 2, 0.0] * nspheres] + [
             [x for _ in range(nspheres) for x in (
                 math.acos(rng.uniform(-1, 1)), rng.uniform(0, 2 * math.pi))]
             for _ in range(4)]
         best = -1.0
-        for coords in starts:  # sweeps of one coordinate, one batch each
+        for start in starts:
+            trial = np.array(start)
             for _ in range(6):
                 for k in range(2 * nspheres):
-                    grid = thetas if k % 2 == 0 else phis
-                    trial = np.tile(coords, (len(grid), 1))
-                    trial[:, k] = grid
-                    coords = best_of(trial)
-            val = overlap(coords)
+                    val, trial = sweep(trial, k, phis if k % 2 else thetas)
             if val > best:
-                best, best_coords = val, list(coords)
+                best, coords = val, trial
 
-    # Golden-section refinement, coordinate by coordinate, two steps each way.
-    spans = [2 * math.pi / ntheta, 4 * math.pi / nphi] * nspheres
-    coords = list(best_coords)
-    for _ in range(30):
-        moved = 0.0
-        for k in range(2 * nspheres):
-
-            def slice_f(x, k=k):
-                trial = list(coords)
-                trial[k] = x
-                return overlap(trial)
-
-            x, _ = _golden_max(slice_f, coords[k] - spans[k],
-                               coords[k] + spans[k], angle_tol / 4)
-            moved = max(moved, abs(x - coords[k]))
-            coords[k] = x
-            spans[k] = max(spans[k] / 2, 8 * angle_tol)
-        if moved < angle_tol:
+    spans = np.array([2 * math.pi / ntheta, 4 * math.pi / nphi] * nspheres)
+    offsets = np.linspace(-1.0, 1.0, 9)
+    for _ in range(100):  # rounds of one sweep per coordinate
+        if spans.max() < 1e-7:
             break
-    return overlap(coords)
+        for k in range(2 * nspheres):
+            val, row = sweep(coords, k, coords[k] + spans[k] * offsets)
+            if val > best:
+                best, coords = val, row
+            else:
+                spans[k] /= 2
+    return best

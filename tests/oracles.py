@@ -677,9 +677,31 @@ def read_csv(path):
 
 # -- coherent-state fidelity ---------------------------------------------------
 
+def _golden_max(f, lo: float, hi: float, tol: float) -> tuple[float, float]:
+    """Golden-section maximization of a unimodal function on [lo, hi]."""
+    invphi = (math.sqrt(5) - 1) / 2
+    a, b = lo, hi
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    while b - a > tol:
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    x = (a + b) / 2
+    return x, f(x)
+
+
 def coherent_fidelity_pointwise(model, psi) -> float:
-    """``gfd.coherent_fidelity`` with its coarse scan one ``coherent_state``
-    at a time."""
+    """Coherent fidelity from one ``coherent_state`` at a time: the coarse
+    scan of ``gfd.coherent_fidelity``, then coordinate-wise golden-section
+    refinement down to 1e-6 radians, the route ``gfd`` took before its
+    compass search over batches."""
     psi = np.asarray(psi, dtype=complex)
     nspheres = model.nspheres
     if not nspheres:
@@ -741,7 +763,7 @@ def coherent_fidelity_pointwise(model, psi) -> float:
                 trial[k] = x
                 return overlap(trial)
 
-            x, _ = gfd._golden_max(slice_f, lo, hi, angle_tol / 4)
+            x, _ = _golden_max(slice_f, lo, hi, angle_tol / 4)
             moved = max(moved, abs(x - coords[k]))
             coords[k] = x
             spans[k] = max(spans[k] / 2, 8 * angle_tol)

@@ -2,7 +2,7 @@
 
 Usage:
 
-    python tests/output_hashes.py SRC OUT.json
+    python tests/output_hashes.py SRC OUT.json [--against PARENT.json]
 
 SRC is the root of a checkout (its ``src/`` goes first on the import
 path).  For each config the script runs ``sweyl.cli.main`` in-process
@@ -13,8 +13,11 @@ job of ``perfbench/workloads.py`` (read from this tree) at benchmark seeds
 when their JSON files are equal:
 
     python tests/output_hashes.py <parent checkout> parent.json
-    python tests/output_hashes.py . change.json
-    diff parent.json change.json
+    python tests/output_hashes.py . change.json --against parent.json
+
+With ``--against`` the script still writes OUT.json, then prints every
+config whose exit code, stdout or stderr hash or file hashes differ from
+PARENT.json (or that only one of the two has) and exits 1 if any do.
 
 The BLAS thread count is pinned to one before numpy loads, as in
 ``perfbench/run.py``: at two threads some check values differ in their
@@ -23,6 +26,7 @@ rounding residues (``star.S40``, ``verify.fm8`` to ``verify.fm10``).
 Not collected by pytest (the file name has no ``test_`` prefix).
 """
 
+import argparse
 import contextlib
 import hashlib
 import importlib.util
@@ -114,13 +118,32 @@ def run(main, argv) -> dict:
             "stderr": _sha(stderr.getvalue().encode()), "files": files}
 
 
+def differing(doc: dict, parent: dict) -> list:
+    """Names of the configs whose records differ between two hash files,
+    or that only one of them has."""
+    return sorted(name for name in doc.keys() | parent.keys()
+                  if doc.get(name) != parent.get(name))
+
+
 if __name__ == "__main__":
-    src, target = sys.argv[1:3]
-    sys.path.insert(0, os.path.join(os.path.abspath(src), "src"))
+    cli = argparse.ArgumentParser(description="Hash every CLI output.")
+    cli.add_argument("src", help="root of a checkout")
+    cli.add_argument("target", help="JSON file to write")
+    cli.add_argument("--against", metavar="PARENT.json",
+                     help="hash file to compare with; exit 1 on a difference")
+    opts = cli.parse_args()
+    sys.path.insert(0, os.path.join(os.path.abspath(opts.src), "src"))
     from sweyl.cli import main
 
     doc = {name: run(main, argv) for name, argv in configs().items()}
-    with open(target, "w", encoding="utf-8") as fh:
+    with open(opts.target, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
         fh.write("\n")
-    print(f"{len(doc)} configs -> {target}")
+    print(f"{len(doc)} configs -> {opts.target}")
+    if opts.against:
+        with open(opts.against, encoding="utf-8") as fh:
+            diff = differing(doc, json.load(fh))
+        for name in diff:
+            print(f"differs: {name}")
+        print(f"{len(diff)} config(s) differ from {opts.against}")
+        sys.exit(1 if diff else 0)

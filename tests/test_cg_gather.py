@@ -8,8 +8,10 @@ one-diagonal-at-a-time route of ``tests/oracles.py``, at every block
 split; ``operators`` keeps the bits of rows built afresh per q.  Guards
 on the cost: the numpy calls of one call stay O(d) with no per-q
 ``np.diagonal``, and the gather buffers stay inside the memory bounds of
-the large-S commands.  The batched coarse scan of ``coherent_fidelity``
-agrees with the point-by-point scan.
+the large-S commands.  ``coherent_fidelity``, a scan and a compass search
+over batches of ``coherent_states``, agrees with the point-by-point scan
+and golden-section refinement of ``tests/oracles.py`` and builds no
+single coherent state or point unitary.
 """
 
 import os
@@ -174,9 +176,27 @@ def test_phasespace_spin_100_stays_under_estimate(tmp_path):
 
 @pytest.mark.parametrize("model, which", [
     (SpinModel(1), "m=0"), (SpinModel(2), "ghz"), (SpinModel(1.5), "haar"),
-    (MultipartiteModel(1), "haar"), (MultipartiteModel(2), "haar")],
+    (MultipartiteModel(1), "haar"), (MultipartiteModel(2), "haar"),
+    # A ridge: shrinking every span each round falls 8e-7 short here.
+    (SpinModel(5), "haar")],
     ids=repr)
 def test_coherent_fidelity_batched_scan_matches_pointwise(model, which):
     psi = model.named_state(which, seed=3)
     assert abs(gfd.coherent_fidelity(model, psi)
                - coherent_fidelity_pointwise(model, psi)) <= 1e-12
+
+
+@pytest.mark.parametrize("model", [
+    SpinModel(2), MultipartiteModel(1), MultipartiteModel(2)], ids=repr)
+def test_coherent_fidelity_reads_only_batches(monkeypatch, model):
+    psi = model.named_state("haar", seed=1)
+    want = gfd.coherent_fidelity(model, psi)
+
+    def refuse(*args):
+        raise AssertionError("pointwise coherent state or point unitary")
+
+    monkeypatch.setattr(models.QrtModel, "coherent_state", refuse)
+    for cls in (models.SpinModel, models.MultipartiteModel,
+                models.FermionicModel):
+        monkeypatch.setattr(cls, "point_unitary", refuse)
+    assert gfd.coherent_fidelity(model, psi) == want

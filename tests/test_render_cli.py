@@ -11,10 +11,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sweyl import cli, gfd, models, render
+from sweyl import cli, gfd, models, phase_space as ps, render, verify
 from sweyl.cli import main
 from sweyl.paulis import PauliString, PauliSum
 from sweyl.verify import CheckResult, make_model
+
+from test_sector_coefficients import _flipped_word
 
 from oracles import (pauli_sum_purities, purities_by_state, read_csv,
                      template_grid_cells, template_write_csv,
@@ -207,6 +209,27 @@ def test_cli_duality_gate_fails_on_a_bad_row(tmp_path, monkeypatch, bad):
     assert [c["name"] for c in checks if not c["passed"]] == [
         f"duality[s=0,sector={bad.label}]"]
     assert len(checks) == 3
+
+
+def test_cli_star_gate_fails_on_a_wrong_product(tmp_path, monkeypatch):
+    # Products 1e-3 off, far past the 1e-6 gate, fail every --s row.
+    star_product = ps.star_product
+    monkeypatch.setattr(ps, "star_product",
+                        lambda *args: star_product(*args) + 1e-3)
+    assert main(["star", "--s", "0", "--s", "-0.5",
+                 "--out", str(tmp_path)]) == 1
+    checks = json.loads((tmp_path / "star.json").read_text())["checks"]
+    assert [c["name"] for c in checks if not c["passed"]] == [
+        "star_product[s=0]", "star_product[s=-0.5]"]
+
+
+def test_cli_verify_gate_fails_on_a_broken_basis(monkeypatch, capsys,
+                                                 tmp_path):
+    model = _flipped_word(make_model("multipartite", "2", 2))
+    monkeypatch.setattr(verify, "make_model", lambda *args: model)
+    assert main(["verify", "--qrt", "multipartite", "--n", "2",
+                 "--out", str(tmp_path)]) == 1
+    assert "FAIL sector_orthonormality" in capsys.readouterr().out
 
 
 def _robinson_pixel_loop(rgb, background=render.BACKGROUND):
