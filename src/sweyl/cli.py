@@ -9,12 +9,12 @@ invocations produce byte-identical CSV/JSON/PPM outputs.  Exit codes:
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
-import functools
 import math
 import os
+import re
 import sys
+import types
 
 import numpy as np
 
@@ -23,60 +23,40 @@ from .clebsch import HalfInt
 from .models import MultipartiteModel, admit
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--qrt", choices=("spin", "multipartite", "fermionic"),
-                   default="spin")
-    p.add_argument("--spin-S", default="2", help="spin label, e.g. 2 or 5/2")
-    p.add_argument("--n", type=int, default=2, help="qubit/mode count")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=".", help="output directory")
-
-
-@functools.cache  # parse_args leaves the parser as it was
-def _parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="sweyl",
-        description="Sector purities and phase-space filters for "
-                    "spin, multi-qubit and fermionic resource theories.")
-    p.add_argument("--version", action="version", version=__version__)
-    sub = p.add_subparsers(dest="command", required=True)
-
-    pp = sub.add_parser("purities", help="sector purity tables for states")
-    _add_common(pp)
-    pp.add_argument("--state", action="append", default=None,
-                    help="hw | ghz | haar | m=<value> (repeatable)")
-    pp.add_argument("--s", action="append", type=float, default=None,
-                    help="ordering parameter (repeatable)")
-    pp.add_argument("--format", choices=("csv", "json"), default="csv")
-
-    pf = sub.add_parser("phasespace", help="field heatmaps and tables")
-    _add_common(pf)
-    pf.add_argument("--state", action="append", default=None)
-    pf.add_argument("--s", action="append", type=float, default=None)
-    pf.add_argument("--grid", default="64x128", help="NthetaxNphi")
-    pf.add_argument("--projection", choices=("equirect", "robinson"),
-                    default="equirect")
-
-    pd = sub.add_parser("duality", help="Haar-average duality Monte Carlo")
-    _add_common(pd)
-    pd.add_argument("--s", action="append", type=float, default=None)
-    pd.add_argument("--samples", type=int, default=2000)
-
-    pstar = sub.add_parser("star", help="twisted-product consistency check")
-    _add_common(pstar)
-    pstar.add_argument("--s", action="append", type=float, default=None)
-    pstar.add_argument("--points", type=int, default=20)
-
-    pv = sub.add_parser("verify", help="run the invariant check suite")
-    _add_common(pv)
-    pv.add_argument("--quad-tol", type=float, default=1e-8,
-                    help="tolerance for quadrature-mediated checks")
-    return p
+# {command: (help, {flag: (type, default, choices)})}.  A flag whose
+# default is None appends (--state, --s); any other keeps its last value.
+_COMMON = {"--qrt": (str, "spin", ("spin", "multipartite", "fermionic")),
+           "--spin-S": (str, "2", ()), "--n": (int, 2, ()),
+           "--seed": (int, 0, ()), "--out": (str, ".", ())}
+_STATE, _S = {"--state": (str, None, ())}, {"--s": (float, None, ())}
+_COMMANDS = {
+    "purities": ("sector purity tables for states", {
+        **_STATE, **_S, "--format": (str, "csv", ("csv", "json"))}),
+    "phasespace": ("field heatmaps and tables", {
+        **_STATE, **_S, "--grid": (str, "64x128", ()),
+        "--projection": (str, "equirect", ("equirect", "robinson"))}),
+    "duality": ("Haar-average duality Monte Carlo",
+                {**_S, "--samples": (int, 2000, ())}),
+    "star": ("twisted-product consistency check",
+             {**_S, "--points": (int, 20, ())}),
+    "verify": ("run the invariant check suite",
+               {"--quad-tol": (float, 1e-8, ())}),
+}
+_USAGE = "usage: sweyl [-h] [--version] COMMAND [--flag VALUE ...]"
 
 
 def _check_flags(args) -> None:
-    """Refuse non-finite ``--s``, a non-positive or non-finite
-    ``--quad-tol`` and ``--points < 1`` (ValueError: exit 2)."""
+    """Refuse a bad ``--spin-S``, non-finite ``--s``, a non-positive or
+    non-finite ``--quad-tol``, ``--points < 1`` and an ``--out`` in or under
+    a non-directory (ValueError: exit 2), before any output is made."""
+    try:
+        S = HalfInt.of(args.spin_S)
+        if S.twice < 1:
+            raise ValueError("spin must be positive")
+        if S.twice > sys.float_info.max:
+            raise ValueError(f"2S of {args.spin_S} does not fit a float")
+    except ValueError as exc:
+        raise ValueError(f"bad --spin-S: {exc}") from None
     flags = vars(args)
     for s in flags.get("s") or ():
         if not math.isfinite(s):
@@ -86,6 +66,11 @@ def _check_flags(args) -> None:
         raise ValueError(f"--quad-tol must be positive and finite, got {tol}")
     if flags.get("points", 1) < 1:
         raise ValueError(f"--points must be at least 1, got {args.points}")
+    path = args.out  # its nearest existing ancestor must be a directory
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path or "."):
+        raise ValueError(f"--out {args.out}: {path} is not a directory")
 
 
 def _model(args):
@@ -330,27 +315,92 @@ def cmd_verify(args) -> int:
     return code
 
 
+def _help(command) -> str:
+    return "\n".join([_USAGE, """
+--flag VALUE or --flag=VALUE; a unique prefix names a flag (an exact name
+wins: --s is --s).  --state and --s repeat, other flags keep their last
+value.  A VALUE starting with '-' needs the = form unless it reads like -1."""
+    ] + [f"\n{c}  {text}\n" + "\n".join(
+        f"  {f} {'{' + ','.join(ch) + '}' if ch else 'VALUE'} "
+        f"({'repeatable' if d is None else f'default {d}'})"
+        for f, (_, d, ch) in {**_COMMON, **flags}.items())
+        for c, (text, flags) in _COMMANDS.items() if command in (None, c)])
+
+
+def _fail(message: str):
+    sys.stderr.write(f"{_USAGE}\nsweyl: error: {message}\n")
+    raise SystemExit(2)
+
+
+def _flag(flags, tok):
+    """(flag, its =value or None), (None, None) if unknown, None if a value."""
+    if tok[:1] != "-" or tok == "-":
+        return None
+    key, eq, value = (tok.partition("=") if tok[1] == "-"
+                      else (tok[:2], tok[2:], tok[2:]))  # -h and its tail
+    hits = [key] if key in flags else [f for f in flags if f.startswith(key)]
+    if len(hits) > 1:
+        _fail(f"ambiguous option: {tok} could match {', '.join(hits)}")
+    if hits:
+        return hits[0], value if eq else None
+    number = re.match(r"-\d+$|-\d*\.\d+$", tok)  # as argparse reads -1, -.5
+    return None if number or " " in tok else (None, None)
+
+
+def parse_args(argv=None) -> types.SimpleNamespace:
+    """``command`` and its flags from argv (``sys.argv[1:]``), applied in
+    order.  Usage errors print the usage and one ``error:`` line to stderr
+    and raise SystemExit(2); -h/--help and --version raise SystemExit(0)."""
+    argv = list(sys.argv[1:] if argv is None else argv)
+    cut = argv.index("--") if "--" in argv else len(argv)  # none is taken
+    flags, command = dict.fromkeys(("-h", "--help", "--version")), None
+    kinds, extras, i = [_flag(flags, t) for t in argv[:cut]], [], 0
+    while i < cut:
+        tok, kind, i = argv[i], kinds[i], i + 1
+        if kind is None and command is None:  # its flags from here on
+            if tok not in _COMMANDS:
+                _fail(f"argument command: invalid choice: {tok!r} (choose "
+                      f"from {', '.join(map(repr, _COMMANDS))})")
+            command, flags = tok, {"-h": None, "--help": None, **_COMMON,
+                                   **_COMMANDS[tok][1]}
+            got = {f: spec[1] for f, spec in flags.items() if spec}
+            kinds[i:] = [_flag(flags, t) for t in argv[i:cut]]
+            continue
+        if kind is None or kind[0] is None:
+            extras.append(tok)
+            continue
+        name, value = kind
+        if flags[name] is None:  # -h, --help, --version
+            if value is not None:
+                _fail(f"argument {name}: ignored explicit argument {value!r}")
+            print(__version__ if name == "--version" else _help(command))
+            raise SystemExit(0)
+        if value is None:
+            if i == cut or kinds[i] is not None:
+                _fail(f"argument {name}: expected one argument")
+            value, i = argv[i], i + 1
+        cast, default, choices = flags[name]
+        try:
+            value = cast(value)
+        except ValueError:
+            _fail(f"argument {name}: invalid {cast.__name__} value: {value!r}")
+        if choices and value not in choices:
+            _fail(f"argument {name}: invalid choice: {value!r} (choose from "
+                  f"{', '.join(map(repr, choices))})")
+        got[name] = (got[name] or []) + [value] if default is None else value
+    if command is None:
+        _fail("the following arguments are required: command")
+    if extras + argv[cut:]:
+        _fail(f"unrecognized arguments: {' '.join(extras + argv[cut:])}")
+    return types.SimpleNamespace(command=command, **{
+        f[2:].replace("-", "_"): v for f, v in got.items()})
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
-    try:
-        S = HalfInt.of(args.spin_S)
-        if S.twice < 1:
-            raise ValueError("spin must be positive")
-        if S.twice > sys.float_info.max:
-            raise ValueError(f"2S of {args.spin_S} does not fit a float")
-    except ValueError as exc:
-        print(f"error: bad --spin-S: {exc}", file=sys.stderr)
-        return 2
-    handler = {
-        "purities": cmd_purities,
-        "phasespace": cmd_phasespace,
-        "duality": cmd_duality,
-        "star": cmd_star,
-        "verify": cmd_verify,
-    }[args.command]
+    args = parse_args(argv)
     try:
         _check_flags(args)
-        return handler(args)
+        return globals()[f"cmd_{args.command}"](args)  # cmd_<command>
     except (np.linalg.LinAlgError, OverflowError) as exc:
         # LinAlgError is a ValueError subclass, but a failed eig/eigh/qr is
         # a numerical failure of a valid configuration, not a usage error.

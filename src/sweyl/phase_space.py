@@ -117,7 +117,12 @@ class Quadrature:
     degree ``4 * band`` in cos(theta), azimuthal order ``4 * band``);
     a product grid keeps its one-sphere rule ``factor``, whose n-fold
     product it is.  A Monte-Carlo grid holds a list of ``FermionicPoint``s
-    with equal weights and no band: its identities hold in expectation only.
+    with equal weights and no band.  Its identities do not hold, not even
+    in expectation: every point is a rotation in SO(2n), so each coherent
+    state has one fermion parity, and on one parity no symbol tells
+    Majorana weight k from weight 2n - k.  On such points the fermionic
+    harmonics' Gram matrix is 1.02 from the identity at n = 2 and 1.05 at
+    n = 3, and more points do not shrink the error (ROADMAP item 9).
     """
 
     points: object
@@ -234,7 +239,7 @@ def _check_band(model: QrtModel, grid, factor: int = 1) -> None:
     """Refuse a structured grid that under-resolves ``factor`` times the
     model's band limit (1 for fields, 2 for products of two fields)."""
     if grid.band is None or model.band is None:
-        return  # Monte-Carlo grid or model: identities hold in expectation
+        return  # Monte-Carlo grid or model: no band to check
     if grid.band < factor * model.band - 1e-9:
         raise ValueError(
             f"grid band {grid.band} under-resolves {factor} x the band "

@@ -80,8 +80,9 @@ def duality_identity_deviation(model: QrtModel, spectrum=None) -> float:
 
 def dense_bytes(model: QrtModel) -> int:
     """Bytes ``run_checks`` holds at its peak: 512 KiB for a first call
-    (parser, ``locale``, CG cache) and the larger of the model's
-    ``harmonic_check_bytes`` on its default grid and 16 d x d arrays."""
+    (the CG caches ``cg_normalization`` fills, about 120 KiB, and the
+    report) and the larger of the model's ``harmonic_check_bytes`` on its
+    default grid and 16 d x d arrays."""
     grid = model.harmonic_check_bytes(ps.default_grid_size(model))
     return 2 ** 19 + max(grid, 16 * model.dim ** 2 * 16)
 

@@ -17,7 +17,8 @@ kernel spec, dense-block sector purities, the per-diagonal spin
 coefficients and operators, the label-by-label sector filters of
 ``{label: purity}`` dicts (phase purities, the ``purities`` factors, the
 duality rows, the kernel purities and the center factors), the point-by-point coherent
-fidelity, the per-state ``purities`` command, the ``%``-template writers that format
+fidelity, the argparse parser the CLI read before its option table
+(``_parser``), the per-state ``purities`` command, the ``%``-template writers that format
 every cell, the CSV reader that reads ``render.write_csv`` output
 back, the harmonic Gram deviation from the whole weighted point table
 (``harmonic_deviation_by_point_table``) and, for qubits, from the whole
@@ -26,6 +27,8 @@ commands computed before the models declared their own costs (the
 admission ladder's oracle).
 """
 
+import argparse
+import functools
 import itertools
 import json
 import math
@@ -34,7 +37,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from sweyl import cli, gfd, render
+from sweyl import __version__, cli, gfd, render
 from sweyl.clebsch import _cg_signed_square, _checked_labels, cg_hw_zero
 from sweyl.models import (TABLE_BYTES, FermionicModel, MultipartiteModel,
                           _exp_antihermitian)
@@ -562,12 +565,63 @@ def star_kernel_factored(model, s_triple, p1, p2, p3) -> complex:
 
 
 # -- rendering -----------------------------------------------------------------
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--qrt", choices=("spin", "multipartite", "fermionic"),
+                   default="spin")
+    p.add_argument("--spin-S", default="2", help="spin label, e.g. 2 or 5/2")
+    p.add_argument("--n", type=int, default=2, help="qubit/mode count")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=".", help="output directory")
+
+
+@functools.cache  # parse_args leaves the parser as it was
+def _parser() -> argparse.ArgumentParser:
+    p = argparse.ArgumentParser(
+        prog="sweyl",
+        description="Sector purities and phase-space filters for "
+                    "spin, multi-qubit and fermionic resource theories.")
+    p.add_argument("--version", action="version", version=__version__)
+    sub = p.add_subparsers(dest="command", required=True)
+
+    pp = sub.add_parser("purities", help="sector purity tables for states")
+    _add_common(pp)
+    pp.add_argument("--state", action="append", default=None,
+                    help="hw | ghz | haar | m=<value> (repeatable)")
+    pp.add_argument("--s", action="append", type=float, default=None,
+                    help="ordering parameter (repeatable)")
+    pp.add_argument("--format", choices=("csv", "json"), default="csv")
+
+    pf = sub.add_parser("phasespace", help="field heatmaps and tables")
+    _add_common(pf)
+    pf.add_argument("--state", action="append", default=None)
+    pf.add_argument("--s", action="append", type=float, default=None)
+    pf.add_argument("--grid", default="64x128", help="NthetaxNphi")
+    pf.add_argument("--projection", choices=("equirect", "robinson"),
+                    default="equirect")
+
+    pd = sub.add_parser("duality", help="Haar-average duality Monte Carlo")
+    _add_common(pd)
+    pd.add_argument("--s", action="append", type=float, default=None)
+    pd.add_argument("--samples", type=int, default=2000)
+
+    pstar = sub.add_parser("star", help="twisted-product consistency check")
+    _add_common(pstar)
+    pstar.add_argument("--s", action="append", type=float, default=None)
+    pstar.add_argument("--points", type=int, default=20)
+
+    pv = sub.add_parser("verify", help="run the invariant check suite")
+    _add_common(pv)
+    pv.add_argument("--quad-tol", type=float, default=1e-8,
+                    help="tolerance for quadrature-mediated checks")
+    return p
+
+
 
 def purities_by_state(argv) -> None:
     """The ``purities`` command one state at a time: one ``purity_spectrum``
     and one ``phase_purity`` per state and s, a list per row, and the
     whole document through ``json.dump``."""
-    args = cli._parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     model = cli._model(args)
     model.check_sector_size()
     states = args.state or ["hw"]

@@ -211,8 +211,8 @@ def test_verify_qubit_estimate_brackets_the_peak(tmp_path, qrt, size):
     ("fermionic", 4),
 ])
 def test_verify_estimate_covers_the_peak_at_small_sizes(tmp_path, qrt, size):
-    # The first-call costs (parser, locale import, CG cache), not the
-    # sized arrays, set the peak here.
+    # The first-call costs (the CG caches of cg_normalization, the
+    # report), not the sized arrays, set the peak here.
     peak, estimate = verify_peak(tmp_path, qrt, size)
     assert peak <= estimate
 

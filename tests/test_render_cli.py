@@ -544,7 +544,7 @@ def test_cli_fuzz_exits_cleanly(argv):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv + ["--out", tmp])
-        except SystemExit as exc:  # argparse usage errors
+        except SystemExit as exc:  # usage errors
             code = exc.code
     assert code in (0, 1, 2)
     assert "Traceback" not in out.getvalue() + err.getvalue()
@@ -600,6 +600,30 @@ def test_cli_phasespace_and_verify_do_not_import_numpy_ma(tmp_path, qrt):
     assert out.split("\n")[-2] == "False"
 
 
+
+def test_cli_runs_import_no_argparse_gettext_or_locale(tmp_path):
+    # argparse imports gettext, which imports locale: about 3 ms of start-up
+    # that the option table does without.  All five commands run in one
+    # fresh interpreter.
+    import os
+    import subprocess
+    import sys
+
+    import sweyl
+
+    runs = [["purities", "--state", "hw", "--s", "-1"],
+            ["phasespace", "--grid", "8x16"], ["verify"],
+            ["duality", "--samples", "300"], ["star", "--points", "3"]]
+    code = "import sys\nfrom sweyl.cli import main\n" + "".join(
+        f"assert main({argv + ['--out', str(tmp_path)]}) == 0\n"
+        for argv in runs) + (
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+    src = os.path.dirname(os.path.dirname(sweyl.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out.split("\n")[-2] == "[]"
+
 WHOLE_RUNS = {
     "spin_phase": ["phasespace", "--qrt", "spin", "--spin-S", "6",
                    "--state", "ghz", "--state", "hw", "--s", "-1", "--s", "0",
@@ -632,9 +656,8 @@ def test_cli_outputs_match_the_template_writers(tmp_path, monkeypatch, argv):
 
 
 def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path):
-    # The cached parser starts every parse from its defaults: repeated
-    # --state / --s flags of one call never reach the next.
-    assert cli._parser() is cli._parser()
+    # Every parse starts from the table's defaults: repeated --state / --s
+    # flags of one call never reach the next.
     assert main(["purities", "--spin-S", "1", "--state", "ghz", "--state",
                  "haar", "--s", "0.5", "--out", str(tmp_path / "a")]) == 0
     assert main(["purities", "--spin-S", "1",
@@ -642,9 +665,9 @@ def test_cli_parser_is_built_once_and_keeps_no_flags(tmp_path):
     _, rows = read_csv(tmp_path / "b" / "purities.csv")
     assert {r[1] for r in rows} == {"hw"}
     assert {float(r[2]) for r in rows} == {-1.0, 0.0, 1.0}
-    args = cli._parser().parse_args(["purities", "--state", "m=1"])
+    args = cli.parse_args(["purities", "--state", "m=1"])
     assert args.state == ["m=1"] and args.s is None
-    # The per-state reference parses through the same cached parser.
+    # The per-state reference parses through the argparse oracle.
     purities_by_state(["purities", "--spin-S", "1",
                        "--out", str(tmp_path / "ref")])
     assert ((tmp_path / "b" / "purities.csv").read_bytes()
