@@ -47,8 +47,8 @@ _USAGE = "usage: sweyl [-h] [--version] COMMAND [--flag VALUE ...]"
 
 def _check_flags(args) -> None:
     """Refuse a bad ``--spin-S``, non-finite ``--s``, a non-positive or
-    non-finite ``--quad-tol``, ``--points < 1`` and an ``--out`` in or under
-    a non-directory (ValueError: exit 2), before any output is made."""
+    non-finite ``--quad-tol``, ``--points < 1`` and an empty ``--out`` or one
+    in or under a non-directory (ValueError: exit 2) before any output."""
     try:
         S = HalfInt.of(args.spin_S)
         if S.twice < 1:
@@ -69,8 +69,8 @@ def _check_flags(args) -> None:
     path = args.out  # its nearest existing ancestor must be a directory
     while path and not os.path.lexists(path):
         path = os.path.dirname(path)
-    if not os.path.isdir(path or "."):
-        raise ValueError(f"--out {args.out}: {path} is not a directory")
+    if not (args.out and os.path.isdir(path or ".")):
+        raise ValueError(f"--out {args.out!r}: {path!r} is not a directory")
 
 
 def _model(args):

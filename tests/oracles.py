@@ -18,8 +18,8 @@ coefficients and operators, the label-by-label sector filters of
 ``{label: purity}`` dicts (phase purities, the ``purities`` factors, the
 duality rows, the kernel purities and the center factors), the point-by-point coherent
 fidelity, the argparse parser the CLI read before its option table
-(``_parser``), the per-state ``purities`` command, the ``%``-template writers that format
-every cell, the CSV reader that reads ``render.write_csv`` output
+(``_parser``), the per-state ``purities`` command, the ``%``-template
+writers that format every cell, the CSV reader that reads ``render.write_csv`` output
 back, the harmonic Gram deviation from the whole weighted point table
 (``harmonic_deviation_by_point_table``) and, for qubits, from the whole
 Kronecker Gram matrix (``harmonic_deviation_by_kronecker_gram``), and the admission estimates the

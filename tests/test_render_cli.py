@@ -617,12 +617,13 @@ def test_cli_runs_import_no_argparse_gettext_or_locale(tmp_path):
     code = "import sys\nfrom sweyl.cli import main\n" + "".join(
         f"assert main({argv + ['--out', str(tmp_path)]}) == 0\n"
         for argv in runs) + (
-        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n")
+        "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))")
     src = os.path.dirname(os.path.dirname(sweyl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env=env).stdout
     assert out.split("\n")[-2] == "[]"
+
 
 WHOLE_RUNS = {
     "spin_phase": ["phasespace", "--qrt", "spin", "--spin-S", "6",
