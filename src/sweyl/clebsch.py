@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
 
 @total_ordering
-@dataclass(frozen=True)
 class HalfInt:
-    """An integer or half-integer stored as twice its value.
+    """An integer or half-integer stored as twice its value; immutable.
 
     Parameters
     ----------
@@ -26,7 +24,18 @@ class HalfInt:
         Twice the represented value, e.g. ``HalfInt(3)`` is 3/2.
     """
 
-    twice: int
+    __slots__ = ("twice",)
+
+    def __init__(self, twice: int):
+        object.__setattr__(self, "twice", twice)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"HalfInt is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return HalfInt, (self.twice,)
 
     @classmethod
     def of(cls, value) -> "HalfInt":

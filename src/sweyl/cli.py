@@ -3,13 +3,13 @@
 All commands are deterministic functions of (config, seed): identical
 invocations produce byte-identical CSV/JSON/PPM outputs.  Exit codes:
 0 success, 1 a numerical check or a linear-algebra routine
-(``numpy.linalg.LinAlgError``) failed or a filter factor overflowed
-(``OverflowError``), 2 configuration/usage error.
+(``numpy.linalg.LinAlgError``) failed, 2 configuration/usage error,
+including an ``--s`` whose filter factor ``tau**(-s)`` passes the float
+range (such as ``--s 1000``), refused before any work.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import os
 import re
@@ -91,13 +91,29 @@ def _file_tag(sel: str) -> str:
     return _state_label(sel).replace("/", "_")
 
 
+def _filter_factors(model, svals, lead: float = 0.0) -> np.ndarray:
+    """(len(svals), L) ``gfd.filter_factors`` at each ``--s`` plus ``lead``;
+    an ``--s`` where a factor passes the float range is refused
+    (ValueError: exit 2)."""
+    rows = []
+    for s in svals:
+        try:
+            rows.append(gfd.filter_factors(model, s + lead))
+        except OverflowError:
+            raise ValueError(f"--s {s:g}: a filter factor "
+                             f"tau**(-{s + lead:g}) passes the float range"
+                             ) from None
+    return np.stack(rows)
+
+
 def _report(args, results, **config) -> int:
     """Write the check report ``<command>.json`` (config, checks, seed);
     exit 0 when every check passed, else 1."""
     os.makedirs(args.out, exist_ok=True)
     render.write_json(os.path.join(args.out, f"{args.command}.json"),
                       {"config": _config(args, **config),
-                       "checks": [dataclasses.asdict(r) for r in results],
+                       "checks": [{f: getattr(r, f) for f in r.__slots__}
+                                  for r in results],
                        "seed": args.seed})
     return 0 if all(r.passed for r in results) else 1
 
@@ -111,18 +127,17 @@ def cmd_purities(args) -> int:
     model.check_sector_size()  # before any d x d state is formed
     states = args.state or ["hw"]
     svals = args.s if args.s else [-1.0, 0.0, 1.0]
+    factors = _filter_factors(model, svals)  # before any state is formed
     labels = model.labels()
     psi = np.stack([model.named_state(sel, seed=args.seed) for sel in states])
     purity = np.concatenate(list(gfd.state_purities(model, psi)))
-    # An overflowing factor raises OverflowError: exit 1.
-    factors = np.stack([gfd.filter_factors(model, s) for s in svals])
     filtered = purity[:, None, :] * factors  # (states, svals, sectors)
     nk, ns, nl = filtered.shape
     header = ["model", "state", "s", "sector", "dim", "tau",
               "purity", "phase_purity"]
     columns = [
         [model.kind] * filtered.size,
-        [_state_label(sel) for sel in states for _ in range(ns * nl)],
+        [label for sel in states for label in [_state_label(sel)] * (ns * nl)],
         np.repeat(np.tile(svals, nk), nl),
         [model.sector_name(lam) for lam in labels] * (nk * ns),
         np.tile([float(model.irrep_dim(lam)) for lam in labels], nk * ns),
@@ -184,10 +199,11 @@ def cmd_phasespace(args) -> int:
     # Multi-qubit fields render the marginal on the first sphere.
     target = MultipartiteModel(1) if model.nspheres > 1 else model
     target.check_sector_size()  # before the exact tau of every sector
-    factors = np.stack(  # an overflowing factor exits 1 here
+    # The kappa rule refuses every --s whose factor would overflow.
+    ps.check_kappa(target, svals)
+    factors = np.stack(
         [ps.sector_factors(target, ps.KernelSpec.cahill_glauber(s))
          for s in svals], axis=1)
-    ps.check_kappa(target, svals)
     admit(f"phasespace on a {ntheta}x{nphi} grid at d={target.dim}",
           _phasespace_bytes(ntheta, nphi, target, len(svals), model.dim,
                             len(states)))
@@ -242,6 +258,7 @@ def cmd_duality(args) -> int:
     model = _model(args)
     model.check_sector_size()  # before any sample is drawn
     svals = args.s if args.s else [-1.0, 0.0]
+    _filter_factors(model, svals, lead=1.0)  # the reference reads s + 1
     results = []
     for row in gfd.duality_check(model, svals, args.samples, args.seed):
         name = f"duality[s={row.s:g},sector={model.sector_name(row.label)}]"
@@ -404,7 +421,8 @@ def main(argv=None) -> int:
     except (np.linalg.LinAlgError, OverflowError) as exc:
         # LinAlgError is a ValueError subclass, but a failed eig/eigh/qr is
         # a numerical failure of a valid configuration, not a usage error.
-        # So is a filter factor tau**(-s) past the float range (--s 1000).
+        # So is a float overflow that no admission rule foresaw; an --s whose
+        # filter factor tau**(-s) overflows is refused up front (exit 2).
         print(f"error: numerical failure: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:

@@ -15,7 +15,6 @@ from batches of ``coherent_states``: a grid scan, then a compass search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +23,15 @@ from .models import QrtModel, admit
 from .paulis import PauliSum
 
 
-@dataclass
 class PuritySpectrum:
     """Sector purities of an operator or of a stack: ``values[..., i]`` is
     sector ``labels[i]``, ``spec[label]`` a float or an array."""
 
-    labels: list
-    values: np.ndarray
+    __slots__ = ("labels", "values")
+
+    def __init__(self, labels: list, values: np.ndarray):
+        self.labels = labels
+        self.values = values
 
     def __getitem__(self, label):
         v = self.values[..., self.labels.index(label)]
@@ -189,17 +190,21 @@ def haar_chunks(dim: int, nsamples: int, seed: int):
         yield psi / np.linalg.norm(psi, axis=1, keepdims=True)
 
 
-@dataclass
 class DualityRow:
     """Per-sector comparison of Haar-averaged filtered purity with its dual."""
 
-    s: float
-    label: object
-    lhs_mean: float
-    lhs_se: float
-    rhs: float
-    zscore: float
-    trivial: bool
+    __slots__ = ("s", "label", "lhs_mean", "lhs_se", "rhs", "zscore",
+                 "trivial")
+
+    def __init__(self, s: float, label, lhs_mean: float, lhs_se: float,
+                 rhs: float, zscore: float, trivial: bool):
+        self.s = s
+        self.label = label
+        self.lhs_mean = lhs_mean
+        self.lhs_se = lhs_se
+        self.rhs = rhs
+        self.zscore = zscore
+        self.trivial = trivial
 
 
 def duality_check(model: QrtModel, svals, nsamples: int,

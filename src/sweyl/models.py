@@ -140,7 +140,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
@@ -196,7 +195,6 @@ def _row_kron(factors) -> np.ndarray:
         lambda E, e: (E[:, :, None] * e[:, None]).reshape(len(E), -1), factors)
 
 
-@dataclass
 class IrrepBlock:
     """One irreducible sector of operator space.
 
@@ -207,9 +205,12 @@ class IrrepBlock:
     basis : (d_lambda, d, d) stack of Hermitian orthonormal matrices
     """
 
-    label: object
-    dim: int
-    basis: np.ndarray
+    __slots__ = ("label", "dim", "basis")
+
+    def __init__(self, label, dim: int, basis: np.ndarray):
+        self.label = label
+        self.dim = dim
+        self.basis = basis
 
     def project(self, A: np.ndarray) -> np.ndarray:
         """Component of A inside this sector: sum_j <D_j, A> D_j."""
@@ -1200,19 +1201,28 @@ class MultipartiteModel(QrtModel):
 
 # -- fermionic model ----------------------------------------------------------
 
-@dataclass(frozen=True)
 class FermionicPoint:
-    """Phase point of the fermionic model: a real antisymmetric generator."""
+    """Phase point of the fermionic model: a real antisymmetric generator
+    ``h``, immutable."""
 
-    h: np.ndarray
+    __slots__ = ("h",)
 
-    def __post_init__(self):
-        h = np.asarray(self.h, dtype=float)
+    def __init__(self, h: np.ndarray):
+        h = np.asarray(h, dtype=float)
         if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] % 2:
             raise ValueError("generator must be square of even size 2n")
         if np.max(np.abs(h + h.T)) > 1e-12:
             raise ValueError("generator must be antisymmetric")
         object.__setattr__(self, "h", h)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"FermionicPoint is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return FermionicPoint, (self.h,)
 
     def __array__(self, dtype=None, copy=None):
         """The generator h, so a point reads as its bare array."""

@@ -11,7 +11,6 @@ carry the canonical phase so that Hermitian operators have real weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,22 +19,46 @@ _DENSE_CAP = 12  # qubits; dense matrices are a debugging/small-n tool
 _PHASE = (1, 1j, -1, -1j)
 
 
-@dataclass(frozen=True)
 class PauliString:
-    """``i**phase * X^x Z^z`` on ``n`` qubits, masks bit-packed."""
+    """``i**phase * X^x Z^z`` on ``n`` qubits, masks bit-packed; immutable,
+    equal (and hashing equal) when ``n``, ``x``, ``z`` and ``phase`` are."""
 
-    n: int
-    x: int
-    z: int
-    phase: int = 0  # power of i, mod 4
+    __slots__ = ("n", "x", "z", "phase")
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, x: int, z: int, phase: int = 0):
+        if n < 1:
             raise ValueError("need at least one qubit")
-        mask = (1 << self.n) - 1
-        if self.x & ~mask or self.z & ~mask:
+        mask = (1 << n) - 1
+        if x & ~mask or z & ~mask:
             raise ValueError("mask exceeds qubit count")
-        object.__setattr__(self, "phase", self.phase % 4)
+        init = object.__setattr__
+        init(self, "n", n)
+        init(self, "x", x)
+        init(self, "z", z)
+        init(self, "phase", phase % 4)  # power of i, mod 4
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"PauliString is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def _fields(self) -> tuple:
+        return (self.n, self.x, self.z, self.phase)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return PauliString, self._fields()
+
+    def __repr__(self) -> str:
+        return "PauliString(n=%r, x=%r, z=%r, phase=%r)" % self._fields()
 
     # -- constructors ------------------------------------------------------
 

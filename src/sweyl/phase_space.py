@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +57,40 @@ from .models import FermionicModel, QrtModel, admit
 
 # -- kernel specification -----------------------------------------------------
 
-@dataclass(frozen=True)
 class KernelSpec:
     """Which member of the kernel family to use.
 
     Either an ordering parameter ``s`` (the standard family) or a tuple of
     per-sector filter coefficients ``k_lam`` (generalized filters, where
-    the symbol of A is ``sum_lam k_lam sum_j Y_j <D_j, A>``).
+    the symbol of A is ``sum_lam k_lam sum_j Y_j <D_j, A>``).  Immutable;
+    equal (and hashing equal) when ``s`` and ``coeffs`` are.
     """
 
-    s: float | None = None
-    coeffs: tuple | None = None
+    __slots__ = ("s", "coeffs")
+
+    def __init__(self, s: float | None = None, coeffs: tuple | None = None):
+        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(
+            f"KernelSpec is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.s, self.coeffs) == (other.s, other.coeffs)
+
+    def __hash__(self) -> int:
+        return hash((self.s, self.coeffs))
+
+    def __reduce__(self):
+        return KernelSpec, (self.s, self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"KernelSpec(s={self.s!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def cahill_glauber(cls, s: float) -> "KernelSpec":
@@ -107,7 +129,6 @@ class KernelSpec:
 
 # -- quadrature grids ---------------------------------------------------------
 
-@dataclass
 class Quadrature:
     """Nodes and weights of a phase-space integral, normalized measure.
 
@@ -125,10 +146,14 @@ class Quadrature:
     n = 3, and more points do not shrink the error (ROADMAP item 9).
     """
 
-    points: object
-    weights: np.ndarray
-    band: float | None = None
-    factor: Quadrature | None = None
+    __slots__ = ("points", "weights", "band", "factor")
+
+    def __init__(self, points, weights: np.ndarray, band: float | None = None,
+                 factor: Quadrature | None = None):
+        self.points = points
+        self.weights = weights
+        self.band = band
+        self.factor = factor
 
 
 def _legendre(n: int, x: np.ndarray):
@@ -350,15 +375,18 @@ def kernel_sums(model: QrtModel, points, weights: np.ndarray,
     return model.operators(b * f)
 
 
-@dataclass
 class SymbolField:
     """Symbols on a quadrature grid: one field, (N,) ``values`` of one
     ``spec``, or a stack, (N, C) ``values`` and a tuple of C specs."""
 
-    model: QrtModel
-    grid: object
-    spec: KernelSpec | tuple
-    values: np.ndarray
+    __slots__ = ("model", "grid", "spec", "values")
+
+    def __init__(self, model: QrtModel, grid, spec: KernelSpec | tuple,
+                 values: np.ndarray):
+        self.model = model
+        self.grid = grid
+        self.spec = spec
+        self.values = values
 
     @property
     def specs(self) -> tuple:

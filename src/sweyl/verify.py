@@ -9,7 +9,6 @@ use a configurable one so the suite can demonstrate failure reporting.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,13 +19,18 @@ from .models import (FermionicModel, MultipartiteModel, QrtModel, SpinModel,
 from .paulis import majorana, words_dense
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    value: float
-    bound: float
-    tolerance: float
+    """One check's verdict; ``__slots__`` lists the report fields in order."""
+
+    __slots__ = ("name", "passed", "value", "bound", "tolerance")
+
+    def __init__(self, name: str, passed: bool, value: float, bound: float,
+                 tolerance: float):
+        self.name = name
+        self.passed = passed
+        self.value = value
+        self.bound = bound
+        self.tolerance = tolerance
 
 
 def check(name: str, value: float, bound: float) -> CheckResult:

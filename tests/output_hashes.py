@@ -74,7 +74,7 @@ EXTRA = {
     "star.S40": ["star", "--spin-S", "40"],
     "star.S5_2": ["star", "--spin-S", "5/2", "--s", "0.5", "--s", "-1",
                   "--points", "7"],
-    # Refusals, one per budget site of the CLI.
+    # Refusals, one per budget site of the CLI, and an overflowing --s.
     "refuse.phasespace": ["phasespace", "--grid", "4000x8000"],
     "refuse.verify.S200": ["verify", "--spin-S", "200"],
     "refuse.verify.mp7": ["verify", "--qrt", "multipartite", "--n", "7"],
@@ -82,6 +82,7 @@ EXTRA = {
     "refuse.duality.fm10": ["duality", "--qrt", "fermionic", "--n", "10",
                             "--samples", "3000"],
     "refuse.duality.samples": ["duality", "--samples", "1" + "0" * 400],
+    "refuse.purities.s1000": ["purities", "--spin-S", "5", "--s", "1000"],
 }
 
 

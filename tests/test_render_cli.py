@@ -472,11 +472,27 @@ def test_cli_bad_numeric_flags_exit_2(tmp_path, capsys, argv):
     ["phasespace", "--spin-S", "5", "--s", "500", "--grid", "2x4"],
     ["duality", "--spin-S", "2", "--s", "1e3", "--samples", "20"],
 ])
-def test_cli_overflowing_filter_exits_1(tmp_path, capsys, argv):
-    # tau**(-s) past the float range is a numerical failure, not a crash.
-    assert main(argv + ["--out", str(tmp_path)]) == 1
+def test_cli_overflowing_filter_exits_2(tmp_path, capsys, argv):
+    # An --s whose factor tau**(-s) passes the float range is a bad
+    # configuration, refused before any work: nothing is written.
+    assert main(argv + ["--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: numerical failure") and err.count("\n") == 1
+    assert err.startswith("error: --s ") and err.count("\n") == 1
+    assert not any(tmp_path.iterdir())
+
+
+def test_cli_duality_refuses_an_overflowing_reference(tmp_path, monkeypatch):
+    # At spin 2, tau_min**(-s) passes the float range from s = 110.1 on.
+    # duality's reference reads the filter at s + 1, so --s 109.5 is
+    # refused before any sample is drawn; purities at 109.5 runs.
+    def no_draws(*args):
+        raise AssertionError("sampled before the refusal")
+
+    monkeypatch.setattr(gfd, "haar_chunks", no_draws)
+    argv = ["--spin-S", "2", "--s", "109.5", "--out", str(tmp_path)]
+    assert main(["duality", "--samples", "20"] + argv) == 2
+    assert not any(tmp_path.iterdir())
+    assert main(["purities"] + argv) == 0
 
 
 def test_cli_format_is_a_purities_flag(tmp_path, capsys):
@@ -603,8 +619,9 @@ def test_cli_phasespace_and_verify_do_not_import_numpy_ma(tmp_path, qrt):
 
 def test_cli_runs_import_no_argparse_gettext_or_locale(tmp_path):
     # argparse imports gettext, which imports locale: about 3 ms of start-up
-    # that the option table does without.  All five commands run in one
-    # fresh interpreter.
+    # that the option table does without; the record classes are plain
+    # classes, so no run imports dataclasses (and its inspect).  All five
+    # commands run in one fresh interpreter.
     import os
     import subprocess
     import sys
@@ -617,7 +634,8 @@ def test_cli_runs_import_no_argparse_gettext_or_locale(tmp_path):
     code = "import sys\nfrom sweyl.cli import main\n" + "".join(
         f"assert main({argv + ['--out', str(tmp_path)]}) == 0\n"
         for argv in runs) + (
-        "print(sorted({'argparse', 'gettext', 'locale'} & sys.modules.keys()))")
+        "print(sorted({'argparse', 'dataclasses', 'gettext', 'locale'}"
+        " & sys.modules.keys()))")
     src = os.path.dirname(os.path.dirname(sweyl.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
