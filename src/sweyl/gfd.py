@@ -7,7 +7,12 @@ Hilbert-Schmidt norm of A.  Phase-space filters scale each sector by
 ``tau_lam**(-s)``; several exact and statistical identities tested here
 follow from that structure.  The Haar duality Monte Carlo
 (``duality_check``) stays in that coefficient space: one pass of samples,
-whose sector purities serve every s, and no phase-space grid.
+whose sector purities serve every s, and no phase-space grid.  A sample
+is rank one, so its purities come from the model's
+``pure_state_purities``: for a spin the CG rows against the diagonal
+products of psi, for qubits subsystem purities by Moebius inversion,
+neither forming psi psi^H; fermions keep the operator route
+(``state_purities``), which ``purities`` of named states also takes.
 ``coherent_fidelity``, the peak of the s = -1 field, reads every value
 from batches of ``coherent_states``: a grid scan, then a compass search.
 """
@@ -166,8 +171,12 @@ _RHO_BYTES = 2**23  # one (k, d, d) stack of sampled density matrices
 
 def state_purities(model: QrtModel, psi: np.ndarray):
     """(k, L) sector purities of consecutive chunks of a (K, d) stack of
-    pure states.  Each chunk's density matrices, at most ``_RHO_BYTES``
-    (one state when a single one is larger), go to ``purity_spectrum``."""
+    pure states by the operator route.  Each chunk's density matrices, at
+    most ``_RHO_BYTES`` (one state when a single one is larger), go to
+    ``purity_spectrum``.  Named states take this route, which keeps the
+    exact zeros of product and GHZ states: the qubits' alternating sums
+    in ``pure_state_purities`` can leave rounding residues there (1.3e-18
+    for GHZ at n = 10), which ``--s 1`` would multiply by up to 6**n."""
     step = max(1, _RHO_BYTES // (16 * model.dim ** 2))
     for lo in range(0, len(psi), step):
         chunk = psi[lo:lo + step]
@@ -217,7 +226,9 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     (every pure state gives exactly d**(s-1)); its row reports that exact
     value as rhs.  One pass of ``haar_chunks`` serves every s in
     ``svals``: the filtered purity at s is ``filter_factors`` times the
-    sample's sector purity (``state_purities``).
+    sample's sector purity, read chunk by chunk through the model's
+    rank-one route ``pure_state_purities`` and priced by its
+    ``purity_work``.
     The filter scales mean, standard error and rhs alike, so z is taken
     once per sector (at s = 0) and is the same in every s row.  Rows are
     ordered by s, then sector.  ``models.admit`` weighs the run before
@@ -233,11 +244,11 @@ def duality_check(model: QrtModel, svals, nsamples: int,
     # the rounding level of its spread, not of its mean squared.
     shift, sums, sqsums = None, 0.0, 0.0
     for chunk in haar_chunks(d, nsamples, seed):
-        for vals in state_purities(model, chunk):
-            shift = vals[0].copy() if shift is None else shift
-            vals -= shift
-            sums += np.sum(vals, axis=0)
-            sqsums += np.sum(vals * vals, axis=0)
+        vals = model.pure_state_purities(chunk)
+        shift = vals[0].copy() if shift is None else shift
+        vals -= shift
+        sums += np.sum(vals, axis=0)
+        sqsums += np.sum(vals * vals, axis=0)
     offset = sums / nsamples
     mean = shift + offset
     se = np.sqrt(np.maximum(0.0, sqsums / nsamples - offset ** 2)

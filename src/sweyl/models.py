@@ -32,6 +32,12 @@ model declares and never test its class.
   ``operators(b)`` is its transpose, ``sum_k b_k B_k``.
 * ``coefficient_sectors()``: the row in ``labels()`` of each coefficient's
   sector.
+* ``pure_state_purities(psi)``: the (K, L) sector purities of each
+  ``psi psi^H`` of a (K, d) stack of states.  By default the operator
+  route, ``sector_purities`` of the density matrices (fermions); a spin
+  contracts the diagonal products ``psi_k conj(psi_(k+q))`` with its CG
+  rows, and qubits invert their subsystem purities over subsets, neither
+  forming a d x d matrix.  ``duality`` reads its samples by it.
 * ``weights(A) = conj(coefficients(A^H)) / basis_norm``: the b with
   ``operators(b) = A``, as the B_k are orthogonal with ``Tr(B_k B_k^H) =
   basis_norm`` (1 for the spin's T^lam_q, d for words).
@@ -86,11 +92,19 @@ terms to their own.  A term reads the chunk step of the route it prices
   spin four ``_ring_step`` chunks of (2d - 1, ncols) complex Legendre
   sums (a recursion step's product and rows are under thrice the sums)
   and twice one ring's (nphi, 2d - 1) complex Fourier factors.
-* ``purity_work(nops)``: ``sector_purities`` of ``nops`` operators, the
-  Pauli transform's 4**n n additions at 4 units each; for a spin d**3 /
-  64 + 9 d**2 units each, the gathers, folds and matmuls of
-  ``_cg_products`` (``duality`` per sample, 2S = 20 to 200: within 17%
-  at 4.5 ns a unit).  Rounded up once, so exact at any count.
+* ``purity_work(nops)``: ``pure_state_purities`` of ``nops`` Haar
+  states with their draw, the ``duality`` samples.  Fermions take the
+  operator route, the Pauli transform's 4**n n additions at 4 units
+  each.  A spin takes d**3 / 128 + d**2 / 2 + 64 d + 96 units each: the
+  folded CG matmuls, a dozen numpy calls per diagonal q on each chunk,
+  and the draw.  Qubits take ``sum_B 2**(n + |B|) / 6`` over the
+  subsystems B they compute (the complex multiply-adds of the Gram
+  products), d + 128 per subsystem (its reshape and numpy calls) and 256
+  for the draw.  Against the measured ``duality`` time per sample at 4.5
+  ns a unit (2-vCPU host, one BLAS thread, two or three runs per size),
+  the spin estimate is 1.14-2.4 times it from 2S = 1 to 200 and the
+  qubit one 1.06-2.4 times from n = 3 to 10.  Rounded up once, so exact
+  at any count.
 * ``harmonic_check_bytes(nodes)``: ``harmonic_deviation`` and the field
   passes on a grid of ``nodes``, per node 16 nspheres + 8 B of points and
   weight and 40 complex field columns (15 fields, 6 reconstructed columns
@@ -287,6 +301,15 @@ class QrtModel:
                                starts, axis=-1)
         sums /= self.dim
         return sums
+
+    def pure_state_purities(self, psi: np.ndarray) -> np.ndarray:
+        """(K, L) sector purities of each ``psi psi^H`` of a (K, d) stack of
+        states: the route ``gfd.duality_check`` reads its Haar samples by.
+        By default the operator route, ``sector_purities`` of the density
+        matrices in stacks of at most ``gfd._RHO_BYTES``
+        (``gfd.state_purities``); a spin and qubits form no d x d matrix."""
+        from .gfd import state_purities  # gfd imports this module
+        return np.concatenate(list(state_purities(self, np.asarray(psi))))
 
     def hw_sector_diagonals(self) -> np.ndarray:
         """(L, d) real table: row lam is the diagonal of Pi_lam(|hw><hw|).
@@ -758,6 +781,32 @@ class SpinModel(QrtModel):
                          axis=0)
         return out
 
+    def pure_state_purities(self, psi: np.ndarray) -> np.ndarray:
+        """(K, L) purities of each ``psi psi^H`` of a (K, d) stack from its
+        diagonal products alone: diagonal q of ``psi psi^H`` is ``v_k =
+        psi_k conj(psi_(k+q))`` up to conjugation, and the CG rows of
+        ``cg_diagonals`` dotted with it give every ``|c_lam q|``.  The rows
+        are folded as in ``_cg_products`` (even rows on ``v_k +
+        v_(n-1-k)``, odd rows on ``v_k - v_(n-1-k)``), so each q is one real
+        matmul per row parity with the whole stack as columns.  ``psi
+        psi^H`` is Hermitian, so ``|c_lam -q| = |c_lam q|`` and each q > 0
+        counts twice; no d x d matrix is formed."""
+        cols = np.asarray(psi, dtype=complex).T.copy()  # (d, K): state columns
+        d = self.dim
+        out = np.zeros((d, cols.shape[1]))
+        for q, half in enumerate(self.cg_diagonals()):
+            n, m = d - q, half.shape[1]
+            v = cols[:n] * cols[q:].conj()
+            plus, minus = v[:m] + v[:-m - 1:-1], v[:m] - v[:-m - 1:-1]
+            if n % 2:
+                plus[-1] = v[m - 1]  # the centre is its own mirror
+            for r, F in enumerate((plus, minus)):  # even rows, then odd
+                R = half[r::2] @ F.view(float)  # (re, im) column pairs
+                R *= R
+                R = R[:, ::2] + R[:, 1::2]
+                out[q + r::2] += 2 * R if q else R
+        return np.ascontiguousarray(out.T)
+
     # The coefficient route: coefficient (q, lam) at q + d - 1, lam of a
     # (2d - 1, d) layout, zero for lam < |q|.
 
@@ -871,7 +920,8 @@ class SpinModel(QrtModel):
             4 * ncols * min(ntheta, self._ring_step(ncols)) + 2 * nphi)
 
     def purity_work(self, nops: int) -> int:
-        return -(-nops * (self.dim ** 3 + 576 * self.dim ** 2) // 64)
+        d = self.dim
+        return -(-nops * (d ** 3 + 64 * d ** 2 + 8192 * d + 12288) // 128)
 
     def harmonic_check_bytes(self, nodes: int) -> int:
         ntheta = math.isqrt(nodes // 2)  # a spin's grids: ntheta x 2 ntheta
@@ -1098,6 +1148,55 @@ class MultipartiteModel(QrtModel):
                  for lam in self.labels()]
         row[masks] = np.arange(len(masks))
         return row[np.asarray(x) | np.asarray(z)]
+
+    @functools.cached_property
+    def _subsystems(self) -> tuple:
+        """(index, complement index, axis order) of one subsystem B of each
+        complementary pair, the one of at most n/2 qubits: its qubits are
+        the set bits of the index, qubit 0 leading as in the basis index,
+        and the axis order of a (K, 2, ..., 2) stack puts them first."""
+        n, full = self.n, self.dim - 1
+        out = []
+        for i in range(self.dim):
+            B = [q for q in range(n) if i >> (n - 1 - q) & 1]
+            if 2 * len(B) < n or 2 * len(B) == n and i < full ^ i:
+                rest = [q for q in range(n) if q not in B]
+                out.append((i, full ^ i, (0,) + tuple(1 + q for q in B + rest)))
+        return tuple(out)
+
+    @functools.cached_property
+    def _mobius(self) -> np.ndarray:
+        """(L, d) matrix from the subsystem purities ``Tr rho_B**2``, by
+        index, to the sector purities in ``labels()`` order: ``P_A = 2**-n
+        sum_(B <= A) (-1)**|A - B| 2**|B| Tr rho_B**2``, the Kronecker power
+        of one qubit's ``[[1, 0], [-1, 2]] / 2`` (exact in floats)."""
+        one = np.array([[0.5, 0.0], [-0.5, 1.0]])
+        rows = [int("".join(map(str, lam)), 2) for lam in self._labels]
+        return functools.reduce(np.kron, [one] * self.n)[rows]
+
+    def purity_work(self, nops: int) -> int:
+        plan = self._subsystems
+        grams = sum(2 ** (self.n + i.bit_count()) for i, _, _ in plan)
+        return -(-nops * (grams + 6 * (self.dim + 128) * len(plan) + 1536)
+                 // 6)
+
+    def pure_state_purities(self, psi: np.ndarray) -> np.ndarray:
+        """(K, L) purities of each ``psi psi^H`` of a (K, d) stack from its
+        subsystem purities, by Moebius inversion over subsets (Rains, IEEE
+        Trans. Inf. Theory 44, 1388 (1998); Eltschka & Siewert, Quantum 2,
+        64 (2018)).  ``Tr rho_B**2`` is ``||M M^H||_F**2`` of the (2**|B|,
+        2**(n - |B|)) reshape M of psi with B's qubits first, taken on the
+        smaller of B and its complement, whose purities agree for a pure
+        state; then one matmul with ``_mobius``.  No d x d matrix."""
+        psi = np.asarray(psi, dtype=complex)
+        k = len(psi)
+        T = psi.reshape((k,) + (2,) * self.n)
+        purity = np.empty((k, self.dim))
+        for i, j, axes in self._subsystems:
+            M = T.transpose(axes).reshape(k, 2 ** i.bit_count(), -1)
+            G = (M @ M.conj().transpose(0, 2, 1)).reshape(k, -1).view(float)
+            purity[:, i] = purity[:, j] = np.einsum("ki,ki->k", G, G)
+        return purity @ self._mobius.T
 
     def _build_block(self, lam) -> IrrepBlock:
         if self.n > _DENSE_QUBIT_CAP:

@@ -273,12 +273,14 @@ def _check_band(model: QrtModel, grid, factor: int = 1) -> None:
 
 # -- kernels and symbols ------------------------------------------------------
 
-def sw_kernel(model: QrtModel, point, spec) -> np.ndarray:
+def sw_kernel(model: QrtModel, point, spec, unitary=None) -> np.ndarray:
     """Kernel at a phase point, the conjugated center kernel U c U^H: (d,
     d) for one spec, or a (W, d, d) stack for a tuple of W specs, all from
-    one ``point_unitary`` and one ``hw_sector_diagonals`` read."""
+    one ``point_unitary`` (or the point's ``unitary`` when the caller holds
+    it) and one ``hw_sector_diagonals`` read."""
     one = np.ndim(spec) == 0
-    U, table = model.point_unitary(point), model.hw_sector_diagonals()
+    U = model.point_unitary(point) if unitary is None else unitary
+    table = model.hw_sector_diagonals()
     c = np.stack([sector_factors(model, sp) @ table
                   for sp in ((spec,) if one else spec)])
     D = (U * c[:, None]) @ U.conj().T

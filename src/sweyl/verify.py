@@ -178,14 +178,16 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
     dev = float(np.max(np.abs(model.operators(model.weights(A)) - A)))
     results.append(check("sector_completeness", dev, _LIN_TOL))
 
-    # The kernels at one random point, from one unitary: the s = -1 kernel
-    # is the coherent projector.
+    # The kernels at one random point and its coherent state, from one
+    # unitary: the s = -1 kernel is the coherent projector.
     pt = model.random_point(rng)
+    U = model.point_unitary(pt)
     svals = (-field_s, 0.0, field_s)
     kernel_s = tuple(dict.fromkeys((-1.0,) + svals))  # distinct s
     kernels = dict(zip(kernel_s, ps.sw_kernel(model, pt, tuple(
-        ps.KernelSpec.cahill_glauber(s) for s in kernel_s))))
-    psi = model.coherent_state(pt)
+        ps.KernelSpec.cahill_glauber(s) for s in kernel_s), unitary=U)))
+    psi = U @ model.hw_state()  # ``coherent_state(pt)``
+    del U  # d x d, not held through the checks below
     dev = float(np.max(np.abs(kernels[-1.0] - np.outer(psi, psi.conj()))))
     results.append(check("husimi_projector", dev, _LIN_TOL))
 

@@ -318,18 +318,18 @@ def center_factor_per_label(spec: KernelSpec, model, lam) -> float:
 
 def duality_rows_per_label(model, svals, nsamples: int, seed: int) -> list:
     """``gfd.duality_check`` with the rows of each s built sector by sector
-    from dict spectra, one Python float filter factor per sector."""
+    from dict spectra, one Python float filter factor per sector.  The
+    samples' purities come from the route ``duality_check`` reads,
+    ``model.pure_state_purities`` of each Haar chunk, whose agreement with
+    the operator route ``tests/test_pure_state_purities.py`` checks."""
     labels, d = model.labels(), model.dim
     shift, sums, sqsums = None, 0.0, 0.0
-    step = max(1, gfd._RHO_BYTES // (16 * d * d))
     for chunk in gfd.haar_chunks(d, nsamples, seed):
-        for psi in np.split(chunk, range(step, len(chunk), step)):
-            vals = model.sector_purities(psi[:, :, None]
-                                         * psi.conj()[:, None, :])
-            shift = vals[0].copy() if shift is None else shift
-            vals -= shift
-            sums += np.sum(vals, axis=0)
-            sqsums += np.sum(vals * vals, axis=0)
+        vals = model.pure_state_purities(chunk)
+        shift = vals[0].copy() if shift is None else shift
+        vals -= shift
+        sums += np.sum(vals, axis=0)
+        sqsums += np.sum(vals * vals, axis=0)
     offset = sums / nsamples
     mean = shift + offset
     se = np.sqrt(np.maximum(0.0, sqsums / nsamples - offset ** 2)

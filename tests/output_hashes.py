@@ -52,6 +52,9 @@ EXTRA = {
     "duality.S100": ["duality", "--spin-S", "100", "--samples", "200"],
     "duality.fm3": ["duality", "--qrt", "fermionic", "--n", "3",
                     "--samples", "500"],
+    "duality.mp8": ["duality", "--qrt", "multipartite", "--n", "8",
+                    "--samples", "500"],
+    "duality.S20": ["duality", "--spin-S", "20"],
     "phasespace.S100": ["phasespace", "--spin-S", "100", "--state", "hw",
                         "--state", "haar", "--s", "-1", "--s", "0",
                         "--grid", "16x32"],
@@ -81,6 +84,8 @@ EXTRA = {
     "refuse.star": ["star", "--spin-S", "2", "--points", "198758"],
     "refuse.duality.fm10": ["duality", "--qrt", "fermionic", "--n", "10",
                             "--samples", "3000"],
+    "refuse.duality.mp10": ["duality", "--qrt", "multipartite", "--n", "10",
+                            "--samples", "1952"],
     "refuse.duality.samples": ["duality", "--samples", "1" + "0" * 400],
     "refuse.purities.s1000": ["purities", "--spin-S", "5", "--s", "1000"],
 }

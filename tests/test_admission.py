@@ -8,12 +8,10 @@ qubits n = 6 / 7 in ``test_rings`` and ``test_product_grid``, ``star`` at
 3 / 4 points in ``test_render_cli``).
 """
 
-import math
 import re
 import time
 import tracemalloc
 from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 
@@ -48,7 +46,8 @@ CASES = {
                               "--samples", "3000"], "work units",
                              4 * 3000 * 4 ** 10 * 10),
     "duality-401-digits": (["duality", "--samples", str(HUGE)], "work units",
-                           math.ceil(4 * HUGE * 25 * Fraction(math.log2(5)))),
+                           HUGE * (5 ** 3 + 64 * 5 ** 2 + 8192 * 5 + 12288)
+                           // 128),
     "kernel-stack": (kernel_stack_past_the_budget, "bytes",
                      3 * 10 ** 7 * 25 * 16),
 }

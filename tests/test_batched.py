@@ -79,12 +79,28 @@ def test_sw_kernel_stack_is_the_single_kernels(monkeypatch, model):
 
 
 def test_verify_builds_its_random_point_unitary_once(monkeypatch):
-    # The kernels at the random point come from one unitary; the coherent
-    # state there and the symbol at the point's image under a group element
-    # take one each (a fermion's group_unitary is its own alias).
+    # The kernels at the random point and the coherent state there come
+    # from one unitary; the symbol at the point's image under a group
+    # element takes one more (a fermion's group_unitary is its own alias).
     calls = _count_point_unitaries(monkeypatch, FermionicModel)
     verify.run_checks("fermionic", n=3)
-    assert len(calls) == 3
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("model", MODELS, ids=repr)
+def test_sw_kernel_reads_a_given_unitary(monkeypatch, model):
+    # The point's unitary, when the caller holds it, gives the same bits
+    # and builds none.
+    point = model.random_point(np.random.default_rng(36))
+    specs = tuple(ps.KernelSpec.cahill_glauber(s) for s in (-1.0, 0.5))
+    U = model.point_unitary(point)
+    ref = ps.sw_kernel(model, point, specs)
+    calls = _count_point_unitaries(monkeypatch, type(model))
+    assert ps.sw_kernel(model, point, specs, unitary=U).tobytes() \
+        == ref.tobytes()
+    assert not calls
+    assert (U @ model.hw_state()).tobytes() \
+        == model.coherent_state(point).tobytes()
 
 
 @pytest.mark.parametrize("model", MODELS, ids=repr)
