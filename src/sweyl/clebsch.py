@@ -13,9 +13,11 @@ import numbers
 from fractions import Fraction
 from functools import lru_cache, total_ordering
 
+from ._frozen import Frozen
+
 
 @total_ordering
-class HalfInt:
+class HalfInt(Frozen):
     """An integer or half-integer stored as twice its value; immutable.
 
     Parameters
@@ -28,14 +30,6 @@ class HalfInt:
 
     def __init__(self, twice: int):
         object.__setattr__(self, "twice", twice)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"HalfInt is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return HalfInt, (self.twice,)
 
     @classmethod
     def of(cls, value) -> "HalfInt":

@@ -158,6 +158,7 @@ import math
 import numpy as np
 import numpy.random  # noqa: F401  numpy 2 loads it on first use, not at import
 
+from ._frozen import Frozen
 from .clebsch import HalfInt
 from .paulis import pauli_operators, pauli_transform, word_masks, words_dense
 
@@ -1300,7 +1301,7 @@ class MultipartiteModel(QrtModel):
 
 # -- fermionic model ----------------------------------------------------------
 
-class FermionicPoint:
+class FermionicPoint(Frozen):
     """Phase point of the fermionic model: a real antisymmetric generator
     ``h``, immutable."""
 
@@ -1314,14 +1315,8 @@ class FermionicPoint:
             raise ValueError("generator must be antisymmetric")
         object.__setattr__(self, "h", h)
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(
-            f"FermionicPoint is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __reduce__(self):
-        return FermionicPoint, (self.h,)
+    # The one field is an array: points compare and hash by identity.
+    __eq__, __hash__ = object.__eq__, object.__hash__
 
     def __array__(self, dtype=None, copy=None):
         """The generator h, so a point reads as its bare array."""

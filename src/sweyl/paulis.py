@@ -5,7 +5,8 @@ A string is stored as an x-mask, a z-mask and a power of i, representing
 and qubit 0 is the leftmost tensor factor of the dense matrix.  The
 canonical phase of a mask pair is ``popcount(x & z) mod 4`` (one factor of
 i per Y), which makes every canonical string Hermitian; PauliSum keys all
-carry the canonical phase so that Hermitian operators have real weights.
+carry the canonical phase so that Hermitian operators have real weights,
+and every sum merges its terms through ``PauliSum.add_string``.
 """
 
 from __future__ import annotations
@@ -14,12 +15,14 @@ import math
 
 import numpy as np
 
+from ._frozen import Frozen
+
 _DENSE_CAP = 12  # qubits; dense matrices are a debugging/small-n tool
 
 _PHASE = (1, 1j, -1, -1j)
 
 
-class PauliString:
+class PauliString(Frozen):
     """``i**phase * X^x Z^z`` on ``n`` qubits, masks bit-packed; immutable,
     equal (and hashing equal) when ``n``, ``x``, ``z`` and ``phase`` are."""
 
@@ -36,29 +39,6 @@ class PauliString:
         init(self, "x", x)
         init(self, "z", z)
         init(self, "phase", phase % 4)  # power of i, mod 4
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(
-            f"PauliString is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def _fields(self) -> tuple:
-        return (self.n, self.x, self.z, self.phase)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
-    def __reduce__(self):
-        return PauliString, self._fields()
-
-    def __repr__(self) -> str:
-        return "PauliString(n=%r, x=%r, z=%r, phase=%r)" % self._fields()
 
     # -- constructors ------------------------------------------------------
 
@@ -196,13 +176,8 @@ class PauliSum:
         if self.n != other.n:
             raise ValueError("qubit counts differ")
         out = self.copy()
-        for (x, z), coeff in other.terms.items():
-            key = (x, z)
-            val = out.terms.get(key, 0j) + coeff
-            if val == 0:
-                out.terms.pop(key, None)
-            else:
-                out.terms[key] = val
+        for ps, coeff in other.strings():
+            out.add_string(ps, coeff)
         return out
 
     def __sub__(self, other: "PauliSum") -> "PauliSum":

@@ -51,13 +51,14 @@ import math
 
 import numpy as np
 
+from ._frozen import Frozen
 from .gfd import PuritySpectrum, filter_factors
 from .models import FermionicModel, QrtModel, admit
 
 
 # -- kernel specification -----------------------------------------------------
 
-class KernelSpec:
+class KernelSpec(Frozen):
     """Which member of the kernel family to use.
 
     Either an ordering parameter ``s`` (the standard family) or a tuple of
@@ -71,26 +72,6 @@ class KernelSpec:
     def __init__(self, s: float | None = None, coeffs: tuple | None = None):
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, name, *value):
-        raise AttributeError(
-            f"KernelSpec is immutable: cannot change {name!r}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.s, self.coeffs) == (other.s, other.coeffs)
-
-    def __hash__(self) -> int:
-        return hash((self.s, self.coeffs))
-
-    def __reduce__(self):
-        return KernelSpec, (self.s, self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"KernelSpec(s={self.s!r}, coeffs={self.coeffs!r})"
 
     @classmethod
     def cahill_glauber(cls, s: float) -> "KernelSpec":

@@ -83,8 +83,7 @@ def colorize(values: np.ndarray) -> np.ndarray:
         vals = np.full_like(vals, vals.max())
     out = np.zeros(vals.shape + (3,), dtype=np.uint8)
     if vals.min() < -tol:
-        vmax = np.max(np.abs(vals))
-        t = vals / vmax if vmax > 0 else np.zeros_like(vals)
+        t = vals / np.max(np.abs(vals))  # positive: |min| > tol >= 0
         fade = np.floor(255 * (1 - np.abs(t)) + 0.5).astype(np.uint8)
         neg = t < 0
         out[..., 0] = np.where(neg, fade, 255)
