@@ -120,7 +120,7 @@ def _report(args, results, **config) -> int:
 
 def cmd_purities(args) -> int:
     """Sector purities ``P_lam`` and their filtered images ``tau**(-s)
-    P_lam`` of every ``--state`` in one batched pass: ``gfd.state_purities``
+    P_lam`` of every ``--state`` in one batched pass: ``model.state_purities``
     of the states (so at n = 10 the peak is that of one state), one array
     product with the filters, and the table written column by column."""
     model = _model(args)
@@ -130,7 +130,7 @@ def cmd_purities(args) -> int:
     factors = _filter_factors(model, svals)  # before any state is formed
     labels = model.labels()
     psi = np.stack([model.named_state(sel, seed=args.seed) for sel in states])
-    purity = np.concatenate(list(gfd.state_purities(model, psi)))
+    purity = model.state_purities(psi)
     filtered = purity[:, None, :] * factors  # (states, svals, sectors)
     nk, ns, nl = filtered.shape
     header = ["model", "state", "s", "sector", "dim", "tau",
@@ -201,9 +201,8 @@ def cmd_phasespace(args) -> int:
     target.check_sector_size()  # before the exact tau of every sector
     # The kappa rule refuses every --s whose factor would overflow.
     ps.check_kappa(target, svals)
-    factors = np.stack(
-        [ps.sector_factors(target, ps.KernelSpec.cahill_glauber(s))
-         for s in svals], axis=1)
+    factors = ps.factor_columns(
+        target, [ps.KernelSpec.cahill_glauber(s) for s in svals])
     admit(f"phasespace on a {ntheta}x{nphi} grid at d={target.dim}",
           _phasespace_bytes(ntheta, nphi, target, len(svals), model.dim,
                             len(states)))

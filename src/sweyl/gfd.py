@@ -12,7 +12,7 @@ is rank one, so its purities come from the model's
 ``pure_state_purities``: for a spin the CG rows against the diagonal
 products of psi, for qubits subsystem purities by Moebius inversion,
 neither forming psi psi^H; fermions keep the operator route
-(``state_purities``), which ``purities`` of named states also takes.
+(``QrtModel.state_purities``), which ``purities`` of named states also takes.
 ``coherent_fidelity``, the peak of the s = -1 field, reads every value
 from batches of ``coherent_states``: a grid scan, then a compass search.
 """
@@ -166,22 +166,6 @@ def norm_bounds(model: QrtModel, s: float, rho: np.ndarray | None = None):
 # -- statistical duality ------------------------------------------------------
 
 _DUALITY_CHUNK = 256  # Haar samples per generator
-_RHO_BYTES = 2**23  # one (k, d, d) stack of sampled density matrices
-
-
-def state_purities(model: QrtModel, psi: np.ndarray):
-    """(k, L) sector purities of consecutive chunks of a (K, d) stack of
-    pure states by the operator route.  Each chunk's density matrices, at
-    most ``_RHO_BYTES`` (one state when a single one is larger), go to
-    ``purity_spectrum``.  Named states take this route, which keeps the
-    exact zeros of product and GHZ states: the qubits' alternating sums
-    in ``pure_state_purities`` can leave rounding residues there (1.3e-18
-    for GHZ at n = 10), which ``--s 1`` would multiply by up to 6**n."""
-    step = max(1, _RHO_BYTES // (16 * model.dim ** 2))
-    for lo in range(0, len(psi), step):
-        chunk = psi[lo:lo + step]
-        rho = chunk[:, :, None] * chunk.conj()[:, None, :]
-        yield purity_spectrum(rho, model).values
 
 
 def haar_chunks(dim: int, nsamples: int, seed: int):

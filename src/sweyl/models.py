@@ -34,10 +34,10 @@ model declares and never test its class.
   sector.
 * ``pure_state_purities(psi)``: the (K, L) sector purities of each
   ``psi psi^H`` of a (K, d) stack of states.  By default the operator
-  route, ``sector_purities`` of the density matrices (fermions); a spin
-  contracts the diagonal products ``psi_k conj(psi_(k+q))`` with its CG
-  rows, and qubits invert their subsystem purities over subsets, neither
-  forming a d x d matrix.  ``duality`` reads its samples by it.
+  route ``state_purities`` (fermions; ``purities`` of named states); a
+  spin contracts the diagonal products ``psi_k conj(psi_(k+q))`` with its
+  CG rows, and qubits invert their subsystem purities over subsets,
+  neither forming a d x d matrix.  ``duality`` reads its samples by it.
 * ``weights(A) = conj(coefficients(A^H)) / basis_norm``: the b with
   ``operators(b) = A``, as the B_k are orthogonal with ``Tr(B_k B_k^H) =
   basis_norm`` (1 for the spin's T^lam_q, d for words).
@@ -167,6 +167,7 @@ _LABEL_CAP = 10       # label/tau/dimension queries for qubit models
 _DENSE_SPIN_CAP = 60  # 2S for dense spin blocks: d**4 complex, 221 MB at 60
 _TABLE_SPIN_CAP = 200  # 2S for the CG-diagonal table: 11 MB at 200
 TABLE_BYTES = 4 * 2**20  # live bytes of one chunk of a synthesis
+_RHO_BYTES = 2**23  # one (k, d, d) stack of density matrices
 BYTES_BUDGET = 768 * 2**20  # bytes one command may hold at once
 # Work one command may spend, units of about 4-5 ns (15-20 s, one thread).
 WORK_BUDGET = 4 * 10**9
@@ -303,14 +304,20 @@ class QrtModel:
         sums /= self.dim
         return sums
 
-    def pure_state_purities(self, psi: np.ndarray) -> np.ndarray:
+    def state_purities(self, psi: np.ndarray) -> np.ndarray:
         """(K, L) sector purities of each ``psi psi^H`` of a (K, d) stack of
-        states: the route ``gfd.duality_check`` reads its Haar samples by.
-        By default the operator route, ``sector_purities`` of the density
-        matrices in stacks of at most ``gfd._RHO_BYTES``
-        (``gfd.state_purities``); a spin and qubits form no d x d matrix."""
-        from .gfd import state_purities  # gfd imports this module
-        return np.concatenate(list(state_purities(self, np.asarray(psi))))
+        states by the operator route: ``sector_purities`` of the density
+        matrices in stacks of at most ``_RHO_BYTES`` (one state when one is
+        larger).  Named states take it for the exact zeros of product and
+        GHZ states, where the qubits' alternating sums leave up to 1.3e-18
+        at n = 10, which ``--s 1`` would multiply by up to 6**n."""
+        psi = np.asarray(psi)
+        step = max(1, _RHO_BYTES // (16 * self.dim ** 2))
+        return np.concatenate([self.sector_purities(
+            psi[lo:lo + step, :, None] * psi[lo:lo + step, None, :].conj())
+            for lo in range(0, len(psi), step)])
+
+    pure_state_purities = state_purities  # a spin and qubits override it
 
     def hw_sector_diagonals(self) -> np.ndarray:
         """(L, d) real table: row lam is the diagonal of Pi_lam(|hw><hw|).
@@ -522,7 +529,10 @@ class QrtModel:
         return vec / np.linalg.norm(vec)
 
     def named_state(self, which: str, seed=None) -> np.ndarray:
-        """Resolve a state selector: hw | ghz | haar | m=<value>."""
+        """Resolve a state selector: hw | ghz | haar | m=<value>, with no
+        whitespace (``int`` strips it, but the raw text names the outputs)."""
+        if any(ch.isspace() for ch in which):
+            raise ValueError(f"state selector {which!r} contains whitespace")
         if which == "hw":
             return self.hw_state()
         if which == "ghz":

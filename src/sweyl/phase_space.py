@@ -376,7 +376,7 @@ class SymbolField:
         return tuple(self.spec) if np.ndim(self.values) == 2 else (self.spec,)
 
 
-def _factor_columns(model: QrtModel, specs) -> np.ndarray:
+def factor_columns(model: QrtModel, specs) -> np.ndarray:
     """(L, C) per-sector factors, column c those of ``specs[c]``."""
     return np.stack([sector_factors(model, spec) for spec in specs], axis=1)
 
@@ -387,7 +387,7 @@ def symbol_field(model: QrtModel, A: np.ndarray, grid, spec) -> SymbolField:
     ``k W + w`` is operator k under spec w): one ``fields`` pass."""
     A, one = np.asarray(A), np.ndim(spec) == 0
     specs = (spec,) if one else tuple(spec)
-    values = fields(model, A, grid.points, _factor_columns(model, specs),
+    values = fields(model, A, grid.points, factor_columns(model, specs),
                     grid.factor)
     if A.ndim == 2 and one:
         return SymbolField(model, grid, spec, values[:, 0])
@@ -438,7 +438,7 @@ def reconstruct(field: SymbolField) -> np.ndarray:
     _check_band(model, grid)
     w = np.asarray(grid.weights)[:, None]
     back = kernel_sums(model, grid.points, w * np.reshape(field.values, (
-        len(w), -1)), _factor_columns(model, [f.dual() for f in field.specs]),
+        len(w), -1)), factor_columns(model, [f.dual() for f in field.specs]),
         grid.factor)
     return back if np.ndim(field.values) == 2 else back[0]
 
@@ -482,7 +482,7 @@ def star_product(field_a: SymbolField, field_b: SymbolField, s_out,
         raise ValueError("twisted product needs standard-family fields")
     back = reconstruct(SymbolField(model, grid, specs, np.hstack([np.reshape(
         f.values, (len(grid.weights), -1)) for f in (field_a, field_b)])))
-    out = _factor_columns(model, [KernelSpec.cahill_glauber(s) for s in s_out])
+    out = factor_columns(model, [KernelSpec.cahill_glauber(s) for s in s_out])
     stars = fields(model, back[:ncol] @ back[ncol:], out_points, out)
     stars = stars[:, np.arange(ncol), np.arange(ncol) % len(s_out)]
     return stars if np.ndim(field_a.values) == 2 else stars[:, 0]

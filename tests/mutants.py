@@ -29,7 +29,10 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FROZEN = "src/sweyl/_frozen.py"
+MODELS = "src/sweyl/models.py"
 RECORD_TESTS = ["tests/test_records.py", "tests/test_frozen.py"]
+RANK_ONE = "tests/test_pure_state_purities.py"
+CROSS_MODEL = "tests/test_cross_model.py"
 
 # (id, file, old text, new text, test selection)
 MUTANTS = [
@@ -42,7 +45,7 @@ MUTANTS = [
     ("frozen-delattr-allowed", FROZEN,
      "__delattr__ = __setattr__", "__delattr__ = object.__delattr__",
      RECORD_TESTS),
-    ("fermionic-point-field-equality", "src/sweyl/models.py",
+    ("fermionic-point-field-equality", MODELS,
      "    __eq__, __hash__ = object.__eq__, object.__hash__\n", "",
      ["tests/test_frozen.py"]),
     ("add-string-keeps-cancelled-term", "src/sweyl/paulis.py",
@@ -71,12 +74,56 @@ MUTANTS = [
     ("field-margin-10", "src/sweyl/verify.py",
      "return 100 * max(1.0,", "return 10 * max(1.0,",
      ["tests/test_rings.py::test_verify_field_s_boundary"]),
-    ("bytes-budget-x2", "src/sweyl/models.py",
+    ("bytes-budget-x2", MODELS,
      "BYTES_BUDGET = 768 * 2**20", "BYTES_BUDGET = 2 * 768 * 2**20",
      ["tests/test_admission.py"]),
-    ("work-budget-x2", "src/sweyl/models.py",
+    ("work-budget-x2", MODELS,
      "WORK_BUDGET = 4 * 10**9", "WORK_BUDGET = 8 * 10**9",
      ["tests/test_gates.py::test_work_budget_is_4e9_units"]),
+    # The operator route of named states and fermionic samples.
+    ("state-purities-step-2", MODELS,
+     "step = max(1, _RHO_BYTES", "step = max(2, _RHO_BYTES",
+     ["tests/test_purities.py::"
+      "test_purity_stacks_stay_within_the_state_budget"]),
+    ("pure-state-purities-alias-dropped", MODELS,
+     "    pure_state_purities = state_purities  # a spin and qubits override "
+     "it\n", "",
+     [RANK_ONE + "::test_fermions_keep_the_operator_route_bit_for_bit"]),
+    ("state-whitespace-accepted", MODELS,
+     "        if any(ch.isspace() for ch in which):\n"
+     "            raise ValueError(f\"state selector {which!r} contains "
+     "whitespace\")\n", "",
+     ["tests/test_render_cli.py::test_cli_state_with_whitespace_exits_2"]),
+    # The rank-one routes of duality's samples.
+    ("spin-rank-one-q-not-doubled", MODELS,
+     "out[q + r::2] += 2 * R if q else R", "out[q + r::2] += R", [RANK_ONE]),
+    ("mobius-sign-flipped", MODELS,
+     "one = np.array([[0.5, 0.0], [-0.5, 1.0]])",
+     "one = np.array([[0.5, 0.0], [0.5, 1.0]])", [RANK_ONE]),
+    ("subsystem-larger-side", MODELS,
+     "if 2 * len(B) < n or 2 * len(B) == n and i < full ^ i:",
+     "if 2 * len(B) > n or 2 * len(B) == n and i > full ^ i:", [RANK_ONE]),
+    ("subsystem-bit-order-reversed", MODELS,
+     "B = [q for q in range(n) if i >> (n - 1 - q) & 1]",
+     "B = [q for q in range(n) if i >> q & 1]", [RANK_ONE]),
+    ("mobius-row-bit-order-reversed", MODELS,
+     'rows = [int("".join(map(str, lam)), 2)',
+     'rows = [int("".join(map(str, lam[::-1])), 2)', [RANK_ONE]),
+    # The spin CG table, its folds and the Legendre recursion, against the
+    # qubit fields of the Dicke embedding.
+    ("cg-fold-parity-swapped", MODELS,
+     "                for r, F in enumerate((plus, minus)):",
+     "                for r, F in enumerate((minus, plus)):", [CROSS_MODEL]),
+    ("cg-recursion-sign", MODELS,
+     "nxt -= off[:live] * x[:live, k - 1]",
+     "nxt += off[:live] * x[:live, k - 1]", [CROSS_MODEL]),
+    ("legendre-seed-sign", MODELS,
+     "new[lam] = -math.sqrt((2 * lam + 1) / (2 * lam))",
+     "new[lam] = math.sqrt((2 * lam + 1) / (2 * lam))", [CROSS_MODEL]),
+    ("cg-rows-mirror-parity", MODELS,
+     "np.multiply((-1.0) ** np.arange(n)[:, None]",
+     "np.multiply((-1.0) ** np.arange(1, n + 1)[:, None]",
+     ["tests/test_acceptance.py::test_criterion_02_kernel_purity_flat"]),
 ]
 
 # id: why the mutant cannot be killed (it computes the same thing).

@@ -77,7 +77,8 @@ EXTRA = {
     "star.S40": ["star", "--spin-S", "40"],
     "star.S5_2": ["star", "--spin-S", "5/2", "--s", "0.5", "--s", "-1",
                   "--points", "7"],
-    # Refusals, one per budget site of the CLI, and an overflowing --s.
+    # Refusals, one per budget site of the CLI, an overflowing --s and a
+    # state selector with whitespace.
     "refuse.phasespace": ["phasespace", "--grid", "4000x8000"],
     "refuse.verify.S200": ["verify", "--spin-S", "200"],
     "refuse.verify.mp7": ["verify", "--qrt", "multipartite", "--n", "7"],
@@ -88,6 +89,8 @@ EXTRA = {
                             "--samples", "1952"],
     "refuse.duality.samples": ["duality", "--samples", "1" + "0" * 400],
     "refuse.purities.s1000": ["purities", "--spin-S", "5", "--s", "1000"],
+    "refuse.purities.state_whitespace": ["purities", "--spin-S", "1",
+                                         "--state", "m=1\n"],
 }
 
 

@@ -1,5 +1,5 @@
 """The batched ``purities`` command: its bytes against the per-state route,
-the size of the state stacks it passes to ``gfd.purity_spectrum``, its
+the size of the state stacks it passes to ``sector_purities``, its
 peak memory at n = 10, and the column-wise JSON writer against
 ``json.dump``."""
 
@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sweyl
-from sweyl import cli, gfd, render
+from sweyl import cli, models, render
 from sweyl.models import SpinModel
 
 from oracles import purities_by_state
@@ -57,15 +57,15 @@ def test_purity_stacks_stay_within_the_state_budget(tmp_path, monkeypatch,
     # The budget in units of one (d, d) complex state: a stack never
     # exceeds it unless one state alone does, and is as large as it allows.
     one = 16 * SpinModel(5).dim ** 2
-    monkeypatch.setattr(gfd, "_RHO_BYTES", int(budget * one))
+    monkeypatch.setattr(models, "_RHO_BYTES", int(budget * one))
     sizes = []
-    spectrum = gfd.purity_spectrum
+    spectrum = SpinModel.sector_purities
 
-    def counting(A, model):
+    def counting(model, A):
         sizes.append(len(A))
-        return spectrum(A, model)
+        return spectrum(model, A)
 
-    monkeypatch.setattr(gfd, "purity_spectrum", counting)
+    monkeypatch.setattr(SpinModel, "sector_purities", counting)
     argv = ["purities", "--spin-S", "5", "--format", "json"] + _states("0")
     assert cli.main(argv + ["--out", str(tmp_path / "batched")]) == 0
     per_stack = max(1, int(budget))
@@ -79,7 +79,7 @@ def test_purity_stacks_stay_within_the_state_budget(tmp_path, monkeypatch,
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB")
 def test_purities_fermionic_n10_peak_is_one_state(tmp_path):
-    # A (d, d) state at n = 10 is 16 MiB, over gfd._RHO_BYTES, so each of
+    # A (d, d) state at n = 10 is 16 MiB, over models._RHO_BYTES, so each of
     # the three goes alone.  The per-state route peaks at 110.6 MiB
     # ru_maxrss, 73.8 MiB over the import (2-vCPU host, one BLAS thread);
     # one stack of all three peaks 170 MiB over it.

@@ -481,6 +481,27 @@ def test_cli_overflowing_filter_exits_2(tmp_path, capsys, argv):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("argv", [
+    ["purities", "--spin-S", "1", "--state", "m=1\n", "--format", "csv"],
+    ["purities", "--qrt", "multipartite", "--state", "m= 3 ",
+     "--format", "json"],
+    ["purities", "--state", "hw", "--state", "\thaar", "--format", "json"],
+    ["phasespace", "--spin-S", "1", "--state", "m=1\n", "--grid", "2x4"],
+    ["phasespace", "--qrt", "multipartite", "--state", "m= 3 ",
+     "--grid", "2x4"],
+])
+def test_cli_state_with_whitespace_exits_2(tmp_path, capsys, argv):
+    # int and Fraction strip the whitespace, but the raw selector names
+    # the CSV rows, JSON states and file names: refused before any output.
+    assert main(argv + ["--out", str(tmp_path / "bad")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: state selector ") and err.count("\n") == 1
+    assert "whitespace" in err
+    assert not (tmp_path / "bad").exists()
+    clean = ["".join(arg.split()) for arg in argv]
+    assert main(clean + ["--out", str(tmp_path / "good")]) == 0
+
+
 def test_cli_duality_refuses_an_overflowing_reference(tmp_path, monkeypatch):
     # At spin 2, tau_min**(-s) passes the float range from s = 110.1 on.
     # duality's reference reads the filter at s + 1, so --s 109.5 is
