@@ -48,9 +48,6 @@ class HalfInt(Frozen):
     def value(self) -> Fraction:
         return Fraction(self.twice, 2)
 
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def __float__(self) -> float:
         return self.twice / 2
 
@@ -171,14 +168,3 @@ def clebsch_gordan(j1, m1, j2, m2, J, M) -> float:
     sign, num, den = _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
     return sign * math.sqrt(num / den)
 
-
-def cg_hw_zero(S, lam) -> float:
-    """The coefficient <S S; S -S | lam 0> entering highest-weight purities.
-
-    Positive for every valid ``0 <= lam <= 2S``.
-    """
-    S = HalfInt.of(S)
-    lam = int(lam)
-    if not 0 <= lam <= S.twice:
-        raise ValueError(f"need 0 <= lam <= 2S, got lam={lam}, 2S={S.twice}")
-    return clebsch_gordan(S, S, S, -S, HalfInt(2 * lam), 0)

@@ -3,12 +3,13 @@
 The purity spectrum of an operator A collects, per irreducible sector, the
 squared lengths of its components: ``P_lam(A) = sum_j |<D_j, A>|^2``.  The
 spectrum is invariant under symmetry-group conjugation and sums to the
-Hilbert-Schmidt norm of A.  Phase-space filters scale each sector by
-``tau_lam**(-s)``; several exact and statistical identities tested here
-follow from that structure.  The Haar duality Monte Carlo
-(``duality_check``) stays in that coefficient space: one pass of samples,
-whose sector purities serve every s, and no phase-space grid.  A sample
-is rank one, so its purities come from the model's
+Hilbert-Schmidt norm of A.  ``purity_spectrum`` takes dense operators, one
+or a stack, and reads them through the model's ``sector_purities``.
+Phase-space filters scale each sector by ``tau_lam**(-s)``; several exact
+and statistical identities tested here follow from that structure.  The
+Haar duality Monte Carlo (``duality_check``) stays in that coefficient
+space: one pass of samples, whose sector purities serve every s, and no
+phase-space grid.  A sample is rank one, so its purities come from the model's
 ``pure_state_purities``: for a spin the CG rows against the diagonal
 products of psi, for qubits subsystem purities by Moebius inversion,
 neither forming psi psi^H; fermions keep the operator route
@@ -25,7 +26,6 @@ import numpy as np
 
 from .clebsch import HalfInt, clebsch_gordan
 from .models import QrtModel, admit
-from .paulis import PauliSum
 
 
 class PuritySpectrum:
@@ -48,31 +48,11 @@ class PuritySpectrum:
 
 
 def purity_spectrum(A, model: QrtModel) -> PuritySpectrum:
-    """Purity spectrum of an operator, dense or Pauli-sum represented.
-
-    Dense input, one (d, d) operator or a (K, d, d) stack, goes through
-    the model's ``sector_purities`` (banded CG diagonals for a spin, the
-    fast Pauli transform for qubits and fermions), giving (L,) or (K, L)
-    values.  PauliSum input reads the sectors of all its words in one
-    ``model.word_sectors`` call and sums ``|c|**2 2**n`` per sector, at
-    any supported n; a spin has no Pauli-word sectors and raises
-    ValueError.
-    """
-    if isinstance(A, PauliSum):
-        return _purity_spectrum_pauli(A, model)
+    """Purity spectrum of a dense operator, one (d, d) operator or a (K,
+    d, d) stack, through the model's ``sector_purities`` (banded CG
+    diagonals for a spin, the fast Pauli transform for qubits and
+    fermions), giving (L,) or (K, L) values."""
     return PuritySpectrum(model.labels(), model.sector_purities(np.asarray(A)))
-
-
-def _purity_spectrum_pauli(A: PauliSum, model: QrtModel) -> PuritySpectrum:
-    if model.dim != 2 ** A.n:
-        raise ValueError("qubit counts differ")
-    masks = np.array(list(A.terms), dtype=np.int64).reshape(-1, 2)
-    rows = model.word_sectors(masks[:, 0], masks[:, 1])  # a spin refuses
-    # |<P/sqrt(2^n), A>|^2 = |a_P|^2 2^n
-    weights = np.abs(np.array(list(A.terms.values()), dtype=complex)) ** 2
-    labels = model.labels()
-    return PuritySpectrum(labels, np.bincount(rows, weights * 2 ** A.n,
-                                              minlength=len(labels)))
 
 
 def gfd_project(A: np.ndarray, model: QrtModel, label) -> np.ndarray:

@@ -48,11 +48,18 @@ MUTANTS = [
     ("fermionic-point-field-equality", MODELS,
      "    __eq__, __hash__ = object.__eq__, object.__hash__\n", "",
      ["tests/test_frozen.py"]),
-    ("add-string-keeps-cancelled-term", "src/sweyl/paulis.py",
+    ("add-string-keeps-cancelled-term", "tests/oracles.py",
      "        if val == 0:\n            self.terms.pop(key, None)\n"
      "        else:\n            self.terms[key] = val\n",
      "        self.terms[key] = val\n",
      ["tests/test_edge_branches.py", "tests/test_frozen.py"]),
+    # The product phase of two strings, i**2 per Z of the left one met by
+    # an X of the right one; verify's Majorana check multiplies strings.
+    ("pauli-mul-drops-zx-phase", "src/sweyl/paulis.py",
+     "phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()",
+     "phase = self.phase + other.phase",
+     ["tests/test_paulis.py::test_mul_against_dense",
+      "tests/test_render_cli.py::test_cli_verify_ok"]),
     ("duality-gate-5", "src/sweyl/cli.py",
      "abs(row.zscore), 4.0", "abs(row.zscore), 5.0",
      ["tests/test_render_cli.py::test_cli_duality_gate_fails_on_a_bad_row"]),
@@ -124,6 +131,14 @@ MUTANTS = [
      "np.multiply((-1.0) ** np.arange(n)[:, None]",
      "np.multiply((-1.0) ** np.arange(1, n + 1)[:, None]",
      ["tests/test_acceptance.py::test_criterion_02_kernel_purity_flat"]),
+    # The compass search of coherent_fidelity halves a span only after a
+    # sweep that did not improve; halving every span each round stops short
+    # on the SpinModel(5) ridge.
+    ("compass-halves-every-span", "src/sweyl/gfd.py",
+     "            else:\n                spans[k] /= 2\n",
+     "            spans[k] /= 2\n",
+     ["tests/test_cg_gather.py::"
+      "test_coherent_fidelity_batched_scan_matches_pointwise"]),
 ]
 
 # id: why the mutant cannot be killed (it computes the same thing).

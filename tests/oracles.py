@@ -1,14 +1,18 @@
 """Reference routes kept for the tests: slow, direct and independent of
 the fast paths they check.
 
-None of these is called by the package.  They are the per-word sector of
-a Pauli word (``sector_of``, beside the models' bit-arithmetic
-``word_sectors``), the word-by-word purities and Majorana algebra behind
-it, the dense Majorana matrices and the fermionic point unitaries built
+None of these is called by the package.  They are the symbolic Pauli
+algebra the package leaves to the tests: strings from labels
+(``from_label``), a term-dict ``PauliSum`` that merges its terms through
+``add_string`` and its purities from the models' ``word_sectors``
+(``word_sector_purities``), beside the per-word sector of a Pauli word
+(``sector_of``) and the word-by-word purities and Majorana algebra behind
+it; then the dense Majorana matrices and the fermionic point unitaries built
 from their pairwise products (``fermionic_generators``), the
 row-layout Pauli transforms (``pauli_transform_rows``,
 ``pauli_operators_rows``), the exact signed CG square as a Fraction, the
-spin taus from Racah sums (``spin_taus_racah``), the CG-diagonal table
+highest-weight coefficient ``cg_hw_zero`` and the spin taus from its
+Racah sums (``spin_taus_racah``), the CG-diagonal table
 recursion with per-step factors (``cg_diagonals_stepwise``), the
 node-by-node product grid
 (``tuple_product_grid``), the three-kernel and factored twisted-product
@@ -38,7 +42,8 @@ from fractions import Fraction
 import numpy as np
 
 from sweyl import __version__, cli, gfd, render
-from sweyl.clebsch import _cg_signed_square, _checked_labels, cg_hw_zero
+from sweyl.clebsch import (HalfInt, _cg_signed_square, _checked_labels,
+                           clebsch_gordan)
 from sweyl.models import (TABLE_BYTES, FermionicModel, MultipartiteModel,
                           _exp_antihermitian)
 from sweyl.paulis import (_FORWARD, _INVERSE, PauliString, majorana,
@@ -49,9 +54,83 @@ from sweyl.phase_space import (KernelSpec, gauss_legendre, harmonic_matrix,
 
 # -- Pauli words and sectors ---------------------------------------------------
 
+def from_label(label: str) -> PauliString:
+    """The string of a label like ``"XIZ"``, ``"-YZ"`` or ``"iXX"``."""
+    body = label
+    phase = 0
+    if body.startswith("-i"):
+        phase, body = 3, body[2:]
+    elif body.startswith("-"):
+        phase, body = 2, body[1:]
+    elif body.startswith("i"):
+        phase, body = 1, body[1:]
+    x = z = 0
+    for q, ch in enumerate(body):
+        if ch == "X":
+            x |= 1 << q
+        elif ch == "Y":
+            x |= 1 << q
+            z |= 1 << q
+            phase += 1  # Y = i XZ
+        elif ch == "Z":
+            z |= 1 << q
+        elif ch != "I":
+            raise ValueError(f"bad Pauli letter {ch!r}")
+    return PauliString(len(body), x, z, phase)
+
+
+class PauliSum:
+    """Complex linear combination of Pauli strings, keyed by the (x, z)
+    masks of the canonical (Hermitian) string, so that Hermitian operators
+    have real weights.  Every term merges through ``add_string``, which
+    drops a term that cancels."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.terms: dict[tuple[int, int], complex] = {}
+
+    @classmethod
+    def from_string(cls, ps: PauliString, coeff: complex = 1.0) -> "PauliSum":
+        out = cls(ps.n)
+        out.add_string(ps, coeff)
+        return out
+
+    def add_string(self, ps: PauliString, coeff: complex = 1.0) -> None:
+        key = (ps.x, ps.z)
+        residual = (1, 1j, -1, -1j)[(ps.phase - ps.canonical_phase) % 4]
+        val = self.terms.get(key, 0j) + coeff * residual
+        if val == 0:
+            self.terms.pop(key, None)
+        else:
+            self.terms[key] = val
+
+    def strings(self):
+        """Iterate (canonical PauliString, coefficient) pairs."""
+        for (x, z), coeff in self.terms.items():
+            yield PauliString(self.n, x, z, (x & z).bit_count()), coeff
+
+    def to_dense(self) -> np.ndarray:
+        out = np.zeros((2 ** self.n, 2 ** self.n), dtype=complex)
+        for ps, coeff in self.strings():
+            out += coeff * ps.to_dense()
+        return out
+
+
+def word_sector_purities(op: PauliSum, model) -> gfd.PuritySpectrum:
+    """Purity spectrum of a ``PauliSum`` from the sectors of all its words
+    in one ``model.word_sectors`` call (a spin refuses): ``|c|**2 2**n``
+    summed per sector."""
+    masks = np.array(list(op.terms), dtype=np.int64).reshape(-1, 2)
+    rows = model.word_sectors(masks[:, 0], masks[:, 1])
+    weights = np.abs(np.array(list(op.terms.values()), dtype=complex)) ** 2
+    labels = model.labels()
+    return gfd.PuritySpectrum(labels, np.bincount(
+        rows, weights * 2 ** op.n, minlength=len(labels)))
+
+
 def majorana_product(mus, n: int) -> PauliString:
     """Ordered product of Majorana operators with exact phase tracking."""
-    out = PauliString.identity(n)
+    out = PauliString(n, 0, 0)
     for mu in mus:
         out = out * majorana(mu, n)
     return out
@@ -114,7 +193,7 @@ def product_sector_words(model, lam) -> list[tuple[int, int, int]]:
             label = ["I"] * model.n
             for q, ch in zip(support, letters):
                 label[q] = ch
-            words.append(PauliString.from_label("".join(label)))
+            words.append(from_label("".join(label)))
     else:
         extra = lam * (lam - 1) // 2
         words = []
@@ -360,6 +439,18 @@ def clebsch_gordan_signed_square(j1, m1, j2, m2, J, M):
     """Exact signed square (sign, Fraction) of a CG coefficient."""
     sign, num, den = _cg_signed_square(*_checked_labels(j1, m1, j2, m2, J, M))
     return sign, Fraction(num, den)
+
+
+def cg_hw_zero(S, lam) -> float:
+    """The coefficient <S S; S -S | lam 0> entering highest-weight purities.
+
+    Positive for every valid ``0 <= lam <= 2S``.
+    """
+    S = HalfInt.of(S)
+    lam = int(lam)
+    if not 0 <= lam <= S.twice:
+        raise ValueError(f"need 0 <= lam <= 2S, got lam={lam}, 2S={S.twice}")
+    return clebsch_gordan(S, S, S, -S, HalfInt(2 * lam), 0)
 
 
 def spin_taus_racah(model) -> np.ndarray:

@@ -21,7 +21,8 @@ PARENT.json (or that only one of the two has) and exits 1 if any do.
 
 The BLAS thread count is pinned to one before numpy loads, as in
 ``perfbench/run.py``: at two threads some check values differ in their
-rounding residues (``star.S40``, ``verify.fm8`` to ``verify.fm10``).
+rounding residues (``star.S40``, ``verify.S50`` and ``verify.fm8`` to
+``verify.fm10``, 5 of the 75 configs).
 
 Not collected by pytest (the file name has no ``test_`` prefix).
 """

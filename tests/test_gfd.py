@@ -8,7 +8,9 @@ import pytest
 from sweyl import gfd
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
-from sweyl.paulis import PauliString, PauliSum
+from sweyl.paulis import majorana
+
+from oracles import PauliSum, from_label, word_sector_purities
 
 H = HalfInt.of
 
@@ -56,9 +58,9 @@ def test_pauli_route_matches_dense():
         op = PauliSum(2)
         labels = ["XI", "YZ", "ZZ", "IY", "XX"]
         for lab in labels:
-            op.add_string(PauliString.from_label(lab), complex(*rng.normal(size=2)))
+            op.add_string(from_label(lab), complex(*rng.normal(size=2)))
         dense_spec = gfd.purity_spectrum(op.to_dense(), model)
-        pauli_spec = gfd.purity_spectrum(op, model)
+        pauli_spec = word_sector_purities(op, model)
         for lam in model.labels():
             assert pauli_spec[lam] == pytest.approx(dense_spec[lam], abs=1e-12)
 
@@ -94,8 +96,7 @@ def test_phase_purity_scaling():
 
 def test_phase_purity_kills_tauless_sectors():
     model = FermionicModel(2)
-    c1 = PauliSum.from_string(PauliString.from_label("XI"))  # one Majorana
-    spec = gfd.purity_spectrum(c1, model)
+    spec = gfd.purity_spectrum(majorana(1, 2).to_dense(), model)
     assert spec[1] == pytest.approx(4.0)  # norm^2 of 2 * D_j
     out = gfd.phase_purity(spec, 1.0, model)
     assert out[1] == 0.0

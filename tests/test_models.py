@@ -8,13 +8,12 @@ import numpy as np
 import pytest
 
 from sweyl.clebsch import HalfInt
-from sweyl.gfd import purity_spectrum
 from sweyl.models import (FermionicModel, FermionicPoint, MultipartiteModel,
                           SpinModel)
-from sweyl.paulis import PauliString, PauliSum
 
-from oracles import (adjoint_matrix, majorana_dense, product_sector_words,
-                     sector_of, sector_strings)
+from oracles import (PauliSum, adjoint_matrix, from_label, majorana_dense,
+                     product_sector_words, sector_of, sector_strings,
+                     word_sector_purities)
 
 H = HalfInt.of
 
@@ -121,10 +120,10 @@ def test_blocks_orthonormal_hermitian_complete(model):
 
 def test_multipartite_sector_strings():
     model = MultipartiteModel(2)
-    labels = {str(ps) for ps in sector_strings(model, (1, 0))}
-    assert labels == {"XI", "YI", "ZI"}
-    labels = {str(ps) for ps in sector_strings(model, (1, 1))}
-    assert len(labels) == 9 and "XY" in labels
+    words = set(sector_strings(model, (1, 0)))
+    assert words == {from_label(label) for label in ("XI", "YI", "ZI")}
+    words = set(sector_strings(model, (1, 1)))
+    assert len(words) == 9 and from_label("XY") in words
 
 
 # -- named states and coherent geometry ---------------------------------------
@@ -301,9 +300,9 @@ def test_sector_words_match_word_by_word_products(model):
 
 
 def test_spin_has_no_pauli_sectors():
-    op = PauliSum.from_string(PauliString.from_label("XZ"))
+    op = PauliSum.from_string(from_label("XZ"))
     with pytest.raises(ValueError):
-        purity_spectrum(op, SpinModel(H("3/2")))
+        word_sector_purities(op, SpinModel(H("3/2")))
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=repr)

@@ -11,9 +11,10 @@ from sweyl import gfd
 from sweyl import phase_space as ps
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
-from sweyl.paulis import PauliString, PauliSum, word_masks
+from sweyl.paulis import PauliString, word_masks
 
-from oracles import dense_block_purities, sector_of
+from oracles import (PauliSum, dense_block_purities, from_label, sector_of,
+                     word_sector_purities)
 
 
 @functools.lru_cache(maxsize=None)
@@ -63,16 +64,16 @@ def test_qubit_spectrum_is_group_invariant(kind, n, seed):
 @_fast
 @_qubit_cases
 def test_pauli_route_matches_dense_route(kind, n, seed):
-    # The PauliSum route reads its words' sectors from model.word_sectors.
+    # The word-sector route reads its words' sectors from model.word_sectors.
     model = _model(kind, n)
     rng = np.random.default_rng(seed)
     op = PauliSum(n)
     for _ in range(int(rng.integers(1, 2 * 4 ** n))):
         label = "".join(rng.choice(list("IXYZ"), size=n))
-        op.add_string(PauliString.from_label(label),
+        op.add_string(from_label(label),
                       complex(*rng.normal(size=2)))
     dense = gfd.purity_spectrum(op.to_dense(), model)
-    pauli = gfd.purity_spectrum(op, model)
+    pauli = word_sector_purities(op, model)
     scale = 1 + dense.total
     for lam in model.labels():
         assert abs(pauli[lam] - dense[lam]) <= 1e-12 * scale
@@ -163,4 +164,4 @@ def test_word_sectors_equal_sector_of_sampled(kind, n):
 
 def test_empty_paulisum_on_a_spin_raises():
     with pytest.raises(ValueError):
-        gfd.purity_spectrum(PauliSum(1), SpinModel(HalfInt(1)))
+        word_sector_purities(PauliSum(1), SpinModel(HalfInt(1)))

@@ -13,14 +13,15 @@ from hypothesis import given, settings, strategies as st
 
 from sweyl import cli, gfd, models, phase_space as ps, render, verify
 from sweyl.cli import main
-from sweyl.paulis import PauliString, PauliSum
+from sweyl.paulis import PauliString
 from sweyl.verify import CheckResult, make_model
 
 from test_sector_coefficients import _flipped_word
 
-from oracles import (pauli_sum_purities, purities_by_state, read_csv,
-                     template_grid_cells, template_write_csv,
-                     template_write_json, template_write_ppm)
+from oracles import (PauliSum, pauli_sum_purities, purities_by_state,
+                     read_csv, template_grid_cells, template_write_csv,
+                     template_write_json, template_write_ppm,
+                     word_sector_purities)
 
 
 def test_colorize_grayscale():
@@ -296,7 +297,7 @@ def test_cli_verify_fermionic_past_the_block_cap_exits_0(tmp_path):
 def test_cli_purities_n10_matches_pauli_route(tmp_path, qrt):
     # hw = 2**-n sum_S Z_S and ghz = 2**-n sum_(|S| even) (Z_S + X_all Z_S),
     # read through each word's oracle sector_of, against the CLI's Pauli
-    # transform and the PauliSum route's word_sectors.
+    # transform and the word-sector route's word_sectors.
     n, full = 10, (1 << 10) - 1
     assert main(["purities", "--qrt", qrt, "--n", str(n), "--state", "hw",
                  "--state", "ghz", "--s", "0", "--out", str(tmp_path)]) == 0
@@ -311,7 +312,7 @@ def test_cli_purities_n10_matches_pauli_route(tmp_path, qrt):
     assert len(rows) == 2 * len(model.labels())
     for state, op in (("hw", hw), ("ghz", ghz)):
         want = pauli_sum_purities(model, op)
-        route = gfd.purity_spectrum(op, model)
+        route = word_sector_purities(op, model)
         got = {r[3]: float(r[6]) for r in rows if r[1] == state}
         for lam in model.labels():
             key = "".join(map(str, lam)) if qrt == "multipartite" else str(lam)

@@ -9,10 +9,10 @@ from sweyl import phase_space as ps
 from sweyl.cli import main
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
-from sweyl.paulis import PauliSum
 from sweyl.verify import _LIN_TOL, duality_identity_deviation
 
-from oracles import center_factor_per_label, read_csv
+from oracles import (PauliSum, center_factor_per_label, read_csv,
+                     word_sector_purities)
 
 SPECS = [ps.KernelSpec.cahill_glauber(s) for s in (-1.0, 0.0, 0.5, 1.0)]
 
@@ -202,7 +202,7 @@ def test_haar_chunks_stream():
 
 def test_empty_pauli_sum_on_spin_raises():
     with pytest.raises(ValueError):
-        gfd.purity_spectrum(PauliSum(2), SpinModel(HalfInt(3)))
+        word_sector_purities(PauliSum(2), SpinModel(HalfInt(3)))
 
 
 # -- writers: byte identity with the cell-by-cell loops they replace ----------
