@@ -7,7 +7,7 @@ from .gfd import (DualityRow, PuritySpectrum, closed_form_spin_purity,
                   phase_purity, purity_spectrum, s_flow_generator)
 from .models import (FermionicModel, FermionicPoint, IrrepBlock,
                      MultipartiteModel, QrtModel, SpinModel)
-from .paulis import PauliString, majorana
+from .paulis import PauliString
 from .phase_space import (KernelSpec, Quadrature, SymbolField, convert_field,
                           default_grid, harmonic_matrix, kernel_stack,
                           mc_group_quadrature, phase_purity_quadrature,

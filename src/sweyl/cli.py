@@ -278,16 +278,17 @@ def cmd_star(args) -> int:
     reference traces A B against one ``sw_kernel`` stack per point.
     Refused (exit 2) before any field is built: a model other than the
     spin, a spin past the CG table (2S > 200, ``check_sector_size``), an
-    ``--s > 0`` with ``eps kappa**s > 1e-8`` (``check_kappa``) and
-    ``--points`` whose work, ``point_work`` + 2 10**4 units per point and
-    ``--s`` (reference symbol; draw, synthesis), passes ``WORK_BUDGET``:
-    491 points with one ``--s`` at 2S = 200 (3.0-3.8 s, 128 MB RSS)."""
+    ``--s`` of either sign with ``eps kappa**|s| > 1e-8`` (``check_kappa``;
+    the input fields are read back at the dual -s) and ``--points`` whose
+    work, ``point_work`` + 2 10**4 units per point and ``--s`` (reference
+    symbol; draw, synthesis), passes ``WORK_BUDGET``: 491 points with one
+    ``--s`` at 2S = 200 (3.0-3.8 s, 128 MB RSS)."""
     model = _model(args)
     if args.qrt != "spin":
         raise ValueError("star command supports the spin model")
     model.check_sector_size()  # before any d-sized array
     svals = args.s if args.s else [0.0]
-    ps.check_kappa(model, svals)
+    ps.check_kappa(model, svals, dual=True)
     d = model.dim
     admit(f"star of {args.points} points at d={d} with {len(svals)} --s "
           "value(s)",

@@ -1338,7 +1338,9 @@ class FermionicModel(QrtModel):
 
     Sector label lam = 0..2n counts Majorana factors.  Phase points are
     real antisymmetric 2n x 2n generators h, entering through
-    ``T = exp(sum_{mu != nu} h_{mu nu} c_mu c_nu)``.
+    ``T = exp(sum_{mu != nu} h_{mu nu} c_mu c_nu)``.  The sectors, the point
+    generators and ``verify`` read the one Jordan-Wigner construction,
+    ``sector_words``.
     """
 
     kind = "fermionic"

@@ -1,13 +1,12 @@
-"""Bit-packed Pauli strings, Majorana operators and the fast Pauli transform.
+"""Bit-packed Pauli words, their dense matrices and the fast Pauli transform.
 
-A string is stored as an x-mask, a z-mask and a power of i, representing
-``i**phase * prod_q X_q**x_q Z_q**z_q``.  Bit q of a mask addresses qubit q,
-and qubit 0 is the leftmost tensor factor of the dense matrix.  The
-canonical phase of a mask pair is ``popcount(x & z) mod 4`` (one factor of
-i per Y), which makes every canonical string Hermitian.  The qubit and
-fermion models read their sector coefficients from ``pauli_transform`` on
-the integer word masks of ``word_masks``; ``PauliString`` serves the
-Majorana products of ``verify`` and dense words (``to_dense``).
+A word ``i**phase * prod_q X_q**x_q Z_q**z_q`` is an x-mask, a z-mask and a
+power of i; bit q of a mask addresses qubit q, and qubit 0 is the leftmost
+tensor factor of the dense matrix.  The qubit and fermion models read their
+sector coefficients from ``pauli_transform`` on the masks of ``word_masks``;
+the fermionic model's ``sector_words`` is the one Jordan-Wigner
+construction.  ``PauliString``, one word as a record, stays for the
+benchmark tracer, which wraps its ``to_dense``.
 """
 
 from __future__ import annotations
@@ -40,16 +39,6 @@ class PauliString(Frozen):
         init(self, "x", x)
         init(self, "z", z)
         init(self, "phase", phase % 4)  # power of i, mod 4
-
-    @property
-    def canonical_phase(self) -> int:
-        return (self.x & self.z).bit_count() % 4
-
-    def __mul__(self, other: "PauliString") -> "PauliString":
-        if self.n != other.n:
-            raise ValueError("qubit counts differ")
-        phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()
-        return PauliString(self.n, self.x ^ other.x, self.z ^ other.z, phase)
 
     def to_dense(self) -> np.ndarray:
         return words_dense(self.n, self.x, self.z, self.phase)[0]
@@ -159,20 +148,3 @@ def pauli_operators(b: np.ndarray) -> np.ndarray:
     return T.reshape((2,) * (2 * n) + (m,)).transpose(axes).reshape(
         lead + (2 ** n, 2 ** n))
 
-
-# -- Majorana operators ----------------------------------------------------
-
-def majorana(mu: int, n: int) -> PauliString:
-    """Majorana operator c_mu, 1-indexed, under the Jordan-Wigner map.
-
-    ``c_{2k-1} = Z^(k-1) X I^(n-k)`` and ``c_{2k} = Z^(k-1) Y I^(n-k)``.
-    """
-    if not 1 <= mu <= 2 * n:
-        raise ValueError(f"need 1 <= mu <= 2n, got mu={mu}, n={n}")
-    k = (mu + 1) // 2  # mode, 1-indexed
-    x = 1 << (k - 1)
-    z = (1 << (k - 1)) - 1
-    if mu % 2 == 0:
-        z |= 1 << (k - 1)
-    ps = PauliString(n, x, z, 0)
-    return PauliString(n, x, z, ps.canonical_phase)

@@ -320,13 +320,14 @@ def s_limit(model: QrtModel, bound: float) -> float:
     return math.log(bound / np.finfo(float).eps) / math.log(kappa(model))
 
 
-def check_kappa(model: QrtModel, svals) -> None:
-    """ValueError naming kappa for an s > 0 with ``eps kappa**s > 1e-8``."""
+def check_kappa(model: QrtModel, svals, dual: bool = False) -> None:
+    """ValueError naming kappa for an s with ``eps kappa**s > 1e-8``, or with
+    ``dual`` (fields read back at -s) ``eps kappa**|s| > 1e-8``."""
     limit = s_limit(model, 1e-8)
     for s in svals:
-        if s > limit:
+        if (abs(s) if dual else s) > limit:
             raise ValueError(f"--s {s:g} at kappa = {kappa(model):.3g} leaves "
-                             "an error eps * kappa**s over 1e-8 of the "
+                             "an error eps * kappa**|s| over 1e-8 of the "
                              "field's maximum")
 
 

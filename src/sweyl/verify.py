@@ -16,7 +16,7 @@ from . import gfd, phase_space as ps
 from .clebsch import HalfInt, _cg_signed_square
 from .models import (FermionicModel, MultipartiteModel, QrtModel, SpinModel,
                      admit)
-from .paulis import majorana, words_dense
+from .paulis import words_dense
 
 
 class CheckResult:
@@ -145,16 +145,13 @@ def run_checks(qrt: str = "spin", spin_S="2", n: int = 2, seed: int = 0,
                     dev = max(dev, abs(acc - 1.0))
     results.append(check("cg_normalization", dev, _LIN_TOL))
 
-    # Majorana anticommutation on n modes (the model's own n for qubit
-    # models, --n for a spin), clamped to 1..3.
+    # Majorana anticommutation of c_1 ... c_2n, the fermionic model's
+    # sector-1 words, on n modes (the model's own n for qubit models, --n
+    # for a spin), clamped to 1..3.
     reg = max(1, min(n, 3))
-    cs = [majorana(mu, reg) for mu in range(1, 2 * reg + 1)]
-    prods = [a * b for a in cs for b in cs]  # c_mu c_nu, mu-major
-    dense = words_dense(reg, [p.x for p in prods], [p.z for p in prods],
-                        [p.phase for p in prods])
-    dense = dense.reshape(len(cs), len(cs), 2 ** reg, 2 ** reg)
-    anti = dense + dense.transpose(1, 0, 2, 3)
-    anti -= 2 * np.eye(len(cs))[:, :, None, None] * np.eye(2 ** reg)
+    c = words_dense(reg, *FermionicModel(reg).sector_words(1))
+    anti = c[:, None] @ c[None] + c[None] @ c[:, None]
+    anti -= 2 * np.eye(2 * reg)[:, :, None, None] * np.eye(2 ** reg)
     results.append(check("majorana_anticommutation",
                          float(np.max(np.abs(anti))), _LIN_TOL))
 

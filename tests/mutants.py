@@ -53,13 +53,24 @@ MUTANTS = [
      "        else:\n            self.terms[key] = val\n",
      "        self.terms[key] = val\n",
      ["tests/test_edge_branches.py", "tests/test_frozen.py"]),
-    # The product phase of two strings, i**2 per Z of the left one met by
-    # an X of the right one; verify's Majorana check multiplies strings.
-    ("pauli-mul-drops-zx-phase", "src/sweyl/paulis.py",
-     "phase = self.phase + other.phase + 2 * (self.z & other.x).bit_count()",
-     "phase = self.phase + other.phase",
+    # The product phase of two strings in the tests' Jordan-Wigner
+    # reference, i**2 per Z of the left one met by an X of the right one.
+    ("pauli-mul-drops-zx-phase", "tests/oracles.py",
+     "phase = a.phase + b.phase + 2 * (a.z & b.x).bit_count()",
+     "phase = a.phase + b.phase",
      ["tests/test_paulis.py::test_mul_against_dense",
-      "tests/test_render_cli.py::test_cli_verify_ok"]),
+      "tests/test_paulis.py::test_commutes_matches_dense"]),
+    # The Jordan-Wigner Z string of the fermionic words; verify's Majorana
+    # check reads them.
+    ("jw-string-dropped", MODELS,
+     "z |= (b ^ above) << k", "z |= b << k",
+     ["tests/test_render_cli.py::test_cli_verify_ok"]),
+    # star reads its input fields back at the dual -s, so a negative --s
+    # meets the kappa rule too.
+    ("star-kappa-positive-only", "src/sweyl/cli.py",
+     "ps.check_kappa(model, svals, dual=True)",
+     "ps.check_kappa(model, svals)",
+     ["tests/test_streamed.py::test_star_kappa_rule_reads_either_sign"]),
     ("duality-gate-5", "src/sweyl/cli.py",
      "abs(row.zscore), 4.0", "abs(row.zscore), 5.0",
      ["tests/test_render_cli.py::test_cli_duality_gate_fails_on_a_bad_row"]),

@@ -3,7 +3,10 @@ the fast paths they check.
 
 None of these is called by the package.  They are the symbolic Pauli
 algebra the package leaves to the tests: strings from labels
-(``from_label``), a term-dict ``PauliSum`` that merges its terms through
+(``from_label``), their product and canonical phase (``pauli_mul``,
+``canonical_phase``), the Jordan-Wigner Majorana strings (``majorana``,
+the reference for the fermionic model's bit-arithmetic ``sector_words``),
+a term-dict ``PauliSum`` that merges its terms through
 ``add_string`` and its purities from the models' ``word_sectors``
 (``word_sector_purities``), beside the per-word sector of a Pauli word
 (``sector_of``) and the word-by-word purities and Majorana algebra behind
@@ -46,8 +49,7 @@ from sweyl.clebsch import (HalfInt, _cg_signed_square, _checked_labels,
                            clebsch_gordan)
 from sweyl.models import (TABLE_BYTES, FermionicModel, MultipartiteModel,
                           _exp_antihermitian)
-from sweyl.paulis import (_FORWARD, _INVERSE, PauliString, majorana,
-                          words_dense)
+from sweyl.paulis import _FORWARD, _INVERSE, PauliString, words_dense
 from sweyl.phase_space import (KernelSpec, gauss_legendre, harmonic_matrix,
                                sw_kernel)
 
@@ -79,6 +81,21 @@ def from_label(label: str) -> PauliString:
     return PauliString(len(body), x, z, phase)
 
 
+def canonical_phase(ps: PauliString) -> int:
+    """``popcount(x & z) mod 4``, one factor of i per Y: the phase at which
+    the word of ``ps``'s masks is Hermitian."""
+    return (ps.x & ps.z).bit_count() % 4
+
+
+def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
+    """The product ``a b``: the masks XOR, and the phase gains i**2 per Z
+    of ``a`` met by an X of ``b``."""
+    if a.n != b.n:
+        raise ValueError("qubit counts differ")
+    phase = a.phase + b.phase + 2 * (a.z & b.x).bit_count()
+    return PauliString(a.n, a.x ^ b.x, a.z ^ b.z, phase)
+
+
 class PauliSum:
     """Complex linear combination of Pauli strings, keyed by the (x, z)
     masks of the canonical (Hermitian) string, so that Hermitian operators
@@ -97,7 +114,7 @@ class PauliSum:
 
     def add_string(self, ps: PauliString, coeff: complex = 1.0) -> None:
         key = (ps.x, ps.z)
-        residual = (1, 1j, -1, -1j)[(ps.phase - ps.canonical_phase) % 4]
+        residual = (1, 1j, -1, -1j)[(ps.phase - canonical_phase(ps)) % 4]
         val = self.terms.get(key, 0j) + coeff * residual
         if val == 0:
             self.terms.pop(key, None)
@@ -128,11 +145,25 @@ def word_sector_purities(op: PauliSum, model) -> gfd.PuritySpectrum:
         rows, weights * 2 ** op.n, minlength=len(labels)))
 
 
+def majorana(mu: int, n: int) -> PauliString:
+    """Majorana operator c_mu, 1-indexed, under the Jordan-Wigner map,
+    string by string: ``c_{2k-1} = Z^(k-1) X I^(n-k)`` and ``c_{2k} =
+    Z^(k-1) Y I^(n-k)``."""
+    if not 1 <= mu <= 2 * n:
+        raise ValueError(f"need 1 <= mu <= 2n, got mu={mu}, n={n}")
+    k = (mu + 1) // 2  # mode, 1-indexed
+    x = 1 << (k - 1)
+    z = (1 << (k - 1)) - 1
+    if mu % 2 == 0:
+        z |= 1 << (k - 1)
+    return PauliString(n, x, z, (x & z).bit_count())
+
+
 def majorana_product(mus, n: int) -> PauliString:
     """Ordered product of Majorana operators with exact phase tracking."""
     out = PauliString(n, 0, 0)
     for mu in mus:
-        out = out * majorana(mu, n)
+        out = pauli_mul(out, majorana(mu, n))
     return out
 
 

@@ -14,7 +14,7 @@ from sweyl.models import (FermionicModel, MultipartiteModel, QrtModel,
                           SpinModel)
 from sweyl.paulis import PauliString, pauli_transform
 
-from oracles import PauliSum, from_label
+from oracles import PauliSum, from_label, pauli_mul
 
 
 # -- clebsch -------------------------------------------------------------------
@@ -50,7 +50,7 @@ def test_pauli_string_refusals():
         from_label("XQ")
     one, two = from_label("X"), from_label("XX")
     with pytest.raises(ValueError, match="qubit counts differ"):
-        one * two
+        pauli_mul(one, two)
 
 
 def test_a_cancelled_term_is_dropped():

@@ -8,9 +8,8 @@ import pytest
 from sweyl import gfd
 from sweyl.clebsch import HalfInt
 from sweyl.models import FermionicModel, MultipartiteModel, SpinModel
-from sweyl.paulis import majorana
 
-from oracles import PauliSum, from_label, word_sector_purities
+from oracles import PauliSum, from_label, majorana, word_sector_purities
 
 H = HalfInt.of
 

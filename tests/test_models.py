@@ -7,6 +7,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from sweyl import verify
 from sweyl.clebsch import HalfInt
 from sweyl.models import (FermionicModel, FermionicPoint, MultipartiteModel,
                           SpinModel)
@@ -235,6 +236,21 @@ def test_fermionic_unitary_rotates_majoranas():
         lhs = U @ cs[mu] @ U.conj().T
         rhs = sum(R[mu, nu] * cs[nu] for nu in range(4))
         assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+def test_verify_majorana_check_reads_the_fermionic_words(monkeypatch):
+    # verify's anticommutation check runs on sector_words(1): without their
+    # Jordan-Wigner Z strings, c_1 = XI and c_3 = IX commute.
+    words = FermionicModel.sector_words
+
+    def no_strings(self, lam):
+        x, z, phase = words(self, lam)
+        return x, z & x, phase  # Z only on the modes that carry an X
+
+    monkeypatch.setattr(FermionicModel, "sector_words", no_strings)
+    row = {r.name: r for r in verify.run_checks("spin", "1", 2)}[
+        "majorana_anticommutation"]
+    assert not row.passed and row.value == 2.0
 
 
 # -- adjoint action on sector bases -------------------------------------------

@@ -396,6 +396,8 @@ def test_cli_phasespace_half_integer_m(tmp_path, capsys):
     ["star", "--qrt", "spin", "--spin-S", "201/2"],  # past the CG table
     # the kappa rule: a correct star would read 8e-5 against its 1e-6 bound
     ["star", "--qrt", "spin", "--spin-S", "20", "--s", "0", "--s", "1"],
+    # and at the dual -s of a negative --s, which would read 7.4e37
+    ["star", "--qrt", "spin", "--spin-S", "20", "--s=-3"],
 ])
 def test_cli_oversized_spin_exit_2_before_allocating(tmp_path, capsys, argv):
     import tracemalloc

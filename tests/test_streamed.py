@@ -182,6 +182,18 @@ def test_kappa_rule_boundary_at_s_1(tmp_path, spin, code):
                  "--out", str(tmp_path)]) == code
 
 
+@pytest.mark.parametrize("spin,s,code", [
+    ("8", "-3", 2), ("2", "-10", 2), ("8", "-1.4", 0), ("2", "-5", 0)])
+def test_star_kappa_rule_reads_either_sign(tmp_path, capsys, spin, s, code):
+    # star reads its input fields back at the dual -s: at 2S = 16 a correct
+    # --s=-3 would read 1.1e-3 against its 1e-6 bound.  The refusal names
+    # the --s as given.
+    assert main(["star", "--spin-S", spin, f"--s={s}", "--points", "3",
+                 "--out", str(tmp_path)]) == code
+    err = capsys.readouterr().err
+    assert (f"--s {s} at kappa" in err) == (code == 2)
+
+
 @pytest.mark.parametrize(
     "model", [SpinModel(HalfInt(k)) for k in range(1, 61)]
     + [MultipartiteModel(n) for n in range(1, 5)]
